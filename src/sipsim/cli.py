@@ -276,3 +276,7 @@ def build_invocation(argv) -> Invocation:
 
 def main(argv=None) -> None:
     sys.exit(run(build_invocation(argv)))
+
+
+if __name__ == "__main__":
+    main()

@@ -140,9 +140,13 @@ class RandomStream:
     Streams with distinct paths (in particular distinct derive_stream
     indices) are independent by seed-sequence spawning. Scalar draws are
     served from a prefetched buffer, so interleaving calls on the same
-    stream object stays reproducible for a fixed call pattern.
+    stream object stays reproducible for a fixed call pattern. The buffer
+    starts small and doubles at each refill up to a cap, since most streams
+    are used for only tens of draws; PCG64 gives the same sequence however
+    its draws are chunked.
     """
 
+    _FIRST_BUFFER = 64
     _BUFFER = 8192
 
     __slots__ = ("seed", "path", "_gen", "_buf", "_pos")
@@ -168,7 +172,8 @@ class RandomStream:
     def uniform(self) -> float:
         """One uniform draw on [0, 1)."""
         if self._pos >= len(self._buf):
-            self._buf = self._gen.random(self._BUFFER).tolist()
+            size = min(max(2 * len(self._buf), self._FIRST_BUFFER), self._BUFFER)
+            self._buf = self._gen.random(size).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1

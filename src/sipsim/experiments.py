@@ -35,6 +35,7 @@ from .measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_
 from .oracle import (
     build_generator,
     cesaro_apply,
+    duality_probe,
     exact_dual_expectation,
     semigroup_apply,
     state_space,
@@ -679,17 +680,12 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
     space = state_space(n_eta, geo)
     q = build_generator(n_eta, params)
     eta_index = space.index_of_particles(cfg.eta)
-    pair_probes = []
-    for a in range(len(sites)):
-        for b in range(a + 1, len(sites)):
-            support = [(geo.site_index(sites[a]), 1), (geo.site_index(sites[b]), 1)]
-            vec = np.array(
-                [
-                    math.prod(evaluator.single(k, state[si]) for si, k in support)
-                    for state in space.states
-                ]
-            )
-            pair_probes.append(vec)
+    # sites[a] has site index a, so column a of the sector holds its count
+    pair_probes = [
+        duality_probe(space, evaluator, [(1, space.states[:, a]), (1, space.states[:, b])])
+        for a in range(len(sites))
+        for b in range(a + 1, len(sites))
+    ]
     spreads = []
     for horizon in cfg.t_grid:
         averaged = [float(cesaro_apply(q, horizon, vec)[eta_index]) for vec in pair_probes]

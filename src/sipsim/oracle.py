@@ -3,12 +3,17 @@
 Ground truth for the Monte Carlo claims: explicit sparse generator assembly
 on the n-particle sector of a torus, semigroup evaluation by uniformization
 (Poisson mixture of powers of the jump kernel, truncated with a certified
-tail bound), time-averaged semigroups by trapezoid quadrature, and an exact
+tail bound), time-averaged semigroups in closed form, and an exact
 hitting law for the one-dimensional difference walk.
 
-States are occupation count-vectors over the torus sites, enumerated in
-colexicographic order (the last site is the most significant digit), which
-fixes a reproducible indexing across platforms.
+A sector is held once, as a (size x sites) integer array of occupation
+count-vectors in colexicographic order (the last site is the most
+significant digit), which fixes a reproducible indexing across platforms.
+A state's ordinal is its colex rank in the combinatorial number system
+(Knuth, TAOCP 4A, 7.2.1.3), computed in integer arithmetic from a table of
+binomials that never exceeds the sector size, so no state -> ordinal map is
+stored. The generator is assembled with numpy, one vectorized pass per
+(site, neighbour slot) pair over all states.
 """
 
 from __future__ import annotations
@@ -16,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import sparse
-from scipy.stats import poisson
+from scipy import sparse, special
 
 from .core import Geometry, occupation_of
 from .duality import DualityEvaluator
@@ -29,32 +33,89 @@ from .dynamics import SipParams
 DEFAULT_STATE_CAP = 200_000
 
 
+def _poisson_pmf(k, mu):
+    k = np.asarray(k)
+    return np.clip(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu), 0, 1)
+
+
+def _poisson_sf(k, mu):
+    return np.clip(special.pdtrc(np.floor(k), mu), 0, 1)
+
+
+def _poisson_isf(q, mu):
+    # smallest k with sf(k) <= q: invert the cdf at 1 - q, then step down
+    # once where pdtrik's continuous inverse rounds up past the quantile
+    p = 1.0 - np.asarray(q, dtype=float)
+    vals = np.ceil(special.pdtrik(p, mu))
+    lower = np.maximum(vals - 1, 0)
+    return np.where(special.pdtr(lower, mu) >= p, lower, vals)[()]
+
+
+# The three Poisson(mu) functions uniformization needs, with the same
+# formulas as scipy.stats.poisson (bitwise-equal values) but without the
+# cost of importing scipy.stats.
+poisson = SimpleNamespace(pmf=_poisson_pmf, sf=_poisson_sf, isf=_poisson_isf)
+
+
 class StateCapError(ValueError):
     """The requested sector exceeds the configured state-count cap."""
 
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """All occupation states with n particles on a torus, with index maps."""
+    """All occupation states with n particles on a torus, ranked in colex order.
+
+    `states[i]` is the count-vector of colex rank i. With prefix sums
+    R_j = eta(0) + ... + eta(j), the states before eta are those that agree
+    with it above some site j >= 1 and hold fewer particles at j; by the
+    hockey-stick identity they number C(R_j + j, j) - C(R_{j-1} + j, j).
+    Regrouped by R_j, the rank is the sum over sites of `weights[R_j, j]`,
+    where weights[p, j] = C(p + j, j) - C(p + j + 1, j + 1), the first term
+    dropped at site 0 and the second at the last site. No entry exceeds the
+    sector size in absolute value, so int64 arithmetic is exact.
+    """
 
     geometry: Geometry
     n: int
-    states: tuple = field(repr=False)
-    index: dict = field(repr=False)
+    states: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.states.shape[0]
+
+    def rank(self, states):
+        """Colex ranks of count-vectors with n particles (last axis: sites)."""
+        prefix = np.cumsum(states, axis=-1)
+        return self.weights[prefix, np.arange(prefix.shape[-1])].sum(axis=-1)
 
     def index_of_occupation(self, counts) -> int:
         """Ordinal of a site->count map (zero entries optional)."""
-        vec = [0] * self.geometry.n_sites
+        vec = np.zeros(self.geometry.n_sites, dtype=np.int64)
         for site, k in counts.items():
             vec[self.geometry.site_index(self.geometry.wrap(site))] = k
-        return self.index[tuple(vec)]
+        if vec.min() < 0 or vec.sum() != self.n:
+            raise KeyError(f"{tuple(vec.tolist())} is not in the {self.n}-particle sector")
+        return int(self.rank(vec))
 
     def index_of_particles(self, particles) -> int:
         return self.index_of_occupation(occupation_of(particles))
+
+
+def _colex_states(n: int, v: int) -> np.ndarray:
+    """The n-particle count-vectors on v sites, one per row, in colex order."""
+    # blocks[p]: the p-particle states of the sites seen so far; a state of
+    # one more site is a lower state plus its top count c, ordered by c first
+    blocks = [np.array([[p]], dtype=np.int64) for p in range(n + 1)]
+    for j in range(1, v):
+        blocks = [
+            np.vstack([
+                np.column_stack((blocks[p - c], np.full(len(blocks[p - c]), c)))
+                for c in range(p + 1)
+            ])
+            for p in (range(n + 1) if j < v - 1 else (n,))
+        ]
+    return blocks[-1]
 
 
 @lru_cache(maxsize=64)
@@ -68,54 +129,70 @@ def state_space(n: int, geometry: Geometry, cap: int = DEFAULT_STATE_CAP) -> Sta
     size = math.comb(v + n - 1, n)
     if size > cap:
         raise StateCapError(f"sector has {size} states, above the cap {cap}")
-    states = []
-    for combo in combinations_with_replacement(range(v), n):
-        vec = [0] * v
-        for s in combo:
-            vec[s] += 1
-        states.append(tuple(vec))
-    states.sort(key=lambda s: s[::-1])
-    index = {s: i for i, s in enumerate(states)}
-    return StateSpace(geometry=geometry, n=n, states=tuple(states), index=index)
+    states = _colex_states(n, v)
+    states.flags.writeable = False
+    binom = np.array([[math.comb(p + j, j) for j in range(v)] for p in range(n + 1)],
+                     dtype=np.int64)
+    weights = np.zeros_like(binom)
+    weights[:, 1:] += binom[:, 1:]
+    weights[:, :-1] -= binom[:, 1:]
+    return StateSpace(geometry=geometry, n=n, states=states, weights=weights)
 
 
 @lru_cache(maxsize=64)
-def build_generator(n: int, params: SipParams, cap: int = DEFAULT_STATE_CAP):
+def build_generator(n: int, params: SipParams):
     """Sparse SIP(m) generator on the n-particle sector.
 
-    Off-diagonal entry for eta -> eta^{x,y} accumulates
-    p(x,y) * eta(x) * (m/2 + eta(y)) over contributing edges; the diagonal
-    makes every row sum to zero. Returned matrix is CSR and must be treated
-    as read-only (it is cached and shared).
+    Off-diagonal entry for eta -> eta^{x,y} is
+    p(x,y) * eta(x) * (m/2 + eta(y)); the diagonal makes every row sum to
+    zero. Each (site x, neighbour slot y) pair is one vectorized pass over
+    the states, and the diagonal accumulates pass by pass in the order of
+    the sites and of `Geometry.neighbors`, so every entry is bitwise what a
+    state-by-state loop gives. Returned matrix is CSR and must be treated as
+    read-only (it is cached and shared).
     """
-    space = state_space(n, params.geometry, cap)
+    space = state_space(n, params.geometry)
     geo = params.geometry
     half_m = 0.5 * params.m
     p_edge = 1.0 / (2.0 * geo.d)
-    site_list = list(geo.sites())
-    nbr_idx = [
-        [geo.site_index(y) for y in geo.neighbors(x)] for x in site_list
-    ]
+    states = space.states
+    # Moving one particle from x to y lowers R_j by one for x <= j < y, or
+    # raises it for y <= j < x, so the target's rank is the source's (its
+    # row number) plus a difference of two running sums over sites of the
+    # weight change under that shift. The clip only touches prefix sums a
+    # move never shifts.
+    prefix = np.cumsum(states, axis=1)
+    site = np.arange(geo.n_sites)
+
+    def running_change(shift):
+        step = (space.weights[np.clip(prefix + shift, 0, n), site]
+                - space.weights[prefix, site])
+        return np.hstack((np.zeros((space.size, 1), dtype=np.int64),
+                          np.cumsum(step, axis=1)))
+
+    down, up = running_change(-1), running_change(+1)
+    diag = np.zeros(space.size)
     rows, cols, vals = [], [], []
-    for i, state in enumerate(space.states):
-        diag = 0.0
-        for xi_idx, k in enumerate(state):
-            if k == 0:
-                continue
-            for yi_idx in nbr_idx[xi_idx]:
-                rate = p_edge * k * (half_m + state[yi_idx])
-                target = list(state)
-                target[xi_idx] -= 1
-                target[yi_idx] += 1
-                rows.append(i)
-                cols.append(space.index[tuple(target)])
-                vals.append(rate)
-                diag -= rate
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
+    for x, site_x in enumerate(geo.sites()):
+        k = states[:, x]
+        movers = np.flatnonzero(k)
+        for y in (geo.site_index(z) for z in geo.neighbors(site_x)):
+            rate = p_edge * k * (half_m + states[:, y])  # 0.0 where k == 0
+            diag -= rate
+            if x < y:
+                shift = down[movers, y] - down[movers, x]
+            else:
+                shift = up[movers, x] - up[movers, y]
+            rows.append(movers)
+            cols.append(movers + shift)
+            vals.append(rate[movers])
+    every = np.arange(space.size)
+    rows.append(every)
+    cols.append(every)
+    vals.append(diag)
     q = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(space.size, space.size), dtype=float
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.size, space.size), dtype=float,
     )
     q.sum_duplicates()
     return q
@@ -156,8 +233,24 @@ def transient_distribution(q, t: float, start_index: int, tail: float = 1e-12):
     return semigroup_apply(q.T.tocsr(), t, delta, tail=tail)
 
 
-def exact_dual_expectation(xi, eta_counts, t: float, params: SipParams,
-                           cap: int = DEFAULT_STATE_CAP):
+def duality_probe(space: StateSpace, evaluator: DualityEvaluator, factors):
+    """prod over (k, l) in `factors` of d(k, l), at every state of the sector.
+
+    Each k and l is an int or a site column `space.states[:, s]`. d is
+    tabulated once up to the largest occupation involved and the factors
+    are multiplied in the order given, so each entry is bitwise the product
+    of `evaluator.single` values taken state by state (d(0, l) = 1 exactly).
+    """
+    top = max([space.n] + [int(np.max(a)) for pair in factors for a in pair])
+    table = np.array([[evaluator.single(k, l) for l in range(top + 1)]
+                      for k in range(top + 1)])
+    out = np.ones(space.size)
+    for k, l in factors:
+        out = out * table[k, l]
+    return out
+
+
+def exact_dual_expectation(xi, eta_counts, t: float, params: SipParams):
     """Both sides of the self-duality identity, each by uniformization.
 
     Left: E_eta D(xi, eta_t), computed on the |eta|-particle sector.
@@ -172,33 +265,22 @@ def exact_dual_expectation(xi, eta_counts, t: float, params: SipParams,
     n_eta = sum(eta_counts.values())
     n_xi = len(xi)
 
-    xi_counts = occupation_of(xi)
-    xi_support = [(geo.site_index(site), k) for site, k in xi_counts.items()]
-    space_eta = state_space(n_eta, geo, cap)
-    q_eta = build_generator(n_eta, params, cap)
-    f_left = np.array(
-        [
-            math.prod(evaluator.single(k, state[si]) for si, k in xi_support)
-            for state in space_eta.states
-        ]
-    )
+    space_eta = state_space(n_eta, geo)
+    q_eta = build_generator(n_eta, params)
+    f_left = duality_probe(space_eta, evaluator, [
+        (k, space_eta.states[:, geo.site_index(site)])
+        for site, k in occupation_of(xi).items()
+    ])
     left = float(semigroup_apply(q_eta, t, f_left)[space_eta.index_of_occupation(eta_counts)])
 
     eta_vec = [0] * geo.n_sites
     for site, k in eta_counts.items():
         eta_vec[geo.site_index(site)] = k
-    space_xi = state_space(n_xi, geo, cap)
-    q_xi = build_generator(n_xi, params, cap)
-    f_right = np.array(
-        [
-            math.prod(
-                evaluator.single(k, eta_vec[si])
-                for si, k in enumerate(state)
-                if k
-            )
-            for state in space_xi.states
-        ]
-    )
+    space_xi = state_space(n_xi, geo)
+    q_xi = build_generator(n_xi, params)
+    f_right = duality_probe(space_xi, evaluator, [
+        (space_xi.states[:, s], l) for s, l in enumerate(eta_vec)
+    ])
     right = float(semigroup_apply(q_xi, t, f_right)[space_xi.index_of_particles(xi)])
     return left, right
 
@@ -237,7 +319,7 @@ def dump_generator(space: StateSpace, q, path):
     coo = q.tocoo()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# sector n={space.n} sites={space.geometry.n_sites} states={space.size}\n")
-        for i, state in enumerate(space.states):
+        for i, state in enumerate(space.states.tolist()):
             fh.write(f"# state {i} {' '.join(str(c) for c in state)}\n")
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{i} {j} {v:.17g}\n")

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from sipsim import __version__
 from sipsim.cli import (
     ConfigError,
     Invocation,
@@ -98,6 +101,15 @@ class TestArgs:
 
 
 class TestRun:
+    def test_module_entry_point(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "sipsim.cli", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == f"sip-verify {__version__}"
+
     def test_oracle_check_default_config_exits_zero(self, tmp_path):
         inv = invocation("oracle-check", tmp_path)
         assert run(inv) == 0

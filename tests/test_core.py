@@ -137,6 +137,15 @@ class TestRandomStream:
         # exponential sd equals its mean
         assert abs(np.mean(draws) - 0.5) < 3 * 0.5 / math.sqrt(n)
 
+    def test_growing_refills_match_one_block_draw(self):
+        # 20,000 draws cross every refill boundary (64, 128, ..., 8192, 8192)
+        n = 20_000
+        s = RandomStream(31, (2, 5))
+        block = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=31, spawn_key=(2, 5)))
+        ).random(n)
+        assert [s.uniform() for _ in range(n)] == block.tolist()
+
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             RandomStream(-1)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sipsim.core import Geometry, derive_stream, occupation_of
-from sipsim.duality import duality_value
+from sipsim.duality import DualityEvaluator, duality_value
 from sipsim.dynamics import ProcessKind, SipParams, simulate
 from sipsim.measures import marginal_pmf
 from sipsim.oracle import (
@@ -12,15 +15,33 @@ from sipsim.oracle import (
     build_generator,
     cesaro_apply,
     dump_generator,
+    duality_probe,
     exact_dual_expectation,
+    poisson,
     semigroup_apply,
     state_space,
     transient_distribution,
     walk_hitting_probability,
 )
+from reference_generator import reference_generator, reference_states
 
 T3 = SipParams(m=2.0, geometry=Geometry(1, 3))
 T5 = SipParams(m=2.0, geometry=Geometry(1, 5))
+
+# (n, geometry): rings L = 3, 5 with n = 1..3 and tori L = 3, 4 with n = 2, 3
+SECTORS = [(n, Geometry(1, L)) for L in (3, 5) for n in (1, 2, 3)] + [
+    (n, Geometry(2, L)) for L in (3, 4) for n in (2, 3)
+]
+
+
+def csr_bytes(q):
+    """The CSR arrays with their dtypes, for bitwise comparison."""
+    return [(a.dtype.str, a.tobytes()) for a in (q.data, q.indices, q.indptr)]
+
+
+def product_weights(space, lam, m):
+    return np.array([math.prod(marginal_pmf(k, lam, m) for k in s)
+                     for s in space.states.tolist()])
 
 
 class TestStateSpace:
@@ -37,9 +58,26 @@ class TestStateSpace:
 
     def test_colex_enumeration_delivers_bijective_index(self):
         space = state_space(2, Geometry(1, 3))
-        assert space.states[0] == (2, 0, 0)
-        assert space.states[-1] == (0, 0, 2)
-        assert sorted(space.index.values()) == list(range(space.size))
+        assert tuple(space.states[0]) == (2, 0, 0)
+        assert tuple(space.states[-1]) == (0, 0, 2)
+        assert sorted(space.rank(space.states).tolist()) == list(range(space.size))
+
+    @pytest.mark.parametrize("n, geometry", SECTORS + [(3, Geometry(2, 6))])
+    def test_rank_of_each_state_is_its_row(self, n, geometry):
+        # the 6x6 torus with 3 particles would overflow a base-(n+1) key (4^36 > 2^63)
+        space = state_space(n, geometry)
+        assert np.array_equal(space.rank(space.states), np.arange(space.size))
+
+    @pytest.mark.parametrize("n, geometry", SECTORS)
+    def test_states_match_reference_enumeration(self, n, geometry):
+        space = state_space(n, geometry)
+        assert [tuple(s) for s in space.states.tolist()] == reference_states(n, geometry)
+
+    def test_index_of_occupation_rejects_other_sectors(self):
+        space = state_space(2, Geometry(1, 5))
+        assert space.index_of_occupation({(4,): 2}) == space.size - 1
+        with pytest.raises(KeyError):
+            space.index_of_occupation({(0,): 1})
 
     def test_cap(self):
         with pytest.raises(StateCapError):
@@ -75,6 +113,108 @@ class TestGenerator:
                     assert weight(si) * q[i, j] == pytest.approx(
                         weight(sj) * q[j, i], rel=1e-12
                     )
+
+
+class TestVectorizedAssembly:
+    @pytest.mark.parametrize("m", (2.0, 0.7))
+    @pytest.mark.parametrize("n, geometry", SECTORS)
+    def test_bitwise_equal_to_reference_loop(self, n, geometry, m):
+        params = SipParams(m=m, geometry=geometry)
+        assert csr_bytes(build_generator(n, params)) == csr_bytes(
+            reference_generator(n, params))
+
+    def test_one_cache_entry_per_sector(self):
+        # both sides of the identity live on the 2-particle sector; the
+        # direct call afterwards must reuse the entry they created
+        params = SipParams(m=1.3, geometry=Geometry(1, 7))
+        before = build_generator.cache_info()
+        exact_dual_expectation(((0,), (2,)), {(1,): 1, (3,): 1}, 0.5, params)
+        q = build_generator(2, params)
+        after = build_generator.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 2
+        assert q is build_generator(2, params)
+
+
+@st.composite
+def small_sectors(draw):
+    d = draw(st.sampled_from((1, 2)))
+    L = draw(st.integers(3, 6 if d == 1 else 4))
+    n = draw(st.integers(0, 4 if d == 1 else 3))
+    m = draw(st.floats(0.1, 6.0))
+    return n, SipParams(m=m, geometry=Geometry(d, L))
+
+
+class TestGeneratorProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(small_sectors())
+    def test_rows_sum_to_zero(self, sector):
+        n, params = sector
+        q = build_generator(n, params)
+        scale = max(1.0, float(np.max(np.abs(q.diagonal()))))
+        assert np.max(np.abs(q.sum(axis=1))) <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_sectors(), st.floats(0.05, 0.9))
+    def test_detailed_balance_against_product_weights(self, sector, lam):
+        n, params = sector
+        q = build_generator(n, params)
+        flow = q.multiply(product_weights(state_space(n, params.geometry), lam,
+                                          params.m)[:, None]).toarray()
+        np.fill_diagonal(flow, 0.0)
+        assert np.max(np.abs(flow - flow.T)) <= 1e-12 * np.max(flow, initial=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_sectors())
+    def test_equal_to_reference_loop(self, sector):
+        n, params = sector
+        assert csr_bytes(build_generator(n, params)) == csr_bytes(
+            reference_generator(n, params))
+
+
+class TestPoisson:
+    # mu over six decades, as reached by uniformization (mu = lambda * t)
+    MUS = np.geomspace(0.01, 5000.0, 306)
+
+    def test_bitwise_equal_to_scipy_stats(self):
+        ref = scipy.stats.poisson
+        for mu in self.MUS:
+            for tail in (1e-12, 1e-13):
+                assert poisson.isf(tail, mu) == ref.isf(tail, mu)
+            ks = np.arange(int(ref.isf(1e-13, mu)) + 1)
+            assert poisson.pmf(ks, mu).tobytes() == ref.pmf(ks, mu).tobytes()
+            assert poisson.sf(ks, mu).tobytes() == ref.sf(ks, mu).tobytes()
+
+    def test_isf_at_exact_quantiles(self):
+        # where 1 - q is exactly cdf(k), pdtrik's continuous inverse often
+        # lands just above k and isf must step back down to k; for cdf(k) in
+        # [0.5, 1), 1 - (1 - cdf(k)) == cdf(k) holds exactly
+        ref = scipy.stats.poisson
+        for mu in self.MUS[::10]:
+            for k in range(int(mu), int(mu + 3 * math.sqrt(mu)) + 2):
+                cdf = ref.cdf(k, mu)
+                if 0.5 <= cdf < 1.0:
+                    assert poisson.isf(1.0 - cdf, mu) == ref.isf(1.0 - cdf, mu) == k
+
+
+class TestDualityProbe:
+    def test_bitwise_equal_to_state_by_state_products(self):
+        space = state_space(4, Geometry(2, 3))
+        evaluator = DualityEvaluator(0.7)
+        rows = space.states.tolist()
+        support = [(0, 1), (4, 2), (8, 1), (5, 3)]  # (site index, k)
+        left = duality_probe(space, evaluator,
+                             [(k, space.states[:, s]) for s, k in support])
+        expect = np.array([math.prod(evaluator.single(k, state[s]) for s, k in support)
+                           for state in rows])
+        assert left.tobytes() == expect.tobytes()
+        eta = [2, 0, 1, 3, 0, 1, 2, 0, 1]
+        right = duality_probe(space, evaluator,
+                              [(space.states[:, s], l) for s, l in enumerate(eta)])
+        expect = np.array([math.prod(evaluator.single(k, eta[s])
+                                     for s, k in enumerate(state) if k)
+                           for state in rows])
+        assert right.tobytes() == expect.tobytes()
 
 
 class TestSemigroup:
