@@ -7,15 +7,23 @@ summing over the eta(x) particles at a site recovers the occupation-level
 rate eta(x) * p(x,y) * (m/2 + eta(y)). Under IRW the inclusion term is
 absent and every particle is an independent rate-(m/2) walk.
 
-Simulation is plain Gillespie with full rate recomputation per event. The
-particle counts here are desk scale, so correctness and simplicity win over
-event-queue cleverness; no rate caching is attempted.
+Simulation is plain Gillespie on one incremental event kernel. The kernel
+keeps the flat per-(particle, neighbor) rate list between events and, after
+a move from x to y, recomputes only the moved particle's rates and the rates
+aimed at x or y (a dependency-graph update in the spirit of Gibson & Bruck,
+J. Phys. Chem. A 104, 2000). Every rate and every running sum is computed
+by the same floating-point operations, in the same order, as a full rebuild
+of the list, so each event consumes the same two draws and picks the same
+move as full recomputation would.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .core import Geometry, ParticleList, RandomStream, occupation_of
 
@@ -35,8 +43,9 @@ class SipParams:
     geometry: Geometry
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"inclusion parameter m must be positive, got {self.m!r}")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValueError(
+                f"inclusion parameter m must be positive and finite, got {self.m!r}")
 
 
 def sip_event_rates(particles, params: SipParams):
@@ -66,33 +75,84 @@ def irw_event_rates(particles, params: SipParams):
     return entries
 
 
-_RATE_FNS = {ProcessKind.SIP: sip_event_rates, ProcessKind.IRW: irw_event_rates}
-
-
-def gillespie_step(particles, rates, stream: RandomStream):
+def gillespie_step(cumulative, stream: RandomStream):
     """One exact jump: exponential dt at the total rate, then a rate-weighted pick.
 
-    The waiting time is drawn first and the event second, which fixes the
-    draw order ties are broken by.
+    `cumulative` holds the running sums of the event rates, left to right
+    (`itertools.accumulate`), so its last entry is the total rate. Returns
+    (event index, dt). The waiting time is drawn first and the event second,
+    which fixes the draw order ties are broken by: the event picked is the
+    first whose running sum exceeds u * total, and the last one if rounding
+    puts u * total at or above the total.
     """
-    if not rates:
+    if not cumulative:
         raise NoEventError("no events available")
-    total = 0.0
-    for _, _, r in rates:
-        total += r
+    total = cumulative[-1]
     dt = stream.exponential(total)
-    u = stream.uniform() * total
-    acc = 0.0
-    chosen = rates[-1]
-    for entry in rates:
-        acc += entry[2]
-        if u < acc:
-            chosen = entry
-            break
-    i, y, _ = chosen
-    out = list(particles)
-    out[i] = y
-    return tuple(out), dt
+    k = bisect_right(cumulative, stream.uniform() * total)
+    return min(k, len(cumulative) - 1), dt
+
+
+class _EventKernel:
+    """The state of one labeled jump chain, updated in place event by event.
+
+    Between events it keeps the particle positions, each particle's neighbor
+    tuple, a site -> occupants map and the flat rate list in the order of
+    `sip_event_rates`: entry 2d*i + j is particle i jumping to its j-th
+    neighbor. `cumulative` is that list's running sum, what `gillespie_step`
+    selects from. A neighbor z of a site x holds x in slot j ^ 1 when x holds
+    z in slot j, so the rates aimed at a site are found from its neighbors'
+    occupants. Under IRW the rates never change and only positions move.
+    """
+
+    __slots__ = ("positions", "cumulative", "_neighbors", "_geometry", "_width",
+                 "_inclusion", "_occupants", "_rates", "_p_edge", "_half_m")
+
+    def __init__(self, xi0, kind: ProcessKind, params: SipParams):
+        kind = ProcessKind(kind)
+        geo = params.geometry
+        self.positions = list(xi0)
+        self._geometry = geo
+        self._width = 2 * geo.d
+        self._neighbors = [geo.neighbors(x) for x in self.positions]
+        self._inclusion = kind is ProcessKind.SIP
+        rate_fn = sip_event_rates if self._inclusion else irw_event_rates
+        self._rates = [r for _, _, r in rate_fn(self.positions, params)]
+        self.cumulative = list(accumulate(self._rates))
+        self._occupants = {}
+        for i, x in enumerate(self.positions):
+            self._occupants.setdefault(x, []).append(i)
+        self._p_edge = 1.0 / (2.0 * geo.d)
+        self._half_m = 0.5 * params.m
+
+    def jump(self, k: int):
+        """Apply event k (as indexed by `cumulative`) and refresh the rates."""
+        i, j = divmod(k, self._width)
+        around_x = self._neighbors[i]
+        x = self.positions[i]
+        y = around_x[j]
+        around_y = self._geometry.neighbors(y)
+        self.positions[i] = y
+        self._neighbors[i] = around_y
+        if not self._inclusion:
+            return
+        occupants = self._occupants
+        here = occupants[x]
+        here.remove(i)
+        if not here:
+            del occupants[x]
+        occupants.setdefault(y, []).append(i)
+        rates, width = self._rates, self._width
+        p_edge, half_m = self._p_edge, self._half_m
+        base = i * width
+        for s, z in enumerate(around_y):
+            rates[base + s] = p_edge * (half_m + len(occupants.get(z, ())))
+        for site, around in ((x, around_x), (y, around_y)):
+            rate = p_edge * (half_m + len(occupants.get(site, ())))
+            for s, z in enumerate(around):
+                for q in occupants.get(z, ()):
+                    rates[q * width + (s ^ 1)] = rate
+        self.cumulative = list(accumulate(rates))
 
 
 @dataclass
@@ -115,31 +175,29 @@ def simulate(xi0, kind: ProcessKind, params: SipParams, horizon: float,
     record="full" keeps every event (for coupling diagnostics); "final"
     keeps only the endpoint for memory-bounded long runs.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     if record not in ("final", "full"):
         raise ValueError(f"record must be 'final' or 'full', got {record!r}")
-    rate_fn = _RATE_FNS[ProcessKind(kind)]
+    kernel = _EventKernel(xi0, kind, params)
     full = record == "full"
-    state = tuple(xi0)
     times = [0.0]
-    states = [state]
+    states = [tuple(kernel.positions)]
     t = 0.0
-    while state:
-        rates = rate_fn(state, params)
-        state_next, dt = gillespie_step(state, rates, stream)
+    while kernel.positions:
+        k, dt = gillespie_step(kernel.cumulative, stream)
         if t + dt > horizon:
             break
         t += dt
-        state = state_next
+        kernel.jump(k)
         if full:
             times.append(t)
-            states.append(state)
+            states.append(tuple(kernel.positions))
     if not full:
         # single entry: the state holding at the horizon, stamped with the
         # time it was entered
         times = [t]
-        states = [state]
+        states = [tuple(kernel.positions)]
     return Trajectory(times=times, states=states, horizon=horizon)
 
 
@@ -152,23 +210,25 @@ def sample_at_times(xi0, kind: ProcessKind, params: SipParams, times,
     measure-zero set of exact ties.
     """
     grid = list(times)
-    if any(t < 0 for t in grid) or any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("times must be nonnegative and ascending")
-    rate_fn = _RATE_FNS[ProcessKind(kind)]
-    state = tuple(xi0)
+    if (not all(math.isfinite(t) and t >= 0 for t in grid)
+            or any(b < a for a, b in zip(grid, grid[1:]))):
+        raise ValueError("times must be finite, nonnegative and ascending")
+    kernel = _EventKernel(xi0, kind, params)
+    if not (kernel.positions and grid):
+        return [() for _ in grid]
     out = []
-    if not state:
-        return [state for _ in grid]
     t = 0.0
     gi = 0
     n_grid = len(grid)
-    while gi < n_grid:
-        rates = rate_fn(state, params)
-        state_next, dt = gillespie_step(state, rates, stream)
-        t_next = t + dt
-        while gi < n_grid and grid[gi] < t_next:
-            out.append(state)
-            gi += 1
-        t = t_next
-        state = state_next
-    return out
+    while True:
+        k, dt = gillespie_step(kernel.cumulative, stream)
+        t += dt
+        if grid[gi] < t:
+            state = tuple(kernel.positions)
+            while gi < n_grid and grid[gi] < t:
+                out.append(state)
+                gi += 1
+            if gi == n_grid:
+                # the last event's draws are spent; its move is never seen
+                return out
+        kernel.jump(k)

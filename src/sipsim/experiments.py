@@ -112,8 +112,8 @@ class ExperimentConfig:
             raise ValueError("L is only meaningful on the torus")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValueError(f"m must be positive and finite, got {self.m}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         min_reps = 100 if self.study in _MC_STUDIES else 1
@@ -125,27 +125,27 @@ class ExperimentConfig:
             raise ValueError(f"iterated_replicas must be >= 100, got {self.iterated_replicas}")
         if not self.t_grid:
             raise ValueError("t_grid must be nonempty")
-        if any(t < 0 for t in self.t_grid) or any(
+        if not all(math.isfinite(t) and t >= 0 for t in self.t_grid) or any(
             b <= a for a, b in zip(self.t_grid, self.t_grid[1:])
         ):
-            raise ValueError("t_grid must be nonnegative and strictly ascending")
+            raise ValueError("t_grid must be finite, nonnegative and strictly ascending")
         if self.lam is not None and not 0.0 <= self.lam <= 0.999:
             raise ValueError(f"lam must lie in [0, 0.999], got {self.lam}")
-        if self.theta is not None and self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        if self.theta is not None and not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
         if self.mixture is not None:
             for atom_lam, w in self.mixture:
                 if not 0.0 <= atom_lam <= 0.999:
                     raise ValueError(f"mixture lam must lie in [0, 0.999], got {atom_lam}")
-                if w < 0:
-                    raise ValueError(f"mixture weight must be >= 0, got {w}")
+                if not (math.isfinite(w) and w >= 0):
+                    raise ValueError(f"mixture weight must be finite and >= 0, got {w}")
             total = sum(w for _, w in self.mixture)
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"mixture weights must sum to 1, got {total}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.schedule_t0 <= 0:
-            raise ValueError(f"schedule_t0 must be positive, got {self.schedule_t0}")
+        if not (math.isfinite(self.schedule_t0) and self.schedule_t0 > 0):
+            raise ValueError(f"schedule_t0 must be positive and finite, got {self.schedule_t0}")
         if self.schedule_doublings < 0:
             raise ValueError(f"schedule_doublings must be >= 0, got {self.schedule_doublings}")
         if self.n < 1:

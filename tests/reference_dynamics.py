@@ -1,0 +1,102 @@
+"""Full-recompute reference for the labeled-particle jump chain.
+
+A deliberately plain construction for the tests to compare
+`sipsim.dynamics` against: before every event the whole list of
+(particle, target, rate) triples is rebuilt from scratch, the total is a
+left-to-right `total += r` loop, and the event is the first whose running
+sum `acc += r` exceeds u * total (the last one if none does). The waiting
+time is drawn before the event, so a run consumes the stream exactly as the
+incremental kernel must.
+"""
+
+from sipsim.core import occupation_of
+from sipsim.dynamics import ProcessKind, Trajectory
+
+
+def reference_sip_rates(particles, params):
+    geo = params.geometry
+    half_m = 0.5 * params.m
+    p_edge = 1.0 / (2.0 * geo.d)
+    occ = occupation_of(particles)
+    entries = []
+    for i, x in enumerate(particles):
+        for y in geo.neighbors(x):
+            entries.append((i, y, p_edge * (half_m + occ.get(y, 0))))
+    return entries
+
+
+def reference_irw_rates(particles, params):
+    geo = params.geometry
+    rate = 0.5 * params.m / (2.0 * geo.d)
+    entries = []
+    for i, x in enumerate(particles):
+        for y in geo.neighbors(x):
+            entries.append((i, y, rate))
+    return entries
+
+
+_RATE_FNS = {ProcessKind.SIP: reference_sip_rates, ProcessKind.IRW: reference_irw_rates}
+
+
+def reference_step(particles, rates, stream):
+    total = 0.0
+    for _, _, r in rates:
+        total += r
+    dt = stream.exponential(total)
+    u = stream.uniform() * total
+    acc = 0.0
+    chosen = rates[-1]
+    for entry in rates:
+        acc += entry[2]
+        if u < acc:
+            chosen = entry
+            break
+    i, y, _ = chosen
+    out = list(particles)
+    out[i] = y
+    return tuple(out), dt
+
+
+def reference_simulate(xi0, kind, params, horizon, stream, record="final"):
+    rate_fn = _RATE_FNS[ProcessKind(kind)]
+    full = record == "full"
+    state = tuple(xi0)
+    times = [0.0]
+    states = [state]
+    t = 0.0
+    while state:
+        rates = rate_fn(state, params)
+        state_next, dt = reference_step(state, rates, stream)
+        if t + dt > horizon:
+            break
+        t += dt
+        state = state_next
+        if full:
+            times.append(t)
+            states.append(state)
+    if not full:
+        times = [t]
+        states = [state]
+    return Trajectory(times=times, states=states, horizon=horizon)
+
+
+def reference_sample_at_times(xi0, kind, params, times, stream):
+    grid = list(times)
+    rate_fn = _RATE_FNS[ProcessKind(kind)]
+    state = tuple(xi0)
+    out = []
+    if not state:
+        return [state for _ in grid]
+    t = 0.0
+    gi = 0
+    n_grid = len(grid)
+    while gi < n_grid:
+        rates = rate_fn(state, params)
+        state_next, dt = reference_step(state, rates, stream)
+        t_next = t + dt
+        while gi < n_grid and grid[gi] < t_next:
+            out.append(state)
+            gi += 1
+        t = t_next
+        state = state_next
+    return out

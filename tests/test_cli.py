@@ -126,6 +126,22 @@ class TestRun:
         assert run(inv) == 1
         assert not os.path.exists(inv.out_dir)
 
+    @pytest.mark.parametrize("study,text", [
+        ("stationarity", "t_grid = nan\n"),
+        ("stationarity", "t_grid = 0.5 inf\n"),
+        ("stationarity", "m = nan\n"),
+        ("stationarity", "m = inf\n"),
+        ("convergence", "theta = nan\n"),
+        ("convergence", "theta = inf\n"),
+        ("coupling", "schedule_t0 = nan\n"),
+        ("coupling", "schedule_t0 = inf\n"),
+    ])
+    def test_non_finite_value_exits_one_without_outputs(self, tmp_path, study, text):
+        # each of these used to be accepted and then run without end
+        inv = invocation(study, tmp_path, config_text=text)
+        assert run(inv) == 1
+        assert not os.path.exists(inv.out_dir)
+
     def test_missing_config_file_exits_one(self, tmp_path):
         inv = Invocation(subcommand="correlation", config_path=str(tmp_path / "nope.cfg"),
                          seed=None, out_dir=str(tmp_path / "o"), workers=1)

@@ -1,9 +1,12 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sipsim.core import Geometry, derive_stream
+from sipsim.core import Geometry, RandomStream, derive_stream
 from sipsim.dynamics import (
     NoEventError,
     ProcessKind,
@@ -13,6 +16,12 @@ from sipsim.dynamics import (
     sample_at_times,
     simulate,
     sip_event_rates,
+)
+
+from reference_dynamics import (
+    reference_sample_at_times,
+    reference_simulate,
+    reference_step,
 )
 
 P1 = SipParams(m=2.0, geometry=Geometry(1))
@@ -89,34 +98,79 @@ class TestRates:
             SipParams(m=0.0, geometry=Geometry(1))
 
 
+class _StubStream:
+    """Fixed draws: waiting time 0.5, pick uniform `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def exponential(self, rate):
+        return 0.5
+
+    def uniform(self):
+        return self.u
+
+
+def running_sums(rates):
+    return list(accumulate(rates))
+
+
 class TestGillespie:
     def test_single_event_fires(self):
         s = derive_stream(0, 0)
-        state, dt = gillespie_step(((0,),), [(0, (1,), 2.0)], s)
-        assert state == ((1,),)
+        k, dt = gillespie_step([2.0], s)
+        assert k == 0
         assert dt > 0
 
     def test_empty_rates(self):
         with pytest.raises(NoEventError):
-            gillespie_step((), [], derive_stream(0, 0))
+            gillespie_step([], derive_stream(0, 0))
 
     def test_selection_frequencies(self):
         s = derive_stream(5, 0)
         n = 100_000
-        rates = [(0, (-1,), 1.0), (0, (1,), 3.0)]
+        cumulative = running_sums([1.0, 3.0])
         hits = 0
         for _ in range(n):
-            state, _ = gillespie_step(((0,),), rates, s)
-            hits += state == ((1,),)
+            k, _ = gillespie_step(cumulative, s)
+            hits += k == 1
         p = hits / n
         assert abs(p - 0.75) < 3 * math.sqrt(0.75 * 0.25 / n)
 
     def test_waiting_time_mean(self):
         s = derive_stream(6, 0)
         n = 100_000
-        rates = [(0, (-1,), 1.0), (0, (1,), 1.0)]
-        mean_dt = np.mean([gillespie_step(((0,),), rates, s)[1] for _ in range(n)])
+        cumulative = running_sums([1.0, 1.0])
+        mean_dt = np.mean([gillespie_step(cumulative, s)[1] for _ in range(n)])
         assert abs(mean_dt - 0.5) < 3 * 0.5 / math.sqrt(n)
+
+    @staticmethod
+    def reference_pick(rates, u):
+        # the full-recompute loop, fed the same stub draws
+        entries = [(0, (k,), r) for k, r in enumerate(rates)]
+        state, _ = reference_step(((-1,),), entries, _StubStream(u))
+        return state[0][0]
+
+    @pytest.mark.parametrize("u,expected", [(0.0, 0), (0.25, 1), (0.5, 2), (0.75, 2)])
+    def test_boundary_hit_picks_next_entry(self, u, expected):
+        # u * total lands exactly on a running sum: `u < acc` fails there, so
+        # the next entry is the one picked
+        rates = [1.0, 1.0, 2.0]
+        assert gillespie_step(running_sums(rates), _StubStream(u))[0] == expected
+        assert self.reference_pick(rates, u) == expected
+
+    @pytest.mark.parametrize("rates,u", [
+        ([1.0, 1.0, 2.0], 1.0),
+        # the running sums stall at 1.0, so u * total = total picks the last
+        ([1.0, 1e-17, 1e-17], 1.0),
+        # subnormal total: 0.9 * 1e-323 rounds up to the total itself
+        ([5e-324, 5e-324], 0.9),
+    ])
+    def test_rounding_past_total_picks_last_entry(self, rates, u):
+        cumulative = running_sums(rates)
+        assert u * cumulative[-1] >= cumulative[-1]
+        assert gillespie_step(cumulative, _StubStream(u))[0] == len(rates) - 1
+        assert self.reference_pick(rates, u) == len(rates) - 1
 
 
 class TestSimulate:
@@ -186,3 +240,62 @@ class TestSimulate:
     def test_sample_at_times_validates_grid(self):
         with pytest.raises(ValueError):
             sample_at_times(((0,),), ProcessKind.SIP, P1, [2.0, 1.0], derive_stream(0, 0))
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon(self, horizon):
+        # a NaN horizon used to loop forever: t + dt > nan is never true
+        with pytest.raises(ValueError):
+            simulate(((0,),), ProcessKind.SIP, P1, horizon, derive_stream(1, 0))
+
+    @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.inf], [1.0, math.inf]])
+    def test_sample_at_times_rejects_non_finite_grid(self, grid):
+        with pytest.raises(ValueError):
+            sample_at_times(((0,),), ProcessKind.SIP, P1, grid, derive_stream(0, 0))
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_m_must_be_finite(self, m):
+        with pytest.raises(ValueError):
+            SipParams(m=m, geometry=Geometry(1))
+
+
+@st.composite
+def small_systems(draw):
+    """A few particles on a small torus or near the origin of Z^d, d = 1..3."""
+    d = draw(st.integers(1, 3))
+    L = draw(st.sampled_from([None, 3, 4, 5]))
+    lo, hi = (0, L - 1) if L else (-2, 2)
+    site = st.tuples(*[st.integers(lo, hi)] * d)
+    xi = tuple(draw(st.lists(site, max_size=8)))
+    m = draw(st.sampled_from([2.0, 0.7, 1.3, 5.0, 0.1]))
+    kind = draw(st.sampled_from(list(ProcessKind)))
+    return xi, kind, SipParams(m=m, geometry=Geometry(d, L))
+
+
+class TestAgainstFullRecompute:
+    """The incremental kernel must replay the full-recompute chain exactly:
+    the same states at the same float times, and the same draws consumed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems(), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+    def test_simulate_full_record(self, system, seed, horizon):
+        xi, kind, params = system
+        fast, slow = RandomStream(seed), RandomStream(seed)
+        a = simulate(xi, kind, params, horizon, fast, record="full")
+        b = reference_simulate(xi, kind, params, horizon, slow, record="full")
+        assert a.times == b.times
+        assert a.states == b.states
+        assert fast.uniform() == slow.uniform()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems(), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 3.0), max_size=4))
+    def test_sample_at_times(self, system, seed, grid):
+        xi, kind, params = system
+        grid = sorted(grid)
+        fast, slow = RandomStream(seed), RandomStream(seed)
+        # two calls on one stream, as the stationarity dual arm makes them
+        for start in (xi, xi[::-1]):
+            a = sample_at_times(start, kind, params, grid, fast)
+            b = reference_sample_at_times(start, kind, params, grid, slow)
+            assert a == b
+            assert fast.uniform() == slow.uniform()

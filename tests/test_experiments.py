@@ -19,6 +19,7 @@ from sipsim.measures import PoissonProduct
 from sipsim.stats import InsufficientDataError, batched
 
 from difference_chain import exact_transform
+from reference_dynamics import reference_sample_at_times
 
 
 class TestBatchStats:
@@ -117,6 +118,24 @@ class TestConfigValidation:
             ExperimentConfig(study="convergence", t_grid=(2.0, 1.0), xi=((0,),),
                              initial_law="poisson", theta=1.0, replicas=100)
 
+    @pytest.mark.parametrize("field,value", [
+        ("t_grid", (float("nan"),)),
+        ("t_grid", (1.0, float("inf"))),
+        ("m", float("nan")),
+        ("m", float("inf")),
+        ("theta", float("nan")),
+        ("theta", float("inf")),
+        ("schedule_t0", float("nan")),
+        ("schedule_t0", float("inf")),
+        ("mixture", ((0.2, float("nan")), (0.6, 0.5))),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        fields = dict(study="convergence", xi=((0,),), initial_law="poisson",
+                      theta=1.0, replicas=100)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**fields)
+
     def test_site_dimension_checked(self):
         with pytest.raises(ValueError):
             ExperimentConfig(study="convergence", d=2, xi=((0,),),
@@ -164,6 +183,19 @@ class TestStudies:
         assert rep.passed
         row = next(r for r in rep.rows if r.statistic.startswith("direct"))
         assert row.target == pytest.approx(2.0 / 3.0)
+
+    def test_dense_stationarity_rows_match_full_recompute(self, monkeypatch):
+        # about 64 particles per direct replica: every event of the
+        # incremental kernel must replay the full-recompute chain, so the
+        # report rows are equal to the last bit
+        import sipsim.experiments as experiments
+
+        cfg = ExperimentConfig(study="stationarity", d=2, boundary="torus", L=8,
+                               lam=0.5, t_grid=(0.25, 1.0), replicas=100, seed=19)
+        fast = run_stationarity(cfg, workers=1)
+        monkeypatch.setattr(experiments, "sample_at_times", reference_sample_at_times)
+        slow = run_stationarity(cfg, workers=1)
+        assert fast.rows == slow.rows
 
     def test_convergence_matches_exact_transient_value(self):
         # independent oracle: the folded two-particle difference chain gives
