@@ -1,68 +1,44 @@
 """Couplings of SIP and IRW particle sets, and the two-stage coupling scheme.
 
-Three primitive couplings are composed:
+Two event routines make up every coupling here:
 
-* same-jump: two IRW sets driven by identical (particle, displacement)
-  events, so every pairwise distance is exactly conserved;
-* OR: a SIP set shadowed by an IRW set; both receive the shared random-walk
-  events, and only the SIP set additionally performs inclusion jumps, so
-  their distance changes by exactly one unit per inclusion event while both
-  marginals stay exact;
-* coordinate-wise Ornstein: paired walkers whose coordinates run on
-  independent clocks until a coordinate difference hits zero, after which
-  that coordinate moves jointly forever. The difference of an unsynced
-  coordinate is a symmetric walk at twice the single-walker speed (rate m
-  in one dimension).
+* `or_coupled_step`, the OR coupling: SIP sets shadowed by IRW sets. All
+  lists receive the same shared random-walk events, so any two lists moved
+  only by them keep every pairwise distance (the same-jump pairing); the
+  SIP sets alone additionally perform inclusion jumps, so a SIP set's
+  summed distance to its shadow changes by exactly one unit per inclusion
+  event while both marginals stay exact;
+* `_stage_two`, the coordinate-wise Ornstein pairing: paired walkers whose
+  coordinates run on independent clocks until a coordinate difference hits
+  zero, after which that coordinate moves jointly forever. The difference
+  of an unsynced coordinate is a symmetric walk at twice the single-walker
+  speed (rate m in one dimension).
 
-The two-stage scheme runs same-jump + OR on [0, (1-delta)t] and then pairs
-the two SIP sets directly with the Ornstein coupling on [(1-delta)t, t].
-During the second stage the SIP sets are evolved as if they were free
-walkers, which is lawful exactly while no two particles of the same set sit
-within l1 distance 1 of each other (inclusion rates vanish on such
-configurations). A collision therefore aborts the attempt; an aborted or
-expired attempt hands its terminal positions to the next attempt of an
-iterated schedule, preserving the marginal laws throughout.
+The two-stage scheme runs the OR coupling of both SIP sets to shared-jump
+IRW shadows on [0, (1-delta)t] and then pairs the two SIP sets directly
+with the Ornstein coupling on [(1-delta)t, t]. During the second stage the
+SIP sets are evolved as if they were free walkers, which is lawful exactly
+while no two particles of the same set sit within l1 distance 1 of each
+other (inclusion rates vanish on such configurations). A collision
+therefore aborts the attempt; an aborted or expired attempt hands its
+terminal positions to the next attempt of an iterated schedule, preserving
+the marginal laws throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import Geometry, ParticleList, RandomStream, occupation_of
 from .dynamics import SipParams
-from .stats import batched
-
-
-class CouplingMode(str, Enum):
-    SAME_JUMP_IRW = "same_jump_irw"
-    ORNSTEIN_IRW = "ornstein_irw"
-    OR_SIP_IRW = "or_sip_irw"
-    TWO_STAGE = "two_stage"
 
 
 class OutcomeKind(str, Enum):
     COUPLED = "coupled"
     COLLISION_ABORT = "collision_abort"
     HORIZON_EXPIRED = "horizon_expired"
-
-
-@dataclass(frozen=True)
-class CoupledPairState:
-    """Two equal-length particle lists under a coupling mode."""
-
-    x: ParticleList
-    y: ParticleList
-    mode: CouplingMode
-    collided: bool = False
-    coupled_at: float | None = None
-    stage: int | None = None
-    delta: float | None = None
-    horizon: float | None = None
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("coupled lists must have equal particle counts")
 
 
 @dataclass(frozen=True)
@@ -97,32 +73,6 @@ def collision_check(particles, geometry: Geometry) -> bool:
     return False
 
 
-def same_jump_step(state: CoupledPairState, params: SipParams, stream: RandomStream):
-    """One shared IRW event applied identically to both lists.
-
-    The summed pairwise distance sum_i |x_i - y_i| is exactly conserved.
-    """
-    if state.mode is not CouplingMode.SAME_JUMP_IRW:
-        raise ValueError(f"same_jump_step needs SAME_JUMP_IRW mode, got {state.mode}")
-    geo = params.geometry
-    n = len(state.x)
-    if n == 0:
-        raise ValueError("no particles to move")
-    d = geo.d
-    rate_each = params.m / (4.0 * d)
-    total = n * 2 * d * rate_each
-    dt = stream.exponential(total)
-    k = min(int(stream.uniform() * n * 2 * d), n * 2 * d - 1)
-    i, rem = divmod(k, 2 * d)
-    axis, side = divmod(rem, 2)
-    step = 1 if side else -1
-    xs = list(state.x)
-    ys = list(state.y)
-    xs[i] = geo.shift(xs[i], axis, step)
-    ys[i] = geo.shift(ys[i], axis, step)
-    return replace(state, x=tuple(xs), y=tuple(ys)), dt
-
-
 def _inclusion_entries(positions, geo: Geometry, p_edge: float):
     """(particle, target, rate) for every occupied neighbor, plus the total."""
     occ = occupation_of(positions)
@@ -138,57 +88,67 @@ def _inclusion_entries(positions, geo: Geometry, p_edge: float):
     return entries, total
 
 
-@dataclass(frozen=True)
-class OrStep:
-    sip: ParticleList
-    irw: ParticleList
-    dt: float
-    inclusion: bool
+def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
+                    t: float = 0.0, t_end: float | None = None):
+    """One event of the OR coupling, applied in place to the position lists.
 
+    `sips` is a tuple of SIP position lists and `shadows` a tuple of IRW
+    position lists, all of one length n. A shared random-walk event (rate
+    m/(4d) per particle and direction) displaces particle i of every list by
+    the same unit vector; an inclusion event (rate p(x,y) * eta(y) per
+    particle and occupied neighbor y in its own SIP set) moves one particle
+    of one SIP set. The waiting time dt is drawn first, at the total rate
+    rw_total + the SIP sets' inclusion totals summed left to right.
 
-def or_coupled_step(sip, irw, params: SipParams, stream: RandomStream) -> OrStep:
-    """One event of the SIP-shadowed-by-IRW coupling.
-
-    Shared random-walk events displace sip[i] and irw[i] by the same unit
-    vector; inclusion events (rate p(x,y) * eta_sip(y) per particle-
-    neighbor) move only the SIP particle. Both marginals are exact.
+    Returns None when t + dt >= t_end, having drawn only dt. Otherwise
+    draws the event and returns (dt, event_class, moves): event_class is
+    "rw" or "inclusion", and moves lists (list, particle, from, to) with
+    lists indexed along sips + shadows.
     """
-    if len(sip) != len(irw):
-        raise ValueError("lists must have equal particle counts")
     geo = params.geometry
-    n = len(sip)
+    n = len(sips[0])
     if n == 0:
         raise ValueError("no particles to move")
     d = geo.d
     rate_each = params.m / (4.0 * d)
     rw_total = n * 2 * d * rate_each
     p_edge = 1.0 / (2.0 * d)
-    inc, inc_total = _inclusion_entries(sip, geo, p_edge)
-    total = rw_total + inc_total
+    incs = [_inclusion_entries(s, geo, p_edge) for s in sips]
+    total = rw_total
+    for _, tot in incs:
+        total += tot
     dt = stream.exponential(total)
+    if t_end is not None and t + dt >= t_end:
+        return None
     u = stream.uniform() * total
     if u < rw_total:
         k = min(int(u / rate_each), n * 2 * d - 1)
         i, rem = divmod(k, 2 * d)
         axis, side = divmod(rem, 2)
         step = 1 if side else -1
-        sip_l = list(sip)
-        irw_l = list(irw)
-        sip_l[i] = geo.shift(sip_l[i], axis, step)
-        irw_l[i] = geo.shift(irw_l[i], axis, step)
-        return OrStep(tuple(sip_l), tuple(irw_l), dt, False)
+        moves = []
+        for j, lst in enumerate(sips + shadows):
+            src = lst[i]
+            lst[i] = dst = geo.shift(src, axis, step)
+            moves.append((j, i, src, dst))
+        return dt, "rw", moves
     u -= rw_total
+    j = 0
+    while j < len(incs) - 1 and u >= incs[j][1]:
+        u -= incs[j][1]
+        j += 1
+    entries = incs[j][0]
     acc = 0.0
-    chosen = inc[-1]
-    for entry in inc:
+    chosen = entries[-1]
+    for entry in entries:
         acc += entry[2]
         if u < acc:
             chosen = entry
             break
-    i, target, _ = chosen
-    sip_l = list(sip)
-    sip_l[i] = target
-    return OrStep(tuple(sip_l), tuple(irw), dt, True)
+    i, dst, _ = chosen
+    src = sips[j][i]
+    sips[j][i] = dst
+    return dt, "inclusion", ((j, i, src, dst),)
 
 
 def _ornstein_entries(xs, ys, d: int):
@@ -212,32 +172,6 @@ def _ornstein_entries(xs, ys, d: int):
     return entries
 
 
-def ornstein_pair_step(state: CoupledPairState, params: SipParams, stream: RandomStream):
-    """One event of the coordinate-wise Ornstein coupling of two IRW sets.
-
-    Once a (particle, coordinate) difference reaches zero it is frozen at
-    zero by joint moves; each marginal stays an exact free walk. Clocks of
-    distinct (particle, coordinate) pairs are fully independent.
-    """
-    if state.mode is not CouplingMode.ORNSTEIN_IRW:
-        raise ValueError(f"ornstein_pair_step needs ORNSTEIN_IRW mode, got {state.mode}")
-    geo = params.geometry
-    d = geo.d
-    rate_each = params.m / (4.0 * d)
-    entries = _ornstein_entries(state.x, state.y, d)
-    total = len(entries) * rate_each
-    dt = stream.exponential(total)
-    j = min(int(stream.uniform() * len(entries)), len(entries) - 1)
-    i, k, dx, dy = entries[j]
-    xs = list(state.x)
-    ys = list(state.y)
-    if dx:
-        xs[i] = geo.shift(xs[i], k, dx)
-    if dy:
-        ys[i] = geo.shift(ys[i], k, dy)
-    return replace(state, x=tuple(xs), y=tuple(ys)), dt
-
-
 class _Counters:
     __slots__ = ("rw", "inclusion", "collisions")
 
@@ -247,11 +181,8 @@ class _Counters:
         self.collisions = 0
 
 
-def _count_collision_onset(before: bool, xs, ys, geo, counters) -> bool:
-    now = collision_check(xs, geo) or collision_check(ys, geo)
-    if now and not before:
-        counters.collisions += 1
-    return now
+# event-log set names, indexed along sips + shadows of stage one
+_STAGE_ONE_SETS = ("XS", "YS", "XI", "YI")
 
 
 def _stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end, stream,
@@ -262,82 +193,50 @@ def _stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end, stream,
     genuine SIP behavior and never abort; they are only counted.
     """
     geo = params.geometry
-    n = len(xs)
-    d = geo.d
-    rate_each = params.m / (4.0 * d)
-    rw_total = n * 2 * d * rate_each
-    p_edge = 1.0 / (2.0 * d)
     t = t_start
     colliding = collision_check(xs, geo) or collision_check(ys, geo)
     while True:
-        inc_x, tot_x = _inclusion_entries(xs, geo, p_edge)
-        inc_y, tot_y = _inclusion_entries(ys, geo, p_edge)
-        total = rw_total + tot_x + tot_y
-        dt = stream.exponential(total)
-        if t + dt >= t_end:
+        step = or_coupled_step((xs, ys), (xi_shadow, yi_shadow), params, stream,
+                               t, t_end)
+        if step is None:
             return
+        dt, cls, moves = step
         t += dt
-        u = stream.uniform() * total
-        if u < rw_total:
-            k = min(int(u / rate_each), n * 2 * d - 1)
-            i, rem = divmod(k, 2 * d)
-            axis, side = divmod(rem, 2)
-            step = 1 if side else -1
-            if log is not None:
-                for name, lst in (("XS", xs), ("YS", ys), ("XI", xi_shadow),
-                                  ("YI", yi_shadow)):
-                    log.append((t, name, i, lst[i], geo.shift(lst[i], axis, step), "rw"))
-            xs[i] = geo.shift(xs[i], axis, step)
-            ys[i] = geo.shift(ys[i], axis, step)
-            xi_shadow[i] = geo.shift(xi_shadow[i], axis, step)
-            yi_shadow[i] = geo.shift(yi_shadow[i], axis, step)
+        if log is not None:
+            log.extend((t, _STAGE_ONE_SETS[j], i, src, dst, cls)
+                       for j, i, src, dst in moves)
+        if cls == "rw":
             counters.rw += 1
         else:
-            u -= rw_total
-            if u < tot_x:
-                entries, lst, name = inc_x, xs, "XS"
-            else:
-                u -= tot_x
-                entries, lst, name = inc_y, ys, "YS"
-            acc = 0.0
-            chosen = entries[-1]
-            for entry in entries:
-                acc += entry[2]
-                if u < acc:
-                    chosen = entry
-                    break
-            if log is not None:
-                log.append((t, name, chosen[0], lst[chosen[0]], chosen[1], "inclusion"))
-            lst[chosen[0]] = chosen[1]
             counters.inclusion += 1
-        colliding = _count_collision_onset(colliding, xs, ys, geo, counters)
+        now = collision_check(xs, geo) or collision_check(ys, geo)
+        if now and not colliding:
+            counters.collisions += 1
+        colliding = now
 
 
 def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
     """Ornstein pairing of the two SIP sets, aborting on collision.
 
-    Returns (status, time) with status in {"coupled", "collision",
-    "expired"}. Equality is checked before the collision predicate: at the
-    instant the lists meet, the attempt has already succeeded and the sets
-    evolve jointly afterwards.
+    Returns (outcome kind, time). Equality is checked before the collision
+    predicate: at the instant the lists meet, the attempt has already
+    succeeded and the sets evolve jointly afterwards.
     """
     geo = params.geometry
     d = geo.d
     rate_each = params.m / (4.0 * d)
     t = t_start
-    colliding = False
     while True:
         if xs == ys:
-            return "coupled", t
+            return OutcomeKind.COUPLED, t
         if collision_check(xs, geo) or collision_check(ys, geo):
-            if not colliding:
-                counters.collisions += 1
-            return "collision", t
+            counters.collisions += 1
+            return OutcomeKind.COLLISION_ABORT, t
         entries = _ornstein_entries(xs, ys, d)
         total = len(entries) * rate_each
         dt = stream.exponential(total)
         if t + dt >= t_end:
-            return "expired", t_end
+            return OutcomeKind.HORIZON_EXPIRED, t_end
         t += dt
         j = min(int(stream.uniform() * len(entries)), len(entries) - 1)
         i, k, dx, dy = entries[j]
@@ -353,73 +252,52 @@ def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
 
 
 def two_stage_coupling(x, y, params: SipParams, horizon: float, delta: float,
-                       stream: RandomStream, matching: str = "index",
-                       log=None) -> CouplingOutcome:
+                       stream: RandomStream, log=None) -> CouplingOutcome:
     """One attempt at coupling two n-particle SIP sets within `horizon`.
 
     Stage one on [0, (1-delta)*horizon]: both SIP sets follow shared-jump
     IRW shadows through the OR coupling. Stage two on the remaining time:
-    the SIP sets are paired coordinate-wise (Ornstein); a within-set
-    collision before the lists meet aborts the attempt.
+    the SIP sets are paired by index, coordinate-wise (Ornstein); a
+    within-set collision before the lists meet aborts the attempt.
 
-    matching="optimal" reorders the y set at stage two entry by a minimum
-    l1-cost assignment (off by default; pairing is by index). Passing a
-    list as `log` records every movement as a
+    Passing a list as `log` records every movement as a
     (time, set, particle, from, to, event-class) tuple; see dump_event_log.
     """
     x = tuple(params.geometry.wrap(s) for s in x)
     y = tuple(params.geometry.wrap(s) for s in y)
     if len(x) != len(y):
         raise ValueError("particle sets must have equal sizes")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if matching not in ("index", "optimal"):
-        raise ValueError(f"matching must be 'index' or 'optimal', got {matching!r}")
     counters = _Counters()
     if x == y:
         return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, 0, 0, x, y)
     xs, ys = list(x), list(y)
-    xi_shadow, yi_shadow = list(x), list(y)
     stage1_end = (1.0 - delta) * horizon
-    _stage_one(xs, ys, xi_shadow, yi_shadow, params, 0.0, stage1_end, stream,
+    _stage_one(xs, ys, list(x), list(y), params, 0.0, stage1_end, stream,
                counters, log=log)
-    if matching == "optimal":
-        ys = _match_by_assignment(xs, ys, params.geometry)
-    status, t = _stage_two(xs, ys, params, stage1_end, horizon, stream, counters,
-                           log=log)
-    fx, fy = tuple(xs), tuple(ys)
-    if status == "coupled":
-        return CouplingOutcome(OutcomeKind.COUPLED, t, counters.rw,
-                               counters.inclusion, counters.collisions, fx, fy)
-    if status == "collision":
-        return CouplingOutcome(OutcomeKind.COLLISION_ABORT, t, counters.rw,
-                               counters.inclusion, counters.collisions, fx, fy)
-    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, horizon, counters.rw,
-                           counters.inclusion, counters.collisions, fx, fy)
-
-
-def _match_by_assignment(xs, ys, geo: Geometry):
-    from scipy.optimize import linear_sum_assignment
-
-    n = len(xs)
-    cost = [[geo.l1_distance(xs[i], ys[j]) for j in range(n)] for i in range(n)]
-    _, cols = linear_sum_assignment(cost)
-    return [ys[j] for j in cols]
+    kind, t = _stage_two(xs, ys, params, stage1_end, horizon, stream, counters,
+                         log=log)
+    return CouplingOutcome(kind, t, counters.rw, counters.inclusion,
+                           counters.collisions, tuple(xs), tuple(ys))
 
 
 def doubling_schedule(t0: float, doublings: int):
     """Horizons t0, 2*t0, ..., t0 * 2^doublings."""
-    if t0 <= 0:
-        raise ValueError(f"initial horizon must be positive, got {t0}")
+    if not (math.isfinite(t0) and t0 > 0):
+        raise ValueError(f"initial horizon must be positive and finite, got {t0}")
     if doublings < 0:
         raise ValueError(f"doublings must be >= 0, got {doublings}")
+    # 2.0**k itself overflows (OverflowError) from k = 1024 on
+    if doublings >= 1024 or not math.isfinite(t0 * 2.0**doublings):
+        raise ValueError(f"last horizon {t0} * 2^{doublings} is not finite")
     return tuple(t0 * 2.0**k for k in range(doublings + 1))
 
 
 def iterated_coupling(x, y, params: SipParams, schedule, stream: RandomStream,
-                      delta: float = 0.5, matching: str = "index") -> CouplingOutcome:
+                      delta: float = 0.5) -> CouplingOutcome:
     """Independent two-stage attempts along a horizon schedule.
 
     Each failed attempt (abort or expiry) hands its terminal positions to
@@ -434,8 +312,7 @@ def iterated_coupling(x, y, params: SipParams, schedule, stream: RandomStream,
     elapsed = 0.0
     rw = inclusion = collisions = 0
     for a, horizon in enumerate(schedule):
-        out = two_stage_coupling(cx, cy, params, horizon, delta, stream.child(a),
-                                 matching=matching)
+        out = two_stage_coupling(cx, cy, params, horizon, delta, stream.child(a))
         rw += out.rw_jumps
         inclusion += out.inclusion_jumps
         collisions += out.collisions
@@ -452,37 +329,33 @@ def iterated_coupling(x, y, params: SipParams, schedule, stream: RandomStream,
 def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
     """Summed SIP-IRW pair distance at each grid time, one OR trajectory.
 
-    Both sets start at x, so the distance starts at zero and changes by
-    exactly one unit per inclusion event.
+    Both sets start at x, so the distance starts at zero; shared moves leave
+    it unchanged and an inclusion move changes only the moved particle's
+    term, by exactly one unit.
     """
     geo = params.geometry
     grid = list(t_grid)
+    if not all(math.isfinite(g) for g in grid):
+        raise ValueError("t_grid must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("t_grid must be nonnegative and ascending")
-    sip = tuple(geo.wrap(s) for s in x)
-    irw = sip
+    sip = [geo.wrap(s) for s in x]
+    irw = list(sip)
     out = []
+    dist = 0
     t = 0.0
     gi = 0
     while gi < len(grid):
-        step = or_coupled_step(sip, irw, params, stream)
-        t_next = t + step.dt
+        dt, cls, moves = or_coupled_step((sip,), (irw,), params, stream)
+        t_next = t + dt
         while gi < len(grid) and grid[gi] < t_next:
-            out.append(sum(geo.l1_distance(a, b) for a, b in zip(sip, irw)))
+            out.append(dist)
             gi += 1
-        sip, irw = step.sip, step.irw
+        if cls == "inclusion":
+            _, i, src, dst = moves[0]
+            dist += geo.l1_distance(dst, irw[i]) - geo.l1_distance(src, irw[i])
         t = t_next
     return out
-
-
-def sip_irw_distance_profile(x, params: SipParams, t_grid, reps: int,
-                             stream: RandomStream):
-    """Monte Carlo mean and stderr of the OR-coupled distance per grid time."""
-    grid = list(t_grid)
-    if len(x) == 0:
-        return [(0.0, 0.0) for _ in grid]
-    rows = [or_distance_single(x, params, grid, stream.child(r)) for r in range(reps)]
-    return [batched([row[j] for row in rows]) for j in range(len(grid))]
 
 
 def dump_event_log(rows, path):
@@ -498,46 +371,3 @@ def dump_event_log(rows, path):
         fh.write("time,set,particle,from,to,event_class\n")
         for t, name, i, src, dst, cls in rows:
             fh.write(f"{t:.12g},{name},{i},{site(src)},{site(dst)},{cls}\n")
-
-
-@dataclass(frozen=True)
-class ReflectionCheck:
-    lhs: float
-    lhs_stderr: float
-    rhs: float
-    rhs_stderr: float
-
-
-def reflection_check(a: int, t: float, rate: float, reps: int,
-                     stream: RandomStream) -> ReflectionCheck:
-    """Monte Carlo check of P_0(tau_a >= t) against P_0(|X(t)| <= a).
-
-    Both sides are estimated on the same rate-`rate` walk paths from 0. On
-    the lattice the identity carries a parity correction P(X_t = -a) of
-    order 1/sqrt(t), so agreement is asserted within Monte Carlo error
-    only, never exactly. a = 0 is rejected: tau_0 = 0 makes the left side 0
-    while the right side is P(X_t = 0) > 0.
-    """
-    if a < 1:
-        raise ValueError("reflection check needs a >= 1; a = 0 is degenerate")
-    if t <= 0 or rate <= 0:
-        raise ValueError("t and rate must be positive")
-    lhs_vals = []
-    rhs_vals = []
-    for r in range(reps):
-        s = stream.child(r)
-        pos = 0
-        hit = False
-        clock = 0.0
-        while True:
-            clock += s.exponential(rate)
-            if clock >= t:
-                break
-            pos += 1 if s.uniform() < 0.5 else -1
-            if pos == a:
-                hit = True
-        lhs_vals.append(0.0 if hit else 1.0)
-        rhs_vals.append(1.0 if abs(pos) <= a else 0.0)
-    lhs, lhs_se = batched(lhs_vals)
-    rhs, rhs_se = batched(rhs_vals)
-    return ReflectionCheck(lhs, lhs_se, rhs, rhs_se)

@@ -154,26 +154,6 @@ class DualityEvaluator:
             )
 
 
-def single_site_duality(k: int, l: int, m: float) -> float:
-    return DualityEvaluator(m).single(k, l)
-
-
-def duality_value(xi, eta_counts, m: float) -> float:
-    return DualityEvaluator(m).value(xi, eta_counts)
-
-
-def closed_form_transform(law: InitialLaw, xi, m: float) -> float:
-    return DualityEvaluator(m).closed_transform(law, xi)
-
-
-def empirical_transform(xi, sampler, reps: int, stream: RandomStream, m: float):
-    return DualityEvaluator(m).empirical_transform(xi, sampler, reps, stream)
-
-
-def temperedness_bound(law: InitialLaw, n: int, m: float) -> float:
-    return DualityEvaluator(m).temperedness_bound(law, n)
-
-
 def ah_density(law: InitialLaw, m: float) -> float:
     """The constant rho the smeared single-site moments converge to.
 

@@ -148,6 +148,10 @@ class ExperimentConfig:
             raise ValueError(f"schedule_t0 must be positive and finite, got {self.schedule_t0}")
         if self.schedule_doublings < 0:
             raise ValueError(f"schedule_doublings must be >= 0, got {self.schedule_doublings}")
+        try:
+            doubling_schedule(self.schedule_t0, self.schedule_doublings)
+        except ValueError as exc:
+            raise ValueError(f"schedule_doublings {self.schedule_doublings}: {exc}") from None
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if any(s < 1 for s in self.xi_sizes):

@@ -135,6 +135,7 @@ class TestRun:
         ("convergence", "theta = inf\n"),
         ("coupling", "schedule_t0 = nan\n"),
         ("coupling", "schedule_t0 = inf\n"),
+        ("coupling", "schedule_t0 = 1e300\nschedule_doublings = 30\n"),
     ])
     def test_non_finite_value_exits_one_without_outputs(self, tmp_path, study, text):
         # each of these used to be accepted and then run without end

@@ -2,26 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sipsim.core import Geometry, derive_stream
+from sipsim.core import Geometry, RandomStream, derive_stream
 from sipsim.coupling import (
-    CoupledPairState,
-    CouplingMode,
     OutcomeKind,
+    _ornstein_entries,
     collision_check,
     doubling_schedule,
     dump_event_log,
     iterated_coupling,
     or_coupled_step,
     or_distance_single,
-    ornstein_pair_step,
-    reflection_check,
-    same_jump_step,
-    sip_irw_distance_profile,
     two_stage_coupling,
 )
-from sipsim.dynamics import SipParams
+from sipsim.dynamics import ProcessKind, SipParams, simulate
 from sipsim.oracle import build_generator, state_space, transient_distribution, walk_hitting_probability
+from sipsim.stats import batched
+
+from reference_coupling import reference_or_distance_single, reference_two_stage
 
 P1 = SipParams(m=2.0, geometry=Geometry(1))
 P2 = SipParams(m=2.0, geometry=Geometry(2))
@@ -29,6 +29,27 @@ P2 = SipParams(m=2.0, geometry=Geometry(2))
 
 def l1_sum(xs, ys, geo):
     return sum(geo.l1_distance(a, b) for a, b in zip(xs, ys))
+
+
+def distance_profile(x, params, t_grid, reps, stream):
+    """Monte Carlo mean and stderr of the OR-coupled distance per grid time."""
+    rows = [or_distance_single(x, params, t_grid, stream.child(r)) for r in range(reps)]
+    return [batched([row[j] for row in rows]) for j in range(len(t_grid))]
+
+
+def stage_two_states(x, y, log):
+    """(xs, ys) at stage-two entry and after each stage-two event, replayed
+    from a two-stage event log (the rows of one event share its time)."""
+    pos = {"XS": list(x), "YS": list(y), "XI": list(x), "YI": list(y)}
+    states = []
+    for j, (t, name, i, src, dst, cls) in enumerate(log):
+        assert pos[name][i] == src
+        if cls == "ornstein" and not states:
+            states.append((tuple(pos["XS"]), tuple(pos["YS"])))
+        pos[name][i] = dst
+        if cls == "ornstein" and (j + 1 == len(log) or log[j + 1][0] != t):
+            states.append((tuple(pos["XS"]), tuple(pos["YS"])))
+    return states
 
 
 class TestCollisionCheck:
@@ -49,62 +70,67 @@ class TestCollisionCheck:
 
 
 class TestSameJump:
+    """Two shadow lists of one OR coupling receive the same shared moves."""
+
     def test_distance_is_exactly_conserved(self):
         geo = Geometry(1)
-        state = CoupledPairState(x=((0,), (4,)), y=((7,), (11,)),
-                                 mode=CouplingMode.SAME_JUMP_IRW)
+        xs, ys = [(0,), (4,)], [(7,), (11,)]
+        sip = list(xs)
         s = derive_stream(0, 0)
-        k0 = l1_sum(state.x, state.y, geo)
+        k0 = l1_sum(xs, ys, geo)
         for _ in range(500):
-            state, _ = same_jump_step(state, P1, s)
-            assert l1_sum(state.x, state.y, geo) == k0
+            or_coupled_step((sip,), (xs, ys), P1, s)
+            assert l1_sum(xs, ys, geo) == k0
 
     def test_equal_lists_stay_equal(self):
-        state = CoupledPairState(x=((0,), (3,)), y=((0,), (3,)),
-                                 mode=CouplingMode.SAME_JUMP_IRW)
+        xs, ys = [(0,), (3,)], [(0,), (3,)]
+        sip = list(xs)
         s = derive_stream(1, 0)
         for _ in range(200):
-            state, _ = same_jump_step(state, P1, s)
-            assert state.x == state.y
+            or_coupled_step((sip,), (xs, ys), P1, s)
+            assert xs == ys
 
     def test_single_pair_offset_constant(self):
-        state = CoupledPairState(x=((0,),), y=((7,),), mode=CouplingMode.SAME_JUMP_IRW)
+        xs, ys = [(0,)], [(7,)]
+        sip = list(xs)
         s = derive_stream(2, 0)
         for _ in range(200):
-            state, _ = same_jump_step(state, P1, s)
-            assert state.y[0][0] - state.x[0][0] == 7
-
-    def test_mode_enforced(self):
-        state = CoupledPairState(x=((0,),), y=((1,),), mode=CouplingMode.ORNSTEIN_IRW)
-        with pytest.raises(ValueError):
-            same_jump_step(state, P1, derive_stream(0, 0))
+            or_coupled_step((sip,), (xs, ys), P1, s)
+            assert ys[0][0] - xs[0][0] == 7
 
 
 class TestOrCoupling:
     def test_distance_changes_only_at_inclusion_events_by_one(self):
         geo = Geometry(1)
-        sip = irw = ((0,), (1,))
+        sip, irw = [(0,), (1,)], [(0,), (1,)]
         s = derive_stream(3, 0)
         for _ in range(2000):
             before = l1_sum(sip, irw, geo)
-            step = or_coupled_step(sip, irw, P1, s)
-            after = l1_sum(step.sip, step.irw, geo)
-            if step.inclusion:
+            _, cls, _ = or_coupled_step((sip,), (irw,), P1, s)
+            after = l1_sum(sip, irw, geo)
+            if cls == "inclusion":
                 assert abs(after - before) == 1
             else:
                 assert after == before
-            sip, irw = step.sip, step.irw
 
     def test_no_inclusion_without_neighbors(self):
         # two far-apart particles produce no inclusion events over a few steps
-        sip = irw = ((0,), (100,))
+        sip, irw = [(0,), (100,)], [(0,), (100,)]
         s = derive_stream(4, 0)
         for _ in range(50):
-            step = or_coupled_step(sip, irw, P1, s)
-            assert not step.inclusion
-            sip, irw = step.sip, step.irw
+            _, cls, _ = or_coupled_step((sip,), (irw,), P1, s)
+            assert cls == "rw"
             if collision_check(sip, Geometry(1)):
                 break
+
+    def test_stops_before_the_event_draw_at_t_end(self):
+        # past t_end only the waiting time is drawn and nothing moves
+        sip, irw = [(0,), (1,)], [(0,), (1,)]
+        s, twin = derive_stream(3, 1), derive_stream(3, 1)
+        assert or_coupled_step((sip,), (irw,), P1, s, 0.0, 1e-300) is None
+        assert sip == irw == [(0,), (1,)]
+        twin.uniform()
+        assert s.uniform() == twin.uniform()
 
     def test_sip_marginal_matches_oracle(self):
         # the SIP side of the OR pair must follow the plain SIP law
@@ -118,15 +144,14 @@ class TestOrCoupling:
         counts = np.zeros(space.size)
         for r in range(reps):
             s = derive_stream(5, r)
-            sip = irw = start
+            sip, irw = list(start), list(start)
             clock = 0.0
             while True:
-                step = or_coupled_step(sip, irw, params, s)
-                if clock + step.dt > t:
+                step = or_coupled_step((sip,), (irw,), params, s, clock, t)
+                if step is None:
                     break
-                clock += step.dt
-                sip, irw = step.sip, step.irw
-            counts[space.index_of_particles(sip)] += 1
+                clock += step[0]
+            counts[space.index_of_particles(tuple(sip))] += 1
         freq = counts / reps
         for p_hat, p in zip(freq, target):
             se = math.sqrt(p * (1 - p) / reps)
@@ -134,58 +159,53 @@ class TestOrCoupling:
 
 
 class TestOrnstein:
+    """The Ornstein pairing, seen through stage two of the two-stage coupling."""
+
     def test_equal_lists_stay_equal(self):
-        state = CoupledPairState(x=((0,), (5,)), y=((0,), (5,)),
-                                 mode=CouplingMode.ORNSTEIN_IRW)
-        s = derive_stream(6, 0)
-        for _ in range(300):
-            state, _ = ornstein_pair_step(state, P1, s)
-            assert state.x == state.y
+        # equal lists only get joint moves, so any Ornstein event keeps them equal
+        xs = ((0,), (5,))
+        assert all(dx == dy for _, _, dx, dy in _ornstein_entries(xs, xs, 1))
+        xs = ((0, 3), (5, -1))
+        assert all(dx == dy for _, _, dx, dy in _ornstein_entries(xs, xs, 2))
 
     def test_synced_coordinate_is_absorbing(self):
         # once a coordinate difference hits zero it never reopens
-        state = CoupledPairState(x=((0,),), y=((6,),), mode=CouplingMode.ORNSTEIN_IRW)
-        s = derive_stream(7, 0)
-        synced = False
-        for _ in range(5000):
-            state, _ = ornstein_pair_step(state, P1, s)
-            if synced:
-                assert state.x[0] == state.y[0]
-            elif state.x[0] == state.y[0]:
-                synced = True
-        assert synced  # rate-2 difference walk from 6 meets well within this budget
+        x, y = ((0, 0),), ((6, 3),)
+        log = []
+        two_stage_coupling(x, y, P2, 5000.0, 0.9, derive_stream(7, 0), log=log)
+        states = stage_two_states(x, y, log)
+        synced = set()
+        for xs, ys in states:
+            for k in synced:
+                assert xs[0][k] == ys[0][k]
+            synced |= {k for k in range(2) if xs[0][k] == ys[0][k]}
+        assert synced  # the first coordinate to meet does so well within this window
 
     def test_meeting_law_matches_hitting_oracle(self):
-        # difference of the pair is a rate-m walk; P(meet by t) from the oracle
+        # a single walker pair keeps its offset through stage one (no
+        # inclusion partner), then its difference is a rate-m walk: P(meet
+        # within the stage-two window t) from the oracle
         t = 3.0
         target = walk_hitting_probability(2, t, 2.0)
         reps = 4000
         hits = 0
         for r in range(reps):
-            s = derive_stream(8, r)
-            state = CoupledPairState(x=((0,),), y=((2,),), mode=CouplingMode.ORNSTEIN_IRW)
-            clock = 0.0
-            while True:
-                nxt, dt = ornstein_pair_step(state, P1, s)
-                if clock + dt > t:
-                    break
-                clock += dt
-                state = nxt
-                if state.x == state.y:
-                    hits += 1
-                    break
+            out = two_stage_coupling(((0,),), ((2,),), P1, 2 * t, 0.5, derive_stream(8, r))
+            hits += out.kind is OutcomeKind.COUPLED
         p_hat = hits / reps
         se = math.sqrt(target * (1 - target) / reps)
         assert abs(p_hat - target) <= 3 * se
 
     def test_coordinates_are_independent_in_2d(self):
-        # coordinate 2 starts synced and must never be desynced by
-        # coordinate-1 activity
-        state = CoupledPairState(x=((0, 4),), y=((9, 4),), mode=CouplingMode.ORNSTEIN_IRW)
-        s = derive_stream(9, 0)
-        for _ in range(2000):
-            state, _ = ornstein_pair_step(state, P2, s)
-            assert state.x[0][1] == state.y[0][1]
+        # coordinate 2 starts synced (stage one's shared moves keep it so) and
+        # must never be desynced by coordinate-1 activity
+        x, y = ((0, 4),), ((9, 4),)
+        log = []
+        two_stage_coupling(x, y, P2, 2000.0, 0.9, derive_stream(9, 0), log=log)
+        states = stage_two_states(x, y, log)
+        assert len(states) > 1
+        for xs, ys in states:
+            assert xs[0][1] == ys[0][1]
 
 
 class TestTwoStage:
@@ -242,13 +262,12 @@ class TestTwoStage:
         with pytest.raises(ValueError):
             two_stage_coupling(((0,),), ((1,),), P1, 10.0, 1.0, derive_stream(0, 0))
 
-    def test_optimal_matching_also_couples(self):
-        hits = 0
-        for r in range(40):
-            out = two_stage_coupling(((0,), (20,)), ((21,), (1,)), P1, 400.0, 0.5,
-                                     derive_stream(14, r), matching="optimal")
-            hits += out.kind is OutcomeKind.COUPLED
-        assert hits > 0
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon(self, horizon):
+        # both used to run without end: t + dt >= nan is never true, and an
+        # infinite stage two waits for a meeting that may never come
+        with pytest.raises(ValueError):
+            two_stage_coupling(((0,),), ((5,),), P1, horizon, 0.5, derive_stream(0, 0))
 
 
 class TestIterated:
@@ -270,6 +289,10 @@ class TestIterated:
             assert combined.kind is OutcomeKind.COUPLED
             assert combined.time == direct.time
             assert combined.attempts == 1
+        # a one-horizon schedule is exactly the direct attempt, whatever its
+        # outcome (at this seed it expires)
+        single = iterated_coupling(((0,),), ((4,),), P1, (50.0,), derive_stream(16, 0))
+        assert single == direct
 
     def test_schedule_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -291,10 +314,18 @@ class TestIterated:
         with pytest.raises(ValueError):
             doubling_schedule(0.0, 2)
 
+    @pytest.mark.parametrize("t0,doublings", [(1e300, 30), (1.0, 2000),
+                                              (math.nan, 2), (math.inf, 0)])
+    def test_doubling_schedule_must_stay_finite(self, t0, doublings):
+        # (1e300, 30) used to end in an infinite horizon, (1.0, 2000) in an
+        # OverflowError
+        with pytest.raises(ValueError):
+            doubling_schedule(t0, doublings)
+
 
 class TestDistanceProfile:
     def test_zero_time_and_single_particle(self):
-        prof = sip_irw_distance_profile(((0,),), P1, [0.0, 5.0], 120, derive_stream(18, 0))
+        prof = distance_profile(((0,),), P1, [0.0, 5.0], 120, derive_stream(18, 0))
         assert prof[0][0] == 0.0
         assert prof[1][0] == 0.0  # no inclusion partner, distance stays 0
 
@@ -303,19 +334,23 @@ class TestDistanceProfile:
         assert vals == [0]
 
     def test_profile_grows_with_time_for_adjacent_pair(self):
-        prof = sip_irw_distance_profile(((0,), (1,)), P1, [5.0, 500.0], 200,
-                                        derive_stream(20, 0))
+        prof = distance_profile(((0,), (1,)), P1, [5.0, 500.0], 200, derive_stream(20, 0))
         (m1, s1), (m2, s2) = prof
         assert m2 - 3 * s2 > m1 + 3 * s1
 
     def test_more_particles_accumulate_more_distance(self):
         # three clustered particles generate more inclusion events than two
         t = [50.0]
-        two, se2 = sip_irw_distance_profile(((0,), (1,)), P1, t, 300,
-                                            derive_stream(23, 0))[0]
-        three, se3 = sip_irw_distance_profile(((0,), (1,), (2,)), P1, t, 300,
-                                              derive_stream(24, 0))[0]
+        two, se2 = distance_profile(((0,), (1,)), P1, t, 300, derive_stream(23, 0))[0]
+        three, se3 = distance_profile(((0,), (1,), (2,)), P1, t, 300,
+                                      derive_stream(24, 0))[0]
         assert three - 3 * se3 > two + 3 * se2
+
+    @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.inf], [1.0, math.inf]])
+    def test_non_finite_grid(self, grid):
+        # a NaN or infinite grid time is never passed, so the loop never ended
+        with pytest.raises(ValueError):
+            or_distance_single(((0,), (1,)), P1, grid, derive_stream(19, 0))
 
 
 class TestEventLog:
@@ -340,19 +375,71 @@ class TestEventLog:
 
 
 class TestReflection:
-    def test_rejects_degenerate_level(self):
-        with pytest.raises(ValueError):
-            reflection_check(0, 1.0, 2.0, 100, derive_stream(0, 0))
+    """Survival of level a by a rate-`rate` walk from 0, simulated as a
+    single IRW particle, against 1 - P(tau_a <= t) from the oracle."""
+
+    @staticmethod
+    def check(a, t, rate, reps, stream):
+        params = SipParams(m=2.0 * rate, geometry=Geometry(1))  # IRW jump rate m/2
+        survived = 0
+        for r in range(reps):
+            traj = simulate(((0,),), ProcessKind.IRW, params, t, stream.child(r),
+                            record="full")
+            survived += all(state[0][0] != a for state in traj.states)
+        p = 1.0 - walk_hitting_probability(a, t, rate)
+        se = math.sqrt(p * (1 - p) / reps)
+        assert abs(survived / reps - p) <= 3 * se
+        return p
 
     def test_short_time_both_sides_near_one(self):
-        out = reflection_check(5, 1.0, 2.0, 2000, derive_stream(21, 0))
-        assert out.lhs > 0.99
-        assert out.rhs > 0.99
-        assert abs(out.lhs - out.rhs) <= 3 * math.hypot(out.lhs_stderr, out.rhs_stderr) + 1e-9
+        assert self.check(5, 1.0, 2.0, 2000, derive_stream(21, 0)) > 0.99
 
     def test_long_time_spread_walk(self):
-        out = reflection_check(1, 100.0, 2.0, 2000, derive_stream(22, 0))
-        gap = abs(out.lhs - out.rhs)
-        # lattice parity correction P(X_t = -a) ~ 0.028 is inside the Monte
-        # Carlo band at this replica count
-        assert gap <= 3 * math.hypot(out.lhs_stderr, out.rhs_stderr) + 0.03
+        assert self.check(1, 100.0, 2.0, 2000, derive_stream(22, 0)) < 0.1
+
+
+@st.composite
+def coupling_systems(draw):
+    """n <= 4 particle pairs on a small torus or near the origin of Z^d.
+
+    d = 3 is included because only there (rate m/(4d) inexact in binary)
+    does the order of the rate sum change the total's last bit."""
+    d = draw(st.integers(1, 3))
+    L = draw(st.sampled_from([None, 3, 4, 5]))
+    lo, hi = (0, L - 1) if L else (-3, 3)
+    site = st.tuples(*[st.integers(lo, hi)] * d)
+    n = draw(st.integers(1, 4))
+    x = tuple(draw(st.lists(site, min_size=n, max_size=n)))
+    y = tuple(draw(st.lists(site, min_size=n, max_size=n)))
+    m = draw(st.sampled_from([2.0, 0.7, 1.3, 5.0]))
+    return x, y, SipParams(m=m, geometry=Geometry(d, L))
+
+
+class TestAgainstReference:
+    """The shared OR routine must replay the parent's per-use loops exactly:
+    the same values at the same float times, and the same draws consumed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coupling_systems(), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 20.0), max_size=4))
+    def test_or_distance_single(self, system, seed, grid):
+        x, _, params = system
+        grid = sorted(grid)
+        fast, slow = RandomStream(seed), RandomStream(seed)
+        a = or_distance_single(x, params, grid, fast)
+        b = reference_or_distance_single(x, params, grid, slow)
+        assert a == b
+        assert fast.uniform() == slow.uniform()
+
+    @settings(max_examples=200, deadline=None)
+    @given(coupling_systems(), st.integers(0, 2**32 - 1), st.floats(0.01, 30.0),
+           st.floats(0.05, 0.95))
+    def test_two_stage_coupling(self, system, seed, horizon, delta):
+        x, y, params = system
+        fast, slow = RandomStream(seed), RandomStream(seed)
+        log_fast, log_slow = [], []
+        a = two_stage_coupling(x, y, params, horizon, delta, fast, log=log_fast)
+        b = reference_two_stage(x, y, params, horizon, delta, slow, log=log_slow)
+        assert a == b
+        assert log_fast == log_slow
+        assert fast.uniform() == slow.uniform()

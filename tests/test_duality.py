@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from sipsim.core import Geometry, derive_stream
-from sipsim.duality import (
-    DualityEvaluator,
-    ah_density,
-    closed_form_transform,
-    duality_value,
-    empirical_transform,
-    single_site_duality,
-    temperedness_bound,
-)
+from sipsim.duality import DualityEvaluator, ah_density
 from sipsim.measures import (
     Deterministic,
     NuLambda,
@@ -21,23 +13,25 @@ from sipsim.measures import (
     sample_product,
 )
 
+EV2 = DualityEvaluator(2.0)
+
 
 class TestSingleSite:
     def test_d00_is_one(self):
-        assert single_site_duality(0, 0, 2.0) == 1.0
+        assert EV2.single(0, 0) == 1.0
 
     def test_zero_above_diagonal(self):
-        assert single_site_duality(3, 2, 2.0) == 0.0
-        assert single_site_duality(1, 0, 0.7) == 0.0
+        assert EV2.single(3, 2) == 0.0
+        assert DualityEvaluator(0.7).single(1, 0) == 0.0
 
     def test_first_order_is_2l_over_m(self):
-        assert single_site_duality(1, 3, 2.0) == pytest.approx(3.0)
+        assert EV2.single(1, 3) == pytest.approx(3.0)
         for m in (0.5, 1.0, 3.7):
             for l in (1, 2, 9):
-                assert single_site_duality(1, l, m) == pytest.approx(2.0 * l / m)
+                assert DualityEvaluator(m).single(1, l) == pytest.approx(2.0 * l / m)
 
     def test_d22_at_m_two(self):
-        assert single_site_duality(2, 2, 2.0) == pytest.approx(1.0)
+        assert EV2.single(2, 2) == pytest.approx(1.0)
 
     def test_log_space_matches_direct_products(self):
         # against the plain product form, up to k,l ~ 170
@@ -49,7 +43,7 @@ class TestSingleSite:
             direct = 1.0
             for j in range(k):
                 direct *= (l - j) / (0.5 * m + j)
-            assert single_site_duality(k, l, m) == pytest.approx(direct, rel=1e-10)
+            assert DualityEvaluator(m).single(k, l) == pytest.approx(direct, rel=1e-10)
 
     def test_ladder_growth(self):
         # the Gamma ratio ladder rises strictly from k=1 for every m, and
@@ -67,19 +61,19 @@ class TestSingleSite:
 
 class TestPolynomial:
     def test_empty_dual_configuration(self):
-        assert duality_value((), {(0,): 5}, 2.0) == 1.0
+        assert EV2.value((), {(0,): 5}) == 1.0
 
     def test_single_particle_counts_occupation(self):
-        assert duality_value(((0,),), {(0,): 5}, 2.0) == pytest.approx(5.0)
+        assert EV2.value(((0,),), {(0,): 5}) == pytest.approx(5.0)
 
     def test_short_circuit_on_insufficient_occupation(self):
         xi = ((0,), (1,), (1,))
-        assert duality_value(xi, {(1,): 2}, 2.0) == 0.0
+        assert EV2.value(xi, {(1,): 2}) == 0.0
 
     def test_relabeling_invariance(self):
         eta = {(0,): 3, (2,): 1}
-        a = duality_value(((0,), (2,), (0,)), eta, 1.5)
-        b = duality_value(((0,), (0,), (2,)), eta, 1.5)
+        a = DualityEvaluator(1.5).value(((0,), (2,), (0,)), eta)
+        b = DualityEvaluator(1.5).value(((0,), (0,), (2,)), eta)
         assert a == b
 
     def test_multiplicative_over_disjoint_supports(self):
@@ -89,8 +83,8 @@ class TestPolynomial:
             xi1 = tuple((int(x),) for x in rng.integers(-4, 0, size=2))
             xi2 = tuple((int(x),) for x in rng.integers(1, 5, size=2))
             m = float(rng.uniform(0.3, 5.0))
-            lhs = duality_value(xi1 + xi2, eta, m)
-            rhs = duality_value(xi1, eta, m) * duality_value(xi2, eta, m)
+            lhs = DualityEvaluator(m).value(xi1 + xi2, eta)
+            rhs = DualityEvaluator(m).value(xi1, eta) * DualityEvaluator(m).value(xi2, eta)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_nonnegative(self):
@@ -98,44 +92,44 @@ class TestPolynomial:
         for _ in range(200):
             xi = tuple((int(x),) for x in rng.integers(-3, 4, size=3))
             eta = {(int(s),): int(rng.integers(0, 4)) for s in range(-3, 4)}
-            assert duality_value(xi, eta, 1.1) >= 0.0
+            assert DualityEvaluator(1.1).value(xi, eta) >= 0.0
 
 
 class TestClosedTransforms:
     def test_nu_lambda_is_rho_power(self):
         law = NuLambda(0.4, 2.0)
-        assert closed_form_transform(law, (), 2.0) == 1.0
-        assert closed_form_transform(law, ((0,), (7,)), 2.0) == pytest.approx((2.0 / 3.0) ** 2)
+        assert EV2.closed_transform(law, ()) == 1.0
+        assert EV2.closed_transform(law, ((0,), (7,))) == pytest.approx((2.0 / 3.0) ** 2)
 
     def test_nu_half_is_one_for_any_size(self):
         law = NuLambda(0.5, 2.0)
         for n in range(5):
             xi = tuple((j,) for j in range(n))
-            assert closed_form_transform(law, xi, 2.0) == pytest.approx(1.0)
+            assert EV2.closed_transform(law, xi) == pytest.approx(1.0)
 
     def test_poisson_doubled_site(self):
         law = PoissonProduct(1.0)
-        assert closed_form_transform(law, ((0,), (0,)), 2.0) == pytest.approx(0.5)
+        assert EV2.closed_transform(law, ((0,), (0,))) == pytest.approx(0.5)
 
     def test_point_mass_is_duality_value(self):
         law = Deterministic(items=(((0,), 3),))
         xi = ((0,), (0,))
-        assert closed_form_transform(law, xi, 2.0) == duality_value(xi, {(0,): 3}, 2.0)
+        assert EV2.closed_transform(law, xi) == EV2.value(xi, {(0,): 3})
 
     def test_mixture_average(self):
         law = NuMixture(atoms=((0.2, 0.5), (0.6, 0.5)), m=2.0)
         xi = ((0,), (1,))
-        assert closed_form_transform(law, xi, 2.0) == pytest.approx((0.25**2 + 1.5**2) / 2)
+        assert EV2.closed_transform(law, xi) == pytest.approx((0.25**2 + 1.5**2) / 2)
 
     def test_m_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            closed_form_transform(NuLambda(0.4, 2.0), ((0,),), 3.0)
+            DualityEvaluator(3.0).closed_transform(NuLambda(0.4, 2.0), ((0,),))
 
 
 class TestEmpiricalTransform:
     def test_point_mass_sampler_is_exact(self):
         eta = {(0,): 4}
-        est, se = empirical_transform(((0,),), lambda s: eta, 500, derive_stream(0, 0), 2.0)
+        est, se = EV2.empirical_transform(((0,),), lambda s: eta, 500, derive_stream(0, 0))
         assert est == pytest.approx(4.0)
         assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -143,9 +137,8 @@ class TestEmpiricalTransform:
         g = Geometry(1, 8)
         law = NuLambda(0.4, 2.0)
         xi = ((0,),)
-        est, se = empirical_transform(
-            xi, lambda s: sample_product(law, g, s), 40_000, derive_stream(1, 0), 2.0
-        )
+        est, se = EV2.empirical_transform(xi, lambda s: sample_product(law, g, s), 40_000,
+                                          derive_stream(1, 0))
         assert abs(est - 2.0 / 3.0) < 3 * se
 
     def test_closed_form_coverage_grid(self):
@@ -156,50 +149,50 @@ class TestEmpiricalTransform:
             law = NuLambda(lam, 2.0)
             for n in (2, 4):
                 xi = tuple((j,) for j in range(n))
-                est, se = empirical_transform(
-                    xi, lambda s: sample_product(law, g, s), 40_000, stream, 2.0
-                )
+                est, se = EV2.empirical_transform(xi, lambda s: sample_product(law, g, s),
+                                                  40_000, stream)
                 target = law.rho**n
                 assert abs(est - target) < 3 * se + 1e-12
 
     def test_empty_configuration_sampler(self):
-        est, se = empirical_transform(((0,),), lambda s: {}, 100, derive_stream(3, 0), 2.0)
+        est, se = EV2.empirical_transform(((0,),), lambda s: {}, 100, derive_stream(3, 0))
         assert est == 0.0
         assert se == 0.0
 
     def test_needs_two_replicas(self):
         with pytest.raises(ValueError):
-            empirical_transform(((0,),), lambda s: {}, 1, derive_stream(0, 0), 2.0)
+            EV2.empirical_transform(((0,),), lambda s: {}, 1, derive_stream(0, 0))
 
 
 class TestTemperednessBound:
     def test_nu_lambda_bound(self):
         law = NuLambda(0.4, 2.0)
         for n in range(1, 5):
-            assert temperedness_bound(law, n, 2.0) == pytest.approx((2.0 / 3.0) ** n)
+            assert EV2.temperedness_bound(law, n) == pytest.approx((2.0 / 3.0) ** n)
 
     def test_lam_zero(self):
-        assert temperedness_bound(NuLambda(0.0, 2.0), 3, 2.0) == 0.0
+        assert EV2.temperedness_bound(NuLambda(0.0, 2.0), 3) == 0.0
 
     def test_poisson_at_m_two(self):
-        assert temperedness_bound(PoissonProduct(1.0), 3, 2.0) == pytest.approx(1.0)
+        assert EV2.temperedness_bound(PoissonProduct(1.0), 3) == pytest.approx(1.0)
 
     def test_poisson_singletons_dominate(self):
         # sup is (2 theta / m)^n, attained by spreading the particles out
         law = PoissonProduct(1.5)
         for m, n in [(3.0, 4), (0.8, 3)]:
-            assert temperedness_bound(law, n, m) == pytest.approx((2 * 1.5 / m) ** n)
+            bound = DualityEvaluator(m).temperedness_bound(law, n)
+            assert bound == pytest.approx((2 * 1.5 / m) ** n)
 
     def test_point_mass_bound(self):
         law = Deterministic(items=(((0,), 2), ((1,), 1)))
         # best 2-particle placement: both on the double site (d(2,2)=1 at m=2)
         # versus split (d(1,2)*d(1,1) = 2*1); split wins
-        assert temperedness_bound(law, 2, 2.0) == pytest.approx(2.0)
-        assert temperedness_bound(law, 4, 2.0) == 0.0
+        assert EV2.temperedness_bound(law, 2) == pytest.approx(2.0)
+        assert EV2.temperedness_bound(law, 4) == 0.0
 
     def test_empirical_unsupported(self):
         with pytest.raises(TypeError):
-            temperedness_bound(lambda s: {}, 2, 2.0)
+            EV2.temperedness_bound(lambda s: {}, 2)
 
 
 def test_ah_density_values():

@@ -9,8 +9,10 @@ from sipsim.experiments import (
     info_row,
     run_convergence,
     run_correlation_inequality,
+    run_coupling_success,
     run_factorization,
     run_oracle_check,
+    run_or_distance,
     run_self_duality,
     run_stationarity,
     threshold_row,
@@ -19,6 +21,7 @@ from sipsim.measures import PoissonProduct
 from sipsim.stats import InsufficientDataError, batched
 
 from difference_chain import exact_transform
+from reference_coupling import reference_or_distance_single, reference_two_stage
 from reference_dynamics import reference_sample_at_times
 
 
@@ -128,6 +131,7 @@ class TestConfigValidation:
         ("schedule_t0", float("nan")),
         ("schedule_t0", float("inf")),
         ("mixture", ((0.2, float("nan")), (0.6, 0.5))),
+        ("schedule_doublings", 2000),
     ])
     def test_non_finite_values_rejected(self, field, value):
         fields = dict(study="convergence", xi=((0,),), initial_law="poisson",
@@ -135,6 +139,12 @@ class TestConfigValidation:
         fields[field] = value
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**fields)
+
+    def test_overflowing_schedule_rejected(self):
+        # 1e300 * 2^30 is infinite: the last iterated attempt never ended
+        with pytest.raises(ValueError, match="schedule_doublings"):
+            ExperimentConfig(study="coupling", x_start=((0,),), y_start=((1,),),
+                             replicas=100, schedule_t0=1e300, schedule_doublings=30)
 
     def test_site_dimension_checked(self):
         with pytest.raises(ValueError):
@@ -195,6 +205,35 @@ class TestStudies:
         fast = run_stationarity(cfg, workers=1)
         monkeypatch.setattr(experiments, "sample_at_times", reference_sample_at_times)
         slow = run_stationarity(cfg, workers=1)
+        assert fast.rows == slow.rows
+
+    def test_coupling_rows_match_reference_loops(self, monkeypatch):
+        # two clustered pairs on Z: stage one sees inclusion events and
+        # collisions, stage two both aborts and meetings; every attempt of
+        # both arms must replay the reference loops event for event
+        import sipsim.coupling as coupling
+        import sipsim.experiments as experiments
+
+        cfg = ExperimentConfig(study="coupling", x_start=((0,), (2,)),
+                               y_start=((3,), (7,)), t_grid=(5.0, 50.0), replicas=100,
+                               iterated_replicas=100, delta=0.6, schedule_t0=5.0,
+                               schedule_doublings=3, seed=21)
+        fast = run_coupling_success(cfg, workers=1)
+        monkeypatch.setattr(experiments, "two_stage_coupling", reference_two_stage)
+        monkeypatch.setattr(coupling, "two_stage_coupling", reference_two_stage)
+        slow = run_coupling_success(cfg, workers=1)
+        assert fast.rows == slow.rows
+
+    def test_or_distance_rows_match_reference_loop(self, monkeypatch):
+        # three particles on a 2D torus, so the distance wraps
+        import sipsim.experiments as experiments
+
+        cfg = ExperimentConfig(study="or-distance", d=2, boundary="torus", L=4,
+                               x_start=((0, 0), (0, 1), (1, 1)), t_grid=(1.0, 10.0, 50.0),
+                               replicas=100, seed=22)
+        fast = run_or_distance(cfg, workers=1)
+        monkeypatch.setattr(experiments, "or_distance_single", reference_or_distance_single)
+        slow = run_or_distance(cfg, workers=1)
         assert fast.rows == slow.rows
 
     def test_convergence_matches_exact_transient_value(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sipsim.core import Geometry, derive_stream, occupation_of
-from sipsim.duality import DualityEvaluator, duality_value
+from sipsim.duality import DualityEvaluator
 from sipsim.dynamics import ProcessKind, SipParams, simulate
 from sipsim.measures import marginal_pmf
 from sipsim.oracle import (
@@ -261,7 +261,7 @@ class TestSelfDuality:
         xi = ((0,), (2,))
         eta = occupation_of(((0,), (1,), (3,)))
         left, right = exact_dual_expectation(xi, eta, 0.0, T5)
-        d0 = duality_value(xi, eta, 2.0)
+        d0 = DualityEvaluator(2.0).value(xi, eta)
         assert left == pytest.approx(d0, abs=1e-12)
         assert right == pytest.approx(d0, abs=1e-12)
 
@@ -318,8 +318,8 @@ class TestCesaro:
     def test_converges_to_sector_average(self):
         space = state_space(2, Geometry(1, 5))
         q = build_generator(2, T5)
-        f = np.array([duality_value(((0,), (1,)), dict(zip(
-            [tuple((i,)) for i in range(5)], s)), 2.0) for s in space.states])
+        f = np.array([DualityEvaluator(2.0).value(((0,), (1,)), dict(zip(
+            [tuple((i,)) for i in range(5)], s))) for s in space.states])
         lam = 0.4
         weights = np.array(
             [math.prod(marginal_pmf(k, lam, 2.0) for k in s) for s in space.states]
