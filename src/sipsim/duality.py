@@ -8,8 +8,7 @@ The single-site factor is
 so d(0, .) = 1, and the full polynomial D(xi, eta) is the product of the
 factors over the sites xi occupies. The transform of a measure mu is the
 collection of its duality moments hat(mu)(xi) = integral of D(xi, .) d mu;
-closed forms exist for the product laws in `measures`, and any sampler can
-be transformed empirically with a batch-means error bar.
+closed forms exist for the laws in `measures`.
 
 Temperedness asks the per-size suprema c_n = sup_{|xi|=n} hat(mu)(xi) to be
 finite and to satisfy the Carleman condition sum_n c_n^(-1/n) = infinity.
@@ -23,9 +22,8 @@ from __future__ import annotations
 
 import math
 
-from .core import RandomStream, occupation_of
-from .measures import Deterministic, InitialLaw, NuLambda, NuMixture, PoissonProduct
-from .stats import batched
+from .core import occupation_of
+from .measures import InitialLaw, NuLambda, NuMixture, PoissonProduct
 
 
 class DualityEvaluator:
@@ -86,16 +84,7 @@ class DualityEvaluator:
             for _, k in occupation_of(xi).items():
                 out *= law.theta**k * math.exp(-self._log_gamma_ratio(k))
             return out
-        if isinstance(law, Deterministic):
-            return self.value(xi, law.occupation())
         raise TypeError(f"no closed-form transform for {type(law).__name__}")
-
-    def empirical_transform(self, xi, sampler, reps: int, stream: RandomStream):
-        """Sample mean and batch-means stderr of D(xi, .) over sampled fields."""
-        if reps < 2:
-            raise ValueError(f"need at least 2 replicas, got {reps}")
-        values = [self.value(xi, sampler(stream)) for _ in range(reps)]
-        return batched(values)
 
     def temperedness_bound(self, law: InitialLaw, n: int) -> float:
         """c_n = sup over |xi| = n of the closed-form transform.
@@ -126,25 +115,9 @@ class DualityEvaluator:
             for total in range(1, n + 1):
                 best[total] = max(site_factor[k] * best[total - k] for k in range(1, total + 1))
             return best[n]
-        if isinstance(law, Deterministic):
-            return self._point_mass_bound(law.occupation(), n)
         raise TypeError(
             f"temperedness bound needs a closed-form law, got {type(law).__name__}"
         )
-
-    def _point_mass_bound(self, eta_counts: dict, n: int) -> float:
-        # allocate n dual particles over eta's support, maximizing the product
-        capacities = sorted(eta_counts.items())
-        best = [1.0] + [0.0] * n
-        for _, l in capacities:
-            nxt = best[:]
-            for total in range(1, n + 1):
-                for k in range(1, min(l, total) + 1):
-                    cand = best[total - k] * self.single(k, l)
-                    if cand > nxt[total]:
-                        nxt[total] = cand
-            best = nxt
-        return best[n]
 
     def _check_m(self, law_m: float):
         if law_m != self.m:

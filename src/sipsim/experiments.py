@@ -1,9 +1,10 @@
 """Reproducible verification studies with statistical pass/fail contracts.
 
-Every study is a pure function of (config, seed): replica r of arm a draws
-from the stream (seed, (a, r)), blocks are reassembled in replica order, and
-all reductions are order-independent, so reports are identical for any
-worker count. Report rows come in three kinds:
+Every study is a pure function of (config, seed). A Monte Carlo arm is one
+call of `_map_replicas` with a per-replica function: replica r of arm a is
+that function applied to the stream (seed, (a, r)), rows come back in
+replica order, and all reductions are order-independent, so reports are
+identical for any worker count. Report rows come in three kinds:
 
 * band rows: pass iff |estimate - target| <= max(3*stderr, floor);
 * threshold rows: one-sided, pass iff estimate >= target (or > for strict
@@ -40,7 +41,7 @@ from .oracle import (
     semigroup_apply,
     state_space,
 )
-from .stats import batch_stats, batched  # noqa: F401  (batch_stats re-exported)
+from .stats import batched
 
 STUDIES = (
     "self-duality",
@@ -160,6 +161,10 @@ class ExperimentConfig:
             sites = getattr(self, name)
             if sites is not None and not _sites_ok(sites, self.d):
                 raise ValueError(f"{name} must be a tuple of {self.d}-coordinate sites")
+        # their contracts compare the first grid time with the last
+        if self.study in ("coupling", "or-distance") and len(self.t_grid) < 2:
+            raise ValueError(f"t_grid needs at least 2 times for {self.study}, "
+                             f"got {len(self.t_grid)}")
 
     @property
     def geometry(self) -> Geometry:
@@ -230,21 +235,36 @@ class Report:
         }
 
 
-def _map_replicas(kernel, cfg, extra, n, workers):
-    """Run kernel(cfg, extra, lo, hi) over replica blocks, order-preserving.
+# (replica, arm, seed) of the fan-out in progress. Pool workers are forked
+# after it is set and inherit it, so the replica function may be a closure
+# and only (lo, hi) crosses the pipe.
+_fanout = None
 
-    Results are reassembled in replica order, so the concatenation is
-    independent of the worker count and chunking.
-    """
-    if workers <= 1:
-        return kernel(cfg, extra, 0, n)
-    chunks = max(1, min(4 * workers, n))
-    edges = [round(i * n / chunks) for i in range(chunks + 1)]
-    tasks = [(cfg, extra, lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
-        parts = pool.starmap(kernel, tasks)
-    return np.concatenate(parts, axis=0)
+
+def _replica_block(lo, hi):
+    """Rows of replicas lo..hi-1 of the fan-out in progress."""
+    replica, arm, seed = _fanout
+    return np.array([replica(RandomStream(seed, (arm, r))) for r in range(lo, hi)],
+                    dtype=float)
+
+
+def _map_replicas(replica, arm, cfg, n, workers):
+    """The rows replica(RandomStream(cfg.seed, (arm, r))) for r < n, in
+    replica order, so the array is independent of the worker count and
+    chunking."""
+    global _fanout
+    _fanout = (replica, arm, cfg.seed)
+    try:
+        if workers <= 1:
+            return _replica_block(0, n)
+        chunks = max(1, min(4 * workers, n))
+        edges = [round(i * n / chunks) for i in range(chunks + 1)]
+        tasks = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+        with mp.get_context("fork").Pool(processes=workers) as pool:
+            parts = pool.starmap(_replica_block, tasks)
+        return np.concatenate(parts, axis=0)
+    finally:
+        _fanout = None
 
 
 def _finish(study, rows, cfg, t0) -> Report:
@@ -262,32 +282,6 @@ def _require(cfg, **fields):
 # self-duality
 
 
-def _sd_lhs_block(cfg, _extra, lo, hi):
-    params = cfg.sip_params
-    evaluator = DualityEvaluator(cfg.m)
-    grid = list(cfg.t_grid)
-    eta_particles = tuple(cfg.eta)
-    out = np.empty((hi - lo, len(grid)))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_SD_LHS, r))
-        states = sample_at_times(eta_particles, ProcessKind.SIP, params, grid, stream)
-        out[b] = [evaluator.value(cfg.xi, occupation_of(s)) for s in states]
-    return out
-
-
-def _sd_rhs_block(cfg, _extra, lo, hi):
-    params = cfg.sip_params
-    evaluator = DualityEvaluator(cfg.m)
-    grid = list(cfg.t_grid)
-    eta_counts = occupation_of(cfg.eta)
-    out = np.empty((hi - lo, len(grid)))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_SD_RHS, r))
-        states = sample_at_times(cfg.xi, ProcessKind.SIP, params, grid, stream)
-        out[b] = [evaluator.value(s, eta_counts) for s in states]
-    return out
-
-
 def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Exact and Monte Carlo check of E_eta D(xi, eta_t) = E_xi D(xi_t, eta)."""
     t0 = time.monotonic()
@@ -296,13 +290,23 @@ def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
         raise ValueError("self-duality study runs on a torus")
     rows = []
     params = cfg.sip_params
+    evaluator = DualityEvaluator(cfg.m)
     eta_counts = occupation_of(cfg.eta)
     for t in cfg.t_grid:
         left, right = exact_dual_expectation(cfg.xi, eta_counts, t, params)
         rows.append(band_row(cfg.study, f"exact_gap[t={t:g}]", abs(left - right),
                              0.0, 0.0, floor=1e-8))
-    lhs = _map_replicas(_sd_lhs_block, cfg, None, cfg.replicas, workers)
-    rhs = _map_replicas(_sd_rhs_block, cfg, None, cfg.replicas, workers)
+
+    def lhs_replica(stream):
+        states = sample_at_times(cfg.eta, ProcessKind.SIP, params, cfg.t_grid, stream)
+        return [evaluator.value(cfg.xi, occupation_of(s)) for s in states]
+
+    def rhs_replica(stream):
+        states = sample_at_times(cfg.xi, ProcessKind.SIP, params, cfg.t_grid, stream)
+        return [evaluator.value(s, eta_counts) for s in states]
+
+    lhs = _map_replicas(lhs_replica, _ARM_SD_LHS, cfg, cfg.replicas, workers)
+    rhs = _map_replicas(rhs_replica, _ARM_SD_RHS, cfg, cfg.replicas, workers)
     for j, t in enumerate(cfg.t_grid):
         l_est, l_se = batched(lhs[:, j])
         r_est, r_se = batched(rhs[:, j])
@@ -322,46 +326,6 @@ def _dual_sites(cfg, n):
     return tuple(geo.wrap((j,) + (0,) * (cfg.d - 1)) for j in range(n))
 
 
-def _stationarity_dual_block(cfg, _extra, lo, hi):
-    params = cfg.sip_params
-    law = NuLambda(lam=cfg.lam, m=cfg.m)
-    evaluator = DualityEvaluator(cfg.m)
-    grid = list(cfg.t_grid)
-    sizes = list(cfg.xi_sizes)
-    out = np.empty((hi - lo, len(sizes) * len(grid)))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_STAT_DUAL, r))
-        col = 0
-        for n in sizes:
-            states = sample_at_times(_dual_sites(cfg, n), ProcessKind.SIP, params,
-                                     grid, stream)
-            for s in states:
-                out[b, col] = evaluator.closed_transform(law, s)
-                col += 1
-    return out
-
-
-def _stationarity_direct_block(cfg, _extra, lo, hi):
-    params = cfg.sip_params
-    geo = cfg.geometry
-    law = NuLambda(lam=cfg.lam, m=cfg.m)
-    evaluator = DualityEvaluator(cfg.m)
-    grid = list(cfg.t_grid)
-    sizes = list(cfg.xi_sizes)
-    probes = [_dual_sites(cfg, n) for n in sizes]
-    out = np.empty((hi - lo, len(sizes) * len(grid)))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_STAT_DIRECT, r))
-        eta0 = sample_product(law, geo, stream)
-        states = sample_at_times(particles_of(eta0), ProcessKind.SIP, params, grid, stream)
-        col = 0
-        for probe in probes:
-            for s in states:
-                out[b, col] = evaluator.value(probe, occupation_of(s))
-                col += 1
-    return out
-
-
 def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Stationary duality moments: both arms must return rho^|xi| at every t.
 
@@ -375,9 +339,30 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     if not cfg.geometry.is_torus:
         raise ValueError("stationarity study runs on a torus")
     rho = cfg.lam / (1.0 - cfg.lam)
+    geo = cfg.geometry
+    params = cfg.sip_params
+    law = NuLambda(lam=cfg.lam, m=cfg.m)
+    evaluator = DualityEvaluator(cfg.m)
+    probes = [_dual_sites(cfg, n) for n in cfg.xi_sizes]
+
+    def dual_replica(stream):
+        # the probes run one after another on one stream; columns run (n, t)
+        row = []
+        for probe in probes:
+            states = sample_at_times(probe, ProcessKind.SIP, params, cfg.t_grid, stream)
+            row += [evaluator.closed_transform(law, s) for s in states]
+        return row
+
+    def direct_replica(stream):
+        eta0 = sample_product(law, geo, stream)
+        states = sample_at_times(particles_of(eta0), ProcessKind.SIP, params,
+                                 cfg.t_grid, stream)
+        counts = [occupation_of(s) for s in states]
+        return [evaluator.value(probe, c) for probe in probes for c in counts]
+
     rows = []
-    dual = _map_replicas(_stationarity_dual_block, cfg, None, cfg.replicas, workers)
-    direct = _map_replicas(_stationarity_direct_block, cfg, None, cfg.replicas, workers)
+    dual = _map_replicas(dual_replica, _ARM_STAT_DUAL, cfg, cfg.replicas, workers)
+    direct = _map_replicas(direct_replica, _ARM_STAT_DIRECT, cfg, cfg.replicas, workers)
     col = 0
     for n in cfg.xi_sizes:
         target = rho**n
@@ -396,28 +381,8 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
 # coupling success
 
 
-def _coupling_curve_block(cfg, horizon_index, lo, hi):
-    params = cfg.sip_params
-    horizon = cfg.t_grid[horizon_index]
-    out = np.empty((hi - lo, 1))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_COUPLING_BASE + horizon_index, r))
-        result = two_stage_coupling(cfg.x_start, cfg.y_start, params, horizon,
-                                    cfg.delta, stream)
-        out[b, 0] = 1.0 if result.kind is OutcomeKind.COUPLED else 0.0
-    return out
-
-
-def _coupling_iterated_block(cfg, _extra, lo, hi):
-    params = cfg.sip_params
-    schedule = doubling_schedule(cfg.schedule_t0, cfg.schedule_doublings)
-    out = np.empty((hi - lo, 1))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_ITERATED, r))
-        result = iterated_coupling(cfg.x_start, cfg.y_start, params, schedule,
-                                   stream, delta=cfg.delta)
-        out[b, 0] = 1.0 if result.kind is OutcomeKind.COUPLED else 0.0
-    return out
+def _coupled(outcome) -> float:
+    return 1.0 if outcome.kind is OutcomeKind.COUPLED else 0.0
 
 
 def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
@@ -429,11 +394,15 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """
     t0 = time.monotonic()
     _require(cfg, x_start=True, y_start=True)
+    params = cfg.sip_params
     rows = []
     curve = []
     for j, t in enumerate(cfg.t_grid):
-        flags = _map_replicas(_coupling_curve_block, cfg, j, cfg.replicas, workers)
-        p_est, p_se = batched(flags[:, 0])
+        flags = _map_replicas(
+            lambda stream: _coupled(two_stage_coupling(cfg.x_start, cfg.y_start, params,
+                                                       t, cfg.delta, stream)),
+            _ARM_COUPLING_BASE + j, cfg, cfg.replicas, workers)
+        p_est, p_se = batched(flags)
         curve.append((p_est, p_se))
         rows.append(info_row(cfg.study, f"success[t={t:g}]", p_est, p_se))
     for j in range(len(curve) - 1):
@@ -444,25 +413,18 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
     separation = (p_last - 3.0 * se_last) - (p_first + 3.0 * se_first)
     rows.append(threshold_row(cfg.study, "trend_separation", separation, None, 0.0,
                               strict=True))
-    iterated = _map_replicas(_coupling_iterated_block, cfg, None,
-                             cfg.iterated_replicas, workers)
-    it_est, it_se = batched(iterated[:, 0])
+    schedule = doubling_schedule(cfg.schedule_t0, cfg.schedule_doublings)
+    iterated = _map_replicas(
+        lambda stream: _coupled(iterated_coupling(cfg.x_start, cfg.y_start, params,
+                                                  schedule, stream, delta=cfg.delta)),
+        _ARM_ITERATED, cfg, cfg.iterated_replicas, workers)
+    it_est, it_se = batched(iterated)
     rows.append(threshold_row(cfg.study, "iterated_success", it_est, it_se, 0.99))
     return _finish(cfg.study, rows, cfg, t0)
 
 
 # ---------------------------------------------------------------------------
 # OR-coupling distance
-
-
-def _or_distance_block(cfg, _extra, lo, hi):
-    params = cfg.sip_params
-    grid = list(cfg.t_grid)
-    out = np.empty((hi - lo, len(grid)))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_OR_DISTANCE, r))
-        out[b] = or_distance_single(cfg.x_start, params, grid, stream)
-    return out
 
 
 def run_or_distance(cfg: ExperimentConfig, workers: int = 1) -> Report:
@@ -475,8 +437,11 @@ def run_or_distance(cfg: ExperimentConfig, workers: int = 1) -> Report:
     _require(cfg, x_start=True)
     if any(t <= 0 for t in cfg.t_grid):
         raise ValueError("or-distance grid times must be positive")
+    params = cfg.sip_params
     rows = []
-    block = _map_replicas(_or_distance_block, cfg, None, cfg.replicas, workers)
+    block = _map_replicas(
+        lambda stream: or_distance_single(cfg.x_start, params, cfg.t_grid, stream),
+        _ARM_OR_DISTANCE, cfg, cfg.replicas, workers)
     normalized = []
     for j, t in enumerate(cfg.t_grid):
         est, se = batched(block[:, j])
@@ -525,34 +490,29 @@ def _convergence_target(law, n, m):
     return ah_density(law, m) ** n
 
 
-def _convergence_block(cfg, _extra, lo, hi):
-    params = cfg.sip_params
-    law = _convergence_law(cfg)
-    evaluator = DualityEvaluator(cfg.m)
-    grid = list(cfg.t_grid)
-    out = np.empty((hi - lo, len(grid)))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_CONVERGENCE, r))
-        states = sample_at_times(cfg.xi, ProcessKind.SIP, params, grid, stream)
-        out[b] = [evaluator.closed_transform(law, s) for s in states]
-    return out
-
-
 def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Dual Monte Carlo surrogate of the convergence theorem.
 
     Only the dual particles are simulated (infinite geometry allowed); the
     initial law enters through its closed-form transform evaluated along
     dual trajectories. The contract binds the final grid time: estimate
-    within max(3 sigma, 0.02 * target) of the analytic limit.
+    within max(3 sigma, 0.02 * target) of the analytic limit. The last row
+    reports the theorem's hypothesis at |xi|: the tempered moment bound c_n.
     """
     t0 = time.monotonic()
     _require(cfg, xi=True)
     law = _convergence_law(cfg)
+    params = cfg.sip_params
+    evaluator = DualityEvaluator(cfg.m)
     n = len(cfg.xi)
     target = _convergence_target(law, n, cfg.m)
     rows = [info_row(cfg.study, "ah_density", ah_density(law, cfg.m))]
-    block = _map_replicas(_convergence_block, cfg, None, cfg.replicas, workers)
+
+    def replica(stream):
+        states = sample_at_times(cfg.xi, ProcessKind.SIP, params, cfg.t_grid, stream)
+        return [evaluator.closed_transform(law, s) for s in states]
+
+    block = _map_replicas(replica, _ARM_CONVERGENCE, cfg, cfg.replicas, workers)
     last = len(cfg.t_grid) - 1
     for j, t in enumerate(cfg.t_grid):
         est, se = batched(block[:, j])
@@ -561,26 +521,13 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
                                  floor=0.02 * target))
         else:
             rows.append(info_row(cfg.study, f"transform[t={t:g}]", est, se))
+    rows.append(info_row(cfg.study, f"temperedness_bound[n={n}]",
+                         evaluator.temperedness_bound(law, n)))
     return _finish(cfg.study, rows, cfg, t0)
 
 
 # ---------------------------------------------------------------------------
 # correlation inequality
-
-
-def _correlation_block(cfg, _extra, lo, hi):
-    geo = cfg.geometry
-    law = NuMixture(atoms=cfg.mixture, m=cfg.m)
-    evaluator = DualityEvaluator(cfg.m)
-    probe = _dual_sites(cfg, cfg.n)
-    single = probe[:1]
-    out = np.empty((hi - lo, 2))
-    for b, r in enumerate(range(lo, hi)):
-        stream = RandomStream(cfg.seed, (_ARM_CORRELATION, r))
-        eta = sample_product(law, geo, stream)
-        out[b, 0] = evaluator.value(probe, eta)
-        out[b, 1] = evaluator.value(single, eta)
-    return out
 
 
 def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Report:
@@ -611,7 +558,16 @@ def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Repor
         rows.append(threshold_row(cfg.study, "jensen_gap", gap, None, 0.0, strict=True))
     else:
         rows.append(band_row(cfg.study, "jensen_gap", gap, 0.0, 0.0, floor=1e-12))
-    block = _map_replicas(_correlation_block, cfg, None, cfg.replicas, workers)
+    geo = cfg.geometry
+    law = NuMixture(atoms=cfg.mixture, m=cfg.m)
+    evaluator = DualityEvaluator(cfg.m)
+    probe = _dual_sites(cfg, n)
+
+    def replica(stream):
+        eta = sample_product(law, geo, stream)
+        return evaluator.value(probe, eta), evaluator.value(probe[:1], eta)
+
+    block = _map_replicas(replica, _ARM_CORRELATION, cfg, cfg.replicas, workers)
     lhs_est, lhs_se = batched(block[:, 0])
     f_est, f_se = batched(block[:, 1])
     rows.append(band_row(cfg.study, "sampled_lhs", lhs_est, lhs_se, lhs_closed))

@@ -49,21 +49,6 @@ class PoissonProduct:
 
 
 @dataclass(frozen=True)
-class Deterministic:
-    """Point mass at a fixed finite configuration."""
-
-    items: tuple  # ((site, count), ...), counts >= 1
-
-    def __post_init__(self):
-        for site, count in self.items:
-            if count < 1:
-                raise ValueError(f"counts must be >= 1, got {count} at {site}")
-
-    def occupation(self) -> dict:
-        return dict(self.items)
-
-
-@dataclass(frozen=True)
 class NuMixture:
     """Finite mixture of NuLambda laws: shared lam drawn once, then a product."""
 
@@ -86,14 +71,7 @@ class NuMixture:
             raise ValueError(f"m must be positive, got {self.m!r}")
 
 
-InitialLaw = Union[NuLambda, PoissonProduct, Deterministic, NuMixture]
-
-
-def lambda_of_density(rho: float) -> float:
-    """Inverse of rho = lam/(1-lam)."""
-    if rho < 0:
-        raise ValueError(f"density must be >= 0, got {rho!r}")
-    return rho / (1.0 + rho)
+InitialLaw = Union[NuLambda, PoissonProduct, NuMixture]
 
 
 def marginal_pmf(k: int, lam: float, m: float) -> float:
@@ -152,8 +130,6 @@ def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) ->
     """Independent per-site draws on a torus; returns the occupied-site map."""
     if not geometry.is_torus:
         raise ValueError("product sampling requires a finite site set (torus)")
-    if isinstance(law, Deterministic):
-        return law.occupation()
     if isinstance(law, NuMixture):
         # one shared fugacity for the whole configuration, then a product
         u = stream.uniform()

@@ -314,17 +314,6 @@ def cesaro_apply(q, horizon: float, f, tail: float = 1e-12):
     return out
 
 
-def dump_generator(space: StateSpace, q, path):
-    """Text dump: one '# state' line per ordinal, then 'row col rate' triplets."""
-    coo = q.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# sector n={space.n} sites={space.geometry.n_sites} states={space.size}\n")
-        for i, state in enumerate(space.states.tolist()):
-            fh.write(f"# state {i} {' '.join(str(c) for c in state)}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.17g}\n")
-
-
 def walk_hitting_probability(start: int, t: float, rate: float,
                              tail: float = 1e-10) -> float:
     """P(tau_0 <= t) for a rate-`rate` symmetric walk on Z started at `start`.

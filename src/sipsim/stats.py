@@ -7,6 +7,11 @@ import math
 import numpy as np
 
 
+# batch count of `batched`; trajectory samples may be correlated, so at
+# least this many batches when the sample allows it
+BATCHES = 30
+
+
 class InsufficientDataError(ValueError):
     """Fewer than two groups supplied."""
 
@@ -27,15 +32,11 @@ def batch_stats(groups):
     return est, se
 
 
-def batched(values, n_batches: int = 30):
-    """Split a flat sample into contiguous batches and apply batch_stats.
-
-    Uses at least 30 batches when the sample allows it (samples may come
-    from correlated trajectory dumps); degenerates to one point per batch
-    for tiny samples.
-    """
+def batched(values):
+    """Split a flat sample into BATCHES contiguous batches and apply
+    batch_stats; degenerates to one point per batch for tiny samples."""
     arr = np.asarray(values, dtype=float)
-    b = min(len(arr), max(30, n_batches))
+    b = min(len(arr), BATCHES)
     if b < 2:
         raise InsufficientDataError("need at least two samples")
     return batch_stats(np.array_split(arr, b))

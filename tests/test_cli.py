@@ -143,6 +143,19 @@ class TestRun:
         assert run(inv) == 1
         assert not os.path.exists(inv.out_dir)
 
+    @pytest.mark.parametrize("study,text", [
+        ("coupling", "t_grid = 1000\n"),
+        ("or-distance", "t_grid = 1000\n"),
+    ])
+    def test_one_point_grid_exits_one_before_simulating(self, tmp_path, capsys,
+                                                         study, text):
+        # both contracts compare the first grid time with the last; a single
+        # time used to run every replica and then fail or crash
+        inv = invocation(study, tmp_path, config_text=text)
+        assert run(inv) == 1
+        assert not os.path.exists(inv.out_dir)
+        assert "line 1: t_grid" in capsys.readouterr().err
+
     def test_missing_config_file_exits_one(self, tmp_path):
         inv = Invocation(subcommand="correlation", config_path=str(tmp_path / "nope.cfg"),
                          seed=None, out_dir=str(tmp_path / "o"), workers=1)

@@ -5,7 +5,6 @@ from sipsim.experiments import (
     ExperimentConfig,
     Report,
     band_row,
-    batch_stats,
     info_row,
     run_convergence,
     run_correlation_inequality,
@@ -18,7 +17,7 @@ from sipsim.experiments import (
     threshold_row,
 )
 from sipsim.measures import PoissonProduct
-from sipsim.stats import InsufficientDataError, batched
+from sipsim.stats import InsufficientDataError, batch_stats, batched
 
 from difference_chain import exact_transform
 from reference_coupling import reference_or_distance_single, reference_two_stage
@@ -151,6 +150,14 @@ class TestConfigValidation:
             ExperimentConfig(study="convergence", d=2, xi=((0,),),
                              initial_law="poisson", theta=1.0, replicas=100)
 
+    @pytest.mark.parametrize("study,sites", [
+        ("coupling", dict(x_start=((0,),), y_start=((1,),))),
+        ("or-distance", dict(x_start=((0,),))),
+    ])
+    def test_one_point_grid_rejected(self, study, sites):
+        with pytest.raises(ValueError, match="t_grid"):
+            ExperimentConfig(study=study, t_grid=(100.0,), replicas=100, **sites)
+
     def test_delta_domain(self):
         with pytest.raises(ValueError):
             ExperimentConfig(study="coupling", x_start=((0,),), y_start=((1,),),
@@ -256,6 +263,20 @@ class TestStudies:
         assert rep.passed
         final = next(r for r in rep.rows if r.statistic == "transform[t=1]")
         assert final.target == pytest.approx(1.0)
+
+    def test_convergence_reports_temperedness_bound_last(self):
+        # the theorem's hypothesis at |xi| = 2: for Poisson(theta) at m the
+        # sup of the transform is (2 theta / m)^n, attained on distinct sites
+        cfg = ExperimentConfig(study="convergence", m=2.0, initial_law="poisson",
+                               theta=1.5, xi=((0,), (1,)), t_grid=(0.5, 1.0),
+                               replicas=100, seed=9)
+        rep = run_convergence(cfg)
+        assert [r.statistic for r in rep.rows] == [
+            "ah_density", "transform[t=0.5]", "transform[t=1]",
+            "temperedness_bound[n=2]"]
+        last = rep.rows[-1]
+        assert last.estimate == pytest.approx(1.5**2)
+        assert last.passed and last.target is None
 
     def test_convergence_mixture_has_invariant_target(self):
         cfg = ExperimentConfig(study="convergence", m=2.0, initial_law="mixture",

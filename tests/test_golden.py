@@ -1,0 +1,53 @@
+"""Golden report bytes: every study at a tiny size, seed 0.
+
+The files under tests/golden/ pin what the statistical checks cannot see:
+the stream arm ids, the replica-to-stream mapping and the order of rows.
+Each report must come out byte for byte the same at one and two workers.
+Regenerate them only for a change that is meant to alter the draws.
+"""
+
+import os
+
+import pytest
+
+from sipsim.experiments import RUNNERS, ExperimentConfig
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+CONFIGS = {
+    "self-duality": dict(boundary="torus", L=4, xi=((0,), (2,)), eta=((0,), (1,)),
+                         t_grid=(0.5, 1.0), replicas=100),
+    "stationarity": dict(boundary="torus", L=5, lam=0.4, xi_sizes=(1, 2),
+                         t_grid=(0.5, 1.0), replicas=100),
+    "coupling": dict(x_start=((0,), (2,)), y_start=((3,), (7,)), t_grid=(5.0, 50.0),
+                     replicas=100, iterated_replicas=100, delta=0.6, schedule_t0=5.0,
+                     schedule_doublings=3),
+    "or-distance": dict(x_start=((0,), (1,)), t_grid=(5.0, 50.0), replicas=100),
+    "convergence": dict(initial_law="poisson", theta=1.0, xi=((0,), (1,)),
+                        t_grid=(1.0, 5.0), replicas=100),
+    "correlation": dict(boundary="torus", L=4, mixture=((0.2, 0.5), (0.6, 0.5)), n=2,
+                        replicas=200),
+    "factorization": dict(boundary="torus", L=4, lam=0.4, eta=((0,), (1,)),
+                          t_grid=(1.0, 2.0)),
+    "oracle-check": dict(boundary="torus", L=4, xi=((0,), (2,)), eta=((0,), (1,)),
+                         t_grid=(0.5, 1.0), replicas=1),
+}
+
+
+# rows appended to a report after its golden file was cut: every earlier
+# line keeps its bytes and position, so dropping these must give the file
+LATER_ROWS = ("convergence,temperedness_bound[",)
+
+
+def golden_csv(study, workers):
+    cfg = ExperimentConfig(study=study, seed=0, **CONFIGS[study])
+    text = RUNNERS[study](cfg, workers=workers).csv_text()
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(LATER_ROWS))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("study", sorted(CONFIGS))
+def test_report_bytes_match_golden(study, workers):
+    with open(os.path.join(GOLDEN, study + ".csv"), encoding="utf-8") as fh:
+        assert golden_csv(study, workers) == fh.read()

@@ -6,12 +6,10 @@ from scipy.stats import nbinom
 
 from sipsim.core import Geometry, derive_stream
 from sipsim.measures import (
-    Deterministic,
     NuLambda,
     NuMixture,
     PoissonProduct,
     detailed_balance_ratio,
-    lambda_of_density,
     marginal_pmf,
     sample_marginal,
     sample_product,
@@ -116,11 +114,6 @@ class TestSampleProduct:
             b.append(eta.get((3,), 0))
         assert np.cov(a, b)[0, 1] > 1.0  # rho^2/4 = 4 in expectation, far from 0
 
-    def test_deterministic_law(self):
-        law = Deterministic(items=(((0,), 2), ((3,), 1)))
-        eta = sample_product(law, Geometry(1, 5), derive_stream(0, 0))
-        assert eta == {(0,): 2, (3,): 1}
-
 
 class TestDetailedBalance:
     def test_simple_case_is_one(self):
@@ -147,7 +140,7 @@ class TestLaws:
     def test_rho_and_inverse(self):
         law = NuLambda(0.4, 2.0)
         assert law.rho == pytest.approx(2.0 / 3.0)
-        assert lambda_of_density(law.rho) == pytest.approx(0.4)
+        assert law.rho / (1.0 + law.rho) == pytest.approx(0.4)
 
     def test_mixture_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from sipsim.oracle import (
     StateCapError,
     build_generator,
     cesaro_apply,
-    dump_generator,
     duality_probe,
     exact_dual_expectation,
     poisson,
@@ -336,20 +335,6 @@ class TestCesaro:
 
 
 class TestDumpAndHitting:
-    def test_dump_roundtrip(self, tmp_path):
-        space = state_space(1, Geometry(1, 3))
-        q = build_generator(1, T3)
-        path = tmp_path / "generator.txt"
-        dump_generator(space, q, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# sector n=1")
-        states = [l for l in lines if l.startswith("# state ")]
-        assert len(states) == 3
-        triplets = [l.split() for l in lines if not l.startswith("#")]
-        dense = q.toarray()
-        for i, j, v in triplets:
-            assert dense[int(i), int(j)] == pytest.approx(float(v))
-
     def test_hitting_from_zero(self):
         assert walk_hitting_probability(0, 5.0, 2.0) == 1.0
 
