@@ -29,18 +29,6 @@ class ConfigError(ValueError):
 
 
 # key -> parser; every config value is a scalar, a site list, or a pair list
-def _parse_int(v):
-    return int(v)
-
-
-def _parse_float(v):
-    return float(v)
-
-
-def _parse_str(v):
-    return v
-
-
 def _parse_floats(v):
     return tuple(float(tok) for tok in v.split())
 
@@ -66,45 +54,34 @@ def _parse_mixture(v):
 
 
 _KEY_PARSERS = {
-    "d": _parse_int,
-    "boundary": _parse_str,
-    "L": _parse_int,
-    "m": _parse_float,
-    "seed": _parse_int,
-    "replicas": _parse_int,
+    "d": int,
+    "boundary": str,
+    "L": int,
+    "m": float,
+    "seed": int,
+    "replicas": int,
     "t_grid": _parse_floats,
-    "lambda": _parse_float,
-    "theta": _parse_float,
+    "lambda": float,
+    "theta": float,
     "mixture": _parse_mixture,
-    "initial_law": _parse_str,
+    "initial_law": str,
     "xi": _parse_sites,
     "eta": _parse_sites,
     "xi_sizes": _parse_ints,
-    "n": _parse_int,
-    "delta": _parse_float,
-    "schedule_t0": _parse_float,
-    "schedule_doublings": _parse_int,
-    "iterated_replicas": _parse_int,
+    "n": int,
+    "delta": float,
+    "schedule_t0": float,
+    "schedule_doublings": int,
+    "iterated_replicas": int,
     "x_start": _parse_sites,
     "y_start": _parse_sites,
 }
 
 _COMMON_KEYS = {"d", "boundary", "L", "m", "seed", "replicas", "t_grid"}
 
-_STUDY_KEYS = {
-    "self-duality": _COMMON_KEYS | {"xi", "eta"},
-    "stationarity": _COMMON_KEYS | {"lambda", "xi_sizes"},
-    "coupling": _COMMON_KEYS
-    | {"x_start", "y_start", "delta", "schedule_t0", "schedule_doublings", "iterated_replicas"},
-    "or-distance": _COMMON_KEYS | {"x_start"},
-    "convergence": _COMMON_KEYS | {"initial_law", "theta", "lambda", "mixture", "xi"},
-    "correlation": _COMMON_KEYS | {"mixture", "n"},
-    "factorization": _COMMON_KEYS | {"lambda", "eta"},
-    "oracle-check": _COMMON_KEYS | {"xi", "eta"},
-}
-
 # renames from config syntax to ExperimentConfig fields
 _FIELD_OF_KEY = {"lambda": "lam"}
+_KEY_OF_FIELD = {field: key for key, field in _FIELD_OF_KEY.items()}
 
 # built-in defaults; every subcommand runs out of the box
 DEFAULT_CONFIGS = {
@@ -154,7 +131,8 @@ def parse_config(text: str, study: str) -> ExperimentConfig:
     """
     if study not in STUDIES:
         raise ConfigError(f"unknown study {study!r}")
-    allowed = _STUDY_KEYS[study]
+    spec = STUDIES[study]
+    allowed = _COMMON_KEYS | {_KEY_OF_FIELD.get(f, f) for f in spec.required + spec.optional}
     raw = {}
     lines_of = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

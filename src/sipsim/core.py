@@ -27,10 +27,6 @@ class CoordinateOverflowError(OverflowError):
     """A coordinate left the representable range on the infinite lattice."""
 
 
-class EmptySiteError(ValueError):
-    """Attempted to move a particle away from an empty site."""
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Dimension plus boundary mode; L is None on the infinite lattice."""
@@ -118,20 +114,6 @@ def particles_of(counts) -> ParticleList:
     for site in sorted(counts):
         out.extend([site] * counts[site])
     return tuple(out)
-
-
-def move(counts, x: Site, y: Site) -> dict:
-    """Move one particle from x to y; total count is conserved."""
-    n = counts.get(x, 0)
-    if n < 1:
-        raise EmptySiteError(f"no particle at {x} to move")
-    out = dict(counts)
-    if n == 1:
-        del out[x]
-    else:
-        out[x] = n - 1
-    out[y] = out.get(y, 0) + 1
-    return out
 
 
 class RandomStream:

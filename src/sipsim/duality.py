@@ -36,8 +36,8 @@ class DualityEvaluator:
     """
 
     def __init__(self, m: float):
-        if not m > 0:
-            raise ValueError(f"m must be positive, got {m!r}")
+        if not (math.isfinite(m) and m > 0):
+            raise ValueError(f"m must be positive and finite, got {m!r}")
         self.m = m
         self._ladder = [0.0]
 

@@ -18,6 +18,7 @@ import math
 import multiprocessing as mp
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,21 +44,27 @@ from .oracle import (
 )
 from .stats import batched
 
-STUDIES = (
-    "self-duality",
-    "stationarity",
-    "coupling",
-    "or-distance",
-    "convergence",
-    "correlation",
-    "factorization",
-    "oracle-check",
-)
 
-# studies whose headline numbers are Monte Carlo estimates
-_MC_STUDIES = frozenset(
-    {"self-duality", "stationarity", "coupling", "or-distance", "convergence", "correlation"}
-)
+class Study(NamedTuple):
+    """What a study needs from its config; `ExperimentConfig` enforces it."""
+
+    required: tuple  # fields that must be set
+    optional: tuple = ()  # further study-specific fields a config may set
+    torus: bool = False  # runs on a torus only
+    monte_carlo: bool = True  # headline numbers are Monte Carlo estimates
+
+
+STUDIES = {
+    "self-duality": Study(("xi", "eta"), torus=True),
+    "stationarity": Study(("lam",), ("xi_sizes",), torus=True),
+    "coupling": Study(("x_start", "y_start"),
+                      ("delta", "schedule_t0", "schedule_doublings", "iterated_replicas")),
+    "or-distance": Study(("x_start",)),
+    "convergence": Study(("xi",), ("initial_law", "theta", "lam", "mixture")),
+    "correlation": Study(("mixture",), ("n",), torus=True),
+    "factorization": Study(("lam", "eta"), torus=True, monte_carlo=False),
+    "oracle-check": Study(("xi", "eta"), torus=True, monte_carlo=False),
+}
 
 # stream arm ids; replica r of arm a draws from RandomStream(seed, (a, r))
 _ARM_SD_LHS = 0
@@ -117,7 +124,8 @@ class ExperimentConfig:
             raise ValueError(f"m must be positive and finite, got {self.m}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        min_reps = 100 if self.study in _MC_STUDIES else 1
+        study = STUDIES[self.study]
+        min_reps = 100 if study.monte_carlo else 1
         if self.replicas < min_reps:
             raise ValueError(
                 f"{self.study} needs replicas >= {min_reps}, got {self.replicas}"
@@ -145,14 +153,11 @@ class ExperimentConfig:
                 raise ValueError(f"mixture weights must sum to 1, got {total}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (math.isfinite(self.schedule_t0) and self.schedule_t0 > 0):
-            raise ValueError(f"schedule_t0 must be positive and finite, got {self.schedule_t0}")
-        if self.schedule_doublings < 0:
-            raise ValueError(f"schedule_doublings must be >= 0, got {self.schedule_doublings}")
         try:
             doubling_schedule(self.schedule_t0, self.schedule_doublings)
         except ValueError as exc:
-            raise ValueError(f"schedule_doublings {self.schedule_doublings}: {exc}") from None
+            raise ValueError(f"'schedule_t0' {self.schedule_t0}, 'schedule_doublings' "
+                             f"{self.schedule_doublings}: {exc}") from None
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if any(s < 1 for s in self.xi_sizes):
@@ -165,6 +170,9 @@ class ExperimentConfig:
         if self.study in ("coupling", "or-distance") and len(self.t_grid) < 2:
             raise ValueError(f"t_grid needs at least 2 times for {self.study}, "
                              f"got {len(self.t_grid)}")
+        _require(self, *study.required)
+        if study.torus and self.boundary != "torus":
+            raise ValueError(f"{self.study} study runs on a torus")
 
     @property
     def geometry(self) -> Geometry:
@@ -272,9 +280,9 @@ def _finish(study, rows, cfg, t0) -> Report:
                   wall_ms=int((time.monotonic() - t0) * 1000.0))
 
 
-def _require(cfg, **fields):
-    for name, needed in fields.items():
-        if needed and getattr(cfg, name) is None:
+def _require(cfg, *names):
+    for name in names:
+        if getattr(cfg, name) is None:
             raise ValueError(f"study {cfg.study!r} requires the {name!r} field")
 
 
@@ -285,9 +293,6 @@ def _require(cfg, **fields):
 def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Exact and Monte Carlo check of E_eta D(xi, eta_t) = E_xi D(xi_t, eta)."""
     t0 = time.monotonic()
-    _require(cfg, xi=True, eta=True)
-    if not cfg.geometry.is_torus:
-        raise ValueError("self-duality study runs on a torus")
     rows = []
     params = cfg.sip_params
     evaluator = DualityEvaluator(cfg.m)
@@ -335,9 +340,6 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     D(xi, eta_t).
     """
     t0 = time.monotonic()
-    _require(cfg, lam=True)
-    if not cfg.geometry.is_torus:
-        raise ValueError("stationarity study runs on a torus")
     rho = cfg.lam / (1.0 - cfg.lam)
     geo = cfg.geometry
     params = cfg.sip_params
@@ -393,7 +395,6 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
     trend surrogate), and iterated success frequency >= 0.99.
     """
     t0 = time.monotonic()
-    _require(cfg, x_start=True, y_start=True)
     params = cfg.sip_params
     rows = []
     curve = []
@@ -434,7 +435,6 @@ def run_or_distance(cfg: ExperimentConfig, workers: int = 1) -> Report:
     the first and last grid points are separated at 3 sigma.
     """
     t0 = time.monotonic()
-    _require(cfg, x_start=True)
     if any(t <= 0 for t in cfg.t_grid):
         raise ValueError("or-distance grid times must be positive")
     params = cfg.sip_params
@@ -466,13 +466,13 @@ def run_or_distance(cfg: ExperimentConfig, workers: int = 1) -> Report:
 
 def _convergence_law(cfg):
     if cfg.initial_law == "nu_lambda":
-        _require(cfg, lam=True)
+        _require(cfg, "lam")
         return NuLambda(lam=cfg.lam, m=cfg.m)
     if cfg.initial_law == "poisson":
-        _require(cfg, theta=True)
+        _require(cfg, "theta")
         return PoissonProduct(theta=cfg.theta)
     if cfg.initial_law == "mixture":
-        _require(cfg, mixture=True)
+        _require(cfg, "mixture")
         return NuMixture(atoms=cfg.mixture, m=cfg.m)
     raise ValueError(
         f"convergence needs initial_law in nu_lambda|poisson|mixture, got {cfg.initial_law!r}"
@@ -500,7 +500,6 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
     reports the theorem's hypothesis at |xi|: the tempered moment bound c_n.
     """
     t0 = time.monotonic()
-    _require(cfg, xi=True)
     law = _convergence_law(cfg)
     params = cfg.sip_params
     evaluator = DualityEvaluator(cfg.m)
@@ -538,9 +537,6 @@ def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Repor
     n >= 2 and collapses to equality otherwise.
     """
     t0 = time.monotonic()
-    _require(cfg, mixture=True)
-    if not cfg.geometry.is_torus:
-        raise ValueError("correlation sampling needs a torus")
     if cfg.geometry.n_sites < cfg.n:
         raise ValueError("torus too small for the probe configuration")
     n = cfg.n
@@ -610,9 +606,6 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
     placement-independent limit as the averaging horizon doubles.
     """
     t0 = time.monotonic()
-    _require(cfg, lam=True, eta=True)
-    if not cfg.geometry.is_torus:
-        raise ValueError("factorization study runs on a torus")
     geo = cfg.geometry
     evaluator = DualityEvaluator(cfg.m)
     rows = []
@@ -665,9 +658,6 @@ def run_oracle_check(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Structural checks of the exact solver: sector sizes, row sums,
     conservation under the semigroup, and the self-duality identity."""
     t0 = time.monotonic()
-    _require(cfg, xi=True, eta=True)
-    if not cfg.geometry.is_torus:
-        raise ValueError("oracle-check runs on a torus")
     geo = cfg.geometry
     params = cfg.sip_params
     rows = []

@@ -29,8 +29,8 @@ class NuLambda:
     def __post_init__(self):
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lam must lie in [0, 1), got {self.lam!r}")
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m!r}")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValueError(f"m must be positive and finite, got {self.m!r}")
 
     @property
     def rho(self) -> float:
@@ -44,8 +44,8 @@ class PoissonProduct:
     theta: float
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta!r}")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,13 @@ class NuMixture:
         for lam, w in self.atoms:
             if not 0.0 <= lam < 1.0:
                 raise ValueError(f"mixture atom lam must lie in [0, 1), got {lam!r}")
-            if w < 0:
-                raise ValueError(f"mixture weights must be >= 0, got {w!r}")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"mixture weights must be finite and >= 0, got {w!r}")
             total += w
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m!r}")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValueError(f"m must be positive and finite, got {self.m!r}")
 
 
 InitialLaw = Union[NuLambda, PoissonProduct, NuMixture]

@@ -3,8 +3,9 @@
 Ground truth for the Monte Carlo claims: explicit sparse generator assembly
 on the n-particle sector of a torus, semigroup evaluation by uniformization
 (Poisson mixture of powers of the jump kernel, truncated with a certified
-tail bound), time-averaged semigroups in closed form, and an exact
-hitting law for the one-dimensional difference walk.
+tail bound; the kernel is built once per generator), time-averaged
+semigroups in closed form, and an exact hitting law for the one-dimensional
+difference walk.
 
 A sector is held once, as a (size x sites) integer array of occupation
 count-vectors in colexicographic order (the last site is the most
@@ -19,6 +20,7 @@ stored. The generator is assembled with numpy, one vectorized pass per
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -31,6 +33,8 @@ from .duality import DualityEvaluator
 from .dynamics import SipParams
 
 DEFAULT_STATE_CAP = 200_000
+TAIL = 1e-12  # Poisson mass a truncated uniformization series may leave out
+HITTING_TAIL = 1e-10  # far-end mass below which a hitting probability is certified
 
 
 def _poisson_pmf(k, mu):
@@ -119,16 +123,17 @@ def _colex_states(n: int, v: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def state_space(n: int, geometry: Geometry, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
-    """Enumerate the n-particle sector; raises StateCapError above the cap."""
+def state_space(n: int, geometry: Geometry) -> StateSpace:
+    """Enumerate the n-particle sector; raises StateCapError above
+    DEFAULT_STATE_CAP states."""
     if not geometry.is_torus:
         raise ValueError("exact computations need a torus")
     if n < 0:
         raise ValueError(f"particle count must be >= 0, got {n}")
     v = geometry.n_sites
     size = math.comb(v + n - 1, n)
-    if size > cap:
-        raise StateCapError(f"sector has {size} states, above the cap {cap}")
+    if size > DEFAULT_STATE_CAP:
+        raise StateCapError(f"sector has {size} states, above the cap {DEFAULT_STATE_CAP}")
     states = _colex_states(n, v)
     states.flags.writeable = False
     binom = np.array([[math.comb(p + j, j) for j in range(v)] for p in range(n + 1)],
@@ -198,39 +203,51 @@ def build_generator(n: int, params: SipParams):
     return q
 
 
-def _uniformized(q):
-    diag = q.diagonal()
-    lam = float(np.max(-diag)) if diag.size else 0.0
-    if lam <= 0.0:
-        return None, 0.0
-    p = sparse.eye(q.shape[0], format="csr") + q.multiply(1.0 / lam)
-    return p.tocsr(), lam
+# id(q) -> (I + Q/Lambda, Lambda); a finalizer drops the entry with its q
+_uniformized_cache = {}
 
 
-def semigroup_apply(q, t: float, f, tail: float = 1e-12):
-    """e^{tQ} f via uniformization; truncation leaves Poisson tail mass < tail."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+def _poisson_series(q, t, f, weights_of):
+    """sum_k w_k P^k f with P = I + Q/Lambda, Lambda the largest exit rate,
+    and the weights w = weights_of(Lambda * t) (f itself when that is 0)."""
     f = np.asarray(f, dtype=float)
-    p, lam = _uniformized(q)
+    if id(q) not in _uniformized_cache:
+        diag = q.diagonal()
+        lam = float(np.max(-diag)) if diag.size else 0.0
+        p = None
+        if lam > 0.0:
+            p = (sparse.eye(q.shape[0], format="csr") + q.multiply(1.0 / lam)).tocsr()
+        _uniformized_cache[id(q)] = (p, lam)
+        weakref.finalize(q, _uniformized_cache.pop, id(q), None)
+    p, lam = _uniformized_cache[id(q)]
     mu = lam * t
     if mu == 0.0:
         return f.copy()
-    kmax = max(int(poisson.isf(tail, mu)), 1)
-    weights = poisson.pmf(np.arange(kmax + 1), mu)
+    weights = weights_of(mu)
     v = f.copy()
     out = weights[0] * v
-    for k in range(1, kmax + 1):
+    for k in range(1, len(weights)):
         v = p @ v
         out += weights[k] * v
     return out
 
 
-def transient_distribution(q, t: float, start_index: int, tail: float = 1e-12):
+def semigroup_apply(q, t: float, f):
+    """e^{tQ} f via uniformization; truncation leaves Poisson tail mass < TAIL."""
+    if t < 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+
+    def pmf(mu):
+        return poisson.pmf(np.arange(max(int(poisson.isf(TAIL, mu)), 1) + 1), mu)
+
+    return _poisson_series(q, t, f, pmf)
+
+
+def transient_distribution(q, t: float, start_index: int):
     """Row of e^{tQ}: the state distribution at time t from a point start."""
     delta = np.zeros(q.shape[0])
     delta[start_index] = 1.0
-    return semigroup_apply(q.T.tocsr(), t, delta, tail=tail)
+    return semigroup_apply(q.T.tocsr(), t, delta)
 
 
 def duality_probe(space: StateSpace, evaluator: DualityEvaluator, factors):
@@ -285,42 +302,34 @@ def exact_dual_expectation(xi, eta_counts, t: float, params: SipParams):
     return left, right
 
 
-def cesaro_apply(q, horizon: float, f, tail: float = 1e-12):
+def cesaro_apply(q, horizon: float, f):
     """(1/T) * integral_0^T e^{tQ} f dt, integrated in closed form.
 
     Uniformization integrates exactly: the time average equals
     sum_k P(Poisson(lam*T) >= k+1) / (lam*T) * P^k f, whose weights sum to
-    one. The series is truncated with residual mass below `tail` (checked,
+    one. The series is truncated with residual mass below TAIL (checked,
     not assumed), so no quadrature grid is involved at all.
     """
     if horizon <= 0:
         raise ValueError(f"averaging horizon must be positive, got {horizon}")
-    f = np.asarray(f, dtype=float)
-    p, lam = _uniformized(q)
-    mu = lam * horizon
-    if mu == 0.0:
-        return f.copy()
-    kmax = max(int(poisson.isf(min(tail, 1e-13), mu)), 1)
-    while True:
-        weights = poisson.sf(np.arange(kmax + 1), mu) / mu
-        if 1.0 - float(weights.sum()) < tail:
-            break
-        kmax *= 2
-    v = f.copy()
-    out = weights[0] * v
-    for k in range(1, kmax + 1):
-        v = p @ v
-        out += weights[k] * v
-    return out
+
+    def averaged(mu):
+        kmax = max(int(poisson.isf(1e-13, mu)), 1)  # a decade below TAIL
+        while True:
+            weights = poisson.sf(np.arange(kmax + 1), mu) / mu
+            if 1.0 - float(weights.sum()) < TAIL:
+                return weights
+            kmax *= 2
+
+    return _poisson_series(q, horizon, f, averaged)
 
 
-def walk_hitting_probability(start: int, t: float, rate: float,
-                             tail: float = 1e-10) -> float:
+def walk_hitting_probability(start: int, t: float, rate: float) -> float:
     """P(tau_0 <= t) for a rate-`rate` symmetric walk on Z started at `start`.
 
     Computed on a truncated interval with absorption at both ends; the
     truncation is enlarged until the mass absorbed at the far end is below
-    `tail`, which certifies the answer to that accuracy.
+    HITTING_TAIL, which certifies the answer to that accuracy.
     """
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
@@ -328,19 +337,12 @@ def walk_hitting_probability(start: int, t: float, rate: float,
         return 1.0
     cap = start + int(8.0 * math.sqrt(max(rate * t, 1.0))) + 20
     for _ in range(8):
-        size = cap + 1
-        rows, cols, vals = [], [], []
-        for i in range(1, cap):
-            for j in (i - 1, i + 1):
-                rows.append(i)
-                cols.append(j)
-                vals.append(0.5 * rate)
-            rows.append(i)
-            cols.append(i)
-            vals.append(-rate)
-        q = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
-        dist = transient_distribution(q, t, start, tail=min(tail, 1e-12))
-        if float(dist[cap]) < tail:
+        # rows 1..cap-1 step to either side at rate/2; rows 0 and cap absorb
+        step = np.r_[0.0, np.full(cap - 1, 0.5 * rate)]  # step[i]: rate of i -> i+1
+        q = sparse.diags([step[::-1], np.r_[0.0, -2.0 * step[1:], 0.0], step],
+                         [-1, 0, 1], format="csr")
+        dist = transient_distribution(q, t, start)
+        if float(dist[cap]) < HITTING_TAIL:
             return float(dist[0])
         cap *= 2
     raise RuntimeError("hitting-probability truncation failed to certify")

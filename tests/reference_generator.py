@@ -6,11 +6,20 @@ colexicographically (the last site is the most significant digit), states
 are indexed through a tuple -> ordinal dict, and each row is filled by a
 Python loop over (site, neighbour) pairs with the diagonal accumulated in
 loop order.
+
+It also keeps the uniformized series as they were before they shared one
+routine and one cached I + Q/Lambda per generator: `reference_semigroup_apply`
+and `reference_cesaro_apply` rebuild the matrix on every call. They take the
+Poisson functions from `sipsim.oracle.poisson` at call time, so a test that
+patches it patches both sides.
 """
 
 from itertools import combinations_with_replacement
 
+import numpy as np
 from scipy import sparse
+
+from sipsim import oracle
 
 
 def reference_states(n, geometry):
@@ -55,3 +64,54 @@ def reference_generator(n, params):
     q = sparse.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)), dtype=float)
     q.sum_duplicates()
     return q
+
+
+def reference_uniformized(q):
+    diag = q.diagonal()
+    lam = float(np.max(-diag)) if diag.size else 0.0
+    if lam <= 0.0:
+        return None, 0.0
+    p = sparse.eye(q.shape[0], format="csr") + q.multiply(1.0 / lam)
+    return p.tocsr(), lam
+
+
+def reference_semigroup_apply(q, t, f, tail=1e-12):
+    """e^{tQ} f via uniformization; truncation leaves Poisson tail mass < tail."""
+    if t < 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    f = np.asarray(f, dtype=float)
+    p, lam = reference_uniformized(q)
+    mu = lam * t
+    if mu == 0.0:
+        return f.copy()
+    kmax = max(int(oracle.poisson.isf(tail, mu)), 1)
+    weights = oracle.poisson.pmf(np.arange(kmax + 1), mu)
+    v = f.copy()
+    out = weights[0] * v
+    for k in range(1, kmax + 1):
+        v = p @ v
+        out += weights[k] * v
+    return out
+
+
+def reference_cesaro_apply(q, horizon, f, tail=1e-12):
+    """(1/T) * integral_0^T e^{tQ} f dt, with the kmax doubling certificate."""
+    if horizon <= 0:
+        raise ValueError(f"averaging horizon must be positive, got {horizon}")
+    f = np.asarray(f, dtype=float)
+    p, lam = reference_uniformized(q)
+    mu = lam * horizon
+    if mu == 0.0:
+        return f.copy()
+    kmax = max(int(oracle.poisson.isf(min(tail, 1e-13), mu)), 1)
+    while True:
+        weights = oracle.poisson.sf(np.arange(kmax + 1), mu) / mu
+        if 1.0 - float(weights.sum()) < tail:
+            break
+        kmax *= 2
+    v = f.copy()
+    out = weights[0] * v
+    for k in range(1, kmax + 1):
+        v = p @ v
+        out += weights[k] * v
+    return out

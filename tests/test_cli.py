@@ -7,6 +7,7 @@ import pytest
 
 from sipsim import __version__
 from sipsim.cli import (
+    DEFAULT_CONFIGS,
     ConfigError,
     Invocation,
     build_invocation,
@@ -14,6 +15,7 @@ from sipsim.cli import (
     parse_config,
     run,
 )
+from sipsim.experiments import RUNNERS, STUDIES
 
 CORRELATION_CFG = """\
 # two-atom mixture, small sampling run
@@ -25,6 +27,22 @@ n = 2
 replicas = 2000
 seed = 21
 """
+
+
+# the config keys each study accepts, written out literally: parse_config
+# derives them from experiments.STUDIES, and an edit there must not move them
+COMMON_KEYS = {"d", "boundary", "L", "m", "seed", "replicas", "t_grid"}
+STUDY_KEYS = {
+    "self-duality": COMMON_KEYS | {"xi", "eta"},
+    "stationarity": COMMON_KEYS | {"lambda", "xi_sizes"},
+    "coupling": COMMON_KEYS
+    | {"x_start", "y_start", "delta", "schedule_t0", "schedule_doublings", "iterated_replicas"},
+    "or-distance": COMMON_KEYS | {"x_start"},
+    "convergence": COMMON_KEYS | {"initial_law", "theta", "lambda", "mixture", "xi"},
+    "correlation": COMMON_KEYS | {"mixture", "n"},
+    "factorization": COMMON_KEYS | {"lambda", "eta"},
+    "oracle-check": COMMON_KEYS | {"xi", "eta"},
+}
 
 
 def invocation(study, tmp_path, config_text=None, seed=None, workers=1, name="run"):
@@ -52,6 +70,19 @@ class TestParseConfig:
     def test_key_for_wrong_study_rejected(self):
         with pytest.raises(ConfigError, match="does not apply"):
             parse_config("theta = 1.0\n", "stationarity")
+
+    @pytest.mark.parametrize("study", list(STUDY_KEYS))
+    def test_allowed_keys_per_study(self, study):
+        # a key that does not apply is rejected before its value is parsed
+        accepted = set()
+        for key in set().union(*STUDY_KEYS.values()):
+            try:
+                parse_config(f"{key} = 1\n", study)
+            except ConfigError as exc:
+                if "does not apply" in str(exc):
+                    continue
+            accepted.add(key)
+        assert accepted == STUDY_KEYS[study]
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="line 3: duplicate key 'm'"):
@@ -142,6 +173,24 @@ class TestRun:
         inv = invocation(study, tmp_path, config_text=text)
         assert run(inv) == 1
         assert not os.path.exists(inv.out_dir)
+
+    @pytest.mark.parametrize("study", list(STUDIES))
+    def test_study_table_errors_exit_one_before_dispatch(self, tmp_path, monkeypatch,
+                                                         study):
+        # config text cannot unset a field, so the bad configs come in as
+        # built-in defaults
+        calls = []
+        monkeypatch.setitem(RUNNERS, study, lambda cfg, workers=1: calls.append(cfg))
+        defaults = DEFAULT_CONFIGS[study]
+        cases = [dict(defaults, **{name: None}) for name in STUDIES[study].required]
+        if STUDIES[study].torus:
+            cases.append(dict(defaults, boundary="infinite", L=None))
+        for j, fields in enumerate(cases):
+            monkeypatch.setitem(DEFAULT_CONFIGS, study, fields)
+            inv = invocation(study, tmp_path, name=f"run{j}")
+            assert run(inv) == 1
+            assert not os.path.exists(inv.out_dir)
+        assert calls == []
 
     @pytest.mark.parametrize("study,text", [
         ("coupling", "t_grid = 1000\n"),

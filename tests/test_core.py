@@ -6,11 +6,9 @@ import pytest
 from sipsim.core import (
     COORD_LIMIT,
     CoordinateOverflowError,
-    EmptySiteError,
     Geometry,
     RandomStream,
     derive_stream,
-    move,
     occupation_of,
     particles_of,
 )
@@ -83,24 +81,6 @@ class TestConfigurations:
     def test_particles_roundtrip(self):
         counts = {(2,): 2, (0,): 1}
         assert occupation_of(particles_of(counts)) == counts
-
-    def test_move(self):
-        assert move({(0,): 2}, (0,), (1,)) == {(0,): 1, (1,): 1}
-
-    def test_move_inverse_pair(self):
-        eta = {(0,): 1}
-        assert move(move(eta, (0,), (1,)), (1,), (0,)) == eta
-
-    def test_move_conserves_total(self):
-        eta = {(0,): 3, (2,): 1}
-        out = move(eta, (0,), (2,))
-        assert sum(out.values()) == sum(eta.values())
-
-    def test_move_from_empty_site(self):
-        with pytest.raises(EmptySiteError):
-            move({}, (0,), (1,))
-        with pytest.raises(EmptySiteError):
-            move({(1,): 2}, (0,), (1,))
 
 
 class TestRandomStream:

@@ -126,6 +126,11 @@ class TestClosedTransforms:
         with pytest.raises(ValueError):
             DualityEvaluator(3.0).closed_transform(NuLambda(0.4, 2.0), ((0,),))
 
+    @pytest.mark.parametrize("m", [float("nan"), float("inf")])
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(ValueError, match="finite"):
+            DualityEvaluator(m)
+
 
 class TestEmpiricalTransform:
     def test_point_mass_sampler_is_exact(self):

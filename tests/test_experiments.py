@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from sipsim.cli import DEFAULT_CONFIGS
 from sipsim.experiments import (
+    STUDIES,
     ExperimentConfig,
     Report,
     band_row,
@@ -162,6 +164,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(study="coupling", x_start=((0,),), y_start=((1,),),
                              delta=1.0, replicas=100)
+
+    @pytest.mark.parametrize("study", list(STUDIES))
+    def test_missing_required_field_rejected(self, study):
+        assert STUDIES[study].required
+        for name in STUDIES[study].required:
+            fields = dict(DEFAULT_CONFIGS[study], **{name: None})
+            with pytest.raises(ValueError, match=f"requires the '{name}' field"):
+                ExperimentConfig(study=study, **fields)
+
+    @pytest.mark.parametrize("study", list(STUDIES))
+    def test_torus_only_studies_reject_the_infinite_lattice(self, study):
+        fields = dict(DEFAULT_CONFIGS[study], boundary="infinite", L=None)
+        if STUDIES[study].torus:
+            with pytest.raises(ValueError, match="runs on a torus"):
+                ExperimentConfig(study=study, **fields)
+        else:
+            assert not ExperimentConfig(study=study, **fields).geometry.is_torus
 
 
 def small_self_duality_cfg(**kw):

@@ -153,3 +153,16 @@ class TestLaws:
             NuLambda(1.0, 2.0)
         with pytest.raises(ValueError):
             NuLambda(0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda x: PoissonProduct(x),
+        lambda x: NuLambda(x, 2.0),
+        lambda x: NuLambda(0.4, x),
+        lambda x: NuMixture(atoms=((0.2, x), (0.6, 0.5)), m=2.0),
+        lambda x: NuMixture(atoms=((0.2, 1.0),), m=x),
+    ], ids=["poisson-theta", "nu-lambda-lam", "nu-lambda-m", "mixture-weight",
+            "mixture-m"])
+    def test_non_finite_parameters_rejected(self, make, bad):
+        with pytest.raises(ValueError):
+            make(bad)

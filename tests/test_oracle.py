@@ -1,4 +1,6 @@
+import gc
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from sipsim.core import Geometry, derive_stream, occupation_of
 from sipsim.duality import DualityEvaluator
 from sipsim.dynamics import ProcessKind, SipParams, simulate
+from sipsim import oracle
 from sipsim.measures import marginal_pmf
 from sipsim.oracle import (
     StateCapError,
@@ -22,7 +25,12 @@ from sipsim.oracle import (
     transient_distribution,
     walk_hitting_probability,
 )
-from reference_generator import reference_generator, reference_states
+from reference_generator import (
+    reference_cesaro_apply,
+    reference_generator,
+    reference_semigroup_apply,
+    reference_states,
+)
 
 T3 = SipParams(m=2.0, geometry=Geometry(1, 3))
 T5 = SipParams(m=2.0, geometry=Geometry(1, 5))
@@ -78,9 +86,11 @@ class TestStateSpace:
         with pytest.raises(KeyError):
             space.index_of_occupation({(0,): 1})
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # 1,771 states: under the default cap, over the lowered one
+        monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", 1000)
         with pytest.raises(StateCapError):
-            state_space(5, Geometry(2, 10), cap=1000)
+            state_space(3, Geometry(1, 21))
 
 
 class TestGenerator:
@@ -253,6 +263,54 @@ class TestSemigroup:
         )
         weights /= weights.sum()
         assert np.max(np.abs(dist - weights)) < 1e-8
+
+
+class TestSeriesAgainstReference:
+    """Both series against the per-call reference, bit for bit."""
+
+    @pytest.mark.parametrize("n, geometry", SECTORS)
+    def test_bitwise_equal_to_reference(self, n, geometry):
+        q = build_generator(n, SipParams(m=0.7, geometry=geometry))
+        f = np.random.default_rng(n).random(q.shape[0])
+        for t in (0.0, 0.05, 3.0):
+            assert (semigroup_apply(q, t, f).tobytes()
+                    == reference_semigroup_apply(q, t, f).tobytes())
+        for horizon in (0.05, 3.0, 40.0):
+            assert (cesaro_apply(q, horizon, f).tobytes()
+                    == reference_cesaro_apply(q, horizon, f).tobytes())
+
+    def test_cesaro_doubling_bitwise_equal_to_reference(self, monkeypatch):
+        # from the 1e-13 quantile the residual is already below 1e-12, so
+        # start a quarter of the way there to make the doubling run
+        sf_calls = []
+
+        def sf(k, mu):
+            sf_calls.append(len(k))
+            return poisson.sf(k, mu)
+
+        monkeypatch.setattr(oracle, "poisson", SimpleNamespace(
+            pmf=poisson.pmf, sf=sf, isf=lambda q, mu: poisson.isf(q, mu) // 4))
+        q = build_generator(3, T5)
+        f = np.random.default_rng(3).random(q.shape[0])
+        out = cesaro_apply(q, 5.0, f)
+        assert len(sf_calls) >= 2
+        assert out.tobytes() == reference_cesaro_apply(q, 5.0, f).tobytes()
+
+    def test_uniformized_matrix_built_once_per_generator(self):
+        q = build_generator(3, T5)
+        f = np.ones(q.shape[0])
+        semigroup_apply(q, 1.0, f)
+        entry = oracle._uniformized_cache[id(q)]
+        cesaro_apply(q, 2.0, f)
+        semigroup_apply(q, 0.5, f)
+        assert oracle._uniformized_cache[id(q)] is entry
+
+    def test_transposed_generators_leave_no_entry(self):
+        q = build_generator(2, T5)
+        before = len(oracle._uniformized_cache)
+        transient_distribution(q, 1.0, 0)
+        gc.collect()
+        assert len(oracle._uniformized_cache) == before
 
 
 class TestSelfDuality:
