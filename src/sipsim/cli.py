@@ -163,13 +163,9 @@ def parse_config(text: str, study: str) -> ExperimentConfig:
     try:
         return ExperimentConfig(study=study, **fields)
     except ValueError as exc:
-        # map the domain error back to the offending line when possible
-        msg = str(exc)
-        for key, lineno in sorted(lines_of.items(), key=lambda kv: -len(kv[0])):
-            field = _FIELD_OF_KEY.get(key, key)
-            if msg.startswith(field + " ") or f"'{field}'" in msg:
-                raise ConfigError(msg, lineno) from None
-        raise ConfigError(msg) from None
+        # a domain error names its field; report that key's line if it was set
+        field = getattr(exc, "field", None)
+        raise ConfigError(str(exc), lines_of.get(_KEY_OF_FIELD.get(field, field))) from None
 
 
 def default_config(study: str, seed: int | None = None) -> ExperimentConfig:

@@ -144,7 +144,7 @@ class RandomStream:
         self.path = path
         ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        self._buf = ()
+        self._buf = []
         self._pos = 0
 
     def child(self, index: int) -> "RandomStream":
@@ -164,6 +164,22 @@ class RandomStream:
     def exponential(self, rate: float) -> float:
         """Exponential waiting time with the given total rate."""
         return -math.log(1.0 - self.uniform()) / rate
+
+    def _fill(self, k: int):
+        short = k - (len(self._buf) - self._pos)
+        if short > 0:
+            self._buf = self._buf[self._pos :] + self._gen.random(short).tolist()
+            self._pos = 0
+
+    def peek(self, k: int) -> list:
+        """The next k uniform draws, left in the stream."""
+        self._fill(k)
+        return self._buf[self._pos : self._pos + k]
+
+    def advance(self, j: int):
+        """Consume j draws, as j calls of uniform() would."""
+        self._fill(j)
+        self._pos += j
 
 
 def derive_stream(seed: int, index: int) -> RandomStream:

@@ -1,6 +1,6 @@
 """Couplings of SIP and IRW particle sets, and the two-stage coupling scheme.
 
-Two event routines make up every coupling here:
+Two kinds of event make up every coupling here:
 
 * `or_coupled_step`, the OR coupling: SIP sets shadowed by IRW sets. All
   lists receive the same shared random-walk events, so any two lists moved
@@ -13,6 +13,16 @@ Two event routines make up every coupling here:
   zero, after which that coordinate moves jointly forever. The difference
   of an unsynced coordinate is a symmetric walk at twice the single-walker
   speed (rate m in one dimension).
+
+Both run as free flights (`_free_flight`) while their move table is fixed:
+the OR coupling while no two particles of a SIP set are within l1 distance
+1 (the inclusion totals are then exactly 0.0), the Ornstein pairing between
+syncs. A block of peeked draws goes through the per-event float operations
+at once and is cut at the first contact, sync, stage end or last grid time;
+only the applied events' draws are consumed, so every event, output and
+next draw is that of a per-event loop. This is a light form of
+first-passage kinetic Monte Carlo (Oppelstrup et al., PRL 97, 230602,
+2006). Other OR events go through `or_coupled_step` one at a time.
 
 The two-stage scheme runs the OR coupling of both SIP sets to shared-jump
 IRW shadows on [0, (1-delta)t] and then pairs the two SIP sets directly
@@ -30,8 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
-from .core import Geometry, ParticleList, RandomStream, occupation_of
+import numpy as np
+
+from .core import (COORD_LIMIT, CoordinateOverflowError, Geometry, ParticleList,
+                   RandomStream, occupation_of)
 from .dynamics import SipParams
 
 
@@ -172,6 +186,119 @@ def _ornstein_entries(xs, ys, d: int):
     return entries
 
 
+# free-flight blocks start at _FIRST_BLOCK events and double up to _BLOCK
+_FIRST_BLOCK = 32
+_BLOCK = 4096
+
+
+def _contact_watches(sets, n):
+    """Watches for `_free_flight`: two particles of one of the given lists
+    come within l1 distance 1."""
+    return tuple((c * n + p, c * n + q, None, 1) for c in sets
+                 for p in range(n) for q in range(p + 1, n))
+
+
+@lru_cache(maxsize=256)
+def _flight_plan(table, watches, n_lists, n, d):
+    """Arrays for `_free_flight`: per row of the move table, the displacement
+    of every (list, particle) coordinate, flattened, and the change of every
+    watched coordinate gap; then the watches' particles, axis masks and
+    reaches."""
+    disp = np.zeros((len(table), n_lists * n, d), dtype=np.int64)
+    for r, (i, axis, *steps) in enumerate(table):
+        disp[r, np.arange(n_lists) * n + i, axis] = steps
+    a = np.array([w[0] for w in watches], dtype=np.intp)
+    b = np.array([w[1] for w in watches], dtype=np.intp)
+    mask = np.array([[w[2] is None or w[2] == k for k in range(d)] for w in watches],
+                    dtype=np.int64).reshape(-1, d)
+    plan = (disp.reshape(len(table), -1), disp[:, a] - disp[:, b], a, b, mask,
+            np.array([w[3] for w in watches]))
+    for arr in plan:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return plan
+
+
+def _free_flight(lists, table, pick, total, watches, geo, stream, t,
+                 t_end=math.inf, t_last=math.inf, log=None, names=(), cls=""):
+    """Run events of a fixed move table in blocks of draws, until a cut.
+
+    An event draws dt = -log(1 - u) / total, then row
+    min(int(pick(u')), len(table) - 1) of `table`: (particle, axis, step in
+    each of `lists`). Each block peeks at the stream, applies exactly these
+    float operations per draw (math.log; times summed in sequence by
+    np.cumsum) and consumes only the draws of the events it applies. A
+    watch (a, b, axis, reach) names two particles by flat index
+    (list * n + particle) and the axis whose distance counts (None: l1).
+    The run stops after the first event bringing a watched pair within
+    reach ("watch"; all start out of reach), at the first event reaching
+    t_end having drawn only its dt ("end"), or after the first event past
+    t_last ("last"). `lists` move in place, `log` gets the per-event rows,
+    and (t, stop, events applied) is returned.
+    """
+    n, d, L = len(lists[0]), geo.d, geo.L
+    disp, gap_step, a, b, mask, reach = _flight_plan(table, watches, len(lists), n, d)
+    log_fn = math.log
+    block = _FIRST_BLOCK
+    events = 0
+    while True:
+        start = np.array(lists, dtype=np.int64).reshape(-1, d)
+        us = stream.peek(2 * block)
+        rows = np.minimum(pick(np.array(us[1::2])).astype(np.intp), len(table) - 1)
+        gap = start[a] - start[b] + gap_step[rows].cumsum(axis=0)
+        if L is None:
+            gap = np.abs(gap)
+        else:
+            gap %= L
+            gap = np.minimum(gap, L - gap)
+        hits = np.flatnonzero(((gap * mask).sum(axis=2) <= reach).any(axis=1))
+        applied, stop = (int(hits[0]) + 1, "watch") if len(hits) else (block, None)
+        times = np.array([t] + [-log_fn(1.0 - u) / total
+                                for u in us[: 2 * applied : 2]]).cumsum()
+        ended = int(np.searchsorted(times[1:], t_end))
+        if ended < applied:
+            applied, stop = ended, "end"
+        passed = int(np.searchsorted(times[1:], t_last, side="right"))
+        if passed < applied:
+            applied, stop = passed + 1, "last"
+        stream.advance(2 * applied + (stop == "end"))
+        path = np.vstack((start.ravel(), disp[rows[:applied]])).cumsum(axis=0)
+        if L is None and np.abs(path).max() > COORD_LIMIT:
+            raise CoordinateOverflowError("coordinate beyond +-2^62")
+        path = (path % L if L else path).reshape(applied + 1, len(lists), n, d)
+        for lst, sites in zip(lists, path[-1].tolist()):
+            lst[:] = map(tuple, sites)
+        if log is not None:
+            path, stamps = path.tolist(), times[1 : applied + 1].tolist()
+            for e, row in enumerate(rows[:applied].tolist()):
+                i, _, *steps = table[row]
+                log.extend((stamps[e], names[j], i, tuple(path[e][j][i]),
+                            tuple(path[e + 1][j][i]), cls)
+                           for j, step in enumerate(steps) if step)
+        t = times[applied].item()
+        events += applied
+        if stop:
+            return t, stop, events
+        block = min(2 * block, _BLOCK)
+
+
+def _or_free_flight(sips, shadows, params, stream, t, **kw):
+    """`_free_flight` for the OR coupling from a state with every within-set
+    SIP pair at l1 distance >= 2: there every inclusion total is exactly 0.0,
+    so the total rate is rw_total and only shared moves happen, in the order
+    of `or_coupled_step`. The watches cut at the first within-set contact."""
+    n, d = len(sips[0]), params.geometry.d
+    if n == 0:
+        raise ValueError("no particles to move")
+    rate_each = params.m / (4.0 * d)
+    rw_total = n * 2 * d * rate_each
+    lists = sips + shadows
+    table = tuple((i, axis) + (step,) * len(lists)
+                  for i in range(n) for axis in range(d) for step in (-1, 1))
+    return _free_flight(lists, table, lambda u: u * rw_total / rate_each, rw_total,
+                        _contact_watches(range(len(sips)), n), params.geometry, stream,
+                        t, names=_STAGE_ONE_SETS, cls="rw", **kw)
+
+
 class _Counters:
     __slots__ = ("rw", "inclusion", "collisions")
 
@@ -190,12 +317,21 @@ def _stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end, stream,
     """Shared-jump IRW shadows with OR-coupled SIP sets, on [t_start, t_end].
 
     Mutates the four position lists in place. Stage-one collisions are
-    genuine SIP behavior and never abort; they are only counted.
+    genuine SIP behavior and never abort; they are only counted. Free
+    stretches (no within-set pair within l1 distance 1) run as free flights.
     """
     geo = params.geometry
     t = t_start
     colliding = collision_check(xs, geo) or collision_check(ys, geo)
     while True:
+        if not colliding:
+            t, stop, events = _or_free_flight((xs, ys), (xi_shadow, yi_shadow), params,
+                                              stream, t, t_end=t_end, log=log)
+            counters.rw += events
+            if stop == "end":
+                return
+            counters.collisions += 1
+            colliding = True
         step = or_coupled_step((xs, ys), (xi_shadow, yi_shadow), params, stream,
                                t, t_end)
         if step is None:
@@ -220,10 +356,13 @@ def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
 
     Returns (outcome kind, time). Equality is checked before the collision
     predicate: at the instant the lists meet, the attempt has already
-    succeeded and the sets evolve jointly afterwards.
+    succeeded and the sets evolve jointly afterwards. Between such checks
+    the move table is fixed, so the events run as a free flight cut at the
+    first within-set contact or synced coordinate.
     """
     geo = params.geometry
     d = geo.d
+    n = len(xs)
     rate_each = params.m / (4.0 * d)
     t = t_start
     while True:
@@ -232,23 +371,17 @@ def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
         if collision_check(xs, geo) or collision_check(ys, geo):
             counters.collisions += 1
             return OutcomeKind.COLLISION_ABORT, t
-        entries = _ornstein_entries(xs, ys, d)
-        total = len(entries) * rate_each
-        dt = stream.exponential(total)
-        if t + dt >= t_end:
+        entries = tuple(_ornstein_entries(xs, ys, d))
+        watches = _contact_watches((0, 1), n) + tuple(
+            (i, n + i, k, 0) for i, (x, y) in enumerate(zip(xs, ys))
+            for k in range(d) if x[k] != y[k])
+        t, stop, events = _free_flight(
+            (xs, ys), entries, lambda u: u * len(entries), len(entries) * rate_each,
+            watches, geo, stream, t, t_end=t_end, log=log,
+            names=("XS", "YS"), cls="ornstein")
+        counters.rw += events
+        if stop == "end":
             return OutcomeKind.HORIZON_EXPIRED, t_end
-        t += dt
-        j = min(int(stream.uniform() * len(entries)), len(entries) - 1)
-        i, k, dx, dy = entries[j]
-        if dx:
-            if log is not None:
-                log.append((t, "XS", i, xs[i], geo.shift(xs[i], k, dx), "ornstein"))
-            xs[i] = geo.shift(xs[i], k, dx)
-        if dy:
-            if log is not None:
-                log.append((t, "YS", i, ys[i], geo.shift(ys[i], k, dy), "ornstein"))
-            ys[i] = geo.shift(ys[i], k, dy)
-        counters.rw += 1
 
 
 def two_stage_coupling(x, y, params: SipParams, horizon: float, delta: float,
@@ -331,7 +464,8 @@ def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
 
     Both sets start at x, so the distance starts at zero; shared moves leave
     it unchanged and an inclusion move changes only the moved particle's
-    term, by exactly one unit.
+    term, by exactly one unit. Grid times passed are read before the move
+    of the event that passes them.
     """
     geo = params.geometry
     grid = list(t_grid)
@@ -346,15 +480,21 @@ def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
     t = 0.0
     gi = 0
     while gi < len(grid):
-        dt, cls, moves = or_coupled_step((sip,), (irw,), params, stream)
-        t_next = t + dt
-        while gi < len(grid) and grid[gi] < t_next:
+        change = 0
+        if collision_check(sip, geo):
+            dt, cls, moves = or_coupled_step((sip,), (irw,), params, stream)
+            t += dt
+            if cls == "inclusion":
+                _, i, src, dst = moves[0]
+                change = geo.l1_distance(dst, irw[i]) - geo.l1_distance(src, irw[i])
+        else:
+            # shared moves only, so the distance holds through the flight
+            t, _, _ = _or_free_flight((sip,), (irw,), params, stream, t,
+                                      t_last=grid[-1])
+        while gi < len(grid) and grid[gi] < t:
             out.append(dist)
             gi += 1
-        if cls == "inclusion":
-            _, i, src, dst = moves[0]
-            dist += geo.l1_distance(dst, irw[i]) - geo.l1_distance(src, irw[i])
-        t = t_next
+        dist += change
     return out
 
 

@@ -78,6 +78,14 @@ _ARM_CONVERGENCE = 30
 _ARM_CORRELATION = 40
 
 
+class FieldError(ValueError):
+    """A config value outside its domain; `field` names the config field."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 def _sites_ok(sites, d):
     return all(isinstance(s, tuple) and len(s) == d for s in sites)
 
@@ -113,66 +121,73 @@ class ExperimentConfig:
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}")
         if self.boundary not in ("infinite", "torus"):
-            raise ValueError(f"boundary must be 'infinite' or 'torus', got {self.boundary!r}")
+            raise FieldError("boundary",
+                             f"boundary must be 'infinite' or 'torus', got {self.boundary!r}")
         if self.boundary == "torus" and (self.L is None or self.L < 3):
-            raise ValueError("torus boundary needs L >= 3")
+            raise FieldError("L", "torus boundary needs L >= 3")
         if self.boundary == "infinite" and self.L is not None:
-            raise ValueError("L is only meaningful on the torus")
+            raise FieldError("L", "L is only meaningful on the torus")
         if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+            raise FieldError("d", f"d must be >= 1, got {self.d}")
         if not (math.isfinite(self.m) and self.m > 0):
-            raise ValueError(f"m must be positive and finite, got {self.m}")
+            raise FieldError("m", f"m must be positive and finite, got {self.m}")
         if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            raise FieldError("seed", f"seed must be a nonnegative integer, got {self.seed!r}")
         study = STUDIES[self.study]
         min_reps = 100 if study.monte_carlo else 1
         if self.replicas < min_reps:
-            raise ValueError(
-                f"{self.study} needs replicas >= {min_reps}, got {self.replicas}"
-            )
+            raise FieldError("replicas",
+                             f"{self.study} needs replicas >= {min_reps}, got {self.replicas}")
         if self.iterated_replicas < 100:
-            raise ValueError(f"iterated_replicas must be >= 100, got {self.iterated_replicas}")
+            raise FieldError("iterated_replicas",
+                             f"iterated_replicas must be >= 100, got {self.iterated_replicas}")
         if not self.t_grid:
-            raise ValueError("t_grid must be nonempty")
+            raise FieldError("t_grid", "t_grid must be nonempty")
         if not all(math.isfinite(t) and t >= 0 for t in self.t_grid) or any(
             b <= a for a, b in zip(self.t_grid, self.t_grid[1:])
         ):
-            raise ValueError("t_grid must be finite, nonnegative and strictly ascending")
+            raise FieldError("t_grid", "t_grid must be finite, nonnegative and strictly ascending")
         if self.lam is not None and not 0.0 <= self.lam <= 0.999:
-            raise ValueError(f"lam must lie in [0, 0.999], got {self.lam}")
+            raise FieldError("lam", f"lam must lie in [0, 0.999], got {self.lam}")
         if self.theta is not None and not (math.isfinite(self.theta) and self.theta >= 0):
-            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
+            raise FieldError("theta", f"theta must be finite and >= 0, got {self.theta}")
         if self.mixture is not None:
             for atom_lam, w in self.mixture:
                 if not 0.0 <= atom_lam <= 0.999:
-                    raise ValueError(f"mixture lam must lie in [0, 0.999], got {atom_lam}")
+                    raise FieldError("mixture",
+                                     f"mixture lam must lie in [0, 0.999], got {atom_lam}")
                 if not (math.isfinite(w) and w >= 0):
-                    raise ValueError(f"mixture weight must be finite and >= 0, got {w}")
+                    raise FieldError("mixture",
+                                     f"mixture weight must be finite and >= 0, got {w}")
             total = sum(w for _, w in self.mixture)
             if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"mixture weights must sum to 1, got {total}")
+                raise FieldError("mixture", f"mixture weights must sum to 1, got {total}")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        try:
-            doubling_schedule(self.schedule_t0, self.schedule_doublings)
-        except ValueError as exc:
-            raise ValueError(f"'schedule_t0' {self.schedule_t0}, 'schedule_doublings' "
-                             f"{self.schedule_doublings}: {exc}") from None
+            raise FieldError("delta", f"delta must lie in (0, 1), got {self.delta}")
+        # t0 alone is checked as the schedule without doublings
+        for field, doublings in (("schedule_t0", 0),
+                                 ("schedule_doublings", self.schedule_doublings)):
+            try:
+                doubling_schedule(self.schedule_t0, doublings)
+            except ValueError as exc:
+                raise FieldError(field, f"'schedule_t0' {self.schedule_t0}, "
+                                 f"'schedule_doublings' {self.schedule_doublings}: "
+                                 f"{exc}") from None
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise FieldError("n", f"n must be >= 1, got {self.n}")
         if any(s < 1 for s in self.xi_sizes):
-            raise ValueError("xi_sizes entries must be >= 1")
+            raise FieldError("xi_sizes", "xi_sizes entries must be >= 1")
         for name in ("xi", "eta", "x_start", "y_start"):
             sites = getattr(self, name)
             if sites is not None and not _sites_ok(sites, self.d):
-                raise ValueError(f"{name} must be a tuple of {self.d}-coordinate sites")
+                raise FieldError(name, f"{name} must be a tuple of {self.d}-coordinate sites")
         # their contracts compare the first grid time with the last
         if self.study in ("coupling", "or-distance") and len(self.t_grid) < 2:
-            raise ValueError(f"t_grid needs at least 2 times for {self.study}, "
+            raise FieldError("t_grid", f"t_grid needs at least 2 times for {self.study}, "
                              f"got {len(self.t_grid)}")
         _require(self, *study.required)
         if study.torus and self.boundary != "torus":
-            raise ValueError(f"{self.study} study runs on a torus")
+            raise FieldError("boundary", f"{self.study} study runs on a torus")
 
     @property
     def geometry(self) -> Geometry:
@@ -283,7 +298,7 @@ def _finish(study, rows, cfg, t0) -> Report:
 def _require(cfg, *names):
     for name in names:
         if getattr(cfg, name) is None:
-            raise ValueError(f"study {cfg.study!r} requires the {name!r} field")
+            raise FieldError(name, f"study {cfg.study!r} requires the {name!r} field")
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,17 @@ class TestParseConfig:
             parse_config("lambda = 1.2\n", "stationarity")
         assert "lam" in str(err.value)
 
+    @pytest.mark.parametrize("text,line", [
+        ("schedule_t0 = -1\nschedule_doublings = 3\n", 1),
+        ("schedule_doublings = 3\nschedule_t0 = -1\n", 2),
+        ("schedule_t0 = 25\nschedule_doublings = -1\n", 2),
+        ("schedule_doublings = -1\nschedule_t0 = 25\n", 1),
+    ])
+    def test_schedule_error_reports_the_offending_key(self, text, line):
+        # the message names both schedule keys; the line is the faulty key's
+        with pytest.raises(ConfigError, match=f"^line {line}: 'schedule_t0'"):
+            parse_config(text, "coupling")
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nlambda = 0.2  # trailing\n", "stationarity")
         assert cfg.lam == 0.2

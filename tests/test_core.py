@@ -126,6 +126,31 @@ class TestRandomStream:
         ).random(n)
         assert [s.uniform() for _ in range(n)] == block.tolist()
 
+    @pytest.mark.parametrize("ops", [
+        # around the 64-draw first refill
+        [("uniform", 63), ("peek", 2), ("advance", 1), ("uniform", 1), ("peek", 64),
+         ("uniform", 64), ("advance", 200)],
+        # a peek past the 8,192-draw cap, then scalar draws across it
+        [("peek", 8193), ("uniform", 8191), ("peek", 3), ("advance", 2), ("uniform", 9000)],
+        # advances that run ahead of the buffer
+        [("advance", 70), ("peek", 5), ("advance", 8192), ("uniform", 100), ("advance", 0)],
+    ])
+    def test_peek_and_advance_follow_the_scalar_sequence(self, ops):
+        scalar = RandomStream(31, (3,))
+        expected = [scalar.uniform() for _ in range(30_000)]
+        s = RandomStream(31, (3,))
+        at = 0
+        for op, k in ops:
+            if op == "peek":
+                assert s.peek(k) == expected[at : at + k]
+            elif op == "advance":
+                s.advance(k)
+                at += k
+            else:
+                assert [s.uniform() for _ in range(k)] == expected[at : at + k]
+                at += k
+        assert s.uniform() == expected[at]
+
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             RandomStream(-1)

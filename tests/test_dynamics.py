@@ -11,6 +11,7 @@ from sipsim.dynamics import (
     NoEventError,
     ProcessKind,
     SipParams,
+    _EventKernel,
     gillespie_step,
     irw_event_rates,
     sample_at_times,
@@ -299,3 +300,20 @@ class TestAgainstFullRecompute:
             b = reference_sample_at_times(start, kind, params, grid, slow)
             assert a == b
             assert fast.uniform() == slow.uniform()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_systems(), st.integers(0, 2**32 - 1))
+    def test_running_sums_equal_those_of_a_full_rebuild(self, system, seed):
+        # after each jump the kernel's running sums equal, bit for bit, the
+        # accumulation of a full rate rebuild
+        xi, kind, params = system
+        if not xi:
+            return
+        kernel = _EventKernel(xi, kind, params)
+        stream = RandomStream(seed)
+        rate_fn = sip_event_rates if kind is ProcessKind.SIP else irw_event_rates
+        for _ in range(60):
+            k, _ = gillespie_step(kernel.cumulative, stream)
+            kernel.jump(k)
+            rates = [r for _, _, r in rate_fn(kernel.positions, params)]
+            assert kernel.cumulative == running_sums(rates)
