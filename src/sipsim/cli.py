@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 
 from . import __version__
@@ -213,11 +214,13 @@ def run(invocation: Invocation) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    t0 = time.monotonic()
     try:
         report = RUNNERS[invocation.subcommand](cfg, workers=invocation.workers)
     except Exception as exc:  # runtime failure: no partial outputs
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report.wall_ms = int((time.monotonic() - t0) * 1000.0)
     os.makedirs(invocation.out_dir, exist_ok=True)
     base = os.path.join(invocation.out_dir, invocation.subcommand)
     _atomic_write(base + ".csv", report.csv_text())

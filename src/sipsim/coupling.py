@@ -317,21 +317,20 @@ def _stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end, stream,
     """Shared-jump IRW shadows with OR-coupled SIP sets, on [t_start, t_end].
 
     Mutates the four position lists in place. Stage-one collisions are
-    genuine SIP behavior and never abort; they are only counted. Free
-    stretches (no within-set pair within l1 distance 1) run as free flights.
+    genuine SIP behavior and never abort; they are only counted, once per
+    free flight that ends in contact. Free stretches (no within-set pair
+    within l1 distance 1) run as free flights.
     """
     geo = params.geometry
     t = t_start
-    colliding = collision_check(xs, geo) or collision_check(ys, geo)
     while True:
-        if not colliding:
+        if not (collision_check(xs, geo) or collision_check(ys, geo)):
             t, stop, events = _or_free_flight((xs, ys), (xi_shadow, yi_shadow), params,
                                               stream, t, t_end=t_end, log=log)
             counters.rw += events
             if stop == "end":
                 return
             counters.collisions += 1
-            colliding = True
         step = or_coupled_step((xs, ys), (xi_shadow, yi_shadow), params, stream,
                                t, t_end)
         if step is None:
@@ -345,10 +344,6 @@ def _stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end, stream,
             counters.rw += 1
         else:
             counters.inclusion += 1
-        now = collision_check(xs, geo) or collision_check(ys, geo)
-        if now and not colliding:
-            counters.collisions += 1
-        colliding = now
 
 
 def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):

@@ -13,9 +13,11 @@ closed forms exist for the laws in `measures`.
 Temperedness asks the per-size suprema c_n = sup_{|xi|=n} hat(mu)(xi) to be
 finite and to satisfy the Carleman condition sum_n c_n^(-1/n) = infinity.
 Deciding Carleman from finitely many moments is impossible, so it is
-documented here per closed form and never evaluated at runtime. All closed
-forms below have c_n = rho^n for their natural density rho, which passes
-Carleman since (rho^n)^(-1/n) = 1/rho is constant.
+documented here per closed form and never evaluated at runtime. NuLambda and
+PoissonProduct have c_n = rho^n for their density rho, which passes Carleman
+since (rho^n)^(-1/n) = 1/rho is constant. A mixture has c_n = E[rho^n], at
+most rho_max^n for its largest atom density, so c_n^(-1/n) >= 1/rho_max and
+Carleman holds as well.
 """
 
 from __future__ import annotations
@@ -89,35 +91,20 @@ class DualityEvaluator:
     def temperedness_bound(self, law: InitialLaw, n: int) -> float:
         """c_n = sup over |xi| = n of the closed-form transform.
 
-        For the product laws the supremum over placements reduces to a
-        maximum over integer partitions of n of a product of per-site
-        factors (solved by a small DP); for NuLambda and mixtures the
-        transform is placement-free. Carleman itself is documented in the
-        module docstring, not verified here.
+        NuLambda and mixtures are placement-free, so any n sites attain it.
+        Under PoissonProduct a site holding k particles contributes
+        theta^k / ((m/2)(m/2+1)...(m/2+k-1)) <= (2 theta/m)^k, so n singletons
+        attain (2 theta/m)^n. For all three laws c_n is also the long-time
+        limit of the transform at |xi| = n. Carleman itself is documented in
+        the module docstring, not verified here.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         if n == 0:
             return 1.0
-        if isinstance(law, NuLambda):
-            self._check_m(law.m)
-            return law.rho**n
-        if isinstance(law, NuMixture):
-            self._check_m(law.m)
-            return sum(w * (lam / (1.0 - lam)) ** n for lam, w in law.atoms)
         if isinstance(law, PoissonProduct):
-            # site with k particles contributes theta^k / (Gamma ratio);
-            # singletons dominate, so the DP lands on (2 theta / m)^n
-            site_factor = [1.0] + [
-                law.theta**k * math.exp(-self._log_gamma_ratio(k)) for k in range(1, n + 1)
-            ]
-            best = [1.0] + [0.0] * n
-            for total in range(1, n + 1):
-                best[total] = max(site_factor[k] * best[total - k] for k in range(1, total + 1))
-            return best[n]
-        raise TypeError(
-            f"temperedness bound needs a closed-form law, got {type(law).__name__}"
-        )
+            return ah_density(law, self.m) ** n
+        return self.closed_transform(law, tuple((j,) for j in range(n)))
 
     def _check_m(self, law_m: float):
         if law_m != self.m:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,10 +59,17 @@ STUDIES = {
     "coupling": Study(("x_start", "y_start"),
                       ("delta", "schedule_t0", "schedule_doublings", "iterated_replicas")),
     "or-distance": Study(("x_start",)),
-    "convergence": Study(("xi",), ("initial_law", "theta", "lam", "mixture")),
+    "convergence": Study(("xi", "initial_law"), ("theta", "lam", "mixture")),
     "correlation": Study(("mixture",), ("n",), torus=True),
     "factorization": Study(("lam", "eta"), torus=True, monte_carlo=False),
     "oracle-check": Study(("xi", "eta"), torus=True, monte_carlo=False),
+}
+
+# convergence initial_law -> (the field that parametrizes it, the law)
+_CONVERGENCE_LAWS = {
+    "nu_lambda": ("lam", lambda cfg: NuLambda(lam=cfg.lam, m=cfg.m)),
+    "poisson": ("theta", lambda cfg: PoissonProduct(theta=cfg.theta)),
+    "mixture": ("mixture", lambda cfg: NuMixture(atoms=cfg.mixture, m=cfg.m)),
 }
 
 # stream arm ids; replica r of arm a draws from RandomStream(seed, (a, r))
@@ -185,9 +191,23 @@ class ExperimentConfig:
         if self.study in ("coupling", "or-distance") and len(self.t_grid) < 2:
             raise FieldError("t_grid", f"t_grid needs at least 2 times for {self.study}, "
                              f"got {len(self.t_grid)}")
+        # or-distance normalizes by sqrt(t)
+        if self.study == "or-distance" and self.t_grid[0] <= 0:
+            raise FieldError("t_grid", "t_grid times must be positive for or-distance")
         _require(self, *study.required)
         if study.torus and self.boundary != "torus":
             raise FieldError("boundary", f"{self.study} study runs on a torus")
+        if self.study == "correlation" and self.geometry.n_sites < self.n:
+            raise FieldError("n", f"n = {self.n} exceeds the torus's "
+                             f"{self.geometry.n_sites} sites")
+        if self.study == "convergence":
+            if self.initial_law not in _CONVERGENCE_LAWS:
+                raise FieldError("initial_law", "initial_law must be nu_lambda, poisson or "
+                                 f"mixture, got {self.initial_law!r}")
+            law_field = _CONVERGENCE_LAWS[self.initial_law][0]
+            if getattr(self, law_field) is None:
+                raise FieldError("initial_law", f"initial_law {self.initial_law!r} "
+                                 f"requires the {law_field!r} field")
 
     @property
     def geometry(self) -> Geometry:
@@ -200,7 +220,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReportRow:
-    study: str
     statistic: str
     estimate: float
     stderr: float | None
@@ -209,19 +228,19 @@ class ReportRow:
     passed: bool
 
 
-def band_row(study, statistic, estimate, stderr, target, floor=0.0) -> ReportRow:
+def band_row(statistic, estimate, stderr, target, floor=0.0) -> ReportRow:
     tol = max(3.0 * (stderr or 0.0), floor)
-    return ReportRow(study, statistic, float(estimate), stderr, float(target), tol,
+    return ReportRow(statistic, float(estimate), stderr, float(target), tol,
                      abs(estimate - target) <= tol)
 
 
-def threshold_row(study, statistic, estimate, stderr, threshold, strict=False) -> ReportRow:
+def threshold_row(statistic, estimate, stderr, threshold, strict=False) -> ReportRow:
     ok = estimate > threshold if strict else estimate >= threshold
-    return ReportRow(study, statistic, float(estimate), stderr, float(threshold), None, ok)
+    return ReportRow(statistic, float(estimate), stderr, float(threshold), None, ok)
 
 
-def info_row(study, statistic, estimate, stderr=None) -> ReportRow:
-    return ReportRow(study, statistic, float(estimate), stderr, None, None, True)
+def info_row(statistic, estimate, stderr=None) -> ReportRow:
+    return ReportRow(statistic, float(estimate), stderr, None, None, True)
 
 
 @dataclass
@@ -230,7 +249,7 @@ class Report:
     rows: list
     seed: int
     version: str = __version__
-    wall_ms: int = 0
+    wall_ms: int = 0  # set by cli.run, which times the runner
 
     @property
     def passed(self) -> bool:
@@ -243,7 +262,7 @@ class Report:
         lines = ["study,statistic,estimate,stderr,target,tolerance,pass"]
         for r in self.rows:
             lines.append(
-                f"{r.study},{r.statistic},{fmt(r.estimate)},{fmt(r.stderr)},"
+                f"{self.study},{r.statistic},{fmt(r.estimate)},{fmt(r.stderr)},"
                 f"{fmt(r.target)},{fmt(r.tolerance)},{'true' if r.passed else 'false'}"
             )
         return "\n".join(lines) + "\n"
@@ -290,11 +309,6 @@ def _map_replicas(replica, arm, cfg, n, workers):
         _fanout = None
 
 
-def _finish(study, rows, cfg, t0) -> Report:
-    return Report(study=study, rows=rows, seed=cfg.seed,
-                  wall_ms=int((time.monotonic() - t0) * 1000.0))
-
-
 def _require(cfg, *names):
     for name in names:
         if getattr(cfg, name) is None:
@@ -307,15 +321,13 @@ def _require(cfg, *names):
 
 def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Exact and Monte Carlo check of E_eta D(xi, eta_t) = E_xi D(xi_t, eta)."""
-    t0 = time.monotonic()
     rows = []
     params = cfg.sip_params
     evaluator = DualityEvaluator(cfg.m)
     eta_counts = occupation_of(cfg.eta)
     for t in cfg.t_grid:
         left, right = exact_dual_expectation(cfg.xi, eta_counts, t, params)
-        rows.append(band_row(cfg.study, f"exact_gap[t={t:g}]", abs(left - right),
-                             0.0, 0.0, floor=1e-8))
+        rows.append(band_row(f"exact_gap[t={t:g}]", abs(left - right), 0.0, 0.0, floor=1e-8))
 
     def lhs_replica(stream):
         states = sample_at_times(cfg.eta, ProcessKind.SIP, params, cfg.t_grid, stream)
@@ -330,11 +342,11 @@ def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
     for j, t in enumerate(cfg.t_grid):
         l_est, l_se = batched(lhs[:, j])
         r_est, r_se = batched(rhs[:, j])
-        rows.append(info_row(cfg.study, f"mc_lhs[t={t:g}]", l_est, l_se))
-        rows.append(info_row(cfg.study, f"mc_rhs[t={t:g}]", r_est, r_se))
-        rows.append(band_row(cfg.study, f"mc_gap[t={t:g}]", abs(l_est - r_est),
+        rows.append(info_row(f"mc_lhs[t={t:g}]", l_est, l_se))
+        rows.append(info_row(f"mc_rhs[t={t:g}]", r_est, r_se))
+        rows.append(band_row(f"mc_gap[t={t:g}]", abs(l_est - r_est),
                              math.hypot(l_se, r_se), 0.0))
-    return _finish(cfg.study, rows, cfg, t0)
+    return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +366,6 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     arm: sample eta from nu_lambda, evolve the full configuration, evaluate
     D(xi, eta_t).
     """
-    t0 = time.monotonic()
-    rho = cfg.lam / (1.0 - cfg.lam)
     geo = cfg.geometry
     params = cfg.sip_params
     law = NuLambda(lam=cfg.lam, m=cfg.m)
@@ -382,16 +392,15 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     direct = _map_replicas(direct_replica, _ARM_STAT_DIRECT, cfg, cfg.replicas, workers)
     col = 0
     for n in cfg.xi_sizes:
-        target = rho**n
+        target = law.rho**n
         for t in cfg.t_grid:
             d_est, d_se = batched(dual[:, col])
-            rows.append(band_row(cfg.study, f"dual_transform[n={n},t={t:g}]",
+            rows.append(band_row(f"dual_transform[n={n},t={t:g}]",
                                  d_est, d_se, target, floor=1e-9))
             m_est, m_se = batched(direct[:, col])
-            rows.append(band_row(cfg.study, f"direct_moment[n={n},t={t:g}]",
-                                 m_est, m_se, target))
+            rows.append(band_row(f"direct_moment[n={n},t={t:g}]", m_est, m_se, target))
             col += 1
-    return _finish(cfg.study, rows, cfg, t0)
+    return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +418,6 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
     Contracts: endpoint success CIs separated at 3 sigma (the monotone
     trend surrogate), and iterated success frequency >= 0.99.
     """
-    t0 = time.monotonic()
     params = cfg.sip_params
     rows = []
     curve = []
@@ -420,23 +428,21 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
             _ARM_COUPLING_BASE + j, cfg, cfg.replicas, workers)
         p_est, p_se = batched(flags)
         curve.append((p_est, p_se))
-        rows.append(info_row(cfg.study, f"success[t={t:g}]", p_est, p_se))
+        rows.append(info_row(f"success[t={t:g}]", p_est, p_se))
     for j in range(len(curve) - 1):
-        rows.append(info_row(cfg.study,
-                             f"success_increment[t={cfg.t_grid[j]:g}->{cfg.t_grid[j+1]:g}]",
+        rows.append(info_row(f"success_increment[t={cfg.t_grid[j]:g}->{cfg.t_grid[j+1]:g}]",
                              curve[j + 1][0] - curve[j][0]))
     (p_first, se_first), (p_last, se_last) = curve[0], curve[-1]
     separation = (p_last - 3.0 * se_last) - (p_first + 3.0 * se_first)
-    rows.append(threshold_row(cfg.study, "trend_separation", separation, None, 0.0,
-                              strict=True))
+    rows.append(threshold_row("trend_separation", separation, None, 0.0, strict=True))
     schedule = doubling_schedule(cfg.schedule_t0, cfg.schedule_doublings)
     iterated = _map_replicas(
         lambda stream: _coupled(iterated_coupling(cfg.x_start, cfg.y_start, params,
                                                   schedule, stream, delta=cfg.delta)),
         _ARM_ITERATED, cfg, cfg.iterated_replicas, workers)
     it_est, it_se = batched(iterated)
-    rows.append(threshold_row(cfg.study, "iterated_success", it_est, it_se, 0.99))
-    return _finish(cfg.study, rows, cfg, t0)
+    rows.append(threshold_row("iterated_success", it_est, it_se, 0.99))
+    return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +455,6 @@ def run_or_distance(cfg: ExperimentConfig, workers: int = 1) -> Report:
     Contracts: the normalized means decrease strictly across the grid, and
     the first and last grid points are separated at 3 sigma.
     """
-    t0 = time.monotonic()
-    if any(t <= 0 for t in cfg.t_grid):
-        raise ValueError("or-distance grid times must be positive")
     params = cfg.sip_params
     rows = []
     block = _map_replicas(
@@ -460,49 +463,20 @@ def run_or_distance(cfg: ExperimentConfig, workers: int = 1) -> Report:
     normalized = []
     for j, t in enumerate(cfg.t_grid):
         est, se = batched(block[:, j])
-        rows.append(info_row(cfg.study, f"distance[t={t:g}]", est, se))
+        rows.append(info_row(f"distance[t={t:g}]", est, se))
         scale = math.sqrt(t)
         normalized.append((est / scale, se / scale))
-        rows.append(info_row(cfg.study, f"normalized_distance[t={t:g}]",
-                             est / scale, se / scale))
+        rows.append(info_row(f"normalized_distance[t={t:g}]", est / scale, se / scale))
     drops = [normalized[j][0] - normalized[j + 1][0] for j in range(len(normalized) - 1)]
-    rows.append(threshold_row(cfg.study, "strict_decrease_margin", min(drops), None,
-                              0.0, strict=True))
+    rows.append(threshold_row("strict_decrease_margin", min(drops), None, 0.0, strict=True))
     (n_first, se_first), (n_last, se_last) = normalized[0], normalized[-1]
     separation = (n_first - 3.0 * se_first) - (n_last + 3.0 * se_last)
-    rows.append(threshold_row(cfg.study, "endpoint_separation", separation, None,
-                              0.0, strict=True))
-    return _finish(cfg.study, rows, cfg, t0)
+    rows.append(threshold_row("endpoint_separation", separation, None, 0.0, strict=True))
+    return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # convergence to the invariant product measure
-
-
-def _convergence_law(cfg):
-    if cfg.initial_law == "nu_lambda":
-        _require(cfg, "lam")
-        return NuLambda(lam=cfg.lam, m=cfg.m)
-    if cfg.initial_law == "poisson":
-        _require(cfg, "theta")
-        return PoissonProduct(theta=cfg.theta)
-    if cfg.initial_law == "mixture":
-        _require(cfg, "mixture")
-        return NuMixture(atoms=cfg.mixture, m=cfg.m)
-    raise ValueError(
-        f"convergence needs initial_law in nu_lambda|poisson|mixture, got {cfg.initial_law!r}"
-    )
-
-
-def _convergence_target(law, n, m):
-    """Analytic long-time value of the dual transform for |xi| = n.
-
-    AH+AI product laws converge to rho^n; a mixture is invariant, so its
-    transform stays at its own moment E[rho^n] for all times.
-    """
-    if isinstance(law, NuMixture):
-        return sum(w * (lam / (1.0 - lam)) ** n for lam, w in law.atoms)
-    return ah_density(law, m) ** n
 
 
 def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
@@ -513,14 +487,15 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
     dual trajectories. The contract binds the final grid time: estimate
     within max(3 sigma, 0.02 * target) of the analytic limit. The last row
     reports the theorem's hypothesis at |xi|: the tempered moment bound c_n.
+    For these laws c_n is that limit: product laws converge to rho^n, and a
+    mixture is invariant, so its transform stays at E[rho^n].
     """
-    t0 = time.monotonic()
-    law = _convergence_law(cfg)
+    law = _CONVERGENCE_LAWS[cfg.initial_law][1](cfg)
     params = cfg.sip_params
     evaluator = DualityEvaluator(cfg.m)
     n = len(cfg.xi)
-    target = _convergence_target(law, n, cfg.m)
-    rows = [info_row(cfg.study, "ah_density", ah_density(law, cfg.m))]
+    target = evaluator.temperedness_bound(law, n)
+    rows = [info_row("ah_density", ah_density(law, cfg.m))]
 
     def replica(stream):
         states = sample_at_times(cfg.xi, ProcessKind.SIP, params, cfg.t_grid, stream)
@@ -531,13 +506,11 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
     for j, t in enumerate(cfg.t_grid):
         est, se = batched(block[:, j])
         if j == last:
-            rows.append(band_row(cfg.study, f"transform[t={t:g}]", est, se, target,
-                                 floor=0.02 * target))
+            rows.append(band_row(f"transform[t={t:g}]", est, se, target, floor=0.02 * target))
         else:
-            rows.append(info_row(cfg.study, f"transform[t={t:g}]", est, se))
-    rows.append(info_row(cfg.study, f"temperedness_bound[n={n}]",
-                         evaluator.temperedness_bound(law, n)))
-    return _finish(cfg.study, rows, cfg, t0)
+            rows.append(info_row(f"transform[t={t:g}]", est, se))
+    rows.append(info_row(f"temperedness_bound[n={n}]", target))
+    return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -551,28 +524,23 @@ def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Repor
     within 3 sigma. The gap is strict for a non-degenerate mixture with
     n >= 2 and collapses to equality otherwise.
     """
-    t0 = time.monotonic()
-    if cfg.geometry.n_sites < cfg.n:
-        raise ValueError("torus too small for the probe configuration")
     n = cfg.n
-    rhos = [(lam / (1.0 - lam), w) for lam, w in cfg.mixture]
-    lhs_closed = sum(w * rho**n for rho, w in rhos)
-    mean_rho = sum(w * rho for rho, w in rhos)
-    rhs_closed = mean_rho**n
-    rows = [
-        info_row(cfg.study, "closed_lhs", lhs_closed),
-        info_row(cfg.study, "closed_rhs", rhs_closed),
-    ]
-    distinct = len({lam for lam, w in cfg.mixture if w > 0}) > 1
-    gap = lhs_closed - rhs_closed
-    if n >= 2 and distinct:
-        rows.append(threshold_row(cfg.study, "jensen_gap", gap, None, 0.0, strict=True))
-    else:
-        rows.append(band_row(cfg.study, "jensen_gap", gap, 0.0, 0.0, floor=1e-12))
     geo = cfg.geometry
     law = NuMixture(atoms=cfg.mixture, m=cfg.m)
     evaluator = DualityEvaluator(cfg.m)
     probe = _dual_sites(cfg, n)
+    lhs_closed = evaluator.closed_transform(law, probe)
+    rhs_closed = evaluator.closed_transform(law, probe[:1]) ** n
+    rows = [
+        info_row("closed_lhs", lhs_closed),
+        info_row("closed_rhs", rhs_closed),
+    ]
+    distinct = len({lam for lam, w in cfg.mixture if w > 0}) > 1
+    gap = lhs_closed - rhs_closed
+    if n >= 2 and distinct:
+        rows.append(threshold_row("jensen_gap", gap, None, 0.0, strict=True))
+    else:
+        rows.append(band_row("jensen_gap", gap, 0.0, 0.0, floor=1e-12))
 
     def replica(stream):
         eta = sample_product(law, geo, stream)
@@ -581,12 +549,12 @@ def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Repor
     block = _map_replicas(replica, _ARM_CORRELATION, cfg, cfg.replicas, workers)
     lhs_est, lhs_se = batched(block[:, 0])
     f_est, f_se = batched(block[:, 1])
-    rows.append(band_row(cfg.study, "sampled_lhs", lhs_est, lhs_se, lhs_closed))
+    rows.append(band_row("sampled_lhs", lhs_est, lhs_se, lhs_closed))
     # the product of n single-site moments, delta-method error bar
     rhs_est = f_est**n
     rhs_se = n * abs(f_est) ** (n - 1) * f_se
-    rows.append(band_row(cfg.study, "sampled_rhs", rhs_est, rhs_se, rhs_closed))
-    return _finish(cfg.study, rows, cfg, t0)
+    rows.append(band_row("sampled_rhs", rhs_est, rhs_se, rhs_closed))
+    return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +588,6 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
     polynomials on a conserved torus sector flatten toward a
     placement-independent limit as the averaging horizon doubles.
     """
-    t0 = time.monotonic()
     geo = cfg.geometry
     evaluator = DualityEvaluator(cfg.m)
     rows = []
@@ -632,15 +599,14 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
             counts = occupation_of((sites[a], sites[b]))
             values.append(_nu_transform_series(counts, cfg.lam, cfg.m, evaluator))
     spread = max(values) - min(values)
-    rows.append(info_row(cfg.study, "transform_value[n=2]", values[0]))
-    rows.append(band_row(cfg.study, "position_spread[n=2]", spread, 0.0, 0.0,
-                         floor=1e-10))
+    rows.append(info_row("transform_value[n=2]", values[0]))
+    rows.append(band_row("position_spread[n=2]", spread, 0.0, 0.0, floor=1e-10))
     hat = {
         n: _nu_transform_series(occupation_of(_dual_sites(cfg, n)), cfg.lam, cfg.m,
                                 evaluator)
         for n in (1, 2, 3)
     }
-    rows.append(band_row(cfg.study, "factorization_gap", abs(hat[3] - hat[1] * hat[2]),
+    rows.append(band_row("factorization_gap", abs(hat[3] - hat[1] * hat[2]),
                          0.0, 0.0, floor=1e-10))
 
     params = cfg.sip_params
@@ -659,10 +625,10 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
         averaged = [float(cesaro_apply(q, horizon, vec)[eta_index]) for vec in pair_probes]
         s = max(averaged) - min(averaged)
         spreads.append(s)
-        rows.append(info_row(cfg.study, f"cesaro_spread[T={horizon:g}]", s))
-    rows.append(threshold_row(cfg.study, "cesaro_spread_shrinks",
+        rows.append(info_row(f"cesaro_spread[T={horizon:g}]", s))
+    rows.append(threshold_row("cesaro_spread_shrinks",
                               spreads[0] - spreads[-1], None, 0.0, strict=True))
-    return _finish(cfg.study, rows, cfg, t0)
+    return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +638,6 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
 def run_oracle_check(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Structural checks of the exact solver: sector sizes, row sums,
     conservation under the semigroup, and the self-duality identity."""
-    t0 = time.monotonic()
     geo = cfg.geometry
     params = cfg.sip_params
     rows = []
@@ -680,21 +645,17 @@ def run_oracle_check(cfg: ExperimentConfig, workers: int = 1) -> Report:
     for n in sorted({len(cfg.xi), sum(eta_counts.values())}):
         space = state_space(n, geo)
         expected = math.comb(geo.n_sites + n - 1, n)
-        rows.append(band_row(cfg.study, f"state_count[n={n}]", space.size, 0.0,
-                             expected))
+        rows.append(band_row(f"state_count[n={n}]", space.size, 0.0, expected))
         q = build_generator(n, params)
         rowsum = float(np.max(np.abs(q.sum(axis=1))))
-        rows.append(band_row(cfg.study, f"generator_rowsum_max[n={n}]", rowsum,
-                             0.0, 0.0, floor=1e-12))
+        rows.append(band_row(f"generator_rowsum_max[n={n}]", rowsum, 0.0, 0.0, floor=1e-12))
         ones = np.ones(space.size)
         drift = float(np.max(np.abs(semigroup_apply(q, max(cfg.t_grid), ones) - 1.0)))
-        rows.append(band_row(cfg.study, f"stochasticity_gap[n={n}]", drift, 0.0,
-                             0.0, floor=1e-10))
+        rows.append(band_row(f"stochasticity_gap[n={n}]", drift, 0.0, 0.0, floor=1e-10))
     for t in cfg.t_grid:
         left, right = exact_dual_expectation(cfg.xi, eta_counts, t, params)
-        rows.append(band_row(cfg.study, f"exact_gap[t={t:g}]", abs(left - right),
-                             0.0, 0.0, floor=1e-8))
-    return _finish(cfg.study, rows, cfg, t0)
+        rows.append(band_row(f"exact_gap[t={t:g}]", abs(left - right), 0.0, 0.0, floor=1e-8))
+    return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 
 RUNNERS = {

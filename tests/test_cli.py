@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from sipsim.cli import (
     parse_config,
     run,
 )
-from sipsim.experiments import RUNNERS, STUDIES
+from sipsim.experiments import RUNNERS, STUDIES, Report
 
 CORRELATION_CFG = """\
 # two-atom mixture, small sampling run
@@ -215,6 +216,34 @@ class TestRun:
         assert run(inv) == 1
         assert not os.path.exists(inv.out_dir)
         assert "line 1: t_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("study,text,where", [
+        ("or-distance", "t_grid = 0 100\n", "line 1: t_grid"),
+        ("correlation", "L = 3\nn = 4\n", "line 2: n = 4"),
+        ("convergence", "initial_law = gamma\n", "line 1: initial_law"),
+        ("convergence", "m = 3\ninitial_law = nu_lambda\n", "line 2: initial_law"),
+    ])
+    def test_study_errors_exit_one_with_their_line_before_dispatch(
+            self, tmp_path, capsys, monkeypatch, study, text, where):
+        # each of these used to be raised by the runner, with no line
+        calls = []
+        monkeypatch.setitem(RUNNERS, study, lambda cfg, workers=1: calls.append(cfg))
+        inv = invocation(study, tmp_path, config_text=text)
+        assert run(inv) == 1
+        assert not os.path.exists(inv.out_dir)
+        assert calls == []
+        assert f"error: {where}" in capsys.readouterr().err
+
+    def test_wall_ms_times_the_runner(self, tmp_path, monkeypatch):
+        def slow_runner(cfg, workers=1):
+            time.sleep(0.05)
+            return Report(study=cfg.study, rows=[], seed=cfg.seed)
+
+        monkeypatch.setitem(RUNNERS, "oracle-check", slow_runner)
+        inv = invocation("oracle-check", tmp_path)
+        assert run(inv) == 0
+        summary = json.load(open(os.path.join(inv.out_dir, "oracle-check.json")))
+        assert summary["wall_ms"] >= 50
 
     def test_missing_config_file_exits_one(self, tmp_path):
         inv = Invocation(subcommand="correlation", config_path=str(tmp_path / "nope.cfg"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -192,6 +193,24 @@ class TestTemperednessBound:
     def test_empirical_unsupported(self):
         with pytest.raises(TypeError):
             EV2.temperedness_bound(lambda s: {}, 2)
+
+    @pytest.mark.parametrize("m,law", [
+        (2.0, NuLambda(0.4, 2.0)),
+        (0.6, NuLambda(0.7, 0.6)),
+        (3.0, NuMixture(atoms=((0.2, 0.3), (0.75, 0.7)), m=3.0)),
+    ] + [(m, PoissonProduct(theta)) for m in (0.4, 1.3, 2.0, 3.0, 6.5)
+         for theta in (0.2, 1.0, 2.7)])
+    def test_bound_is_the_brute_force_supremum(self, m, law):
+        # the maximum of the transform over every placement of n particles
+        # on a ring of n and of n + 2 sites, so coinciding particles compete
+        # with spread-out ones
+        ev = DualityEvaluator(m)
+        for n in range(1, 5):
+            for ring in (n, n + 2):
+                brute = max(ev.closed_transform(law, tuple((s,) for s in xi))
+                            for xi in itertools.combinations_with_replacement(range(ring), n))
+                bound = ev.temperedness_bound(law, n)
+                assert abs(bound - brute) <= 1e-12 * brute, (n, ring)
 
 
 def test_ah_density_values():

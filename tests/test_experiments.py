@@ -58,27 +58,27 @@ class TestBatchStats:
 
 class TestRows:
     def test_band_row_pass_logic(self):
-        row = band_row("s", "x", 1.05, stderr=0.02, target=1.0)
+        row = band_row("x", 1.05, stderr=0.02, target=1.0)
         assert row.tolerance == pytest.approx(0.06)
         assert row.passed
-        assert not band_row("s", "x", 1.2, stderr=0.02, target=1.0).passed
+        assert not band_row("x", 1.2, stderr=0.02, target=1.0).passed
 
     def test_band_row_floor(self):
-        row = band_row("s", "x", 1.0 + 5e-9, stderr=0.0, target=1.0, floor=1e-8)
+        row = band_row("x", 1.0 + 5e-9, stderr=0.0, target=1.0, floor=1e-8)
         assert row.passed
 
     def test_threshold_row(self):
-        assert threshold_row("s", "x", 0.995, None, 0.99).passed
-        assert not threshold_row("s", "x", 0.985, None, 0.99).passed
-        assert not threshold_row("s", "x", 0.0, None, 0.0, strict=True).passed
+        assert threshold_row("x", 0.995, None, 0.99).passed
+        assert not threshold_row("x", 0.985, None, 0.99).passed
+        assert not threshold_row("x", 0.0, None, 0.0, strict=True).passed
 
     def test_info_row_always_passes(self):
-        assert info_row("s", "x", 123.0).passed
+        assert info_row("x", 123.0).passed
 
 
 class TestReport:
     def test_csv_shape_and_determinism(self):
-        rows = [band_row("demo", "a", 1.0, 0.0, 1.0), info_row("demo", "b", 2.5, 0.1)]
+        rows = [band_row("a", 1.0, 0.0, 1.0), info_row("b", 2.5, 0.1)]
         rep1 = Report(study="demo", rows=rows, seed=3, wall_ms=10)
         rep2 = Report(study="demo", rows=rows, seed=3, wall_ms=99)
         assert rep1.csv_text() == rep2.csv_text()  # wall time kept out of CSV
@@ -88,13 +88,13 @@ class TestReport:
         assert ",," in lines[2]  # info row leaves target/tolerance empty
 
     def test_json_summary_fields(self):
-        rep = Report(study="demo", rows=[info_row("demo", "x", 1.0)], seed=3, wall_ms=10)
+        rep = Report(study="demo", rows=[info_row("x", 1.0)], seed=3, wall_ms=10)
         js = rep.json_summary()
         assert set(js) == {"study", "seed", "version", "wall_ms", "pass"}
         assert js["pass"] is True
 
     def test_passed_aggregates(self):
-        bad = band_row("demo", "a", 2.0, 0.0, 1.0)
+        bad = band_row("a", 2.0, 0.0, 1.0)
         rep = Report(study="demo", rows=[bad], seed=0)
         assert not rep.passed
 
@@ -307,9 +307,8 @@ class TestStudies:
         assert final.passed
 
     def test_convergence_requires_known_law(self):
-        cfg = ExperimentConfig(study="convergence", xi=((0,),), replicas=100)
         with pytest.raises(ValueError):
-            run_convergence(cfg)
+            ExperimentConfig(study="convergence", xi=((0,),), replicas=100)
 
     def test_correlation_closed_forms(self):
         cfg = ExperimentConfig(study="correlation", boundary="torus", L=8, m=2.0,
