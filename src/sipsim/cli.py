@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -164,9 +165,12 @@ def parse_config(text: str, study: str) -> ExperimentConfig:
     try:
         return ExperimentConfig(study=study, **fields)
     except ValueError as exc:
-        # a domain error names its field; report that key's line if it was set
+        # a domain error names its field: report it as a key, on its line if set
         field = getattr(exc, "field", None)
-        raise ConfigError(str(exc), lines_of.get(_KEY_OF_FIELD.get(field, field))) from None
+        message = str(exc)
+        for name, key in _KEY_OF_FIELD.items():
+            message = re.sub(rf"\b{name}\b", key, message)
+        raise ConfigError(message, lines_of.get(_KEY_OF_FIELD.get(field, field))) from None
 
 
 def default_config(study: str, seed: int | None = None) -> ExperimentConfig:

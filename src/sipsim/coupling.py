@@ -38,15 +38,17 @@ the marginal laws throughout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (COORD_LIMIT, CoordinateOverflowError, Geometry, ParticleList,
-                   RandomStream, occupation_of)
-from .dynamics import SipParams
+from .core import COORD_LIMIT, CoordinateOverflowError, Geometry, ParticleList, RandomStream
+from .dynamics import SipParams, event_rates
 
 
 class OutcomeKind(str, Enum):
@@ -87,21 +89,6 @@ def collision_check(particles, geometry: Geometry) -> bool:
     return False
 
 
-def _inclusion_entries(positions, geo: Geometry, p_edge: float):
-    """(particle, target, rate) for every occupied neighbor, plus the total."""
-    occ = occupation_of(positions)
-    entries = []
-    total = 0.0
-    for i, x in enumerate(positions):
-        for y in geo.neighbors(x):
-            c = occ.get(y, 0)
-            if c:
-                r = p_edge * c
-                entries.append((i, y, r))
-                total += r
-    return entries, total
-
-
 def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
                     t: float = 0.0, t_end: float | None = None):
     """One event of the OR coupling, applied in place to the position lists.
@@ -109,10 +96,11 @@ def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
     `sips` is a tuple of SIP position lists and `shadows` a tuple of IRW
     position lists, all of one length n. A shared random-walk event (rate
     m/(4d) per particle and direction) displaces particle i of every list by
-    the same unit vector; an inclusion event (rate p(x,y) * eta(y) per
-    particle and occupied neighbor y in its own SIP set) moves one particle
-    of one SIP set. The waiting time dt is drawn first, at the total rate
-    rw_total + the SIP sets' inclusion totals summed left to right.
+    the same unit vector; an inclusion event (rate p(x,y) * eta(y) in its
+    own SIP set: `event_rates` at half_m = 0.0) moves one particle of one
+    SIP set, picked by bisection on that set's running sums. The waiting
+    time dt is drawn first, at the total rate rw_total + the SIP sets'
+    inclusion totals (their last running sums) summed left to right.
 
     Returns None when t + dt >= t_end, having drawn only dt. Otherwise
     draws the event and returns (dt, event_class, moves): event_class is
@@ -123,46 +111,39 @@ def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
     n = len(sips[0])
     if n == 0:
         raise ValueError("no particles to move")
-    d = geo.d
-    rate_each = params.m / (4.0 * d)
-    rw_total = n * 2 * d * rate_each
-    p_edge = 1.0 / (2.0 * d)
-    incs = [_inclusion_entries(s, geo, p_edge) for s in sips]
+    width = 2 * geo.d
+    rate_each = params.m / (4.0 * geo.d)
+    rw_total = n * width * rate_each
+    sums = [list(accumulate(event_rates(sip, geo, 0.0))) for sip in sips]
     total = rw_total
-    for _, tot in incs:
-        total += tot
+    for cumulative in sums:
+        total += cumulative[-1]
     dt = stream.exponential(total)
     if t_end is not None and t + dt >= t_end:
         return None
     u = stream.uniform() * total
     if u < rw_total:
-        k = min(int(u / rate_each), n * 2 * d - 1)
-        i, rem = divmod(k, 2 * d)
-        axis, side = divmod(rem, 2)
-        step = 1 if side else -1
-        moves = []
-        for j, lst in enumerate(sips + shadows):
-            src = lst[i]
-            lst[i] = dst = geo.shift(src, axis, step)
-            moves.append((j, i, src, dst))
-        return dt, "rw", moves
-    u -= rw_total
-    j = 0
-    while j < len(incs) - 1 and u >= incs[j][1]:
-        u -= incs[j][1]
-        j += 1
-    entries = incs[j][0]
-    acc = 0.0
-    chosen = entries[-1]
-    for entry in entries:
-        acc += entry[2]
-        if u < acc:
-            chosen = entry
-            break
-    i, dst, _ = chosen
-    src = sips[j][i]
-    sips[j][i] = dst
-    return dt, "inclusion", ((j, i, src, dst),)
+        k = min(int(u / rate_each), n * width - 1)
+        cls, lists = "rw", enumerate(sips + shadows)
+    else:
+        u -= rw_total
+        j = 0
+        while j < len(sums) - 1 and u >= sums[j][-1]:
+            u -= sums[j][-1]
+            j += 1
+        cumulative = sums[j]
+        k = bisect_right(cumulative, u)
+        if k == len(cumulative):  # rounding: the last occupied move, not len - 1
+            k = bisect_left(cumulative, cumulative[-1])
+        cls, lists = "inclusion", ((j, sips[j]),)
+    i, slot = divmod(k, width)
+    axis, side = divmod(slot, 2)
+    moves = []
+    for j, lst in lists:
+        src = lst[i]
+        lst[i] = dst = geo.shift(src, axis, 1 if side else -1)
+        moves.append((j, i, src, dst))
+    return dt, cls, moves
 
 
 def _ornstein_entries(xs, ys, d: int):
@@ -299,15 +280,6 @@ def _or_free_flight(sips, shadows, params, stream, t, **kw):
                         t, names=_STAGE_ONE_SETS, cls="rw", **kw)
 
 
-class _Counters:
-    __slots__ = ("rw", "inclusion", "collisions")
-
-    def __init__(self):
-        self.rw = 0
-        self.inclusion = 0
-        self.collisions = 0
-
-
 # event-log set names, indexed along sips + shadows of stage one
 _STAGE_ONE_SETS = ("XS", "YS", "XI", "YI")
 
@@ -399,7 +371,7 @@ def two_stage_coupling(x, y, params: SipParams, horizon: float, delta: float,
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    counters = _Counters()
+    counters = SimpleNamespace(rw=0, inclusion=0, collisions=0)
     if x == y:
         return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, 0, 0, x, y)
     xs, ys = list(x), list(y)

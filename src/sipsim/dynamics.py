@@ -1,19 +1,20 @@
 """Event-driven continuous-time dynamics of labeled particles.
 
-Two processes share one engine. Under SIP(m), a labeled particle at x jumps
-to each neighbor y at rate p(x,y) * (m/2 + eta(y)), where eta counts all
-particles of the list and p is the symmetric nearest-neighbor kernel 1/(2d);
-summing over the eta(x) particles at a site recovers the occupation-level
-rate eta(x) * p(x,y) * (m/2 + eta(y)). Under IRW the inclusion term is
-absent and every particle is an independent rate-(m/2) walk.
+Under SIP(m), a labeled particle at x jumps to each neighbor y at rate
+p(x,y) * (m/2 + eta(y)), where eta counts all particles of the list and p
+is the symmetric nearest-neighbor kernel 1/(2d); summing over the eta(x)
+particles at a site recovers the occupation-level rate
+eta(x) * p(x,y) * (m/2 + eta(y)). Under IRW the inclusion term is absent
+and every particle is an independent rate-(m/2) walk. `event_rates` is the
+one statement of this rate list and its order; the OR coupling takes the
+inclusion part p(x,y) * eta(y) from it with half_m = 0.0.
 
-Simulation is plain Gillespie on one incremental event kernel. The kernel
-keeps the flat per-(particle, neighbor) rate list between events and, after
-a move from x to y, recomputes only the moved particle's rates and the rates
-aimed at x or y (a dependency-graph update in the spirit of Gibson & Bruck,
-J. Phys. Chem. A 104, 2000). Every rate and every running sum is computed
-by the same floating-point operations, in the same order, as a full rebuild
-of the list, so each event consumes the same two draws and picks the same
+Simulation is plain Gillespie on one incremental event kernel, which starts
+from `event_rates` and, after a move from x to y, recomputes only the moved
+particle's rates and the rates aimed at x or y (a dependency-graph update in
+the spirit of Gibson & Bruck, J. Phys. Chem. A 104, 2000). Every rate and
+running sum takes the floating-point operations of a full rebuild, in the
+same order, so each event consumes the same two draws and picks the same
 move as full recomputation would.
 """
 
@@ -48,31 +49,20 @@ class SipParams:
                 f"inclusion parameter m must be positive and finite, got {self.m!r}")
 
 
-def sip_event_rates(particles, params: SipParams):
-    """Per-(particle, neighbor) jump rates p(x,y)*(m/2 + eta(y)).
+def event_rates(particles, geometry: Geometry, half_m: float):
+    """Per-(particle, neighbor) rates p(x,y) * (half_m + eta(y)), as a list.
 
-    Returns a list of (particle index, target site, rate) triples, particle
-    major, neighbors in geometry order. Rates are strictly positive.
+    Entry 2d*i + j is particle i jumping to its j-th neighbor, in geometry
+    order. With half_m = m/2 these are the SIP jump rates; with half_m = 0.0
+    they are the inclusion part alone, exactly 0.0 towards an empty site.
     """
-    geo = params.geometry
-    half_m = 0.5 * params.m
-    p_edge = 1.0 / (2.0 * geo.d)
+    p_edge = 1.0 / (2.0 * geometry.d)
     occ = occupation_of(particles)
-    entries = []
-    for i, x in enumerate(particles):
-        for y in geo.neighbors(x):
-            entries.append((i, y, p_edge * (half_m + occ.get(y, 0))))
-    return entries
-
-def irw_event_rates(particles, params: SipParams):
-    """Free-walk rates: p(x,y)*m/2 per (particle, neighbor), same ordering."""
-    geo = params.geometry
-    rate = 0.5 * params.m / (2.0 * geo.d)
-    entries = []
-    for i, x in enumerate(particles):
-        for y in geo.neighbors(x):
-            entries.append((i, y, rate))
-    return entries
+    rates = []  # a loop, not a comprehension: this is per event in the OR step
+    for x in particles:
+        for y in geometry.neighbors(x):
+            rates.append(p_edge * (half_m + occ.get(y, 0)))
+    return rates
 
 
 def gillespie_step(cumulative, stream: RandomStream):
@@ -97,12 +87,12 @@ class _EventKernel:
     """The state of one labeled jump chain, updated in place event by event.
 
     Between events it keeps the particle positions, each particle's neighbor
-    tuple, a site -> occupants map and the flat rate list in the order of
-    `sip_event_rates`: entry 2d*i + j is particle i jumping to its j-th
-    neighbor. `cumulative` is that list's running sum, what `gillespie_step`
-    selects from. A neighbor z of a site x holds x in slot j ^ 1 when x holds
-    z in slot j, so the rates aimed at a site are found from its neighbors'
-    occupants. Under IRW the rates never change and only positions move.
+    tuple, a site -> occupants map and the flat rate list of `event_rates`:
+    entry 2d*i + j is particle i jumping to its j-th neighbor. `cumulative`
+    is that list's running sum, what `gillespie_step` selects from. A
+    neighbor z of a site x holds x in slot j ^ 1 when x holds z in slot j,
+    so the rates aimed at a site are found from its neighbors' occupants.
+    Under IRW the rates never change and only positions move.
     """
 
     __slots__ = ("positions", "cumulative", "_neighbors", "_geometry", "_width",
@@ -116,14 +106,16 @@ class _EventKernel:
         self._width = 2 * geo.d
         self._neighbors = [geo.neighbors(x) for x in self.positions]
         self._inclusion = kind is ProcessKind.SIP
-        rate_fn = sip_event_rates if self._inclusion else irw_event_rates
-        self._rates = [r for _, _, r in rate_fn(self.positions, params)]
+        self._p_edge = 1.0 / (2.0 * geo.d)
+        self._half_m = 0.5 * params.m
+        if self._inclusion:
+            self._rates = event_rates(self.positions, geo, self._half_m)
+        else:  # not p_edge * half_m, which differs in the last bit at m = 5, d = 3
+            self._rates = [0.5 * params.m / (2.0 * geo.d)] * (self._width * len(self.positions))
         self.cumulative = list(accumulate(self._rates))
         self._occupants = {}
         for i, x in enumerate(self.positions):
             self._occupants.setdefault(x, []).append(i)
-        self._p_edge = 1.0 / (2.0 * geo.d)
-        self._half_m = 0.5 * params.m
 
     def jump(self, k: int):
         """Apply event k (as indexed by `cumulative`) and refresh the rates."""

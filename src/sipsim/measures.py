@@ -92,33 +92,27 @@ def marginal_pmf(k: int, lam: float, m: float) -> float:
     return math.exp(log_p)
 
 
-def sample_marginal(lam: float, m: float, stream: RandomStream) -> int:
-    """One count drawn by CDF inversion; pmf ratio lam*(m/2+k)/(k+1) -> lam < 1."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam must lie in [0, 1), got {lam!r}")
-    u = stream.uniform()
-    p = (1.0 - lam) ** (0.5 * m)
+def _site_law(law) -> tuple:
+    """P(0) and the pmf ratio k -> P(k+1)/P(k) of one site's count under a
+    product law: lam*(m/2+k)/(k+1) -> lam < 1 for NuLambda, theta/(k+1) for
+    a Poisson product."""
+    if isinstance(law, NuLambda):
+        lam, m = law.lam, law.m
+        return (1.0 - lam) ** (0.5 * m), lambda k: lam * (0.5 * m + k) / (k + 1)
+    if isinstance(law, PoissonProduct):
+        theta = law.theta
+        return math.exp(-theta), lambda k: theta / (k + 1)
+    raise TypeError(f"cannot sample law of type {type(law).__name__}")
+
+
+def _invert(u: float, p: float, ratio) -> int:
+    """The count k at which the CDF first exceeds u: P(0) = p and
+    P(k+1) = P(k) * ratio(k). Stops early if the pmf underflows to 0, where
+    the mass left is ~1e-16."""
     cum = p
     k = 0
     while u >= cum:
-        p *= lam * (0.5 * m + k) / (k + 1)
-        k += 1
-        cum += p
-        if p == 0.0:
-            break  # cdf exhausted by underflow; mass beyond here is ~1e-16
-    return k
-
-
-def sample_poisson(theta: float, stream: RandomStream) -> int:
-    """Poisson count via the same inversion scheme, for determinism."""
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta!r}")
-    u = stream.uniform()
-    p = math.exp(-theta)
-    cum = p
-    k = 0
-    while u >= cum:
-        p *= theta / (k + 1)
+        p *= ratio(k)
         k += 1
         cum += p
         if p == 0.0:
@@ -126,8 +120,16 @@ def sample_poisson(theta: float, stream: RandomStream) -> int:
     return k
 
 
+def sample_marginal(lam: float, m: float, stream: RandomStream) -> int:
+    """One count of the NuLambda(lam, m) marginal, drawn as sample_product
+    draws each site."""
+    p0, ratio = _site_law(NuLambda(lam, m))
+    return _invert(stream.uniform(), p0, ratio)
+
+
 def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) -> dict:
-    """Independent per-site draws on a torus; returns the occupied-site map."""
+    """Independent per-site draws on a torus, one uniform each, by CDF
+    inversion; returns the occupied-site map."""
     if not geometry.is_torus:
         raise ValueError("product sampling requires a finite site set (torus)")
     if isinstance(law, NuMixture):
@@ -141,19 +143,12 @@ def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) ->
                 lam = atom_lam
                 break
         law = NuLambda(lam=lam, m=law.m)
+    p0, ratio = _site_law(law)
     counts: dict = {}
-    if isinstance(law, NuLambda):
-        for site in geometry.sites():
-            k = sample_marginal(law.lam, law.m, stream)
-            if k:
-                counts[site] = k
-    elif isinstance(law, PoissonProduct):
-        for site in geometry.sites():
-            k = sample_poisson(law.theta, stream)
-            if k:
-                counts[site] = k
-    else:
-        raise TypeError(f"cannot sample law of type {type(law).__name__}")
+    for site in geometry.sites():
+        k = _invert(stream.uniform(), p0, ratio)
+        if k:
+            counts[site] = k
     return counts
 
 

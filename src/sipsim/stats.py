@@ -13,30 +13,20 @@ BATCHES = 30
 
 
 class InsufficientDataError(ValueError):
-    """Fewer than two groups supplied."""
-
-
-def batch_stats(groups):
-    """Mean and standard error from pre-grouped samples.
-
-    The estimate is the mean of the group means; the standard error is the
-    sample standard deviation of the group means divided by sqrt(#groups),
-    so it shrinks like 1/sqrt(groups).
-    """
-    means = [float(np.mean(g)) for g in groups]
-    if len(means) < 2:
-        raise InsufficientDataError("batch statistics need at least two groups")
-    b = len(means)
-    est = float(np.mean(means))
-    se = float(np.std(means, ddof=1)) / math.sqrt(b)
-    return est, se
+    """Fewer than two samples supplied."""
 
 
 def batched(values):
-    """Split a flat sample into BATCHES contiguous batches and apply
-    batch_stats; degenerates to one point per batch for tiny samples."""
+    """Mean and standard error of a flat sample by batch means.
+
+    The sample is split into BATCHES contiguous batches, or one value per
+    batch for tiny samples. The estimate is the mean of the batch means; the
+    standard error is their sample standard deviation divided by
+    sqrt(#batches), so it shrinks like 1/sqrt(batches).
+    """
     arr = np.asarray(values, dtype=float)
     b = min(len(arr), BATCHES)
     if b < 2:
         raise InsufficientDataError("need at least two samples")
-    return batch_stats(np.array_split(arr, b))
+    means = [float(np.mean(g)) for g in np.array_split(arr, b)]
+    return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(b)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -92,7 +93,14 @@ class TestParseConfig:
     def test_domain_error_names_key_and_line(self):
         with pytest.raises(ConfigError, match="line 1") as err:
             parse_config("lambda = 1.2\n", "stationarity")
-        assert "lam" in str(err.value)
+        assert "lambda must lie in" in str(err.value)
+
+    def test_missing_law_parameter_is_named_by_its_key(self):
+        # the config key is `lambda`; the ExperimentConfig field is `lam`
+        with pytest.raises(ConfigError, match="line 1") as err:
+            parse_config("initial_law = nu_lambda\n", "convergence")
+        assert "requires the 'lambda' field" in str(err.value)
+        assert not re.search(r"\blam\b", str(err.value))
 
     @pytest.mark.parametrize("text,line", [
         ("schedule_t0 = -1\nschedule_doublings = 3\n", 1),

@@ -21,10 +21,27 @@ from sipsim.dynamics import ProcessKind, SipParams, simulate
 from sipsim.oracle import build_generator, state_space, transient_distribution, walk_hitting_probability
 from sipsim.stats import batched
 
-from reference_coupling import reference_or_distance_single, reference_two_stage
+from reference_coupling import (
+    reference_or_coupled_step,
+    reference_or_distance_single,
+    reference_two_stage,
+)
 
 P1 = SipParams(m=2.0, geometry=Geometry(1))
 P2 = SipParams(m=2.0, geometry=Geometry(2))
+
+
+class _StubStream:
+    """Fixed draws: waiting time 0.5, every uniform `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def exponential(self, rate):
+        return 0.5
+
+    def uniform(self):
+        return self.u
 
 
 def l1_sum(xs, ys, geo):
@@ -131,6 +148,16 @@ class TestOrCoupling:
         assert sip == irw == [(0,), (1,)]
         twin.uniform()
         assert s.uniform() == twin.uniform()
+
+    @pytest.mark.parametrize("u", [1.0, 0.999, 0.7])
+    def test_inclusion_pick_matches_the_reference_scan(self, u):
+        # at u = 1.0 rounding leaves u past every running sum: only the last
+        # occupied move (1 -> 0) matches the scan, not the last entry (1 -> 2)
+        sip, irw = [(0,), (1,)], [(0,), (1,)]
+        ref = reference_or_coupled_step(tuple(sip), tuple(irw), P1, _StubStream(u))
+        dt, cls, _ = or_coupled_step((sip,), (irw,), P1, _StubStream(u))
+        assert (tuple(sip), tuple(irw), dt, cls == "inclusion") == tuple(ref)
+        assert cls == "inclusion"
 
     def test_sip_marginal_matches_oracle(self):
         # the SIP side of the OR pair must follow the plain SIP law

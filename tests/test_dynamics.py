@@ -12,73 +12,69 @@ from sipsim.dynamics import (
     ProcessKind,
     SipParams,
     _EventKernel,
+    event_rates,
     gillespie_step,
-    irw_event_rates,
     sample_at_times,
     simulate,
-    sip_event_rates,
 )
 
+from reference_coupling import _inclusion_entries as reference_inclusion_entries
 from reference_dynamics import (
+    reference_irw_rates,
     reference_sample_at_times,
     reference_simulate,
+    reference_sip_rates,
     reference_step,
 )
 
-P1 = SipParams(m=2.0, geometry=Geometry(1))
+G1 = Geometry(1)
+P1 = SipParams(m=2.0, geometry=G1)
 
 
-def total_rate(entries):
-    return sum(r for _, _, r in entries)
+def irw_rates(particles, params):
+    """The IRW kernel's constant rate list, in the order of event_rates."""
+    return _EventKernel(particles, ProcessKind.IRW, params)._rates
 
 
 class TestRates:
     def test_single_free_particle(self):
-        entries = sip_event_rates(((0,),), P1)
-        assert sorted((y, r) for _, y, r in entries) == [((-1,), 0.5), ((1,), 0.5)]
-        assert total_rate(entries) == pytest.approx(1.0)
+        # neighbors in geometry order: (-1,) then (1,)
+        assert event_rates(((0,),), G1, 1.0) == [0.5, 0.5]
 
     def test_inclusion_term_on_occupied_neighbor(self):
-        entries = sip_event_rates(((0,), (1,)), P1)
-        by_move = {(i, y): r for i, y, r in entries}
-        assert by_move[(0, (1,))] == pytest.approx(1.0)  # (1/2)(1+1)
-        assert by_move[(0, (-1,))] == pytest.approx(0.5)
-        assert by_move[(1, (0,))] == pytest.approx(1.0)
-        assert by_move[(1, (2,))] == pytest.approx(0.5)
+        rates = event_rates(((0,), (1,)), G1, 1.0)
+        # 0 -> -1, 0 -> 1, 1 -> 0, 1 -> 2
+        assert rates == pytest.approx([0.5, 1.0, 1.0, 0.5])  # (1/2)(1+1) when occupied
 
     def test_empty_list(self):
-        assert sip_event_rates((), P1) == []
-        assert irw_event_rates((), P1) == []
+        assert event_rates((), G1, 1.0) == []
+        assert irw_rates((), P1) == []
 
     def test_irw_total_rate_is_n_m_half(self):
-        assert total_rate(irw_event_rates(((0,),), P1)) == pytest.approx(1.0)
+        assert sum(irw_rates(((0,),), P1)) == pytest.approx(1.0)
         p = SipParams(m=4.0, geometry=Geometry(2))
-        entries = irw_event_rates(((0, 0), (5, 5), (9, 0)), p)
-        assert total_rate(entries) == pytest.approx(6.0)  # n*m/2
+        assert sum(irw_rates(((0, 0), (5, 5), (9, 0)), p)) == pytest.approx(6.0)  # n*m/2
 
     def test_irw_rates_ignore_other_particles(self):
-        entries = irw_event_rates(((0,), (1,)), P1)
+        rates = irw_rates(((0,), (1,)), P1)
         for i in (0, 1):
-            per_particle = sum(r for j, _, r in entries if j == i)
-            assert per_particle == pytest.approx(1.0)  # m/2 each
+            assert sum(rates[2 * i : 2 * i + 2]) == pytest.approx(1.0)  # m/2 each
 
     def test_sip_equals_irw_for_one_particle(self):
-        assert sip_event_rates(((3,),), P1) == irw_event_rates(((3,),), P1)
+        assert event_rates(((3,),), G1, 1.0) == irw_rates(((3,),), P1)
 
     def test_sip_minus_inclusion_equals_irw(self):
-        # zeroing the occupancy term entrywise must recover the free rates
+        # the inclusion part (half_m = 0) is p(x,y) * eta(y), so removing it
+        # entrywise must recover the free rates
         rng = np.random.default_rng(3)
-        from sipsim.core import occupation_of
-
         for _ in range(50):
             particles = tuple((int(x),) for x in rng.integers(-10, 10, size=4))
-            occ = occupation_of(particles)
-            sip = sip_event_rates(particles, P1)
-            irw = irw_event_rates(particles, P1)
-            assert len(sip) == len(irw)
-            for (i, y, rs), (j, z, rf) in zip(sip, irw):
-                assert (i, y) == (j, z)
-                assert rs - 0.5 * occ.get(y, 0) == pytest.approx(rf)
+            sip = event_rates(particles, G1, 1.0)
+            inclusion = event_rates(particles, G1, 0.0)
+            irw = irw_rates(particles, P1)
+            assert len(sip) == len(inclusion) == len(irw)
+            for rs, ri, rf in zip(sip, inclusion, irw):
+                assert rs - ri == pytest.approx(rf)
 
     def test_occupation_level_rates_match_generator_form(self):
         # summing labeled rates at a site recovers eta(x) p(x,y) (m/2 + eta(y))
@@ -86,10 +82,11 @@ class TestRates:
 
         particles = ((0,), (0,), (1,), (3,))
         occ = occupation_of(particles)
-        entries = sip_event_rates(particles, P1)
+        rates = event_rates(particles, G1, 1.0)
         lumped = {}
-        for i, y, r in entries:
-            x = particles[i]
+        for k, r in enumerate(rates):
+            x = particles[k // 2]
+            y = G1.neighbors(x)[k % 2]
             lumped[(x, y)] = lumped.get((x, y), 0.0) + r
         for (x, y), r in lumped.items():
             assert r == pytest.approx(0.5 * occ[x] * (1.0 + occ.get(y, 0)))
@@ -311,9 +308,26 @@ class TestAgainstFullRecompute:
             return
         kernel = _EventKernel(xi, kind, params)
         stream = RandomStream(seed)
-        rate_fn = sip_event_rates if kind is ProcessKind.SIP else irw_event_rates
+        rate_fn = reference_sip_rates if kind is ProcessKind.SIP else reference_irw_rates
         for _ in range(60):
             k, _ = gillespie_step(kernel.cumulative, stream)
             kernel.jump(k)
             rates = [r for _, _, r in rate_fn(kernel.positions, params)]
             assert kernel.cumulative == running_sums(rates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_systems())
+    def test_event_rates_match_the_references(self, system):
+        # half_m = m/2: the SIP rates; half_m = 0.0: the OR coupling's
+        # inclusion entries, in order, with the same bitwise total
+        xi, _, params = system
+        geo = params.geometry
+        width = 2 * geo.d
+        assert event_rates(xi, geo, 0.5 * params.m) == [
+            r for _, _, r in reference_sip_rates(xi, params)]
+        inclusion = event_rates(xi, geo, 0.0)
+        entries, total = reference_inclusion_entries(xi, geo, 1.0 / width)
+        assert [(k // width, geo.neighbors(xi[k // width])[k % width], r)
+                for k, r in enumerate(inclusion) if r] == entries
+        # the OR step's set total is the last running sum
+        assert (list(accumulate(inclusion))[-1] if xi else 0.0) == total

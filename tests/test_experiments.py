@@ -19,7 +19,7 @@ from sipsim.experiments import (
     threshold_row,
 )
 from sipsim.measures import PoissonProduct
-from sipsim.stats import InsufficientDataError, batch_stats, batched
+from sipsim.stats import InsufficientDataError, batched
 
 from difference_chain import exact_transform
 from reference_coupling import reference_or_distance_single, reference_two_stage
@@ -28,12 +28,12 @@ from reference_dynamics import reference_sample_at_times
 
 class TestBatchStats:
     def test_constant_samples(self):
-        est, se = batch_stats([[2.0, 2.0], [2.0, 2.0], [2.0]])
+        est, se = batched([2.0] * 5)
         assert est == 2.0
         assert se == 0.0
 
     def test_two_singleton_groups(self):
-        est, se = batch_stats([[1.0], [2.0]])
+        est, se = batched([1.0, 2.0])
         assert est == 1.5
         assert se == pytest.approx(0.5)  # half the absolute difference
 
@@ -44,16 +44,18 @@ class TestBatchStats:
         assert abs(est - 0.5) < 3 * se
 
     def test_needs_two_groups(self):
-        with pytest.raises(InsufficientDataError):
-            batch_stats([[1.0, 2.0]])
+        for values in ([], [1.0]):
+            with pytest.raises(InsufficientDataError):
+                batched(values)
 
     def test_stderr_shrinks_with_groups(self):
         rng = np.random.default_rng(1)
         vals = rng.random(4096)
-        _, se_few = batch_stats(np.array_split(vals, 8))
-        # batching finer does not change the scale, only the df
-        _, se_many = batch_stats(np.array_split(vals, 128))
-        assert se_few == pytest.approx(se_many, rel=0.5)
+        _, se_batched = batched(vals)
+        # 30 batches against one group per value: batching changes only the
+        # df, not the scale
+        se_single = float(np.std(vals, ddof=1)) / np.sqrt(len(vals))
+        assert se_batched == pytest.approx(se_single, rel=0.5)
 
 
 class TestRows:

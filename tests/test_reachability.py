@@ -1,7 +1,10 @@
-"""Every public top-level function and class in src/sipsim/ is reached: code
-in src/ outside its own definition and outside __init__.py refers to it by
-an ast Name or Attribute node, or README.md's "API outside the studies"
-section names it. Comments, docstrings and imports do not count."""
+"""Every top-level function and class in src/sipsim/, and every private
+module-level name, is reached: code in src/ outside its own definition and
+outside __init__.py refers to it by an ast Name or Attribute node. A public
+one may instead be named in README.md's "API outside the studies" section;
+a private one (leading underscore) has no such way out, so a helper merged
+into another cannot linger. Comments, docstrings and imports do not
+count."""
 
 import ast
 import os
@@ -13,16 +16,23 @@ README = os.path.join(HERE, os.pardir, "README.md")
 SECTION = "## API outside the studies"
 
 
-def test_every_public_definition_is_reached():
+def _definitions_and_references():
     references = []  # (module, line number, name) of every Name and Attribute
-    definitions = []  # (module, name, first line, last line)
+    definitions = []  # (module, name, first line, last line of its statement)
     for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        definitions += [(module, node.name, node.lineno, node.end_lineno)
-                        for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                        and not node.name.startswith("_")]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                # private module-level names only; dunders are protocol
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)
+                         and t.id.startswith("_") and not t.id.startswith("__")]
+            else:
+                continue
+            definitions += [(module, name, node.lineno, node.end_lineno) for name in names]
         if module == "__init__.py":
             continue
         for node in ast.walk(tree):
@@ -30,14 +40,29 @@ def test_every_public_definition_is_reached():
                 references.append((module, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
                 references.append((module, node.lineno, node.attr))
-    with open(README, encoding="utf-8") as fh:
-        readme = fh.read()
-    assert SECTION in readme
-    section = readme.split(SECTION, 1)[1].split("\n## ", 1)[0]
+    return definitions, references
+
+
+def _unreached(private, section=""):
+    definitions, references = _definitions_and_references()
     unreached = []
     for module, name, first, last in definitions:
+        if name.startswith("_") != private:
+            continue
         used = any(ref == name and not (m == module and first <= i <= last)
                    for m, i, ref in references)
         if not (used or re.search(rf"\b{re.escape(name)}\b", section)):
             unreached.append(f"{module}:{first} {name}")
-    assert unreached == []
+    return unreached
+
+
+def test_every_public_definition_is_reached():
+    with open(README, encoding="utf-8") as fh:
+        readme = fh.read()
+    assert SECTION in readme
+    section = readme.split(SECTION, 1)[1].split("\n## ", 1)[0]
+    assert _unreached(private=False, section=section) == []
+
+
+def test_every_private_definition_is_reached():
+    assert _unreached(private=True) == []
