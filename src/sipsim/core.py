@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import sub
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class Geometry:
     def l1_distance(self, x: Site, y: Site) -> int:
         """l1 distance; per-coordinate minimal wrapped distance on the torus."""
         if self.L is None:
-            return sum(abs(a - b) for a, b in zip(x, y))
+            return sum(map(abs, map(sub, x, y)))
         L = self.L
         total = 0
         for a, b in zip(x, y):

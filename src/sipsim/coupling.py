@@ -15,14 +15,14 @@ Two kinds of event make up every coupling here:
   speed (rate m in one dimension).
 
 Both run as free flights (`_free_flight`) while their move table is fixed:
-the OR coupling while no two particles of a SIP set are within l1 distance
-1 (the inclusion totals are then exactly 0.0), the Ornstein pairing between
-syncs. A block of peeked draws goes through the per-event float operations
-at once and is cut at the first contact, sync, stage end or last grid time;
-only the applied events' draws are consumed, so every event, output and
-next draw is that of a per-event loop. This is a light form of
-first-passage kinetic Monte Carlo (Oppelstrup et al., PRL 97, 230602,
-2006). Other OR events go through `or_coupled_step` one at a time.
+the Ornstein pairing between syncs, the OR coupling from states with every
+within-set SIP pair at l1 distance >= _REACH to the first contact (inclusion
+totals are 0.0 till then). A block of peeked draws goes through the
+per-event float operations at once and is cut at the first contact, sync,
+stage end or last grid time; only the applied events' draws are consumed, so
+every event, output and next draw is that of a per-event loop (Oppelstrup et
+al., PRL 97, 230602, 2006). Other OR events go through `or_coupled_step`,
+which keeps each SIP set's running sums and pair distances across events.
 
 The two-stage scheme runs the OR coupling of both SIP sets to shared-jump
 IRW shadows on [0, (1-delta)t] and then pairs the two SIP sets directly
@@ -89,8 +89,25 @@ def collision_check(particles, geometry: Geometry) -> bool:
     return False
 
 
+class _OrState:
+    """Per SIP set, across OR events: the inclusion running sums (bitwise
+    `event_rates` at half_m = 0.0) and each within-set pair's l1 distance,
+    then an inf sentinel; `nearest` is the least over all sets, and
+    `pairs_of[i]` lists (pair index, other particle) for particle i."""
+
+    def __init__(self, sips, geo):
+        n = len(sips[0])
+        pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+        self.pairs_of = [[(e, p + q - i) for e, (p, q) in enumerate(pairs) if i in (p, q)]
+                         for i in range(n)]
+        self.dist = [[geo.l1_distance(sip[p], sip[q]) for p, q in pairs] + [math.inf]
+                     for sip in sips]
+        self.sums = [list(accumulate(event_rates(sip, geo, 0.0))) for sip in sips]
+        self.nearest = min(map(min, self.dist))
+
+
 def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
-                    t: float = 0.0, t_end: float | None = None):
+                    t: float = 0.0, t_end: float | None = None, state=None):
     """One event of the OR coupling, applied in place to the position lists.
 
     `sips` is a tuple of SIP position lists and `shadows` a tuple of IRW
@@ -102,6 +119,10 @@ def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
     time dt is drawn first, at the total rate rw_total + the SIP sets'
     inclusion totals (their last running sums) summed left to right.
 
+    `state`, an `_OrState` of `sips` kept by the caller (else built here),
+    is updated in place; a set's sums are rebuilt only when its moved
+    particle is within l1 distance 1 of another before or after the move.
+
     Returns None when t + dt >= t_end, having drawn only dt. Otherwise
     draws the event and returns (dt, event_class, moves): event_class is
     "rw" or "inclusion", and moves lists (list, particle, from, to) with
@@ -111,10 +132,11 @@ def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
     n = len(sips[0])
     if n == 0:
         raise ValueError("no particles to move")
+    state = state or _OrState(sips, geo)
     width = 2 * geo.d
     rate_each = params.m / (4.0 * geo.d)
     rw_total = n * width * rate_each
-    sums = [list(accumulate(event_rates(sip, geo, 0.0))) for sip in sips]
+    sums = state.sums
     total = rw_total
     for cumulative in sums:
         total += cumulative[-1]
@@ -143,6 +165,15 @@ def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
         src = lst[i]
         lst[i] = dst = geo.shift(src, axis, 1 if side else -1)
         moves.append((j, i, src, dst))
+    for j, _, _, dst in moves[: len(sips)]:  # the moved SIP sets come first
+        sip, dist, touched = sips[j], state.dist[j], False
+        for e, q in state.pairs_of[i]:
+            old, dist[e] = dist[e], geo.l1_distance(dst, sip[q])
+            touched = touched or min(old, dist[e]) <= 1
+        if touched:  # no pair at distance 1: every rate is 0.0
+            sums[j] = (list(accumulate(event_rates(sip, geo, 0.0))) if 1 in dist
+                       else [0.0] * len(sums[j]))
+    state.nearest = min(map(min, state.dist))
     return dt, cls, moves
 
 
@@ -168,8 +199,11 @@ def _ornstein_entries(xs, ys, d: int):
 
 
 # free-flight blocks start at _FIRST_BLOCK events and double up to _BLOCK
-_FIRST_BLOCK = 32
+_FIRST_BLOCK = 128
 _BLOCK = 4096
+# OR flights start only with every within-set SIP pair at l1 distance >= _REACH; a
+# flight's fixed cost is ~25 per-event steps, so (R - 1)^2 ~ 25 balances the two
+_REACH = 6
 
 
 def _contact_watches(sets, n):
@@ -206,7 +240,8 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
     An event draws dt = -log(1 - u) / total, then row
     min(int(pick(u')), len(table) - 1) of `table`: (particle, axis, step in
     each of `lists`). Each block peeks at the stream, applies exactly these
-    float operations per draw (math.log; times summed in sequence by
+    float operations per draw (math.log; 1 - u and the division by total,
+    correctly rounded in numpy as in Python; times summed in sequence by
     np.cumsum) and consumes only the draws of the events it applies. A
     watch (a, b, axis, reach) names two particles by flat index
     (list * n + particle) and the axis whose distance counts (None: l1).
@@ -218,13 +253,14 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
     """
     n, d, L = len(lists[0]), geo.d, geo.L
     disp, gap_step, a, b, mask, reach = _flight_plan(table, watches, len(lists), n, d)
-    log_fn = math.log
     block = _FIRST_BLOCK
     events = 0
     while True:
+        left = (min(t_end, t_last) - t) * total  # events expected before the last cut
+        block = min(block, 1 + int(min(left + 3.0 * math.sqrt(left), _BLOCK)))
         start = np.array(lists, dtype=np.int64).reshape(-1, d)
-        us = stream.peek(2 * block)
-        rows = np.minimum(pick(np.array(us[1::2])).astype(np.intp), len(table) - 1)
+        us = np.array(stream.peek(2 * block))
+        rows = np.minimum(pick(us[1::2]).astype(np.intp), len(table) - 1)
         gap = start[a] - start[b] + gap_step[rows].cumsum(axis=0)
         if L is None:
             gap = np.abs(gap)
@@ -233,8 +269,8 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
             gap = np.minimum(gap, L - gap)
         hits = np.flatnonzero(((gap * mask).sum(axis=2) <= reach).any(axis=1))
         applied, stop = (int(hits[0]) + 1, "watch") if len(hits) else (block, None)
-        times = np.array([t] + [-log_fn(1.0 - u) / total
-                                for u in us[: 2 * applied : 2]]).cumsum()
+        logs = np.fromiter(map(math.log, (1.0 - us[: 2 * applied : 2]).tolist()), float, applied)
+        times = np.concatenate(([t], -logs / total)).cumsum()
         ended = int(np.searchsorted(times[1:], t_end))
         if ended < applied:
             applied, stop = ended, "end"
@@ -262,6 +298,14 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
         block = min(2 * block, _BLOCK)
 
 
+@lru_cache(maxsize=64)
+def _or_table(n_sets, n, d):
+    """The OR move table, in the order of `or_coupled_step`, and its watches."""
+    table = tuple((i, axis) + (step,) * 2 * n_sets
+                  for i in range(n) for axis in range(d) for step in (-1, 1))
+    return table, _contact_watches(range(n_sets), n)
+
+
 def _or_free_flight(sips, shadows, params, stream, t, **kw):
     """`_free_flight` for the OR coupling from a state with every within-set
     SIP pair at l1 distance >= 2: there every inclusion total is exactly 0.0,
@@ -272,12 +316,10 @@ def _or_free_flight(sips, shadows, params, stream, t, **kw):
         raise ValueError("no particles to move")
     rate_each = params.m / (4.0 * d)
     rw_total = n * 2 * d * rate_each
-    lists = sips + shadows
-    table = tuple((i, axis) + (step,) * len(lists)
-                  for i in range(n) for axis in range(d) for step in (-1, 1))
-    return _free_flight(lists, table, lambda u: u * rw_total / rate_each, rw_total,
-                        _contact_watches(range(len(sips)), n), params.geometry, stream,
-                        t, names=_STAGE_ONE_SETS, cls="rw", **kw)
+    table, watches = _or_table(len(sips), n, d)
+    return _free_flight(sips + shadows, table, lambda u: u * rw_total / rate_each, rw_total,
+                        watches, params.geometry, stream, t, names=_STAGE_ONE_SETS,
+                        cls="rw", **kw)
 
 
 # event-log set names, indexed along sips + shadows of stage one
@@ -290,32 +332,33 @@ def _stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end, stream,
 
     Mutates the four position lists in place. Stage-one collisions are
     genuine SIP behavior and never abort; they are only counted, once per
-    free flight that ends in contact. Free stretches (no within-set pair
-    within l1 distance 1) run as free flights.
+    step from no within-set pair within l1 distance 1 to one. States with
+    every within-set pair at l1 distance >= _REACH run as free flights.
     """
-    geo = params.geometry
+    sips, shadows = (xs, ys), (xi_shadow, yi_shadow)
+    state = _OrState(sips, params.geometry)
     t = t_start
     while True:
-        if not (collision_check(xs, geo) or collision_check(ys, geo)):
-            t, stop, events = _or_free_flight((xs, ys), (xi_shadow, yi_shadow), params,
-                                              stream, t, t_end=t_end, log=log)
+        if state.nearest >= _REACH:
+            t, stop, events = _or_free_flight(sips, shadows, params, stream, t,
+                                              t_end=t_end, log=log)
             counters.rw += events
             if stop == "end":
                 return
             counters.collisions += 1
-        step = or_coupled_step((xs, ys), (xi_shadow, yi_shadow), params, stream,
-                               t, t_end)
+            state = _OrState(sips, params.geometry)
+        contact = state.nearest <= 1
+        step = or_coupled_step(sips, shadows, params, stream, t, t_end, state)
         if step is None:
             return
+        counters.collisions += not contact and state.nearest <= 1
         dt, cls, moves = step
         t += dt
         if log is not None:
             log.extend((t, _STAGE_ONE_SETS[j], i, src, dst, cls)
                        for j, i, src, dst in moves)
-        if cls == "rw":
-            counters.rw += 1
-        else:
-            counters.inclusion += 1
+        counters.rw += cls == "rw"
+        counters.inclusion += cls == "inclusion"
 
 
 def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
@@ -442,22 +485,24 @@ def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
         raise ValueError("t_grid must be nonnegative and ascending")
     sip = [geo.wrap(s) for s in x]
     irw = list(sip)
+    sips, shadows = (sip,), (irw,)
+    state = _OrState(sips, geo)
     out = []
     dist = 0
     t = 0.0
     gi = 0
     while gi < len(grid):
         change = 0
-        if collision_check(sip, geo):
-            dt, cls, moves = or_coupled_step((sip,), (irw,), params, stream)
+        if state.nearest < _REACH:
+            dt, cls, moves = or_coupled_step(sips, shadows, params, stream, t, None, state)
             t += dt
             if cls == "inclusion":
                 _, i, src, dst = moves[0]
                 change = geo.l1_distance(dst, irw[i]) - geo.l1_distance(src, irw[i])
         else:
             # shared moves only, so the distance holds through the flight
-            t, _, _ = _or_free_flight((sip,), (irw,), params, stream, t,
-                                      t_last=grid[-1])
+            t, _, _ = _or_free_flight(sips, shadows, params, stream, t, t_last=grid[-1])
+            state = _OrState(sips, geo)
         while gi < len(grid) and grid[gi] < t:
             out.append(dist)
             gi += 1

@@ -58,11 +58,7 @@ def event_rates(particles, geometry: Geometry, half_m: float):
     """
     p_edge = 1.0 / (2.0 * geometry.d)
     occ = occupation_of(particles)
-    rates = []  # a loop, not a comprehension: this is per event in the OR step
-    for x in particles:
-        for y in geometry.neighbors(x):
-            rates.append(p_edge * (half_m + occ.get(y, 0)))
-    return rates
+    return [p_edge * (half_m + occ.get(y, 0)) for x in particles for y in geometry.neighbors(x)]
 
 
 def gillespie_step(cumulative, stream: RandomStream):

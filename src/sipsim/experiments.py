@@ -33,14 +33,6 @@ from .coupling import (
 from .duality import DualityEvaluator, ah_density
 from .dynamics import ProcessKind, SipParams, sample_at_times
 from .measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_product
-from .oracle import (
-    build_generator,
-    cesaro_apply,
-    duality_probe,
-    exact_dual_expectation,
-    semigroup_apply,
-    state_space,
-)
 from .stats import batched
 
 
@@ -51,18 +43,19 @@ class Study(NamedTuple):
     optional: tuple = ()  # further study-specific fields a config may set
     torus: bool = False  # runs on a torus only
     monte_carlo: bool = True  # headline numbers are Monte Carlo estimates
+    exact: bool = False  # builds exact rows with `oracle` (and so imports scipy)
 
 
 STUDIES = {
-    "self-duality": Study(("xi", "eta"), torus=True),
+    "self-duality": Study(("xi", "eta"), torus=True, exact=True),
     "stationarity": Study(("lam",), ("xi_sizes",), torus=True),
     "coupling": Study(("x_start", "y_start"),
                       ("delta", "schedule_t0", "schedule_doublings", "iterated_replicas")),
     "or-distance": Study(("x_start",)),
     "convergence": Study(("xi", "initial_law"), ("theta", "lam", "mixture")),
     "correlation": Study(("mixture",), ("n",), torus=True),
-    "factorization": Study(("lam", "eta"), torus=True, monte_carlo=False),
-    "oracle-check": Study(("xi", "eta"), torus=True, monte_carlo=False),
+    "factorization": Study(("lam", "eta"), torus=True, monte_carlo=False, exact=True),
+    "oracle-check": Study(("xi", "eta"), torus=True, monte_carlo=False, exact=True),
 }
 
 # convergence initial_law -> (the field that parametrizes it, the law)
@@ -321,6 +314,7 @@ def _require(cfg, *names):
 
 def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Exact and Monte Carlo check of E_eta D(xi, eta_t) = E_xi D(xi_t, eta)."""
+    from .oracle import exact_dual_expectation
     rows = []
     params = cfg.sip_params
     evaluator = DualityEvaluator(cfg.m)
@@ -588,6 +582,7 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
     polynomials on a conserved torus sector flatten toward a
     placement-independent limit as the averaging horizon doubles.
     """
+    from .oracle import build_generator, cesaro_apply, duality_probe, state_space
     geo = cfg.geometry
     evaluator = DualityEvaluator(cfg.m)
     rows = []
@@ -638,6 +633,7 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
 def run_oracle_check(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Structural checks of the exact solver: sector sizes, row sums,
     conservation under the semigroup, and the self-duality identity."""
+    from .oracle import build_generator, exact_dual_expectation, semigroup_apply, state_space
     geo = cfg.geometry
     params = cfg.sip_params
     rows = []

@@ -47,6 +47,15 @@ STUDY_KEYS = {
 }
 
 
+def fresh_python(code):
+    """Run `code` in a new interpreter with the source tree on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 def invocation(study, tmp_path, config_text=None, seed=None, workers=1, name="run"):
     config_path = None
     if config_text is not None:
@@ -160,6 +169,28 @@ class TestRun:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"sip-verify {__version__}"
+
+    def test_cold_start_leaves_scipy_unimported(self):
+        # only the studies with exact rows need the solver, and scipy behind it
+        proc = fresh_python("import sys\nimport sipsim.cli as cli\n"
+                            "cli.parse_config('x_start = 0 1\\n', 'or-distance')\n"
+                            "print('scipy' in sys.modules, 'sipsim.oracle' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
+    def test_exact_studies_load_the_solver_before_the_runner(self, tmp_path):
+        # the import happens before the report clock starts, as the runner
+        # entry of RUNNERS sees it
+        proc = fresh_python(
+            "import sys\nimport sipsim.cli as cli\nimport sipsim.experiments as ex\n"
+            "runner = ex.RUNNERS['oracle-check']\n"
+            "def entered(cfg, workers=1):\n"
+            "    print('sipsim.oracle' in sys.modules)\n"
+            "    return runner(cfg, workers=workers)\n"
+            "ex.RUNNERS['oracle-check'] = entered\n"
+            f"cli.main(['oracle-check', '--out', {str(tmp_path)!r}])\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
 
     def test_oracle_check_default_config_exits_zero(self, tmp_path):
         inv = invocation("oracle-check", tmp_path)

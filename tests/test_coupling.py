@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from sipsim.core import Geometry, RandomStream, derive_stream
 from sipsim.coupling import (
+    _REACH,
     OutcomeKind,
+    _or_free_flight,
     _ornstein_entries,
     collision_check,
     doubling_schedule,
@@ -29,6 +31,31 @@ from reference_coupling import (
 
 P1 = SipParams(m=2.0, geometry=Geometry(1))
 P2 = SipParams(m=2.0, geometry=Geometry(2))
+R = _REACH  # OR free flights start only with every within-set pair this far apart
+
+# (x, y, params) starts on either side of the flight rule: the nearest
+# within-set pair at R - 1, R and R + 1 on Z, in d = 1 and d = 2; three
+# particles with one near and one far pair; a torus on which no pair reaches
+# R, so no flight ever starts; one particle, no pair, so every event flies
+STRADDLING = [
+    *[(((0,), (r,)), ((3,), (3 + r,)), P1) for r in (R - 1, R, R + 1)],
+    *[(((0, 0), (2, r - 2)), ((1, 1), (1, r + 1)), P2) for r in (R - 1, R, R + 1)],
+    (((0,), (2,), (3 * R,)), ((5,), (5 + 2 * R,), (6 + 2 * R,)), P1),
+    (((0, 0), (2, 2)), ((1, 0), (3, 2)), SipParams(2.0, Geometry(2, 5))),
+    (((0,),), ((7,),), P1),
+]
+
+
+def straddling(*args):
+    """One @example per STRADDLING start, with seed = its index and `args`
+    for the test's remaining parameters."""
+
+    def add(test):
+        for seed, system in enumerate(STRADDLING):
+            test = example(system, seed, *args)(test)
+        return test
+
+    return add
 
 
 class _StubStream:
@@ -42,6 +69,26 @@ class _StubStream:
 
     def uniform(self):
         return self.u
+
+
+class _ListStream:
+    """The given draws in order, served as `RandomStream` serves its own."""
+
+    def __init__(self, draws):
+        self.draws, self.pos = list(draws), 0
+
+    def uniform(self):
+        self.pos += 1
+        return self.draws[self.pos - 1]
+
+    def exponential(self, rate):
+        return -math.log(1.0 - self.uniform()) / rate
+
+    def peek(self, k):
+        return self.draws[self.pos : self.pos + k]
+
+    def advance(self, j):
+        self.pos += j
 
 
 def l1_sum(xs, ys, geo):
@@ -158,6 +205,26 @@ class TestOrCoupling:
         dt, cls, _ = or_coupled_step((sip,), (irw,), P1, _StubStream(u))
         assert (tuple(sip), tuple(irw), dt, cls == "inclusion") == tuple(ref)
         assert cls == "inclusion"
+
+    @pytest.mark.parametrize("params, sip, irw", [
+        (P1, [(0,), (R,)], [(4,), (R + 9,)]),
+        (P2, [(0, 0), (3, R - 3)], [(1, 1), (5, R + 1)]),
+    ])
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.55, 0.8, 0.999])
+    def test_free_step_and_one_event_flight_agree(self, params, sip, irw, u):
+        # from a state a flight may start from, the per-event step and a
+        # flight cut after its first event make the same move at the same
+        # time and leave the same next draw
+        draws = [0.37, u] * 40
+        step_lists, flight_lists = (list(sip), list(irw)), (list(sip), list(irw))
+        a, b = _ListStream(draws), _ListStream(draws)
+        dt, cls, _ = or_coupled_step(step_lists[:1], step_lists[1:], params, a)
+        t, stop, events = _or_free_flight(flight_lists[:1], flight_lists[1:], params, b,
+                                          0.0, t_last=0.0)
+        assert (cls, stop, events) == ("rw", "last", 1)
+        assert (step_lists, dt) == (flight_lists, t)
+        assert step_lists != (sip, irw)
+        assert a.uniform() == b.uniform()
 
     def test_sip_marginal_matches_oracle(self):
         # the SIP side of the OR pair must follow the plain SIP law
@@ -449,6 +516,7 @@ class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(coupling_systems(), st.integers(0, 2**32 - 1),
            st.lists(st.floats(0.0, 20.0), max_size=4))
+    @straddling([2.0, 20.0])
     def test_or_distance_single(self, system, seed, grid):
         x, _, params = system
         grid = sorted(grid)
@@ -461,6 +529,7 @@ class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(coupling_systems(), st.integers(0, 2**32 - 1), st.floats(0.01, 30.0),
            st.floats(0.05, 0.95))
+    @straddling(30.0, 0.5)
     def test_two_stage_coupling(self, system, seed, horizon, delta):
         x, y, params = system
         fast, slow = RandomStream(seed), RandomStream(seed)
@@ -497,6 +566,7 @@ class TestLongHorizonsAgainstReference:
     @example((((0,), (1,)), None, P1), 0, [30.0, 300.0, 3000.0])
     @example((((0, 0), (3, 3), (0, 3)), None, SipParams(1.3, Geometry(2, 6))), 7,
              [100.0, 1000.0])
+    @straddling([30.0, 300.0, 3000.0])
     def test_or_distance_single(self, system, seed, grid):
         x, _, params = system
         grid = sorted(grid)
@@ -513,6 +583,7 @@ class TestLongHorizonsAgainstReference:
     @example((((0, 0), (3, 3)), ((2, 1), (5, 4)), SipParams(2.0, Geometry(2, 6))), 3,
              500.0, 0.5)
     @example((((0, 0, 0),), ((2, 5, 1),), SipParams(0.7, Geometry(3, 5))), 4, 300.0, 0.3)
+    @straddling(2000.0, 0.8)
     def test_two_stage_coupling(self, system, seed, horizon, delta):
         x, y, params = system
         fast, slow = RandomStream(seed), RandomStream(seed)
