@@ -2,12 +2,12 @@
 
 Two kinds of event make up every coupling here:
 
-* `or_coupled_step`, the OR coupling: SIP sets shadowed by IRW sets. All
-  lists receive the same shared random-walk events, so any two lists moved
-  only by them keep every pairwise distance (the same-jump pairing); the
-  SIP sets alone additionally perform inclusion jumps, so a SIP set's
-  summed distance to its shadow changes by exactly one unit per inclusion
-  event while both marginals stay exact;
+* `or_coupled_step`, the OR coupling: SIP sets shadowed by IRW sets, all
+  held by one `OrState`. All lists receive the same shared random-walk
+  events, so any two lists moved only by them keep every pairwise distance
+  (the same-jump pairing); the SIP sets alone additionally perform
+  inclusion jumps, so a SIP set's summed distance to its shadow changes by
+  exactly one unit per inclusion event while both marginals stay exact;
 * `_stage_two`, the coordinate-wise Ornstein pairing: paired walkers whose
   coordinates run on independent clocks until a coordinate difference hits
   zero, after which that coordinate moves jointly forever. The difference
@@ -15,14 +15,16 @@ Two kinds of event make up every coupling here:
   speed (rate m in one dimension).
 
 Both run as free flights (`_free_flight`) while their move table is fixed:
-the Ornstein pairing between syncs, the OR coupling from states with every
-within-set SIP pair at l1 distance >= _REACH to the first contact (inclusion
-totals are 0.0 till then). A block of peeked draws goes through the
-per-event float operations at once and is cut at the first contact, sync,
-stage end or last grid time; only the applied events' draws are consumed, so
-every event, output and next draw is that of a per-event loop (Oppelstrup et
-al., PRL 97, 230602, 2006). Other OR events go through `or_coupled_step`,
-which keeps each SIP set's running sums and pair distances across events.
+the Ornstein pairing between syncs, the OR coupling (`OrState.fly`) from
+states with every within-set SIP pair at l1 distance >= _REACH to the first
+contact (inclusion totals are 0.0 till then). A block of peeked draws goes
+through the per-event float operations at once and is cut at the first
+contact, sync, stage end or last grid time; only the applied events' draws
+are consumed, so every event, output and next draw is that of a per-event
+loop (Oppelstrup et al., PRL 97, 230602, 2006). Other OR events go through
+`or_coupled_step`, which keeps each SIP set's running sums and pair
+distances across events. One loop, `_or_run`, applies this rule for stage
+one and for the OR distance alike.
 
 The two-stage scheme runs the OR coupling of both SIP sets to shared-jump
 IRW shadows on [0, (1-delta)t] and then pairs the two SIP sets directly
@@ -73,6 +75,13 @@ class CouplingOutcome:
             raise ValueError("coupling time must be nonnegative")
 
 
+def _pair_distances(particles, geometry: Geometry):
+    """The l1 distance of every pair p < q of `particles`, in (p, q) order."""
+    n = len(particles)
+    return (geometry.l1_distance(particles[p], particles[q])
+            for p in range(n) for q in range(p + 1, n))
+
+
 def collision_check(particles, geometry: Geometry) -> bool:
     """True iff two distinct particles sit within l1 distance 1.
 
@@ -80,75 +89,82 @@ def collision_check(particles, geometry: Geometry) -> bool:
     an arbitrary starting state may not have, so same-site pairs are
     conservatively treated as collisions.
     """
-    n = len(particles)
-    for i in range(n):
-        xi = particles[i]
-        for j in range(i + 1, n):
-            if geometry.l1_distance(xi, particles[j]) <= 1:
-                return True
-    return False
+    return any(dist <= 1 for dist in _pair_distances(particles, geometry))
 
 
-class _OrState:
-    """Per SIP set, across OR events: the inclusion running sums (bitwise
-    `event_rates` at half_m = 0.0) and each within-set pair's l1 distance,
-    then an inf sentinel; `nearest` is the least over all sets, and
-    `pairs_of[i]` lists (pair index, other particle) for particle i."""
+class OrState:
+    """SIP position lists `sips` OR-coupled to IRW lists `shadows`, all of one
+    length n and moved in place: the rate m/(4d) of a shared move per
+    particle and direction (`rate_each`), their total `rw_total`, the move
+    table with its contact watches, and per SIP set the inclusion running
+    sums (bitwise `event_rates` at half_m = 0.0) and each within-set pair's
+    l1 distance, then an inf sentinel; `nearest` is the least over all sets,
+    and `pairs_of[i]` lists (pair index, other particle) for particle i."""
 
-    def __init__(self, sips, geo):
-        n = len(sips[0])
+    def __init__(self, sips, shadows, params: SipParams):
+        n, d = len(sips[0]), params.geometry.d
+        if n == 0:
+            raise ValueError("no particles to move")
+        self.sips, self.shadows, self.geo = sips, shadows, params.geometry
+        self.rate_each = params.m / (4.0 * d)
+        self.rw_total = n * 2 * d * self.rate_each
+        self.table, self.watches = _or_table(len(sips), len(sips) + len(shadows), n, d)
         pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
         self.pairs_of = [[(e, p + q - i) for e, (p, q) in enumerate(pairs) if i in (p, q)]
                          for i in range(n)]
-        self.dist = [[geo.l1_distance(sip[p], sip[q]) for p, q in pairs] + [math.inf]
-                     for sip in sips]
-        self.sums = [list(accumulate(event_rates(sip, geo, 0.0))) for sip in sips]
+        self._rebuild()
+
+    def _rebuild(self):
+        self.dist = [[*_pair_distances(sip, self.geo), math.inf] for sip in self.sips]
+        self.sums = [list(accumulate(event_rates(sip, self.geo, 0.0))) for sip in self.sips]
         self.nearest = min(map(min, self.dist))
 
+    def fly(self, stream: RandomStream, t: float, **kw):
+        """`_free_flight` of shared moves at the total rate rw_total, from a
+        state with every within-set SIP pair at l1 distance >= 2 (every
+        inclusion total is exactly 0.0 there) to the first contact; then
+        rebuilds the sums and distances."""
+        out = _free_flight(self.sips + self.shadows, self.table,
+                           lambda u: u * self.rw_total / self.rate_each, self.rw_total,
+                           self.watches, self.geo, stream, t, cls="rw", **kw)
+        self._rebuild()
+        return out
 
-def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
-                    t: float = 0.0, t_end: float | None = None, state=None):
-    """One event of the OR coupling, applied in place to the position lists.
 
-    `sips` is a tuple of SIP position lists and `shadows` a tuple of IRW
-    position lists, all of one length n. A shared random-walk event (rate
-    m/(4d) per particle and direction) displaces particle i of every list by
-    the same unit vector; an inclusion event (rate p(x,y) * eta(y) in its
-    own SIP set: `event_rates` at half_m = 0.0) moves one particle of one
-    SIP set, picked by bisection on that set's running sums. The waiting
-    time dt is drawn first, at the total rate rw_total + the SIP sets'
-    inclusion totals (their last running sums) summed left to right.
+def or_coupled_step(state: OrState, stream: RandomStream, t: float = 0.0,
+                    t_end: float = math.inf):
+    """One event of the OR coupling, applied in place to the lists of `state`.
 
-    `state`, an `_OrState` of `sips` kept by the caller (else built here),
-    is updated in place; a set's sums are rebuilt only when its moved
-    particle is within l1 distance 1 of another before or after the move.
+    A shared random-walk event (rate m/(4d) per particle and direction)
+    displaces particle i of every list by the same unit vector; an
+    inclusion event (rate p(x,y) * eta(y) in its own SIP set: `event_rates`
+    at half_m = 0.0) moves one particle of one SIP set, picked by bisection
+    on that set's running sums. The waiting time dt is drawn first, at the
+    total rate rw_total + the SIP sets' inclusion totals (their last running
+    sums) summed left to right.
+
+    `state` is updated in place; a set's sums are rebuilt only when its
+    moved particle is within l1 distance 1 of another before or after the
+    move.
 
     Returns None when t + dt >= t_end, having drawn only dt. Otherwise
     draws the event and returns (dt, event_class, moves): event_class is
     "rw" or "inclusion", and moves lists (list, particle, from, to) with
     lists indexed along sips + shadows.
     """
-    geo = params.geometry
-    n = len(sips[0])
-    if n == 0:
-        raise ValueError("no particles to move")
-    state = state or _OrState(sips, geo)
-    width = 2 * geo.d
-    rate_each = params.m / (4.0 * geo.d)
-    rw_total = n * width * rate_each
-    sums = state.sums
-    total = rw_total
+    geo, sips, sums = state.geo, state.sips, state.sums
+    total = state.rw_total
     for cumulative in sums:
         total += cumulative[-1]
     dt = stream.exponential(total)
-    if t_end is not None and t + dt >= t_end:
+    if t + dt >= t_end:
         return None
     u = stream.uniform() * total
-    if u < rw_total:
-        k = min(int(u / rate_each), n * width - 1)
-        cls, lists = "rw", enumerate(sips + shadows)
+    if u < state.rw_total:
+        k = min(int(u / state.rate_each), len(state.table) - 1)
+        cls, lists = "rw", enumerate(sips + state.shadows)
     else:
-        u -= rw_total
+        u -= state.rw_total
         j = 0
         while j < len(sums) - 1 and u >= sums[j][-1]:
             u -= sums[j][-1]
@@ -158,12 +174,11 @@ def or_coupled_step(sips, shadows, params: SipParams, stream: RandomStream,
         if k == len(cumulative):  # rounding: the last occupied move, not len - 1
             k = bisect_left(cumulative, cumulative[-1])
         cls, lists = "inclusion", ((j, sips[j]),)
-    i, slot = divmod(k, width)
-    axis, side = divmod(slot, 2)
+    i, axis, step = state.table[k][:3]
     moves = []
     for j, lst in lists:
         src = lst[i]
-        lst[i] = dst = geo.shift(src, axis, 1 if side else -1)
+        lst[i] = dst = geo.shift(src, axis, step)
         moves.append((j, i, src, dst))
     for j, _, _, dst in moves[: len(sips)]:  # the moved SIP sets come first
         sip, dist, touched = sips[j], state.dist[j], False
@@ -234,7 +249,7 @@ def _flight_plan(table, watches, n_lists, n, d):
 
 
 def _free_flight(lists, table, pick, total, watches, geo, stream, t,
-                 t_end=math.inf, t_last=math.inf, log=None, names=(), cls=""):
+                 t_end=math.inf, t_last=math.inf, log=None, cls=""):
     """Run events of a fixed move table in blocks of draws, until a cut.
 
     An event draws dt = -log(1 - u) / total, then row
@@ -248,8 +263,8 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
     The run stops after the first event bringing a watched pair within
     reach ("watch"; all start out of reach), at the first event reaching
     t_end having drawn only its dt ("end"), or after the first event past
-    t_last ("last"). `lists` move in place, `log` gets the per-event rows,
-    and (t, stop, events applied) is returned.
+    t_last ("last"). `lists` move in place, `log` gets the per-event rows
+    (lists named along `_SETS`), and (t, stop, events applied) is returned.
     """
     n, d, L = len(lists[0]), geo.d, geo.L
     disp, gap_step, a, b, mask, reach = _flight_plan(table, watches, len(lists), n, d)
@@ -288,7 +303,7 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
             path, stamps = path.tolist(), times[1 : applied + 1].tolist()
             for e, row in enumerate(rows[:applied].tolist()):
                 i, _, *steps = table[row]
-                log.extend((stamps[e], names[j], i, tuple(path[e][j][i]),
+                log.extend((stamps[e], _SETS[j], i, tuple(path[e][j][i]),
                             tuple(path[e + 1][j][i]), cls)
                            for j, step in enumerate(steps) if step)
         t = times[applied].item()
@@ -299,70 +314,61 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
 
 
 @lru_cache(maxsize=64)
-def _or_table(n_sets, n, d):
+def _or_table(n_sets, n_lists, n, d):
     """The OR move table, in the order of `or_coupled_step`, and its watches."""
-    table = tuple((i, axis) + (step,) * 2 * n_sets
+    table = tuple((i, axis) + (step,) * n_lists
                   for i in range(n) for axis in range(d) for step in (-1, 1))
     return table, _contact_watches(range(n_sets), n)
 
 
-def _or_free_flight(sips, shadows, params, stream, t, **kw):
-    """`_free_flight` for the OR coupling from a state with every within-set
-    SIP pair at l1 distance >= 2: there every inclusion total is exactly 0.0,
-    so the total rate is rw_total and only shared moves happen, in the order
-    of `or_coupled_step`. The watches cut at the first within-set contact."""
-    n, d = len(sips[0]), params.geometry.d
-    if n == 0:
-        raise ValueError("no particles to move")
-    rate_each = params.m / (4.0 * d)
-    rw_total = n * 2 * d * rate_each
-    table, watches = _or_table(len(sips), n, d)
-    return _free_flight(sips + shadows, table, lambda u: u * rw_total / rate_each, rw_total,
-                        watches, params.geometry, stream, t, names=_STAGE_ONE_SETS,
-                        cls="rw", **kw)
+# event-log set names, indexed along the lists of a flight or OR step
+_SETS = ("XS", "YS", "XI", "YI")
 
 
-# event-log set names, indexed along sips + shadows of stage one
-_STAGE_ONE_SETS = ("XS", "YS", "XI", "YI")
+def _or_run(state: OrState, stream, t, t_end=math.inf, t_last=math.inf, log=None):
+    """The OR coupling of `state` from time t, while t <= t_last.
 
-
-def _stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end, stream,
-               counters, log=None):
-    """Shared-jump IRW shadows with OR-coupled SIP sets, on [t_start, t_end].
-
-    Mutates the four position lists in place. Stage-one collisions are
-    genuine SIP behavior and never abort; they are only counted, once per
-    step from no within-set pair within l1 distance 1 to one. States with
-    every within-set pair at l1 distance >= _REACH run as free flights.
+    States with every within-set SIP pair at l1 distance >= _REACH run as
+    free flights, all others one `or_coupled_step` at a time; `log` gets
+    every movement. Yields (t, event class, moves, events) after each
+    flight ("rw", no moves) or step (one event), and ends at the first
+    event reaching t_end, having drawn only its waiting time.
     """
-    sips, shadows = (xs, ys), (xi_shadow, yi_shadow)
-    state = _OrState(sips, params.geometry)
-    t = t_start
-    while True:
+    while t <= t_last:
         if state.nearest >= _REACH:
-            t, stop, events = _or_free_flight(sips, shadows, params, stream, t,
-                                              t_end=t_end, log=log)
-            counters.rw += events
+            t, stop, events = state.fly(stream, t, t_end=t_end, t_last=t_last, log=log)
+            yield t, "rw", (), events
             if stop == "end":
                 return
-            counters.collisions += 1
-            state = _OrState(sips, params.geometry)
-        contact = state.nearest <= 1
-        step = or_coupled_step(sips, shadows, params, stream, t, t_end, state)
+            continue
+        step = or_coupled_step(state, stream, t, t_end)
         if step is None:
             return
-        counters.collisions += not contact and state.nearest <= 1
         dt, cls, moves = step
         t += dt
         if log is not None:
-            log.extend((t, _STAGE_ONE_SETS[j], i, src, dst, cls)
-                       for j, i, src, dst in moves)
-        counters.rw += cls == "rw"
-        counters.inclusion += cls == "inclusion"
+            log.extend((t, _SETS[j], i, src, dst, cls) for j, i, src, dst in moves)
+        yield t, cls, moves, 1
 
 
-def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
-    """Ornstein pairing of the two SIP sets, aborting on collision.
+def _stage_one(state, t_start, t_end, stream, counters, log=None):
+    """The OR coupling of the two SIP sets of `state` to their shared-jump
+    IRW shadows, on [t_start, t_end].
+
+    Stage-one collisions are genuine SIP behavior and never abort; they are
+    only counted, once per flight or step from no within-set pair within l1
+    distance 1 to one. `counters` are named by event class.
+    """
+    contact = state.nearest <= 1
+    for _, cls, _, events in _or_run(state, stream, t_start, t_end, log=log):
+        counters.collisions += not contact and state.nearest <= 1
+        contact = state.nearest <= 1
+        vars(counters)[cls] += events
+
+
+def _stage_two(xs, ys, geo, rate_each, t_start, t_end, stream, counters, log=None):
+    """Ornstein pairing of the two SIP sets, aborting on collision; every
+    move runs at `rate_each`, the OR coupling's rate per direction.
 
     Returns (outcome kind, time). Equality is checked before the collision
     predicate: at the instant the lists meet, the attempt has already
@@ -370,10 +376,8 @@ def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
     the move table is fixed, so the events run as a free flight cut at the
     first within-set contact or synced coordinate.
     """
-    geo = params.geometry
     d = geo.d
     n = len(xs)
-    rate_each = params.m / (4.0 * d)
     t = t_start
     while True:
         if xs == ys:
@@ -387,8 +391,7 @@ def _stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
             for k in range(d) if x[k] != y[k])
         t, stop, events = _free_flight(
             (xs, ys), entries, lambda u: u * len(entries), len(entries) * rate_each,
-            watches, geo, stream, t, t_end=t_end, log=log,
-            names=("XS", "YS"), cls="ornstein")
+            watches, geo, stream, t, t_end=t_end, log=log, cls="ornstein")
         counters.rw += events
         if stop == "end":
             return OutcomeKind.HORIZON_EXPIRED, t_end
@@ -419,10 +422,10 @@ def two_stage_coupling(x, y, params: SipParams, horizon: float, delta: float,
         return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, 0, 0, x, y)
     xs, ys = list(x), list(y)
     stage1_end = (1.0 - delta) * horizon
-    _stage_one(xs, ys, list(x), list(y), params, 0.0, stage1_end, stream,
-               counters, log=log)
-    kind, t = _stage_two(xs, ys, params, stage1_end, horizon, stream, counters,
-                         log=log)
+    state = OrState((xs, ys), (list(x), list(y)), params)
+    _stage_one(state, 0.0, stage1_end, stream, counters, log=log)
+    kind, t = _stage_two(xs, ys, state.geo, state.rate_each, stage1_end, horizon, stream,
+                         counters, log=log)
     return CouplingOutcome(kind, t, counters.rw, counters.inclusion,
                            counters.collisions, tuple(xs), tuple(ys))
 
@@ -485,28 +488,15 @@ def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
         raise ValueError("t_grid must be nonnegative and ascending")
     sip = [geo.wrap(s) for s in x]
     irw = list(sip)
-    sips, shadows = (sip,), (irw,)
-    state = _OrState(sips, geo)
     out = []
     dist = 0
-    t = 0.0
-    gi = 0
-    while gi < len(grid):
-        change = 0
-        if state.nearest < _REACH:
-            dt, cls, moves = or_coupled_step(sips, shadows, params, stream, t, None, state)
-            t += dt
-            if cls == "inclusion":
-                _, i, src, dst = moves[0]
-                change = geo.l1_distance(dst, irw[i]) - geo.l1_distance(src, irw[i])
-        else:
-            # shared moves only, so the distance holds through the flight
-            t, _, _ = _or_free_flight(sips, shadows, params, stream, t, t_last=grid[-1])
-            state = _OrState(sips, geo)
-        while gi < len(grid) and grid[gi] < t:
+    for t, cls, moves, _ in _or_run(OrState((sip,), (irw,), params), stream, 0.0,
+                                    t_last=max(grid, default=-1.0)):
+        while len(out) < len(grid) and grid[len(out)] < t:
             out.append(dist)
-            gi += 1
-        dist += change
+        if cls == "inclusion":  # shared moves leave the distance as it is
+            _, i, src, dst = moves[0]
+            dist += geo.l1_distance(dst, irw[i]) - geo.l1_distance(src, irw[i])
     return out
 
 

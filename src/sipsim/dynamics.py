@@ -189,9 +189,8 @@ def simulate(xi0, kind: ProcessKind, params: SipParams, horizon: float,
     return Trajectory(times=times, states=states, horizon=horizon)
 
 
-def sample_at_times(xi0, kind: ProcessKind, params: SipParams, times,
-                    stream: RandomStream):
-    """States observed at each requested time (ascending), one per entry.
+def sample_at_times(xi0, params: SipParams, times, stream: RandomStream):
+    """SIP states observed at each requested time (ascending), one per entry.
 
     A single trajectory is evolved to max(times); snapshots at the grid
     points are the pre-jump states, matching right-continuous paths up to a
@@ -201,7 +200,7 @@ def sample_at_times(xi0, kind: ProcessKind, params: SipParams, times,
     if (not all(math.isfinite(t) and t >= 0 for t in grid)
             or any(b < a for a, b in zip(grid, grid[1:]))):
         raise ValueError("times must be finite, nonnegative and ascending")
-    kernel = _EventKernel(xi0, kind, params)
+    kernel = _EventKernel(xi0, ProcessKind.SIP, params)
     if not (kernel.positions and grid):
         return [() for _ in grid]
     out = []

@@ -31,7 +31,7 @@ from .coupling import (
     two_stage_coupling,
 )
 from .duality import DualityEvaluator, ah_density
-from .dynamics import ProcessKind, SipParams, sample_at_times
+from .dynamics import SipParams, sample_at_times
 from .measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_product
 from .stats import batched
 
@@ -324,11 +324,11 @@ def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
         rows.append(band_row(f"exact_gap[t={t:g}]", abs(left - right), 0.0, 0.0, floor=1e-8))
 
     def lhs_replica(stream):
-        states = sample_at_times(cfg.eta, ProcessKind.SIP, params, cfg.t_grid, stream)
+        states = sample_at_times(cfg.eta, params, cfg.t_grid, stream)
         return [evaluator.value(cfg.xi, occupation_of(s)) for s in states]
 
     def rhs_replica(stream):
-        states = sample_at_times(cfg.xi, ProcessKind.SIP, params, cfg.t_grid, stream)
+        states = sample_at_times(cfg.xi, params, cfg.t_grid, stream)
         return [evaluator.value(s, eta_counts) for s in states]
 
     lhs = _map_replicas(lhs_replica, _ARM_SD_LHS, cfg, cfg.replicas, workers)
@@ -370,14 +370,13 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
         # the probes run one after another on one stream; columns run (n, t)
         row = []
         for probe in probes:
-            states = sample_at_times(probe, ProcessKind.SIP, params, cfg.t_grid, stream)
+            states = sample_at_times(probe, params, cfg.t_grid, stream)
             row += [evaluator.closed_transform(law, s) for s in states]
         return row
 
     def direct_replica(stream):
         eta0 = sample_product(law, geo, stream)
-        states = sample_at_times(particles_of(eta0), ProcessKind.SIP, params,
-                                 cfg.t_grid, stream)
+        states = sample_at_times(particles_of(eta0), params, cfg.t_grid, stream)
         counts = [occupation_of(s) for s in states]
         return [evaluator.value(probe, c) for probe in probes for c in counts]
 
@@ -492,7 +491,7 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
     rows = [info_row("ah_density", ah_density(law, cfg.m))]
 
     def replica(stream):
-        states = sample_at_times(cfg.xi, ProcessKind.SIP, params, cfg.t_grid, stream)
+        states = sample_at_times(cfg.xi, params, cfg.t_grid, stream)
         return [evaluator.closed_transform(law, s) for s in states]
 
     block = _map_replicas(replica, _ARM_CONVERGENCE, cfg, cfg.replicas, workers)

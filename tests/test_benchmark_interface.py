@@ -1,0 +1,99 @@
+"""The benchmark reaches into sipsim by name from outside the package.
+
+`perfbench/probes.py` imports public functions and `perfbench/tracer.py`
+wraps module attributes that the studies look up at call time. A rename in
+`src/` would make `perfbench/run.py --trace 1` fail, or, for a wrapped name
+that the code no longer calls through its module, silently lose a metric.
+These tests read both files (without importing or changing them) and check
+what they reach.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import sipsim.coupling as coupling
+from sipsim.core import Geometry, derive_stream
+from sipsim.dynamics import SipParams
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def sipsim_bindings(tree):
+    """Local name -> object for each `import sipsim.x as y` and each
+    `from sipsim.x import y` in the file, asserting that every imported name
+    exists."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("sipsim"):
+                    module = importlib.import_module(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sipsim"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+    return bound
+
+
+def attribute_reads(tree, bound):
+    """(owner, attribute) for each read `owner.attribute` of a bound name, and
+    for each `getattr(owner, name)` in a loop of `name` over literal strings."""
+    reads = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in bound):
+            reads.add((node.value.id, node.attr))
+        elif (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+              and isinstance(node.iter, ast.Tuple)):
+            names = [e.value for e in node.iter.elts if isinstance(e, ast.Constant)]
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "getattr" and len(call.args) == 2
+                        and isinstance(call.args[0], ast.Name) and call.args[0].id in bound
+                        and isinstance(call.args[1], ast.Name)
+                        and call.args[1].id == node.target.id):
+                    reads.update((call.args[0].id, name) for name in names)
+    return reads
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("probes.py", {("state_space", "cache_clear"), ("build_generator", "cache_clear")}),
+    ("tracer.py", {("coupling", "or_coupled_step"), ("dynamics", "gillespie_step"),
+                   ("dynamics", "sample_at_times"), ("coupling", "or_distance_single"),
+                   ("oracle", "build_generator"), ("poisson", "isf"),
+                   ("DualityEvaluator", "closed_transform"), ("cli", "run")}),
+])
+def test_every_name_the_benchmark_reaches_exists(name, expected):
+    tree = ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+    bound = sipsim_bindings(tree)
+    reads = attribute_reads(tree, bound)
+    assert expected <= reads  # the scan sees the names it must guard
+    missing = [f"{owner}.{attr}" for owner, attr in sorted(reads)
+               if not hasattr(bound[owner], attr)]
+    assert not missing
+
+
+def test_or_steps_are_called_through_the_module_global(monkeypatch):
+    # the tracer counts per-event OR steps by replacing the module attribute,
+    # so both OR callers must look it up at call time
+    calls = []
+    step = coupling.or_coupled_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "or_coupled_step", counted)
+    params = SipParams(2.0, Geometry(1))
+    coupling.or_distance_single(((0,), (1,)), params, [5.0], derive_stream(0, 0))
+    from_distance = len(calls)
+    coupling.two_stage_coupling(((0,), (1,)), ((5,), (6,)), params, 10.0, 0.5,
+                                derive_stream(1, 0))
+    assert from_distance > 0
+    assert len(calls) > from_distance

@@ -31,6 +31,32 @@ class TestGeometry:
         for g in (Geometry(1), Geometry(2), Geometry(3), Geometry(2, 5)):
             assert len(g.neighbors((0,) * g.d)) == 2 * g.d
 
+    @pytest.mark.parametrize("g", [Geometry(1), Geometry(2), Geometry(3), Geometry(1, 3),
+                                   Geometry(2, 3), Geometry(3, 3), Geometry(1, 4),
+                                   Geometry(2, 5), Geometry(3, 4)])
+    def test_neighbor_order(self, g):
+        # entry 2d*i + j of event_rates, the event kernel's j ^ 1 slot for the
+        # reverse move and build_generator all rely on this order
+        rng = np.random.default_rng(11)
+        lo, hi = (0, g.L) if g.is_torus else (-50, 50)
+        for _ in range(100):
+            x = tuple(int(c) for c in rng.integers(lo, hi, size=g.d))
+            around = g.neighbors(x)
+            assert around == tuple(g.shift(x, a, s) for a in range(g.d) for s in (-1, 1))
+            for j, z in enumerate(around):
+                assert g.neighbors(z)[j ^ 1] == x
+        assert Geometry(2).neighbors((0, 0)) == ((-1, 0), (1, 0), (0, -1), (0, 1))
+        assert Geometry(1, 3).neighbors((0,)) == ((2,), (1,))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_neighbors_stop_at_the_coordinate_limit(self, d):
+        g = Geometry(d)
+        for axis in range(d):
+            for c in (COORD_LIMIT, -COORD_LIMIT):
+                with pytest.raises(CoordinateOverflowError):
+                    g.neighbors(tuple(c if k == axis else 0 for k in range(d)))
+        assert len(g.neighbors((COORD_LIMIT - 1,) * d)) == 2 * d
+
     def test_l1_distance(self):
         g = Geometry(2)
         assert g.l1_distance((0, 0), (3, -4)) == 7

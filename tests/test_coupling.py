@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sipsim.core import Geometry, RandomStream, derive_stream
 from sipsim.coupling import (
     _REACH,
+    OrState,
     OutcomeKind,
-    _or_free_flight,
     _ornstein_entries,
     collision_check,
     doubling_schedule,
@@ -142,24 +142,27 @@ class TestSameJump:
         sip = list(xs)
         s = derive_stream(0, 0)
         k0 = l1_sum(xs, ys, geo)
+        state = OrState((sip,), (xs, ys), P1)
         for _ in range(500):
-            or_coupled_step((sip,), (xs, ys), P1, s)
+            or_coupled_step(state, s)
             assert l1_sum(xs, ys, geo) == k0
 
     def test_equal_lists_stay_equal(self):
         xs, ys = [(0,), (3,)], [(0,), (3,)]
         sip = list(xs)
         s = derive_stream(1, 0)
+        state = OrState((sip,), (xs, ys), P1)
         for _ in range(200):
-            or_coupled_step((sip,), (xs, ys), P1, s)
+            or_coupled_step(state, s)
             assert xs == ys
 
     def test_single_pair_offset_constant(self):
         xs, ys = [(0,)], [(7,)]
         sip = list(xs)
         s = derive_stream(2, 0)
+        state = OrState((sip,), (xs, ys), P1)
         for _ in range(200):
-            or_coupled_step((sip,), (xs, ys), P1, s)
+            or_coupled_step(state, s)
             assert ys[0][0] - xs[0][0] == 7
 
 
@@ -168,9 +171,10 @@ class TestOrCoupling:
         geo = Geometry(1)
         sip, irw = [(0,), (1,)], [(0,), (1,)]
         s = derive_stream(3, 0)
+        state = OrState((sip,), (irw,), P1)
         for _ in range(2000):
             before = l1_sum(sip, irw, geo)
-            _, cls, _ = or_coupled_step((sip,), (irw,), P1, s)
+            _, cls, _ = or_coupled_step(state, s)
             after = l1_sum(sip, irw, geo)
             if cls == "inclusion":
                 assert abs(after - before) == 1
@@ -181,8 +185,9 @@ class TestOrCoupling:
         # two far-apart particles produce no inclusion events over a few steps
         sip, irw = [(0,), (100,)], [(0,), (100,)]
         s = derive_stream(4, 0)
+        state = OrState((sip,), (irw,), P1)
         for _ in range(50):
-            _, cls, _ = or_coupled_step((sip,), (irw,), P1, s)
+            _, cls, _ = or_coupled_step(state, s)
             assert cls == "rw"
             if collision_check(sip, Geometry(1)):
                 break
@@ -191,7 +196,7 @@ class TestOrCoupling:
         # past t_end only the waiting time is drawn and nothing moves
         sip, irw = [(0,), (1,)], [(0,), (1,)]
         s, twin = derive_stream(3, 1), derive_stream(3, 1)
-        assert or_coupled_step((sip,), (irw,), P1, s, 0.0, 1e-300) is None
+        assert or_coupled_step(OrState((sip,), (irw,), P1), s, 0.0, 1e-300) is None
         assert sip == irw == [(0,), (1,)]
         twin.uniform()
         assert s.uniform() == twin.uniform()
@@ -202,7 +207,7 @@ class TestOrCoupling:
         # occupied move (1 -> 0) matches the scan, not the last entry (1 -> 2)
         sip, irw = [(0,), (1,)], [(0,), (1,)]
         ref = reference_or_coupled_step(tuple(sip), tuple(irw), P1, _StubStream(u))
-        dt, cls, _ = or_coupled_step((sip,), (irw,), P1, _StubStream(u))
+        dt, cls, _ = or_coupled_step(OrState((sip,), (irw,), P1), _StubStream(u))
         assert (tuple(sip), tuple(irw), dt, cls == "inclusion") == tuple(ref)
         assert cls == "inclusion"
 
@@ -218,9 +223,9 @@ class TestOrCoupling:
         draws = [0.37, u] * 40
         step_lists, flight_lists = (list(sip), list(irw)), (list(sip), list(irw))
         a, b = _ListStream(draws), _ListStream(draws)
-        dt, cls, _ = or_coupled_step(step_lists[:1], step_lists[1:], params, a)
-        t, stop, events = _or_free_flight(flight_lists[:1], flight_lists[1:], params, b,
-                                          0.0, t_last=0.0)
+        dt, cls, _ = or_coupled_step(OrState(step_lists[:1], step_lists[1:], params), a)
+        t, stop, events = OrState(flight_lists[:1], flight_lists[1:], params).fly(
+            b, 0.0, t_last=0.0)
         assert (cls, stop, events) == ("rw", "last", 1)
         assert (step_lists, dt) == (flight_lists, t)
         assert step_lists != (sip, irw)
@@ -239,9 +244,10 @@ class TestOrCoupling:
         for r in range(reps):
             s = derive_stream(5, r)
             sip, irw = list(start), list(start)
+            state = OrState((sip,), (irw,), params)
             clock = 0.0
             while True:
-                step = or_coupled_step((sip,), (irw,), params, s, clock, t)
+                step = or_coupled_step(state, s, clock, t)
                 if step is None:
                     break
                 clock += step[0]
@@ -507,6 +513,24 @@ def coupling_systems(draw):
     y = tuple(draw(st.lists(site, min_size=n, max_size=n)))
     m = draw(st.sampled_from([2.0, 0.7, 1.3, 5.0]))
     return x, y, SipParams(m=m, geometry=Geometry(d, L))
+
+
+class TestOrState:
+    @settings(max_examples=200, deadline=None)
+    @given(coupling_systems(), st.integers(0, 2**32 - 1), st.integers(1, 60))
+    def test_kept_state_equals_a_rebuilt_one(self, system, seed, steps):
+        # the bookkeeping a step updates in place (running sums bit for bit,
+        # pair distances, nearest) equals that of a state built afresh
+        x, y, params = system
+        sips, shadows = (list(x), list(y)), (list(x), list(y))
+        state = OrState(sips, shadows, params)
+        stream = RandomStream(seed)
+        for _ in range(steps):
+            or_coupled_step(state, stream)
+            fresh = OrState(sips, shadows, params)
+            assert ([[r.hex() for r in sums] for sums in state.sums]
+                    == [[r.hex() for r in sums] for sums in fresh.sums])
+            assert (state.dist, state.nearest) == (fresh.dist, fresh.nearest)
 
 
 class TestAgainstReference:

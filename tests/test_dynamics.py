@@ -230,14 +230,14 @@ class TestSimulate:
 
     def test_sample_at_times_matches_simulate_on_shared_stream(self):
         grid = [0.5, 1.0, 2.0]
-        states = sample_at_times(((0,), (1,)), ProcessKind.SIP, P1, grid, derive_stream(9, 0))
+        states = sample_at_times(((0,), (1,)), P1, grid, derive_stream(9, 0))
         assert len(states) == 3
         final = simulate(((0,), (1,)), ProcessKind.SIP, P1, 2.0, derive_stream(9, 0)).final
         assert states[-1] == final
 
     def test_sample_at_times_validates_grid(self):
         with pytest.raises(ValueError):
-            sample_at_times(((0,),), ProcessKind.SIP, P1, [2.0, 1.0], derive_stream(0, 0))
+            sample_at_times(((0,),), P1, [2.0, 1.0], derive_stream(0, 0))
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_non_finite_horizon(self, horizon):
@@ -248,7 +248,7 @@ class TestSimulate:
     @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.inf], [1.0, math.inf]])
     def test_sample_at_times_rejects_non_finite_grid(self, grid):
         with pytest.raises(ValueError):
-            sample_at_times(((0,),), ProcessKind.SIP, P1, grid, derive_stream(0, 0))
+            sample_at_times(((0,),), P1, grid, derive_stream(0, 0))
 
     @pytest.mark.parametrize("m", [math.nan, math.inf])
     def test_m_must_be_finite(self, m):
@@ -288,13 +288,13 @@ class TestAgainstFullRecompute:
     @given(small_systems(), st.integers(0, 2**32 - 1),
            st.lists(st.floats(0.0, 3.0), max_size=4))
     def test_sample_at_times(self, system, seed, grid):
-        xi, kind, params = system
+        xi, _, params = system  # sample_at_times runs SIP only
         grid = sorted(grid)
         fast, slow = RandomStream(seed), RandomStream(seed)
         # two calls on one stream, as the stationarity dual arm makes them
         for start in (xi, xi[::-1]):
-            a = sample_at_times(start, kind, params, grid, fast)
-            b = reference_sample_at_times(start, kind, params, grid, slow)
+            a = sample_at_times(start, params, grid, fast)
+            b = reference_sample_at_times(start, ProcessKind.SIP, params, grid, slow)
             assert a == b
             assert fast.uniform() == slow.uniform()
 

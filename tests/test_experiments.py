@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sipsim.cli import DEFAULT_CONFIGS
+from sipsim.dynamics import ProcessKind
 from sipsim.experiments import (
     STUDIES,
     ExperimentConfig,
@@ -231,7 +232,9 @@ class TestStudies:
         cfg = ExperimentConfig(study="stationarity", d=2, boundary="torus", L=8,
                                lam=0.5, t_grid=(0.25, 1.0), replicas=100, seed=19)
         fast = run_stationarity(cfg, workers=1)
-        monkeypatch.setattr(experiments, "sample_at_times", reference_sample_at_times)
+        monkeypatch.setattr(experiments, "sample_at_times",
+                            lambda xi0, params, times, stream: reference_sample_at_times(
+                                xi0, ProcessKind.SIP, params, times, stream))
         slow = run_stationarity(cfg, workers=1)
         assert fast.rows == slow.rows
 
