@@ -11,7 +11,7 @@ what duality polynomials and the exact solver consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import sub
 
@@ -30,10 +30,13 @@ class CoordinateOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class Geometry:
-    """Dimension plus boundary mode; L is None on the infinite lattice."""
+    """Dimension plus boundary mode; L is None on the infinite lattice. On a
+    torus `neighbors` keeps each site's answer in a table of at most L^d
+    entries, outside equality, hashing and repr; Z^d, unbounded, keeps none."""
 
     d: int
     L: int | None = None
+    _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
@@ -62,10 +65,18 @@ class Geometry:
 
     def neighbors(self, site: Site) -> tuple[Site, ...]:
         """The 2d nearest neighbors of a site (minus then plus per axis)."""
+        if self.L is not None:
+            around = self._table.get(site)
+            if around is None:
+                around = self._table[site] = tuple(
+                    self.shift(site, a, s) for a in range(self.d) for s in (-1, 1))
+            return around
         out = []
-        for axis in range(self.d):
-            out.append(self.shift(site, axis, -1))
-            out.append(self.shift(site, axis, +1))
+        for axis, c in enumerate(site):
+            if abs(c) >= COORD_LIMIT:
+                raise CoordinateOverflowError(f"a neighbor of coordinate {c} is beyond +-2^62")
+            head, tail = site[:axis], site[axis + 1 :]
+            out += (head + (c - 1,) + tail, head + (c + 1,) + tail)
         return tuple(out)
 
     def l1_distance(self, x: Site, y: Site) -> int:

@@ -15,7 +15,8 @@ particle's rates and the rates aimed at x or y (a dependency-graph update in
 the spirit of Gibson & Bruck, J. Phys. Chem. A 104, 2000). Every rate and
 running sum takes the floating-point operations of a full rebuild, in the
 same order, so each event consumes the same two draws and picks the same
-move as full recomputation would.
+move as full recomputation would. Neighbor tuples are `Geometry.neighbors`,
+a per-site table lookup on a torus.
 """
 
 from __future__ import annotations
@@ -82,13 +83,14 @@ def gillespie_step(cumulative, stream: RandomStream):
 class _EventKernel:
     """The state of one labeled jump chain, updated in place event by event.
 
-    Between events it keeps the particle positions, each particle's neighbor
-    tuple, a site -> occupants map and the flat rate list of `event_rates`:
-    entry 2d*i + j is particle i jumping to its j-th neighbor. `cumulative`
-    is that list's running sum, what `gillespie_step` selects from. A
-    neighbor z of a site x holds x in slot j ^ 1 when x holds z in slot j,
-    so the rates aimed at a site are found from its neighbors' occupants.
-    Under IRW the rates never change and only positions move.
+    Between events it keeps the particle positions, each particle's
+    `Geometry.neighbors` tuple (a table entry on a torus), a site ->
+    occupants map and the flat rate list of `event_rates`: entry 2d*i + j
+    is particle i jumping to its j-th neighbor. `cumulative` is that list's
+    running sum, what `gillespie_step` selects from. A neighbor z of a site
+    x holds x in slot j ^ 1 when x holds z in slot j, so the rates aimed at
+    a site are found from its neighbors' occupants. Under IRW the rates
+    never change and only positions move.
     """
 
     __slots__ = ("positions", "cumulative", "_neighbors", "_geometry", "_width",

@@ -85,10 +85,6 @@ class FieldError(ValueError):
         self.field = field
 
 
-def _sites_ok(sites, d):
-    return all(isinstance(s, tuple) and len(s) == d for s in sites)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one study run."""
@@ -177,9 +173,12 @@ class ExperimentConfig:
         if any(s < 1 for s in self.xi_sizes):
             raise FieldError("xi_sizes", "xi_sizes entries must be >= 1")
         for name in ("xi", "eta", "x_start", "y_start"):
-            sites = getattr(self, name)
-            if sites is not None and not _sites_ok(sites, self.d):
+            sites = getattr(self, name) or ()
+            if not all(isinstance(s, tuple) and len(s) == self.d for s in sites):
                 raise FieldError(name, f"{name} must be a tuple of {self.d}-coordinate sites")
+            # the oracle would wrap an unreduced torus site, the simulations would not
+            if self.L and not all(0 <= c < self.L for s in sites for c in s):
+                raise FieldError(name, f"{name} coordinates must lie in [0, {self.L}) on the torus")
         # their contracts compare the first grid time with the last
         if self.study in ("coupling", "or-distance") and len(self.t_grid) < 2:
             raise FieldError("t_grid", f"t_grid needs at least 2 times for {self.study}, "

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import sipsim.coupling as coupling
-from sipsim.core import Geometry, derive_stream
+import sipsim.dynamics as dynamics
+from sipsim.core import Geometry, RandomStream, derive_stream
 from sipsim.dynamics import SipParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -97,3 +98,33 @@ def test_or_steps_are_called_through_the_module_global(monkeypatch):
                                 derive_stream(1, 0))
     assert from_distance > 0
     assert len(calls) > from_distance
+
+
+class _CountingStream(RandomStream):
+    __slots__ = ("draws",)
+
+    def uniform(self):
+        self.draws += 1
+        return super().uniform()
+
+
+@pytest.mark.parametrize("geometry, xi0", [
+    (Geometry(1), ((0,), (1,), (1,))),
+    (Geometry(2, 4), ((0, 0), (0, 1), (2, 2), (3, 3))),
+])
+def test_gillespie_steps_are_called_through_the_module_global(monkeypatch, geometry, xi0):
+    # the tracer's dynamics.events counts calls of the module attribute, so
+    # the kernel loop must look it up at call time, once per drawn event
+    calls = []
+    step = dynamics.gillespie_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "gillespie_step", counted)
+    stream = _CountingStream(0, (0,))
+    stream.draws = 0
+    dynamics.sample_at_times(xi0, SipParams(2.0, geometry), [0.5, 3.0], stream)
+    assert len(calls) > 10
+    assert 2 * len(calls) == stream.draws  # an event draws its time and its pick

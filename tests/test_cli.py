@@ -273,6 +273,28 @@ class TestRun:
         assert calls == []
         assert f"error: {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study,text,where", [
+        ("self-duality", "boundary = torus\nd = 1\nL = 4\nxi = 5\neta = 0 1\n"
+         "replicas = 200\n", "line 4: xi"),
+        ("oracle-check", "eta = 0 -1\n", "line 1: eta"),
+        ("coupling", "boundary = torus\nL = 12\nx_start = 0 1\ny_start = 3 12\n",
+         "line 4: y_start"),
+        ("or-distance", "boundary = torus\nL = 4\nx_start = 0 4\n", "line 3: x_start"),
+    ])
+    def test_torus_sites_outside_the_box_exit_one(self, tmp_path, capsys, study, text,
+                                                  where):
+        # the oracle reduces sites mod L but the Monte Carlo arms do not, so an
+        # unreduced site used to give a false statistical failure (exit 2)
+        inv = invocation(study, tmp_path, config_text=text)
+        assert run(inv) == 1
+        assert not os.path.exists(inv.out_dir)
+        assert f"error: {where} coordinates must lie in [0, " in capsys.readouterr().err
+
+    def test_reduced_torus_site_runs(self, tmp_path):
+        # the same self-duality run with xi = 1 in place of xi = 5
+        text = "boundary = torus\nd = 1\nL = 4\nxi = 1\neta = 0 1\nreplicas = 200\n"
+        assert run(invocation("self-duality", tmp_path, config_text=text)) == 0
+
     def test_wall_ms_times_the_runner(self, tmp_path, monkeypatch):
         def slow_runner(cfg, workers=1):
             time.sleep(0.05)

@@ -57,6 +57,39 @@ class TestGeometry:
                     g.neighbors(tuple(c if k == axis else 0 for k in range(d)))
         assert len(g.neighbors((COORD_LIMIT - 1,) * d)) == 2 * d
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    def test_torus_table_keeps_the_shift_answer(self, d, L):
+        g = Geometry(d, L)
+        for x in g.sites():
+            expected = tuple(g.shift(x, a, s) for a in range(d) for s in (-1, 1))
+            assert g.neighbors(x) == expected  # the miss fills the table
+            assert g.neighbors(x) == expected  # the hit reads it
+        assert len(g._table) == L**d
+
+    def test_torus_table_leaves_equality_hash_and_repr(self):
+        g = Geometry(2, 8)
+        for x in g.sites():
+            g.neighbors(x)
+        fresh = Geometry(2, 8)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
+    def test_state_space_cache_hits_across_fresh_geometries(self):
+        from sipsim.oracle import state_space
+
+        state_space(2, Geometry(1, 6))
+        hits = state_space.cache_info().hits
+        g = Geometry(1, 6)
+        g.neighbors((0,))
+        state_space(2, g)
+        assert state_space.cache_info().hits == hits + 1
+
+    def test_no_table_on_the_infinite_lattice(self):
+        g = Geometry(2)
+        for k in range(1000):
+            g.neighbors((k, -k))
+        assert g._table == {}
+
     def test_l1_distance(self):
         g = Geometry(2)
         assert g.l1_distance((0, 0), (3, -4)) == 7
