@@ -31,8 +31,8 @@ class CoordinateOverflowError(OverflowError):
 @dataclass(frozen=True)
 class Geometry:
     """Dimension plus boundary mode; L is None on the infinite lattice. On a
-    torus `neighbors` keeps each site's answer in a table of at most L^d
-    entries, outside equality, hashing and repr; Z^d, unbounded, keeps none."""
+    torus `neighbors` rejects sites outside [0, L) and keeps each answer in a
+    table of at most L^d entries, outside ==, hash and repr; Z^d keeps none."""
 
     d: int
     L: int | None = None
@@ -68,6 +68,8 @@ class Geometry:
         if self.L is not None:
             around = self._table.get(site)
             if around is None:
+                if not all(0 <= c < self.L for c in site):
+                    raise ValueError(f"torus site {site} is outside [0, {self.L})")
                 around = self._table[site] = tuple(
                     self.shift(site, a, s) for a in range(self.d) for s in (-1, 1))
             return around

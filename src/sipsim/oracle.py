@@ -3,9 +3,9 @@
 Ground truth for the Monte Carlo claims: explicit sparse generator assembly
 on the n-particle sector of a torus, semigroup evaluation by uniformization
 (Poisson mixture of powers of the jump kernel, truncated with a certified
-tail bound; the kernel is built once per generator), time-averaged
-semigroups in closed form, and an exact hitting law for the one-dimensional
-difference walk.
+tail bound; the kernel is built once per generator, and one sweep of its
+powers serves every time of a grid), time-averaged semigroups in closed
+form, and an exact hitting law for the one-dimensional difference walk.
 
 A sector is held once, as a (size x sites) integer array of occupation
 count-vectors in colexicographic order (the last site is the most
@@ -13,8 +13,8 @@ significant digit), which fixes a reproducible indexing across platforms.
 A state's ordinal is its colex rank in the combinatorial number system
 (Knuth, TAOCP 4A, 7.2.1.3), computed in integer arithmetic from a table of
 binomials that never exceeds the sector size, so no state -> ordinal map is
-stored. The generator is assembled with numpy, one vectorized pass per
-(site, neighbour slot) pair over all states.
+stored. The generator is assembled with numpy from a site-major copy of the
+sector: one vectorized pass over contiguous rows per (site, neighbour) pair.
 """
 
 from __future__ import annotations
@@ -160,37 +160,41 @@ def build_generator(n: int, params: SipParams):
     geo = params.geometry
     half_m = 0.5 * params.m
     p_edge = 1.0 / (2.0 * geo.d)
-    states = space.states
+    # site-major: row s is site s's count in every state, read as a whole row
+    by_site = np.ascontiguousarray(space.states.T)
     # Moving one particle from x to y lowers R_j by one for x <= j < y, or
     # raises it for y <= j < x, so the target's rank is the source's (its
     # row number) plus a difference of two running sums over sites of the
     # weight change under that shift. The clip only touches prefix sums a
     # move never shifts.
-    prefix = np.cumsum(states, axis=1)
-    site = np.arange(geo.n_sites)
+    prefix = np.cumsum(by_site, axis=0)
 
     def running_change(shift):
-        step = (space.weights[np.clip(prefix + shift, 0, n), site]
-                - space.weights[prefix, site])
-        return np.hstack((np.zeros((space.size, 1), dtype=np.int64),
-                          np.cumsum(step, axis=1)))
+        out = np.zeros((geo.n_sites + 1, space.size), dtype=np.int64)
+        for s, weight in enumerate(space.weights.T):
+            step = np.take(weight, prefix[s] + shift, mode="clip") - np.take(weight, prefix[s])
+            np.add(out[s], step, out=out[s + 1])
+        return out
 
     down, up = running_change(-1), running_change(+1)
+    pulls = half_m + by_site
     diag = np.zeros(space.size)
     rows, cols, vals = [], [], []
     for x, site_x in enumerate(geo.sites()):
-        k = states[:, x]
+        k = by_site[x]
         movers = np.flatnonzero(k)
+        push = p_edge * k
         for y in (geo.site_index(z) for z in geo.neighbors(site_x)):
-            rate = p_edge * k * (half_m + states[:, y])  # 0.0 where k == 0
+            rate = push * pulls[y]  # p_edge * k * (m/2 + eta(y)), 0.0 where k == 0
             diag -= rate
             if x < y:
-                shift = down[movers, y] - down[movers, x]
+                shift = down[y][movers] - down[x][movers]
             else:
-                shift = up[movers, x] - up[movers, y]
+                shift = up[x][movers] - up[y][movers]
             rows.append(movers)
             cols.append(movers + shift)
             vals.append(rate[movers])
+    del by_site, prefix, down, up, pulls, k  # freed before the COO -> CSR peak
     every = np.arange(space.size)
     rows.append(every)
     cols.append(every)
@@ -207,9 +211,16 @@ def build_generator(n: int, params: SipParams):
 _uniformized_cache = {}
 
 
-def _poisson_series(q, t, f, weights_of):
-    """sum_k w_k P^k f with P = I + Q/Lambda, Lambda the largest exit rate,
-    and the weights w = weights_of(Lambda * t) (f itself when that is 0)."""
+def _poisson_series(q, times, f, weights_of):
+    """[sum_k w_k P^k f for t in times] with P = I + Q/Lambda, Lambda the
+    largest exit rate, and w = weights_of(Lambda * t) (f itself when that is 0).
+
+    One sweep for every time: P^k f is computed once, up to the longest
+    truncation, and each time adds its own terms in k order, so each result
+    is bitwise what a sweep for that time alone gives.
+    """
+    if min(times) < 0:
+        raise ValueError(f"time must be >= 0, got {min(times)}")
     f = np.asarray(f, dtype=float)
     if id(q) not in _uniformized_cache:
         diag = q.diagonal()
@@ -220,27 +231,25 @@ def _poisson_series(q, t, f, weights_of):
         _uniformized_cache[id(q)] = (p, lam)
         weakref.finalize(q, _uniformized_cache.pop, id(q), None)
     p, lam = _uniformized_cache[id(q)]
-    mu = lam * t
-    if mu == 0.0:
-        return f.copy()
-    weights = weights_of(mu)
-    v = f.copy()
-    out = weights[0] * v
-    for k in range(1, len(weights)):
+    weights = [weights_of(lam * t) if lam * t != 0.0 else np.ones(1) for t in times]
+    outs = [w[0] * f for w in weights]
+    v = f
+    for k in range(1, max(map(len, weights))):
         v = p @ v
-        out += weights[k] * v
-    return out
+        for out, w in zip(outs, weights):
+            if k < len(w):
+                out += w[k] * v
+    return outs
+
+
+def _transient_weights(mu):
+    """Poisson(mu) pmf up to the first k whose tail mass is below TAIL."""
+    return poisson.pmf(np.arange(max(int(poisson.isf(TAIL, mu)), 1) + 1), mu)
 
 
 def semigroup_apply(q, t: float, f):
     """e^{tQ} f via uniformization; truncation leaves Poisson tail mass < TAIL."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-
-    def pmf(mu):
-        return poisson.pmf(np.arange(max(int(poisson.isf(TAIL, mu)), 1) + 1), mu)
-
-    return _poisson_series(q, t, f, pmf)
+    return _poisson_series(q, (t,), f, _transient_weights)[0]
 
 
 def transient_distribution(q, t: float, start_index: int):
@@ -267,8 +276,9 @@ def duality_probe(space: StateSpace, evaluator: DualityEvaluator, factors):
     return out
 
 
-def exact_dual_expectation(xi, eta_counts, t: float, params: SipParams):
-    """Both sides of the self-duality identity, each by uniformization.
+def exact_dual_expectation(xi, eta_counts, times, params: SipParams):
+    """Both sides of the self-duality identity, one (left, right) pair per
+    time in `times`; each side is one uniformization sweep for every time.
 
     Left: E_eta D(xi, eta_t), computed on the |eta|-particle sector.
     Right: E_xi D(xi_t, eta), computed on the |xi|-particle sector.
@@ -288,7 +298,8 @@ def exact_dual_expectation(xi, eta_counts, t: float, params: SipParams):
         (k, space_eta.states[:, geo.site_index(site)])
         for site, k in occupation_of(xi).items()
     ])
-    left = float(semigroup_apply(q_eta, t, f_left)[space_eta.index_of_occupation(eta_counts)])
+    lefts = _poisson_series(q_eta, times, f_left, _transient_weights)
+    i_left = space_eta.index_of_occupation(eta_counts)
 
     eta_vec = [0] * geo.n_sites
     for site, k in eta_counts.items():
@@ -298,8 +309,9 @@ def exact_dual_expectation(xi, eta_counts, t: float, params: SipParams):
     f_right = duality_probe(space_xi, evaluator, [
         (space_xi.states[:, s], l) for s, l in enumerate(eta_vec)
     ])
-    right = float(semigroup_apply(q_xi, t, f_right)[space_xi.index_of_particles(xi)])
-    return left, right
+    rights = _poisson_series(q_xi, times, f_right, _transient_weights)
+    i_right = space_xi.index_of_particles(xi)
+    return [(float(a[i_left]), float(b[i_right])) for a, b in zip(lefts, rights)]
 
 
 def cesaro_apply(q, horizon: float, f):
@@ -321,7 +333,7 @@ def cesaro_apply(q, horizon: float, f):
                 return weights
             kmax *= 2
 
-    return _poisson_series(q, horizon, f, averaged)
+    return _poisson_series(q, (horizon,), f, averaged)[0]
 
 
 def walk_hitting_probability(start: int, t: float, rate: float) -> float:

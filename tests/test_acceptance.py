@@ -55,7 +55,7 @@ def test_criterion_01_exact_self_duality():
     assert state_space(3, params.geometry).size == 35
     gaps = []
     for t in (0.5, 1.0, 2.0):
-        left, right = exact_dual_expectation(xi, eta, t, params)
+        [(left, right)] = exact_dual_expectation(xi, eta, (t,), params)
         gaps.append(abs(left - right))
     elapsed = time.monotonic() - t0
     ok = max(gaps) <= 1e-8 and elapsed < 5.0

@@ -10,12 +10,15 @@ what they reach.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sipsim.coupling as coupling
 import sipsim.dynamics as dynamics
+import sipsim.oracle as oracle
 from sipsim.core import Geometry, RandomStream, derive_stream
 from sipsim.dynamics import SipParams
 
@@ -67,7 +70,9 @@ def attribute_reads(tree, bound):
     ("probes.py", {("state_space", "cache_clear"), ("build_generator", "cache_clear")}),
     ("tracer.py", {("coupling", "or_coupled_step"), ("dynamics", "gillespie_step"),
                    ("dynamics", "sample_at_times"), ("coupling", "or_distance_single"),
-                   ("oracle", "build_generator"), ("poisson", "isf"),
+                   ("oracle", "build_generator"), ("oracle", "semigroup_apply"),
+                   ("oracle", "exact_dual_expectation"), ("oracle", "cesaro_apply"),
+                   ("oracle", "state_space"), ("poisson", "isf"),
                    ("DualityEvaluator", "closed_transform"), ("cli", "run")}),
 ])
 def test_every_name_the_benchmark_reaches_exists(name, expected):
@@ -78,6 +83,17 @@ def test_every_name_the_benchmark_reaches_exists(name, expected):
     missing = [f"{owner}.{attr}" for owner, attr in sorted(reads)
                if not hasattr(bound[owner], attr)]
     assert not missing
+
+
+def test_semigroup_apply_takes_a_scalar_positional_time():
+    # the tracer's semigroup hook reads (q, t) from args[0] and args[1] and
+    # prices one series at the scalar t; probes.py calls it the same way
+    assert list(inspect.signature(oracle.semigroup_apply).parameters) == ["q", "t", "f"]
+    q = oracle.build_generator(2, SipParams(2.0, Geometry(2, 3)))
+    f = np.ones(q.shape[0])
+    out = oracle.semigroup_apply(q, 10.0, f)
+    assert isinstance(out, np.ndarray) and out.shape == f.shape
+    assert np.max(np.abs(out - 1.0)) < 1e-10
 
 
 def test_or_steps_are_called_through_the_module_global(monkeypatch):

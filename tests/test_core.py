@@ -84,6 +84,26 @@ class TestGeometry:
         state_space(2, g)
         assert state_space.cache_info().hits == hits + 1
 
+    def test_unreduced_torus_sites_are_rejected(self):
+        # (6,) would be a different occupancy key from its reduced twin (2,)
+        # and a table key beyond the L^d sites
+        from sipsim.dynamics import ProcessKind, SipParams, event_rates, sample_at_times, simulate
+
+        g = Geometry(1, 4)
+        params = SipParams(2.0, g)
+        pair = ((1,), (6,))
+        with pytest.raises(ValueError, match=r"\(6,\) is outside \[0, 4\)"):
+            event_rates(pair, g, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            sample_at_times(pair, params, [1.0], derive_stream(0, 0))
+        with pytest.raises(ValueError, match="outside"):
+            simulate(pair, ProcessKind.SIP, params, 1.0, derive_stream(0, 0))
+        for site in ((-1,), (4,)):
+            with pytest.raises(ValueError):
+                g.neighbors(site)
+        assert set(g._table) <= set(g.sites())
+        assert event_rates(((1,), (2,)), g, 1.0) == [0.5, 1.0, 1.0, 0.5]
+
     def test_no_table_on_the_infinite_lattice(self):
         g = Geometry(2)
         for k in range(1000):

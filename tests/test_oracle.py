@@ -7,8 +7,9 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
-from sipsim.core import Geometry, derive_stream, occupation_of
+from sipsim.core import Geometry, derive_stream, occupation_of, particles_of
 from sipsim.duality import DualityEvaluator
 from sipsim.dynamics import ProcessKind, SipParams, simulate
 from sipsim import oracle
@@ -137,7 +138,7 @@ class TestVectorizedAssembly:
         # direct call afterwards must reuse the entry they created
         params = SipParams(m=1.3, geometry=Geometry(1, 7))
         before = build_generator.cache_info()
-        exact_dual_expectation(((0,), (2,)), {(1,): 1, (3,): 1}, 0.5, params)
+        exact_dual_expectation(((0,), (2,)), {(1,): 1, (3,): 1}, (0.5,), params)
         q = build_generator(2, params)
         after = build_generator.cache_info()
         assert after.misses - before.misses == 1
@@ -296,6 +297,44 @@ class TestSeriesAgainstReference:
         assert len(sf_calls) >= 2
         assert out.tobytes() == reference_cesaro_apply(q, 5.0, f).tobytes()
 
+    @pytest.mark.parametrize("n, geometry", SECTORS)
+    def test_grid_sweep_bitwise_equal_to_reference(self, n, geometry):
+        # one sweep for a grid with 0.0, a repeated time and times out of order
+        q = build_generator(n, SipParams(m=0.7, geometry=geometry))
+        f = np.random.default_rng(n).random(q.shape[0])
+        grid = (3.0, 0.0, 0.05, 3.0, 1.2)
+        outs = oracle._poisson_series(q, grid, f, oracle._transient_weights)
+        assert len(outs) == len(grid)
+        for t, out in zip(grid, outs):
+            assert out.tobytes() == reference_semigroup_apply(q, t, f).tobytes()
+        assert outs[0] is not outs[3]
+
+    def test_dual_expectation_does_one_sweep_per_side(self, monkeypatch):
+        # as many P @ v products per side as the longest truncation alone,
+        # not one series per grid time
+        xi, eta = ((0,), (2,)), occupation_of(((0,), (1,), (3,)))
+        grid = (0.5, 2.0, 1.0)
+        products = {}
+
+        class CountingP:
+            def __init__(self, p):
+                self.p = p
+
+            def __matmul__(self, v):
+                products[self.p.shape[0]] = products.get(self.p.shape[0], 0) + 1
+                return self.p @ v
+
+        expected = {}
+        for n in (len(xi), sum(eta.values())):
+            q = build_generator(n, T5)
+            semigroup_apply(q, 0.0, np.ones(q.shape[0]))  # fills the cache entry
+            p, lam = oracle._uniformized_cache[id(q)]
+            monkeypatch.setitem(oracle._uniformized_cache, id(q), (CountingP(p), lam))
+            expected[q.shape[0]] = max(int(poisson.isf(oracle.TAIL, lam * max(grid))), 1)
+        pairs = exact_dual_expectation(xi, eta, grid, T5)
+        assert len(pairs) == len(grid)
+        assert products == expected == {15: expected[15], 35: expected[35]}
+
     def test_uniformized_matrix_built_once_per_generator(self):
         q = build_generator(3, T5)
         f = np.ones(q.shape[0])
@@ -317,7 +356,7 @@ class TestSelfDuality:
     def test_time_zero_is_plain_duality(self):
         xi = ((0,), (2,))
         eta = occupation_of(((0,), (1,), (3,)))
-        left, right = exact_dual_expectation(xi, eta, 0.0, T5)
+        [(left, right)] = exact_dual_expectation(xi, eta, (0.0,), T5)
         d0 = DualityEvaluator(2.0).value(xi, eta)
         assert left == pytest.approx(d0, abs=1e-12)
         assert right == pytest.approx(d0, abs=1e-12)
@@ -325,7 +364,7 @@ class TestSelfDuality:
     def test_empty_dual_side(self):
         eta = occupation_of(((0,), (1,)))
         for t in (0.0, 1.0):
-            left, right = exact_dual_expectation((), eta, t, T5)
+            [(left, right)] = exact_dual_expectation((), eta, (t,), T5)
             assert left == pytest.approx(1.0, abs=1e-10)
             assert right == pytest.approx(1.0, abs=1e-10)
 
@@ -333,7 +372,7 @@ class TestSelfDuality:
         xi = ((0,), (2,))
         eta = occupation_of(((0,), (1,), (3,)))
         for t in (0.5, 1.0, 2.0):
-            left, right = exact_dual_expectation(xi, eta, t, T5)
+            [(left, right)] = exact_dual_expectation(xi, eta, (t,), T5)
             assert abs(left - right) <= 1e-8
 
     def test_identity_across_parameters(self):
@@ -341,8 +380,58 @@ class TestSelfDuality:
             params = SipParams(m=m, geometry=Geometry(1, 4))
             xi = ((1,), (1,))
             eta = {(0,): 2, (2,): 1}
-            left, right = exact_dual_expectation(xi, eta, 0.8, params)
+            [(left, right)] = exact_dual_expectation(xi, eta, (0.8,), params)
             assert abs(left - right) <= 1e-8
+
+
+class TestAgainstExpmMultiply:
+    """The uniformized series against scipy's truncated-Taylor e^{tQ} v
+    (Al-Mohy & Higham 2011), a method that shares no code with them."""
+
+    TIMES = (0.3, 1.0, 2.5, 6.0)
+    CASES = [  # (params, xi, eta particles): one d = 1 ring and one d = 2 torus
+        (SipParams(m=0.7, geometry=Geometry(1, 5)), ((0,), (2,)), ((0,), (1,), (3,))),
+        (SipParams(m=2.0, geometry=Geometry(2, 3)), ((0, 0), (1, 1)),
+         ((0, 0), (0, 1), (2, 2), (0, 1))),
+    ]
+
+    @staticmethod
+    def close(got, want):
+        return abs(got - want) <= 1e-10 * max(abs(want), 1e-300)
+
+    @pytest.mark.parametrize("n, geometry", [(3, Geometry(1, 5)), (3, Geometry(2, 3))])
+    def test_semigroup_apply(self, n, geometry):
+        q = build_generator(n, SipParams(m=0.7, geometry=geometry))
+        f = np.random.default_rng(n).random(q.shape[0])
+        for t in self.TIMES:
+            want = expm_multiply(t * q, f)
+            got = semigroup_apply(q, t, f)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_exact_dual_expectation(self, case):
+        params, xi, eta_particles = self.CASES[case]
+        geo = params.geometry
+        eta = occupation_of(eta_particles)
+        evaluator = DualityEvaluator(params.m)
+        sites = list(geo.sites())
+
+        def counts(row):
+            return {s: k for s, k in zip(sites, row) if k}
+
+        space_eta, space_xi = state_space(len(eta_particles), geo), state_space(len(xi), geo)
+        f_left = np.array([evaluator.value(xi, counts(row))
+                           for row in space_eta.states.tolist()])
+        f_right = np.array([evaluator.value(particles_of(counts(row)), eta)
+                            for row in space_xi.states.tolist()])
+        q_eta = build_generator(space_eta.n, params)
+        q_xi = build_generator(space_xi.n, params)
+        pairs = exact_dual_expectation(xi, eta, self.TIMES, params)
+        for t, (left, right) in zip(self.TIMES, pairs):
+            assert self.close(left, expm_multiply(t * q_eta, f_left)[
+                space_eta.index_of_occupation(eta)])
+            assert self.close(right, expm_multiply(t * q_xi, f_right)[
+                space_xi.index_of_particles(xi)])
 
 
 class TestMonteCarloAgreement:
