@@ -22,6 +22,7 @@ ParticleList = tuple
 
 # Infinite-lattice walks abort rather than silently wrap beyond this bound.
 COORD_LIMIT = 2**62
+_NO_DRAWS = np.empty(0)  # a new stream's buffer
 
 
 class CoordinateOverflowError(OverflowError):
@@ -145,7 +146,7 @@ class RandomStream:
     _FIRST_BUFFER = 64
     _BUFFER = 8192
 
-    __slots__ = ("seed", "path", "_gen", "_buf", "_pos")
+    __slots__ = ("seed", "path", "_gen", "_arr", "_buf", "_pos")
 
     def __init__(self, seed: int, path=()):
         if not isinstance(seed, int) or seed < 0:
@@ -158,7 +159,8 @@ class RandomStream:
         self.path = path
         ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        self._buf = []
+        self._arr = _NO_DRAWS  # the buffered draws as the generator returned them
+        self._buf = []  # the same draws as Python floats, for scalar reads
         self._pos = 0
 
     def child(self, index: int) -> "RandomStream":
@@ -169,8 +171,7 @@ class RandomStream:
         """One uniform draw on [0, 1)."""
         if self._pos >= len(self._buf):
             size = min(max(2 * len(self._buf), self._FIRST_BUFFER), self._BUFFER)
-            self._buf = self._gen.random(size).tolist()
-            self._pos = 0
+            self._refill(self._gen.random(size))
         u = self._buf[self._pos]
         self._pos += 1
         return u
@@ -179,16 +180,19 @@ class RandomStream:
         """Exponential waiting time with the given total rate."""
         return -math.log(1.0 - self.uniform()) / rate
 
+    def _refill(self, draws):
+        draws.flags.writeable = False  # peek hands out views of it
+        self._arr, self._buf, self._pos = draws, draws.tolist(), 0
+
     def _fill(self, k: int):
         short = k - (len(self._buf) - self._pos)
         if short > 0:
-            self._buf = self._buf[self._pos :] + self._gen.random(short).tolist()
-            self._pos = 0
+            self._refill(np.concatenate((self._arr[self._pos :], self._gen.random(short))))
 
-    def peek(self, k: int) -> list:
-        """The next k uniform draws, left in the stream."""
+    def peek(self, k: int) -> np.ndarray:
+        """The next k uniform draws, left in the stream: a read-only view."""
         self._fill(k)
-        return self._buf[self._pos : self._pos + k]
+        return self._arr[self._pos : self._pos + k]
 
     def advance(self, j: int):
         """Consume j draws, as j calls of uniform() would."""

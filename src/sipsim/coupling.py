@@ -274,7 +274,7 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
         left = (min(t_end, t_last) - t) * total  # events expected before the last cut
         block = min(block, 1 + int(min(left + 3.0 * math.sqrt(left), _BLOCK)))
         start = np.array(lists, dtype=np.int64).reshape(-1, d)
-        us = np.array(stream.peek(2 * block))
+        us = np.asarray(stream.peek(2 * block))
         rows = np.minimum(pick(us[1::2]).astype(np.intp), len(table) - 1)
         gap = start[a] - start[b] + gap_step[rows].cumsum(axis=0)
         if L is None:

@@ -3,9 +3,10 @@
 Ground truth for the Monte Carlo claims: explicit sparse generator assembly
 on the n-particle sector of a torus, semigroup evaluation by uniformization
 (Poisson mixture of powers of the jump kernel, truncated with a certified
-tail bound; the kernel is built once per generator, and one sweep of its
-powers serves every time of a grid), time-averaged semigroups in closed
-form, and an exact hitting law for the one-dimensional difference walk.
+tail bound; the kernel is built once per generator, under a lock, so the
+threads that sweep one generator share it, and one sweep of its powers
+serves every time of a grid), time-averaged semigroups in closed form, and
+an exact hitting law for the one-dimensional difference walk.
 
 A sector is held once, as a (size x sites) integer array of occupation
 count-vectors in colexicographic order (the last site is the most
@@ -20,6 +21,7 @@ sector: one vectorized pass over contiguous rows per (site, neighbour) pair.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -97,7 +99,7 @@ class StateSpace:
         """Ordinal of a site->count map (zero entries optional)."""
         vec = np.zeros(self.geometry.n_sites, dtype=np.int64)
         for site, k in counts.items():
-            vec[self.geometry.site_index(self.geometry.wrap(site))] = k
+            vec[self.geometry.site_index(self.geometry.wrap(site))] += k
         if vec.min() < 0 or vec.sum() != self.n:
             raise KeyError(f"{tuple(vec.tolist())} is not in the {self.n}-particle sector")
         return int(self.rank(vec))
@@ -209,6 +211,21 @@ def build_generator(n: int, params: SipParams):
 
 # id(q) -> (I + Q/Lambda, Lambda); a finalizer drops the entry with its q
 _uniformized_cache = {}
+_uniformized_lock = threading.Lock()
+
+
+def uniformized(q):
+    """(P, Lambda) of q: P = I + Q/Lambda, None if the largest exit rate Lambda is 0."""
+    with _uniformized_lock:
+        if id(q) not in _uniformized_cache:
+            diag = q.diagonal()
+            lam = float(np.max(-diag)) if diag.size else 0.0
+            p = None
+            if lam > 0.0:
+                p = (sparse.eye(q.shape[0], format="csr") + q.multiply(1.0 / lam)).tocsr()
+            _uniformized_cache[id(q)] = (p, lam)
+            weakref.finalize(q, _uniformized_cache.pop, id(q), None)
+        return _uniformized_cache[id(q)]
 
 
 def _poisson_series(q, times, f, weights_of):
@@ -222,15 +239,7 @@ def _poisson_series(q, times, f, weights_of):
     if min(times) < 0:
         raise ValueError(f"time must be >= 0, got {min(times)}")
     f = np.asarray(f, dtype=float)
-    if id(q) not in _uniformized_cache:
-        diag = q.diagonal()
-        lam = float(np.max(-diag)) if diag.size else 0.0
-        p = None
-        if lam > 0.0:
-            p = (sparse.eye(q.shape[0], format="csr") + q.multiply(1.0 / lam)).tocsr()
-        _uniformized_cache[id(q)] = (p, lam)
-        weakref.finalize(q, _uniformized_cache.pop, id(q), None)
-    p, lam = _uniformized_cache[id(q)]
+    p, lam = uniformized(q)
     weights = [weights_of(lam * t) if lam * t != 0.0 else np.ones(1) for t in times]
     outs = [w[0] * f for w in weights]
     v = f
@@ -288,7 +297,6 @@ def exact_dual_expectation(xi, eta_counts, times, params: SipParams):
     evaluator = DualityEvaluator(params.m)
     geo = params.geometry
     xi = tuple(geo.wrap(x) for x in xi)
-    eta_counts = {geo.wrap(site): k for site, k in eta_counts.items()}
     n_eta = sum(eta_counts.values())
     n_xi = len(xi)
 
@@ -302,8 +310,8 @@ def exact_dual_expectation(xi, eta_counts, times, params: SipParams):
     i_left = space_eta.index_of_occupation(eta_counts)
 
     eta_vec = [0] * geo.n_sites
-    for site, k in eta_counts.items():
-        eta_vec[geo.site_index(site)] = k
+    for site, k in eta_counts.items():  # keys that wrap to one site add up
+        eta_vec[geo.site_index(geo.wrap(site))] += k
     space_xi = state_space(n_xi, geo)
     q_xi = build_generator(n_xi, params)
     f_right = duality_probe(space_xi, evaluator, [

@@ -18,6 +18,7 @@ from sipsim.cli import (
     run,
 )
 from sipsim.experiments import RUNNERS, STUDIES, Report
+from sipsim.oracle import build_generator, state_space
 
 CORRELATION_CFG = """\
 # two-atom mixture, small sampling run
@@ -321,6 +322,22 @@ class TestRun:
         csv_path = os.path.join(inv.out_dir, "convergence.csv")
         assert os.path.exists(csv_path)
         assert ",false" in open(csv_path).read()
+
+    def test_oracle_check_bytes_equal_at_every_worker_count(self, tmp_path):
+        # a 3,876-state sector on the 4x4 torus, built afresh for each run;
+        # its sweeps run on 1, 2 and 3 threads
+        text = "d = 2\nL = 4\nxi = 0,0 1,2\neta = 0,0 0,1 2,3 3,3\n"
+        reports = set()
+        for workers in (1, 2, 3):
+            state_space.cache_clear()
+            build_generator.cache_clear()
+            inv = invocation("oracle-check", tmp_path, config_text=text, workers=workers,
+                             name=f"workers{workers}")
+            assert run(inv) == 0
+            with open(os.path.join(inv.out_dir, "oracle-check.csv"), "rb") as fh:
+                reports.add(fh.read())
+        assert len(reports) == 1
+        assert b"state_count[n=4],3876," in reports.pop()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         inv1 = invocation("correlation", tmp_path, config_text=CORRELATION_CFG, name="a")

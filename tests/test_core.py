@@ -221,7 +221,7 @@ class TestRandomStream:
         at = 0
         for op, k in ops:
             if op == "peek":
-                assert s.peek(k) == expected[at : at + k]
+                assert s.peek(k).tolist() == expected[at : at + k]
             elif op == "advance":
                 s.advance(k)
                 at += k
@@ -229,6 +229,13 @@ class TestRandomStream:
                 assert [s.uniform() for _ in range(k)] == expected[at : at + k]
                 at += k
         assert s.uniform() == expected[at]
+
+    def test_peek_is_a_read_only_view(self):
+        s = RandomStream(31, (3,))
+        head = s.peek(5)
+        with pytest.raises(ValueError):
+            head[0] = 0.5
+        assert s.uniform() == head[0]
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

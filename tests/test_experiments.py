@@ -1,3 +1,6 @@
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from sipsim.dynamics import ProcessKind
 from sipsim.experiments import (
     STUDIES,
     ExperimentConfig,
+    _map_calls,
     Report,
     band_row,
     info_row,
@@ -186,6 +190,44 @@ class TestConfigValidation:
             assert not ExperimentConfig(study=study, **fields).geometry.is_torus
 
 
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+class TestMapCalls:
+    def test_results_in_call_order_on_at_most_one_thread_per_call(self, started_threads):
+        calls = [partial(pow, 3, k) for k in range(7)]
+        for workers in (2, 3, 64):
+            started_threads.clear()
+            assert _map_calls(calls, workers) == [3**k for k in range(7)]
+            assert 1 <= len(started_threads) <= min(workers, len(calls))
+
+    def test_no_thread_at_one_worker_or_one_call(self, started_threads):
+        assert _map_calls([partial(pow, 2, 5)] * 3, 1) == [32] * 3
+        assert _map_calls([partial(pow, 2, 5)], 64) == [32]
+        assert _map_calls([], 64) == []
+        assert started_threads == []
+
+    def test_first_failing_call_is_raised_after_every_thread_ends(self, started_threads):
+        def fail(message):
+            raise ValueError(message)
+
+        calls = [partial(fail, "first"), partial(pow, 2, 1), partial(fail, "second")]
+        with pytest.raises(ValueError, match="first"):
+            _map_calls(calls, 3)
+        assert started_threads and not any(t.is_alive() for t in started_threads)
+
+
 def small_self_duality_cfg(**kw):
     base = dict(study="self-duality", boundary="torus", L=4, m=2.0,
                 xi=((0,), (2,)), eta=((0,), (1,)), t_grid=(0.5,), replicas=400, seed=5)
@@ -363,6 +405,17 @@ class TestStudies:
         assert rep.passed
         gaps = [r for r in rep.rows if r.statistic.startswith("exact_gap")]
         assert len(gaps) == 3 and all(r.tolerance == 1e-8 for r in gaps)
+
+    def test_oracle_check_threads_never_outnumber_its_sweeps(self, started_threads):
+        # two sectors and the dual expectation: three calls, so at most
+        # three threads however many workers
+        cfg = ExperimentConfig(study="oracle-check", boundary="torus", L=5, m=2.0,
+                               xi=((0,), (2,)), eta=((0,), (1,), (3,)),
+                               t_grid=(0.5, 1.0, 2.0), replicas=1, seed=15)
+        serial = run_oracle_check(cfg, workers=1).csv_text()
+        assert started_threads == []
+        assert run_oracle_check(cfg, workers=64).csv_text() == serial
+        assert 1 <= len(started_threads) <= 3
 
     def test_worker_count_does_not_change_results(self):
         cfg = ExperimentConfig(study="correlation", boundary="torus", L=8, m=2.0,

@@ -1,5 +1,8 @@
 import gc
 import math
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,6 +89,11 @@ class TestStateSpace:
         assert space.index_of_occupation({(4,): 2}) == space.size - 1
         with pytest.raises(KeyError):
             space.index_of_occupation({(0,): 1})
+
+    def test_index_of_occupation_adds_keys_that_wrap_to_one_site(self):
+        space = state_space(2, Geometry(1, 5))
+        assert space.index_of_occupation({(0,): 1, (5,): 1}) == \
+            space.index_of_occupation({(0,): 2})
 
     def test_cap(self, monkeypatch):
         # 1,771 states: under the default cap, over the lowered one
@@ -344,6 +352,43 @@ class TestSeriesAgainstReference:
         semigroup_apply(q, 0.5, f)
         assert oracle._uniformized_cache[id(q)] is entry
 
+    def test_concurrent_sweeps_of_one_generator_share_one_kernel(self, monkeypatch):
+        # more threads than cores reach the empty cache entry of one q
+        # together; each waits for the first one's P instead of building its own
+        q = build_generator(3, SipParams(m=1.3, geometry=Geometry(2, 3))).copy()
+        f = np.random.default_rng(5).random(q.shape[0])
+        times = (2.0, 0.7, 2.0, 0.3, 1.1)
+        serial = [semigroup_apply(q.copy(), t, f) for t in times]
+        builds = []
+        eye = oracle.sparse.eye
+
+        def slow_eye(*args, **kwargs):
+            builds.append(threading.current_thread().name)
+            time.sleep(0.05)  # keeps the first builder inside while the others arrive
+            return eye(*args, **kwargs)
+
+        monkeypatch.setattr(oracle.sparse, "eye", slow_eye)
+        barrier = threading.Barrier(len(times), timeout=30)
+        outs = [None] * len(times)
+
+        def sweep(i):
+            barrier.wait()
+            outs[i] = semigroup_apply(q, times[i], f)
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(times))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert [out.tobytes() for out in outs] == [out.tobytes() for out in serial]
+
     def test_transposed_generators_leave_no_entry(self):
         q = build_generator(2, T5)
         before = len(oracle._uniformized_cache)
@@ -374,6 +419,14 @@ class TestSelfDuality:
         for t in (0.5, 1.0, 2.0):
             [(left, right)] = exact_dual_expectation(xi, eta, (t,), T5)
             assert abs(left - right) <= 1e-8
+
+    def test_eta_keys_that_wrap_to_one_site_add_up(self):
+        # (5,) is site 0 on a ring of 5: eta holds two particles there
+        params = SipParams(m=1.0, geometry=Geometry(1, 5))
+        grid = (0.0, 1.0)
+        wrapped = exact_dual_expectation(((0,),), {(0,): 1, (5,): 1}, grid, params)
+        assert wrapped == exact_dual_expectation(((0,),), {(0,): 2}, grid, params)
+        assert wrapped != exact_dual_expectation(((0,),), {(0,): 1}, grid, params)
 
     def test_identity_across_parameters(self):
         for m in (0.7, 3.0):
