@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sipsim.core import Geometry, derive_stream
 from sipsim.duality import DualityEvaluator, ah_density
@@ -131,6 +133,40 @@ class TestClosedTransforms:
     def test_non_finite_m_rejected(self, m):
         with pytest.raises(ValueError, match="finite"):
             DualityEvaluator(m)
+
+
+@st.composite
+def placement_free_laws(draw):
+    """A NuLambda or NuMixture law at a random m."""
+    m = draw(st.floats(0.1, 8.0))
+    lams = st.floats(0.0, 0.99)
+    if draw(st.booleans()):
+        return NuLambda(draw(lams), m)
+    parts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    weights = [k / sum(parts) for k in parts]
+    return NuMixture(atoms=tuple((draw(lams), w) for w in weights), m=m)
+
+
+@st.composite
+def two_placements(draw):
+    """Two dual configurations of one size, on a torus or on Z; particles
+    may share a site."""
+    d = draw(st.integers(1, 2))
+    L = draw(st.one_of(st.none(), st.integers(3, 6)))
+    coord = st.integers(0, L - 1) if L else st.integers(-50, 50)
+    sites = st.tuples(*[coord] * d)
+    n = draw(st.integers(0, 6))
+    return tuple(tuple(draw(st.lists(sites, min_size=n, max_size=n))) for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(placement_free_laws(), two_placements())
+def test_placement_free_transforms_ignore_the_sites(law, placements):
+    # the stationarity study's dual rows rest on this: its simulated paths
+    # conserve the particle count, so each would give the probe's transform
+    a, b = placements
+    ev = DualityEvaluator(law.m)
+    assert ev.closed_transform(law, a).hex() == ev.closed_transform(law, b).hex()
 
 
 class TestEmpiricalTransform:

@@ -291,7 +291,7 @@ class TestAgainstFullRecompute:
         xi, _, params = system  # sample_at_times runs SIP only
         grid = sorted(grid)
         fast, slow = RandomStream(seed), RandomStream(seed)
-        # two calls on one stream, as the stationarity dual arm makes them
+        # two calls on one stream: the second starts where the first left it
         for start in (xi, xi[::-1]):
             a = sample_at_times(start, params, grid, fast)
             b = reference_sample_at_times(start, ProcessKind.SIP, params, grid, slow)

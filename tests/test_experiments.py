@@ -1,5 +1,6 @@
 import threading
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sipsim.experiments import (
     STUDIES,
     ExperimentConfig,
     _map_calls,
+    _map_replicas,
     Report,
     band_row,
     info_row,
@@ -228,6 +230,42 @@ class TestMapCalls:
         assert started_threads and not any(t.is_alive() for t in started_threads)
 
 
+class TestMapReplicas:
+    def test_pool_never_outnumbers_its_chunks(self, monkeypatch):
+        # 100 replicas make at most 100 chunks, so 200 workers must not fork
+        # 100 processes that never get one; the pool runs inline here
+        import sipsim.experiments as experiments
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks):
+                return [fn(*task) for task in tasks]
+
+        monkeypatch.setattr(experiments, "mp",
+                            SimpleNamespace(get_context=lambda method: SimpleNamespace(
+                                Pool=InlinePool)))
+        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
+
+        def replica(stream):
+            return [stream.uniform()]
+
+        serial = _map_replicas(replica, 0, cfg, 100, 1)
+        assert sizes == []
+        for workers, processes in ((2, 2), (200, 100)):
+            assert np.array_equal(_map_replicas(replica, 0, cfg, 100, workers), serial)
+            assert sizes.pop() == processes
+
+
 def small_self_duality_cfg(**kw):
     base = dict(study="self-duality", boundary="torus", L=4, m=2.0,
                 xi=((0,), (2,)), eta=((0,), (1,)), t_grid=(0.5,), replicas=400, seed=5)
@@ -264,6 +302,33 @@ class TestStudies:
         assert rep.passed
         row = next(r for r in rep.rows if r.statistic.startswith("direct"))
         assert row.target == pytest.approx(2.0 / 3.0)
+
+    def test_stationarity_simulates_the_direct_arm_alone(self, monkeypatch):
+        # the dual rows are exact: one stream and one sample_at_times call
+        # per replica, both of the direct arm
+        import sipsim.experiments as experiments
+
+        calls, streams = [], []
+        sample, stream_cls = experiments.sample_at_times, experiments.RandomStream
+
+        def counted_sample(*args):
+            calls.append(args)
+            return sample(*args)
+
+        def counted_stream(*args):
+            streams.append(args)
+            return stream_cls(*args)
+
+        monkeypatch.setattr(experiments, "sample_at_times", counted_sample)
+        monkeypatch.setattr(experiments, "RandomStream", counted_stream)
+        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, m=2.0,
+                               lam=0.4, xi_sizes=(1, 2, 3), t_grid=(0.5, 1.0),
+                               replicas=120, seed=8)
+        rep = run_stationarity(cfg, workers=1)
+        assert len(calls) == cfg.replicas
+        assert len(streams) == cfg.replicas
+        dual = [r for r in rep.rows if r.statistic.startswith("dual_transform")]
+        assert len(dual) == 6 and all(r.passed for r in dual)
 
     def test_dense_stationarity_rows_match_full_recompute(self, monkeypatch):
         # about 64 particles per direct replica: every event of the
