@@ -2,12 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .core import Geometry, RandomStream, derive_stream, occupation_of
+from .core import Geometry, RandomStream, occupation_of
 
 __all__ = [
     "__version__",
     "Geometry",
     "RandomStream",
-    "derive_stream",
     "occupation_of",
 ]

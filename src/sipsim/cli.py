@@ -1,8 +1,8 @@
 """Batch front door: flat key=value configs in, CSV/JSON reports out.
 
 Exit status: 0 when every contract row passes, 2 on a statistical failure,
-1 on configuration or runtime errors (in which case no output files are
-written). Reports are written atomically (temp file then rename).
+1 on usage, configuration or runtime errors (in which case no output files
+are written). Reports are written atomically (temp file then rename).
 """
 
 from __future__ import annotations
@@ -234,8 +234,14 @@ def run(invocation: Invocation) -> int:
     return 0 if report.passed else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # status 2 means a statistical failure
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_invocation(argv) -> Invocation:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sip-verify",
         description="Run one verification study of the inclusion-process simulator.",
     )

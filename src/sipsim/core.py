@@ -134,13 +134,12 @@ def particles_of(counts) -> ParticleList:
 class RandomStream:
     """Deterministic uniform source; (seed, path) pins the entire sequence.
 
-    Streams with distinct paths (in particular distinct derive_stream
-    indices) are independent by seed-sequence spawning. Scalar draws are
-    served from a prefetched buffer, so interleaving calls on the same
-    stream object stays reproducible for a fixed call pattern. The buffer
-    starts small and doubles at each refill up to a cap, since most streams
-    are used for only tens of draws; PCG64 gives the same sequence however
-    its draws are chunked.
+    Streams with distinct paths are independent by seed-sequence spawning.
+    Scalar draws are served from a prefetched buffer, so interleaving calls
+    on the same stream object stays reproducible for a fixed call pattern.
+    The buffer starts small and doubles at each refill up to a cap, since
+    most streams are used for only tens of draws; PCG64 gives the same
+    sequence however its draws are chunked.
     """
 
     _FIRST_BUFFER = 64
@@ -198,8 +197,3 @@ class RandomStream:
         """Consume j draws, as j calls of uniform() would."""
         self._fill(j)
         self._pos += j
-
-
-def derive_stream(seed: int, index: int) -> RandomStream:
-    """Stream number `index` of the family determined by the master seed."""
-    return RandomStream(seed, (index,))

@@ -162,8 +162,8 @@ def simulate(xi0, kind: ProcessKind, params: SipParams, horizon: float,
              stream: RandomStream, record: str = "final") -> Trajectory:
     """Exact jump-chain simulation of `kind` up to the time horizon.
 
-    record="full" keeps every event (for coupling diagnostics); "final"
-    keeps only the endpoint for memory-bounded long runs.
+    record="full" keeps every event; "final" keeps only the endpoint for
+    memory-bounded long runs.
     """
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")

@@ -181,13 +181,14 @@ class ExperimentConfig:
             # the oracle would wrap an unreduced torus site, the simulations would not
             if self.L and not all(0 <= c < self.L for s in sites for c in s):
                 raise FieldError(name, f"{name} coordinates must lie in [0, {self.L}) on the torus")
-        # their contracts compare the first grid time with the last
-        if self.study in ("coupling", "or-distance") and len(self.t_grid) < 2:
+        # their contracts compare the first grid time with the last, and take
+        # coupling horizons, sqrt(t) or time averages that need t > 0
+        grid_studies = ("coupling", "or-distance", "factorization")
+        if self.study in grid_studies and len(self.t_grid) < 2:
             raise FieldError("t_grid", f"t_grid needs at least 2 times for {self.study}, "
                              f"got {len(self.t_grid)}")
-        # or-distance normalizes by sqrt(t)
-        if self.study == "or-distance" and self.t_grid[0] <= 0:
-            raise FieldError("t_grid", "t_grid times must be positive for or-distance")
+        if self.study in grid_studies and self.t_grid[0] <= 0:
+            raise FieldError("t_grid", f"t_grid times must be positive for {self.study}")
         _require(self, *study.required)
         if study.torus and self.boundary != "torus":
             raise FieldError("boundary", f"{self.study} study runs on a torus")

@@ -92,27 +92,14 @@ def marginal_pmf(k: int, lam: float, m: float) -> float:
     return math.exp(log_p)
 
 
-def _site_law(law) -> tuple:
-    """P(0) and the pmf ratio k -> P(k+1)/P(k) of one site's count under a
-    product law: lam*(m/2+k)/(k+1) -> lam < 1 for NuLambda, theta/(k+1) for
-    a Poisson product."""
-    if isinstance(law, NuLambda):
-        lam, m = law.lam, law.m
-        return (1.0 - lam) ** (0.5 * m), lambda k: lam * (0.5 * m + k) / (k + 1)
-    if isinstance(law, PoissonProduct):
-        theta = law.theta
-        return math.exp(-theta), lambda k: theta / (k + 1)
-    raise TypeError(f"cannot sample law of type {type(law).__name__}")
-
-
-def _invert(u: float, p: float, ratio) -> int:
-    """The count k at which the CDF first exceeds u: P(0) = p and
-    P(k+1) = P(k) * ratio(k). Stops early if the pmf underflows to 0, where
-    the mass left is ~1e-16."""
+def _invert(u: float, p: float, lam: float, half_m: float) -> int:
+    """The count at which the NuLambda(lam, m = 2 half_m) marginal's CDF first
+    exceeds u: P(0) = p and P(k+1)/P(k) = lam*(half_m+k)/(k+1) -> lam < 1.
+    Stops early if the pmf underflows to 0, where the mass left is ~1e-16."""
     cum = p
     k = 0
     while u >= cum:
-        p *= ratio(k)
+        p *= lam * (half_m + k) / (k + 1)
         k += 1
         cum += p
         if p == 0.0:
@@ -120,16 +107,9 @@ def _invert(u: float, p: float, ratio) -> int:
     return k
 
 
-def sample_marginal(lam: float, m: float, stream: RandomStream) -> int:
-    """One count of the NuLambda(lam, m) marginal, drawn as sample_product
-    draws each site."""
-    p0, ratio = _site_law(NuLambda(lam, m))
-    return _invert(stream.uniform(), p0, ratio)
-
-
 def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) -> dict:
-    """Independent per-site draws on a torus, one uniform each, by CDF
-    inversion; returns the occupied-site map."""
+    """A NuLambda or NuMixture configuration on a torus by CDF inversion, one
+    uniform per site after one for a mixture's fugacity; the occupied-site map."""
     if not geometry.is_torus:
         raise ValueError("product sampling requires a finite site set (torus)")
     if isinstance(law, NuMixture):
@@ -142,38 +122,15 @@ def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) ->
             if u < acc:
                 lam = atom_lam
                 break
-        law = NuLambda(lam=lam, m=law.m)
-    p0, ratio = _site_law(law)
+    elif isinstance(law, NuLambda):
+        lam = law.lam
+    else:
+        raise TypeError(f"cannot sample law of type {type(law).__name__}")
+    half_m = 0.5 * law.m
+    p0 = (1.0 - lam) ** half_m
     counts: dict = {}
     for site in geometry.sites():
-        k = _invert(stream.uniform(), p0, ratio)
+        k = _invert(stream.uniform(), p0, lam, half_m)
         if k:
             counts[site] = k
     return counts
-
-
-def detailed_balance_ratio(a: int, b: int, lam: float, m: float) -> float:
-    """Per-edge reversibility ratio of NuLambda against the inclusion rates.
-
-    With w(k) = lam^k Gamma(m/2+k) / (k! Gamma(m/2)), returns
-
-        [w(a) w(b) a (m/2+b)] / [w(a-1) w(b+1) (b+1) (m/2+a-1)],
-
-    which is identically 1: the algebraic content of reversibility.
-    """
-    if a < 1:
-        raise ValueError(f"source occupation must be >= 1, got {a}")
-    if b < 0:
-        raise ValueError(f"target occupation must be >= 0, got {b}")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie in (0, 1) for the ratio, got {lam!r}")
-    if not m > 0:
-        raise ValueError(f"m must be positive, got {m!r}")
-    half_m = 0.5 * m
-
-    def logw(k: int) -> float:
-        return k * math.log(lam) + math.lgamma(half_m + k) - math.lgamma(k + 1) - math.lgamma(half_m)
-
-    log_num = logw(a) + logw(b) + math.log(a) + math.log(half_m + b)
-    log_den = logw(a - 1) + logw(b + 1) + math.log(b + 1) + math.log(half_m + a - 1)
-    return math.exp(log_num - log_den)

@@ -5,8 +5,7 @@ on the n-particle sector of a torus, semigroup evaluation by uniformization
 (Poisson mixture of powers of the jump kernel, truncated with a certified
 tail bound; the kernel is built once per generator, under a lock, so the
 threads that sweep one generator share it, and one sweep of its powers
-serves every time of a grid), time-averaged semigroups in closed form, and
-an exact hitting law for the one-dimensional difference walk.
+serves every time of a grid), and time-averaged semigroups in closed form.
 
 A sector is held once, as a (size x sites) integer array of occupation
 count-vectors in colexicographic order (the last site is the most
@@ -36,7 +35,6 @@ from .dynamics import SipParams
 
 DEFAULT_STATE_CAP = 200_000
 TAIL = 1e-12  # Poisson mass a truncated uniformization series may leave out
-HITTING_TAIL = 1e-10  # far-end mass below which a hitting probability is certified
 
 
 def _poisson_pmf(k, mu):
@@ -261,13 +259,6 @@ def semigroup_apply(q, t: float, f):
     return _poisson_series(q, (t,), f, _transient_weights)[0]
 
 
-def transient_distribution(q, t: float, start_index: int):
-    """Row of e^{tQ}: the state distribution at time t from a point start."""
-    delta = np.zeros(q.shape[0])
-    delta[start_index] = 1.0
-    return semigroup_apply(q.T.tocsr(), t, delta)
-
-
 def duality_probe(space: StateSpace, evaluator: DualityEvaluator, factors):
     """prod over (k, l) in `factors` of d(k, l), at every state of the sector.
 
@@ -342,27 +333,3 @@ def cesaro_apply(q, horizon: float, f):
             kmax *= 2
 
     return _poisson_series(q, (horizon,), f, averaged)[0]
-
-
-def walk_hitting_probability(start: int, t: float, rate: float) -> float:
-    """P(tau_0 <= t) for a rate-`rate` symmetric walk on Z started at `start`.
-
-    Computed on a truncated interval with absorption at both ends; the
-    truncation is enlarged until the mass absorbed at the far end is below
-    HITTING_TAIL, which certifies the answer to that accuracy.
-    """
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-    if start == 0:
-        return 1.0
-    cap = start + int(8.0 * math.sqrt(max(rate * t, 1.0))) + 20
-    for _ in range(8):
-        # rows 1..cap-1 step to either side at rate/2; rows 0 and cap absorb
-        step = np.r_[0.0, np.full(cap - 1, 0.5 * rate)]  # step[i]: rate of i -> i+1
-        q = sparse.diags([step[::-1], np.r_[0.0, -2.0 * step[1:], 0.0], step],
-                         [-1, 0, 1], format="csr")
-        dist = transient_distribution(q, t, start)
-        if float(dist[cap]) < HITTING_TAIL:
-            return float(dist[0])
-        cap *= 2
-    raise RuntimeError("hitting-probability truncation failed to certify")

@@ -12,18 +12,25 @@ on xi_t only through that distance, so its expectation is a finite sum over
 the law of the folded chain. The chain is truncated to TRUNCATION states with
 a reflecting top state; every call checks that the mass reaching the last
 TAIL_STATES states stays below TAIL_MASS, so the truncation never enters the
-result.
+result. `transient_distribution` serves any generator, for other tests too.
 """
 
 import numpy as np
 from scipy import sparse
 
 from sipsim.duality import DualityEvaluator
-from sipsim.oracle import transient_distribution
+from sipsim.oracle import semigroup_apply
 
 TRUNCATION = 800
 TAIL_STATES = 10
 TAIL_MASS = 1e-12
+
+
+def transient_distribution(q, t: float, start_index: int):
+    """Row of e^{tQ}: the state distribution at time t from a point start."""
+    delta = np.zeros(q.shape[0])
+    delta[start_index] = 1.0
+    return semigroup_apply(q.T.tocsr(), t, delta)
 
 
 def distance_generator(m: float):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sipsim.cli import Invocation, default_config, run
-from sipsim.core import Geometry, derive_stream, occupation_of
+from sipsim.core import Geometry, RandomStream, occupation_of
 from sipsim.dynamics import ProcessKind, SipParams, simulate
 from sipsim.experiments import (
     ExperimentConfig,
@@ -28,15 +28,11 @@ from sipsim.experiments import (
     run_or_distance,
     run_stationarity,
 )
-from sipsim.measures import PoissonProduct, detailed_balance_ratio
-from sipsim.oracle import (
-    build_generator,
-    exact_dual_expectation,
-    state_space,
-    transient_distribution,
-)
+from sipsim.measures import PoissonProduct
+from sipsim.oracle import build_generator, exact_dual_expectation, state_space
 
-from difference_chain import exact_transform
+from difference_chain import exact_transform, transient_distribution
+from reversibility import detailed_balance_ratio
 
 SEED = 11
 
@@ -104,7 +100,7 @@ def test_criterion_04_simulation_oracle_agreement():
     reps = 100_000
     counts = np.zeros(space.size)
     for r in range(reps):
-        traj = simulate(start, ProcessKind.SIP, params, t, derive_stream(SEED, r))
+        traj = simulate(start, ProcessKind.SIP, params, t, RandomStream(SEED, (r,)))
         counts[space.index_of_particles(traj.final)] += 1
     freq = counts / reps
     worst_sigma = 0.0

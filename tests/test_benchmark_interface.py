@@ -19,7 +19,7 @@ import pytest
 import sipsim.coupling as coupling
 import sipsim.dynamics as dynamics
 import sipsim.oracle as oracle
-from sipsim.core import Geometry, RandomStream, derive_stream
+from sipsim.core import Geometry, RandomStream
 from sipsim.dynamics import SipParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -108,10 +108,10 @@ def test_or_steps_are_called_through_the_module_global(monkeypatch):
 
     monkeypatch.setattr(coupling, "or_coupled_step", counted)
     params = SipParams(2.0, Geometry(1))
-    coupling.or_distance_single(((0,), (1,)), params, [5.0], derive_stream(0, 0))
+    coupling.or_distance_single(((0,), (1,)), params, [5.0], RandomStream(0, (0,)))
     from_distance = len(calls)
     coupling.two_stage_coupling(((0,), (1,)), ((5,), (6,)), params, 10.0, 0.5,
-                                derive_stream(1, 0))
+                                RandomStream(1, (0,)))
     assert from_distance > 0
     assert len(calls) > from_distance
 

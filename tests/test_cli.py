@@ -157,8 +157,19 @@ class TestArgs:
         assert inv.workers == 4
 
     def test_unknown_study_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             build_invocation(["not-a-study"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv,code", [
+        ("stationarity --workers 0", 1), ("stationarity --seed x", 1),
+        ("stationarity --no-such-flag", 1), ("--help", 0), ("--version", 0),
+    ])
+    def test_usage_exit_status(self, argv, code):
+        # a usage error writes nothing: exit 2 means a statistical failure
+        with pytest.raises(SystemExit) as exc:
+            build_invocation(argv.split())
+        assert exc.value.code == code
 
 
 class TestRun:
@@ -247,11 +258,13 @@ class TestRun:
     @pytest.mark.parametrize("study,text", [
         ("coupling", "t_grid = 1000\n"),
         ("or-distance", "t_grid = 1000\n"),
+        ("factorization", "t_grid = 5\n"),
     ])
     def test_one_point_grid_exits_one_before_simulating(self, tmp_path, capsys,
                                                          study, text):
-        # both contracts compare the first grid time with the last; a single
-        # time used to run every replica and then fail or crash
+        # these contracts compare the first grid time with the last; a single
+        # time used to run every replica and then fail or crash (factorization
+        # exited 2, a false statistical failure)
         inv = invocation(study, tmp_path, config_text=text)
         assert run(inv) == 1
         assert not os.path.exists(inv.out_dir)
@@ -259,6 +272,8 @@ class TestRun:
 
     @pytest.mark.parametrize("study,text,where", [
         ("or-distance", "t_grid = 0 100\n", "line 1: t_grid"),
+        ("coupling", "t_grid = 0 100\n", "line 1: t_grid"),
+        ("factorization", "t_grid = 0 5 10\n", "line 1: t_grid"),
         ("correlation", "L = 3\nn = 4\n", "line 2: n = 4"),
         ("convergence", "initial_law = gamma\n", "line 1: initial_law"),
         ("convergence", "m = 3\ninitial_law = nu_lambda\n", "line 2: initial_law"),

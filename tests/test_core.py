@@ -8,7 +8,6 @@ from sipsim.core import (
     CoordinateOverflowError,
     Geometry,
     RandomStream,
-    derive_stream,
     occupation_of,
     particles_of,
 )
@@ -95,9 +94,9 @@ class TestGeometry:
         with pytest.raises(ValueError, match=r"\(6,\) is outside \[0, 4\)"):
             event_rates(pair, g, 1.0)
         with pytest.raises(ValueError, match="outside"):
-            sample_at_times(pair, params, [1.0], derive_stream(0, 0))
+            sample_at_times(pair, params, [1.0], RandomStream(0, (0,)))
         with pytest.raises(ValueError, match="outside"):
-            simulate(pair, ProcessKind.SIP, params, 1.0, derive_stream(0, 0))
+            simulate(pair, ProcessKind.SIP, params, 1.0, RandomStream(0, (0,)))
         for site in ((-1,), (4,)):
             with pytest.raises(ValueError):
                 g.neighbors(site)
@@ -164,23 +163,23 @@ class TestConfigurations:
 
 class TestRandomStream:
     def test_replay_is_identical(self):
-        a = derive_stream(123, 4)
-        b = derive_stream(123, 4)
+        a = RandomStream(123, (4,))
+        b = RandomStream(123, (4,))
         n = 1_000_000
         assert all(a.uniform() == b.uniform() for _ in range(n))
 
     def test_distinct_indices_are_uncorrelated(self):
         n = 100_000
-        a = derive_stream(9, 0)
-        b = derive_stream(9, 1)
+        a = RandomStream(9, (0,))
+        b = RandomStream(9, (1,))
         xs = np.array([a.uniform() for _ in range(n)])
         ys = np.array([b.uniform() for _ in range(n)])
         corr = np.corrcoef(xs, ys)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(n)
 
     def test_distinct_seeds_differ(self):
-        a = derive_stream(5, 0)
-        b = derive_stream(6, 0)
+        a = RandomStream(5, (0,))
+        b = RandomStream(6, (0,))
         assert [a.uniform() for _ in range(16)] != [b.uniform() for _ in range(16)]
 
     def test_children_are_independent_of_siblings(self):
@@ -190,7 +189,7 @@ class TestRandomStream:
         assert [a.uniform() for _ in range(16)] != [b.uniform() for _ in range(16)]
 
     def test_exponential_mean(self):
-        s = derive_stream(1, 0)
+        s = RandomStream(1, (0,))
         n = 100_000
         draws = [s.exponential(2.0) for _ in range(n)]
         # exponential sd equals its mean

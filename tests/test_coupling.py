@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import skellam
 
-from sipsim.core import Geometry, RandomStream, derive_stream
+from sipsim.core import Geometry, RandomStream
 from sipsim.coupling import (
     _REACH,
     OrState,
@@ -20,9 +21,10 @@ from sipsim.coupling import (
     two_stage_coupling,
 )
 from sipsim.dynamics import ProcessKind, SipParams, simulate
-from sipsim.oracle import build_generator, state_space, transient_distribution, walk_hitting_probability
+from sipsim.oracle import build_generator, state_space
 from sipsim.stats import batched
 
+from difference_chain import transient_distribution
 from reference_coupling import (
     reference_or_coupled_step,
     reference_or_distance_single,
@@ -32,6 +34,14 @@ from reference_coupling import (
 P1 = SipParams(m=2.0, geometry=Geometry(1))
 P2 = SipParams(m=2.0, geometry=Geometry(2))
 R = _REACH  # OR free flights start only with every within-set pair this far apart
+
+
+def hitting_probability(a, t, rate):
+    """P(tau_a <= t) = P(S_t >= a) + P(S_t > a) for a >= 1, by reflection: S is
+    a rate-`rate` symmetric walk on Z from 0, S_t ~ Skellam(rate t/2, rate t/2)."""
+    mu = 0.5 * rate * t
+    return float(skellam.sf(a - 1, mu, mu) + skellam.sf(a, mu, mu))
+
 
 # (x, y, params) starts on either side of the flight rule: the nearest
 # within-set pair at R - 1, R and R + 1 on Z, in d = 1 and d = 2; three
@@ -140,7 +150,7 @@ class TestSameJump:
         geo = Geometry(1)
         xs, ys = [(0,), (4,)], [(7,), (11,)]
         sip = list(xs)
-        s = derive_stream(0, 0)
+        s = RandomStream(0, (0,))
         k0 = l1_sum(xs, ys, geo)
         state = OrState((sip,), (xs, ys), P1)
         for _ in range(500):
@@ -150,7 +160,7 @@ class TestSameJump:
     def test_equal_lists_stay_equal(self):
         xs, ys = [(0,), (3,)], [(0,), (3,)]
         sip = list(xs)
-        s = derive_stream(1, 0)
+        s = RandomStream(1, (0,))
         state = OrState((sip,), (xs, ys), P1)
         for _ in range(200):
             or_coupled_step(state, s)
@@ -159,7 +169,7 @@ class TestSameJump:
     def test_single_pair_offset_constant(self):
         xs, ys = [(0,)], [(7,)]
         sip = list(xs)
-        s = derive_stream(2, 0)
+        s = RandomStream(2, (0,))
         state = OrState((sip,), (xs, ys), P1)
         for _ in range(200):
             or_coupled_step(state, s)
@@ -170,7 +180,7 @@ class TestOrCoupling:
     def test_distance_changes_only_at_inclusion_events_by_one(self):
         geo = Geometry(1)
         sip, irw = [(0,), (1,)], [(0,), (1,)]
-        s = derive_stream(3, 0)
+        s = RandomStream(3, (0,))
         state = OrState((sip,), (irw,), P1)
         for _ in range(2000):
             before = l1_sum(sip, irw, geo)
@@ -184,7 +194,7 @@ class TestOrCoupling:
     def test_no_inclusion_without_neighbors(self):
         # two far-apart particles produce no inclusion events over a few steps
         sip, irw = [(0,), (100,)], [(0,), (100,)]
-        s = derive_stream(4, 0)
+        s = RandomStream(4, (0,))
         state = OrState((sip,), (irw,), P1)
         for _ in range(50):
             _, cls, _ = or_coupled_step(state, s)
@@ -195,7 +205,7 @@ class TestOrCoupling:
     def test_stops_before_the_event_draw_at_t_end(self):
         # past t_end only the waiting time is drawn and nothing moves
         sip, irw = [(0,), (1,)], [(0,), (1,)]
-        s, twin = derive_stream(3, 1), derive_stream(3, 1)
+        s, twin = RandomStream(3, (1,)), RandomStream(3, (1,))
         assert or_coupled_step(OrState((sip,), (irw,), P1), s, 0.0, 1e-300) is None
         assert sip == irw == [(0,), (1,)]
         twin.uniform()
@@ -242,7 +252,7 @@ class TestOrCoupling:
         reps = 20_000
         counts = np.zeros(space.size)
         for r in range(reps):
-            s = derive_stream(5, r)
+            s = RandomStream(5, (r,))
             sip, irw = list(start), list(start)
             state = OrState((sip,), (irw,), params)
             clock = 0.0
@@ -272,7 +282,7 @@ class TestOrnstein:
         # once a coordinate difference hits zero it never reopens
         x, y = ((0, 0),), ((6, 3),)
         log = []
-        two_stage_coupling(x, y, P2, 5000.0, 0.9, derive_stream(7, 0), log=log)
+        two_stage_coupling(x, y, P2, 5000.0, 0.9, RandomStream(7, (0,)), log=log)
         states = stage_two_states(x, y, log)
         synced = set()
         for xs, ys in states:
@@ -284,13 +294,13 @@ class TestOrnstein:
     def test_meeting_law_matches_hitting_oracle(self):
         # a single walker pair keeps its offset through stage one (no
         # inclusion partner), then its difference is a rate-m walk: P(meet
-        # within the stage-two window t) from the oracle
+        # within the stage-two window t) by reflection
         t = 3.0
-        target = walk_hitting_probability(2, t, 2.0)
+        target = hitting_probability(2, t, 2.0)
         reps = 4000
         hits = 0
         for r in range(reps):
-            out = two_stage_coupling(((0,),), ((2,),), P1, 2 * t, 0.5, derive_stream(8, r))
+            out = two_stage_coupling(((0,),), ((2,),), P1, 2 * t, 0.5, RandomStream(8, (r,)))
             hits += out.kind is OutcomeKind.COUPLED
         p_hat = hits / reps
         se = math.sqrt(target * (1 - target) / reps)
@@ -301,7 +311,7 @@ class TestOrnstein:
         # must never be desynced by coordinate-1 activity
         x, y = ((0, 4),), ((9, 4),)
         log = []
-        two_stage_coupling(x, y, P2, 2000.0, 0.9, derive_stream(9, 0), log=log)
+        two_stage_coupling(x, y, P2, 2000.0, 0.9, RandomStream(9, (0,)), log=log)
         states = stage_two_states(x, y, log)
         assert len(states) > 1
         for xs, ys in states:
@@ -311,7 +321,7 @@ class TestOrnstein:
 class TestTwoStage:
     def test_equal_start_couples_immediately(self):
         out = two_stage_coupling(((0,), (5,)), ((0,), (5,)), P1, 10.0, 0.5,
-                                 derive_stream(10, 0))
+                                 RandomStream(10, (0,)))
         assert out.kind is OutcomeKind.COUPLED
         assert out.time == 0.0
 
@@ -319,7 +329,7 @@ class TestTwoStage:
         hits = 0
         for r in range(40):
             out = two_stage_coupling(((0,),), ((6,),), P1, 200.0, 0.5,
-                                     derive_stream(11, r))
+                                     RandomStream(11, (r,)))
             if out.kind is OutcomeKind.COUPLED:
                 hits += 1
                 assert out.final_x == out.final_y
@@ -332,12 +342,12 @@ class TestTwoStage:
         # second-stage window
         horizon, delta = 60.0, 0.5
         gap = 4
-        target = walk_hitting_probability(gap, delta * horizon, 2.0)
+        target = hitting_probability(gap, delta * horizon, 2.0)
         reps = 3000
         hits = 0
         for r in range(reps):
             out = two_stage_coupling(((0,),), ((gap,),), P1, horizon, delta,
-                                     derive_stream(12, r))
+                                     RandomStream(12, (r,)))
             hits += out.kind is OutcomeKind.COUPLED
         se = math.sqrt(target * (1 - target) / reps)
         assert abs(hits / reps - target) <= 3 * se
@@ -349,31 +359,31 @@ class TestTwoStage:
             hits = 0
             for r in range(reps):
                 out = two_stage_coupling(((0,),), ((7,),), P1, horizon, 0.5,
-                                         derive_stream(13, 1000 * j + r))
+                                         RandomStream(13, (1000 * j + r,)))
                 hits += out.kind is OutcomeKind.COUPLED
             rates.append(hits / reps)
         assert rates[0] < rates[1] < rates[2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            two_stage_coupling(((0,),), ((1,), (2,)), P1, 10.0, 0.5, derive_stream(0, 0))
+            two_stage_coupling(((0,),), ((1,), (2,)), P1, 10.0, 0.5, RandomStream(0, (0,)))
         with pytest.raises(ValueError):
-            two_stage_coupling(((0,),), ((1,),), P1, 0.0, 0.5, derive_stream(0, 0))
+            two_stage_coupling(((0,),), ((1,),), P1, 0.0, 0.5, RandomStream(0, (0,)))
         with pytest.raises(ValueError):
-            two_stage_coupling(((0,),), ((1,),), P1, 10.0, 1.0, derive_stream(0, 0))
+            two_stage_coupling(((0,),), ((1,),), P1, 10.0, 1.0, RandomStream(0, (0,)))
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_non_finite_horizon(self, horizon):
         # both used to run without end: t + dt >= nan is never true, and an
         # infinite stage two waits for a meeting that may never come
         with pytest.raises(ValueError):
-            two_stage_coupling(((0,),), ((5,),), P1, horizon, 0.5, derive_stream(0, 0))
+            two_stage_coupling(((0,),), ((5,),), P1, horizon, 0.5, RandomStream(0, (0,)))
 
 
 class TestIterated:
     def test_equal_start(self):
         out = iterated_coupling(((3,),), ((3,),), P1, doubling_schedule(10.0, 3),
-                                derive_stream(15, 0))
+                                RandomStream(15, (0,)))
         assert out.kind is OutcomeKind.COUPLED
         assert out.time == 0.0
         assert out.attempts == 1
@@ -382,21 +392,21 @@ class TestIterated:
         # the first attempt consumes stream.child(0), so a direct call with
         # that stream must reproduce it
         sched = doubling_schedule(50.0, 4)
-        stream = derive_stream(16, 0)
+        stream = RandomStream(16, (0,))
         direct = two_stage_coupling(((0,),), ((4,),), P1, 50.0, 0.5, stream.child(0))
-        combined = iterated_coupling(((0,),), ((4,),), P1, sched, derive_stream(16, 0))
+        combined = iterated_coupling(((0,),), ((4,),), P1, sched, RandomStream(16, (0,)))
         if direct.kind is OutcomeKind.COUPLED:
             assert combined.kind is OutcomeKind.COUPLED
             assert combined.time == direct.time
             assert combined.attempts == 1
         # a one-horizon schedule is exactly the direct attempt, whatever its
         # outcome (at this seed it expires)
-        single = iterated_coupling(((0,),), ((4,),), P1, (50.0,), derive_stream(16, 0))
+        single = iterated_coupling(((0,),), ((4,),), P1, (50.0,), RandomStream(16, (0,)))
         assert single == direct
 
     def test_schedule_must_be_nonempty(self):
         with pytest.raises(ValueError):
-            iterated_coupling(((0,),), ((1,),), P1, (), derive_stream(0, 0))
+            iterated_coupling(((0,),), ((1,),), P1, (), RandomStream(0, (0,)))
 
     def test_eventual_success_for_single_walkers(self):
         # recurrence in one dimension: a deep enough schedule couples
@@ -405,7 +415,7 @@ class TestIterated:
         hits = 0
         for r in range(reps):
             out = iterated_coupling(((0,),), ((9,),), P1, doubling_schedule(20.0, 11),
-                                    derive_stream(17, r))
+                                    RandomStream(17, (r,)))
             hits += out.kind is OutcomeKind.COUPLED
         assert hits / reps >= 0.95
 
@@ -425,39 +435,39 @@ class TestIterated:
 
 class TestDistanceProfile:
     def test_zero_time_and_single_particle(self):
-        prof = distance_profile(((0,),), P1, [0.0, 5.0], 120, derive_stream(18, 0))
+        prof = distance_profile(((0,),), P1, [0.0, 5.0], 120, RandomStream(18, (0,)))
         assert prof[0][0] == 0.0
         assert prof[1][0] == 0.0  # no inclusion partner, distance stays 0
 
     def test_distance_starts_at_zero(self):
-        vals = or_distance_single(((0,), (1,)), P1, [0.0], derive_stream(19, 0))
+        vals = or_distance_single(((0,), (1,)), P1, [0.0], RandomStream(19, (0,)))
         assert vals == [0]
 
     def test_profile_grows_with_time_for_adjacent_pair(self):
-        prof = distance_profile(((0,), (1,)), P1, [5.0, 500.0], 200, derive_stream(20, 0))
+        prof = distance_profile(((0,), (1,)), P1, [5.0, 500.0], 200, RandomStream(20, (0,)))
         (m1, s1), (m2, s2) = prof
         assert m2 - 3 * s2 > m1 + 3 * s1
 
     def test_more_particles_accumulate_more_distance(self):
         # three clustered particles generate more inclusion events than two
         t = [50.0]
-        two, se2 = distance_profile(((0,), (1,)), P1, t, 300, derive_stream(23, 0))[0]
+        two, se2 = distance_profile(((0,), (1,)), P1, t, 300, RandomStream(23, (0,)))[0]
         three, se3 = distance_profile(((0,), (1,), (2,)), P1, t, 300,
-                                      derive_stream(24, 0))[0]
+                                      RandomStream(24, (0,)))[0]
         assert three - 3 * se3 > two + 3 * se2
 
     @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.inf], [1.0, math.inf]])
     def test_non_finite_grid(self, grid):
         # a NaN or infinite grid time is never passed, so the loop never ended
         with pytest.raises(ValueError):
-            or_distance_single(((0,), (1,)), P1, grid, derive_stream(19, 0))
+            or_distance_single(((0,), (1,)), P1, grid, RandomStream(19, (0,)))
 
 
 class TestEventLog:
     def test_log_records_unit_moves_with_ordered_times(self, tmp_path):
         log = []
         two_stage_coupling(((0,), (9,)), ((2,), (12,)), P1, 20.0, 0.5,
-                           derive_stream(25, 0), log=log)
+                           RandomStream(25, (0,)), log=log)
         assert log
         geo = Geometry(1)
         times = [row[0] for row in log]
@@ -476,7 +486,7 @@ class TestEventLog:
 
 class TestReflection:
     """Survival of level a by a rate-`rate` walk from 0, simulated as a
-    single IRW particle, against 1 - P(tau_a <= t) from the oracle."""
+    single IRW particle, against 1 - P(tau_a <= t) by reflection."""
 
     @staticmethod
     def check(a, t, rate, reps, stream):
@@ -486,16 +496,16 @@ class TestReflection:
             traj = simulate(((0,),), ProcessKind.IRW, params, t, stream.child(r),
                             record="full")
             survived += all(state[0][0] != a for state in traj.states)
-        p = 1.0 - walk_hitting_probability(a, t, rate)
+        p = 1.0 - hitting_probability(a, t, rate)
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(survived / reps - p) <= 3 * se
         return p
 
     def test_short_time_both_sides_near_one(self):
-        assert self.check(5, 1.0, 2.0, 2000, derive_stream(21, 0)) > 0.99
+        assert self.check(5, 1.0, 2.0, 2000, RandomStream(21, (0,))) > 0.99
 
     def test_long_time_spread_walk(self):
-        assert self.check(1, 100.0, 2.0, 2000, derive_stream(22, 0)) < 0.1
+        assert self.check(1, 100.0, 2.0, 2000, RandomStream(22, (0,))) < 0.1
 
 
 @st.composite

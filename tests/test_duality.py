@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipsim.core import Geometry, derive_stream
+from sipsim.core import Geometry, RandomStream
 from sipsim.duality import DualityEvaluator, ah_density
 from sipsim.measures import (
     NuLambda,
@@ -172,7 +172,7 @@ def test_placement_free_transforms_ignore_the_sites(law, placements):
 class TestEmpiricalTransform:
     def test_point_mass_sampler_is_exact(self):
         eta = {(0,): 4}
-        est, se = empirical_transform(((0,),), lambda s: eta, 500, derive_stream(0, 0))
+        est, se = empirical_transform(((0,),), lambda s: eta, 500, RandomStream(0, (0,)))
         assert est == pytest.approx(4.0)
         assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -181,13 +181,13 @@ class TestEmpiricalTransform:
         law = NuLambda(0.4, 2.0)
         xi = ((0,),)
         est, se = empirical_transform(xi, lambda s: sample_product(law, g, s), 40_000,
-                                      derive_stream(1, 0))
+                                      RandomStream(1, (0,)))
         assert abs(est - 2.0 / 3.0) < 3 * se
 
     def test_closed_form_coverage_grid(self):
         # 3 sigma agreement for |xi| up to 4 over a small parameter grid
         g = Geometry(1, 8)
-        stream = derive_stream(2, 0)
+        stream = RandomStream(2, (0,))
         for lam in (0.2, 0.5):
             law = NuLambda(lam, 2.0)
             for n in (2, 4):
@@ -198,13 +198,13 @@ class TestEmpiricalTransform:
                 assert abs(est - target) < 3 * se + 1e-12
 
     def test_empty_configuration_sampler(self):
-        est, se = empirical_transform(((0,),), lambda s: {}, 100, derive_stream(3, 0))
+        est, se = empirical_transform(((0,),), lambda s: {}, 100, RandomStream(3, (0,)))
         assert est == 0.0
         assert se == 0.0
 
     def test_needs_two_replicas(self):
         with pytest.raises(ValueError):
-            empirical_transform(((0,),), lambda s: {}, 1, derive_stream(0, 0))
+            empirical_transform(((0,),), lambda s: {}, 1, RandomStream(0, (0,)))
 
 
 class TestTemperednessBound:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipsim.core import Geometry, RandomStream, derive_stream
+from sipsim.core import Geometry, RandomStream
 from sipsim.dynamics import (
     NoEventError,
     ProcessKind,
@@ -115,17 +115,17 @@ def running_sums(rates):
 
 class TestGillespie:
     def test_single_event_fires(self):
-        s = derive_stream(0, 0)
+        s = RandomStream(0, (0,))
         k, dt = gillespie_step([2.0], s)
         assert k == 0
         assert dt > 0
 
     def test_empty_rates(self):
         with pytest.raises(NoEventError):
-            gillespie_step([], derive_stream(0, 0))
+            gillespie_step([], RandomStream(0, (0,)))
 
     def test_selection_frequencies(self):
-        s = derive_stream(5, 0)
+        s = RandomStream(5, (0,))
         n = 100_000
         cumulative = running_sums([1.0, 3.0])
         hits = 0
@@ -136,7 +136,7 @@ class TestGillespie:
         assert abs(p - 0.75) < 3 * math.sqrt(0.75 * 0.25 / n)
 
     def test_waiting_time_mean(self):
-        s = derive_stream(6, 0)
+        s = RandomStream(6, (0,))
         n = 100_000
         cumulative = running_sums([1.0, 1.0])
         mean_dt = np.mean([gillespie_step(cumulative, s)[1] for _ in range(n)])
@@ -173,16 +173,16 @@ class TestGillespie:
 
 class TestSimulate:
     def test_zero_horizon(self):
-        traj = simulate(((0,), (4,)), ProcessKind.SIP, P1, 0.0, derive_stream(1, 0))
+        traj = simulate(((0,), (4,)), ProcessKind.SIP, P1, 0.0, RandomStream(1, (0,)))
         assert traj.final == ((0,), (4,))
 
     def test_negative_horizon(self):
         with pytest.raises(ValueError):
-            simulate(((0,),), ProcessKind.SIP, P1, -1.0, derive_stream(1, 0))
+            simulate(((0,),), ProcessKind.SIP, P1, -1.0, RandomStream(1, (0,)))
 
     def test_particle_count_conserved_and_steps_are_unit_moves(self):
         traj = simulate(((0,), (1,), (5,)), ProcessKind.SIP, P1, 5.0,
-                        derive_stream(2, 0), record="full")
+                        RandomStream(2, (0,)), record="full")
         geo = P1.geometry
         assert all(len(s) == 3 for s in traj.states)
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
@@ -192,14 +192,14 @@ class TestSimulate:
             assert geo.l1_distance(*moved[0]) == 1
 
     def test_empty_configuration(self):
-        traj = simulate((), ProcessKind.IRW, P1, 3.0, derive_stream(1, 0))
+        traj = simulate((), ProcessKind.IRW, P1, 3.0, RandomStream(1, (0,)))
         assert traj.final == ()
 
     def test_shared_stream_sip_and_irw_agree_for_one_particle(self):
         # with a single particle there is no inclusion partner, so the two
         # processes consume the stream identically
-        a = simulate(((0,),), ProcessKind.SIP, P1, 50.0, derive_stream(3, 1), record="full")
-        b = simulate(((0,),), ProcessKind.IRW, P1, 50.0, derive_stream(3, 1), record="full")
+        a = simulate(((0,),), ProcessKind.SIP, P1, 50.0, RandomStream(3, (1,)), record="full")
+        b = simulate(((0,),), ProcessKind.IRW, P1, 50.0, RandomStream(3, (1,)), record="full")
         assert a.states == b.states
         assert a.times == b.times
 
@@ -208,7 +208,7 @@ class TestSimulate:
         t = 4.0
         disp = []
         for r in range(reps):
-            traj = simulate(((0,),), ProcessKind.IRW, P1, t, derive_stream(7, r))
+            traj = simulate(((0,),), ProcessKind.IRW, P1, t, RandomStream(7, (r,)))
             disp.append(traj.final[0][0])
         se = np.std(disp, ddof=1) / math.sqrt(reps)
         assert abs(np.mean(disp)) < 3 * se
@@ -222,7 +222,7 @@ class TestSimulate:
         target = 0.5 * m * t / d
         coords = []
         for r in range(reps):
-            traj = simulate(((0,) * d,), ProcessKind.IRW, params, t, derive_stream(8, r))
+            traj = simulate(((0,) * d,), ProcessKind.IRW, params, t, RandomStream(8, (r,)))
             coords.append(traj.final[0][0])
         var = np.var(coords, ddof=1)
         se = var * math.sqrt(2.0 / (reps - 1))
@@ -230,25 +230,25 @@ class TestSimulate:
 
     def test_sample_at_times_matches_simulate_on_shared_stream(self):
         grid = [0.5, 1.0, 2.0]
-        states = sample_at_times(((0,), (1,)), P1, grid, derive_stream(9, 0))
+        states = sample_at_times(((0,), (1,)), P1, grid, RandomStream(9, (0,)))
         assert len(states) == 3
-        final = simulate(((0,), (1,)), ProcessKind.SIP, P1, 2.0, derive_stream(9, 0)).final
+        final = simulate(((0,), (1,)), ProcessKind.SIP, P1, 2.0, RandomStream(9, (0,))).final
         assert states[-1] == final
 
     def test_sample_at_times_validates_grid(self):
         with pytest.raises(ValueError):
-            sample_at_times(((0,),), P1, [2.0, 1.0], derive_stream(0, 0))
+            sample_at_times(((0,),), P1, [2.0, 1.0], RandomStream(0, (0,)))
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_non_finite_horizon(self, horizon):
         # a NaN horizon used to loop forever: t + dt > nan is never true
         with pytest.raises(ValueError):
-            simulate(((0,),), ProcessKind.SIP, P1, horizon, derive_stream(1, 0))
+            simulate(((0,),), ProcessKind.SIP, P1, horizon, RandomStream(1, (0,)))
 
     @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.inf], [1.0, math.inf]])
     def test_sample_at_times_rejects_non_finite_grid(self, grid):
         with pytest.raises(ValueError):
-            sample_at_times(((0,),), P1, grid, derive_stream(0, 0))
+            sample_at_times(((0,),), P1, grid, RandomStream(0, (0,)))
 
     @pytest.mark.parametrize("m", [math.nan, math.inf])
     def test_m_must_be_finite(self, m):

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import nbinom
 
-from sipsim.core import Geometry, derive_stream
-from sipsim.measures import (
-    NuLambda,
-    NuMixture,
-    PoissonProduct,
-    detailed_balance_ratio,
-    marginal_pmf,
-    sample_marginal,
-    sample_product,
-)
+from sipsim.core import Geometry, RandomStream
+from sipsim.measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_product
+
+from reversibility import detailed_balance_ratio
+from test_benchmark_interface import _CountingStream
 
 
 class TestMarginalPmf:
@@ -46,32 +41,34 @@ class TestMarginalPmf:
         assert marginal_pmf(-1, 0.5, 2.0) == 0.0
 
 
+def marginal_draws(lam, m, n, stream):
+    """n draws of the NuLambda(lam, m) marginal: the counts on a ring of n sites."""
+    eta = sample_product(NuLambda(lam, m), Geometry(1, n), stream)
+    return [eta.get((i,), 0) for i in range(n)]
+
+
 class TestSampling:
     def test_lam_zero_always_zero(self):
-        s = derive_stream(0, 0)
-        assert all(sample_marginal(0.0, 2.0, s) == 0 for _ in range(100))
+        assert marginal_draws(0.0, 2.0, 100, RandomStream(0, (0,))) == [0] * 100
 
     def test_mean_matches_density(self):
         # mean count is (m/2) * lam/(1-lam)
-        s = derive_stream(1, 0)
         n = 100_000
-        draws = [sample_marginal(0.4, 2.0, s) for _ in range(n)]
+        draws = marginal_draws(0.4, 2.0, n, RandomStream(1, (0,)))
         target = 0.4 / 0.6
         se = np.std(draws, ddof=1) / math.sqrt(n)
         assert abs(np.mean(draws) - target) < 3 * se
 
     def test_pmf_at_zero_m_one(self):
-        s = derive_stream(2, 0)
         n = 100_000
-        hits = sum(sample_marginal(0.5, 1.0, s) == 0 for _ in range(n))
+        hits = marginal_draws(0.5, 1.0, n, RandomStream(2, (0,))).count(0)
         p = (1.0 - 0.5) ** 0.5
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_empirical_pmf_profile(self):
-        s = derive_stream(3, 0)
         n = 50_000
         lam, m = 0.6, 3.0
-        counts = np.bincount([sample_marginal(lam, m, s) for _ in range(n)])
+        counts = np.bincount(marginal_draws(lam, m, n, RandomStream(3, (0,))))
         for k in range(4):
             p = marginal_pmf(k, lam, m)
             assert abs(counts[k] / n - p) < 3 * math.sqrt(p * (1 - p) / n) + 1e-9
@@ -79,23 +76,34 @@ class TestSampling:
 
 class TestSampleProduct:
     def test_lam_zero_gives_empty_configuration(self):
-        eta = sample_product(NuLambda(0.0, 2.0), Geometry(1, 5), derive_stream(0, 0))
+        eta = sample_product(NuLambda(0.0, 2.0), Geometry(1, 5), RandomStream(0, (0,)))
         assert eta == {}
 
-    def test_poisson_zero_gives_empty_configuration(self):
-        eta = sample_product(PoissonProduct(0.0), Geometry(1, 5), derive_stream(0, 0))
-        assert eta == {}
+    def test_poisson_product_is_not_sampled(self):
+        # no study samples it: only its closed transform is used
+        with pytest.raises(TypeError):
+            sample_product(PoissonProduct(0.0), Geometry(1, 5), RandomStream(0, (0,)))
+
+    @pytest.mark.parametrize("law,extra", [
+        (NuLambda(0.4, 2.0), 0), (NuMixture(atoms=((0.2, 0.5), (0.6, 0.5)), m=2.0), 1)])
+    @pytest.mark.parametrize("geometry", [Geometry(1, 7), Geometry(2, 4)])
+    def test_one_uniform_per_site(self, law, extra, geometry):
+        # stationarity and correlation replicas, and marginal_draws, rely on it
+        stream = _CountingStream(6, (0,))
+        stream.draws = 0
+        sample_product(law, geometry, stream)
+        assert stream.draws == geometry.n_sites + extra
 
     def test_requires_torus(self):
         with pytest.raises(ValueError):
-            sample_product(NuLambda(0.4, 2.0), Geometry(1), derive_stream(0, 0))
+            sample_product(NuLambda(0.4, 2.0), Geometry(1), RandomStream(0, (0,)))
 
     def test_sites_are_independent(self):
         g = Geometry(1, 6)
         reps = 20_000
         a, b = [], []
         for r in range(reps):
-            eta = sample_product(NuLambda(0.4, 2.0), g, derive_stream(4, r))
+            eta = sample_product(NuLambda(0.4, 2.0), g, RandomStream(4, (r,)))
             a.append(eta.get((0,), 0))
             b.append(eta.get((3,), 0))
         cov = np.cov(a, b)[0, 1]
@@ -109,7 +117,7 @@ class TestSampleProduct:
         reps = 20_000
         a, b = [], []
         for r in range(reps):
-            eta = sample_product(law, g, derive_stream(5, r))
+            eta = sample_product(law, g, RandomStream(5, (r,)))
             a.append(eta.get((0,), 0))
             b.append(eta.get((3,), 0))
         assert np.cov(a, b)[0, 1] > 1.0  # rho^2/4 = 4 in expectation, far from 0

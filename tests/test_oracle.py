@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
-from sipsim.core import Geometry, derive_stream, occupation_of, particles_of
+from sipsim.core import Geometry, RandomStream, occupation_of, particles_of
 from sipsim.duality import DualityEvaluator
 from sipsim.dynamics import ProcessKind, SipParams, simulate
 from sipsim import oracle
@@ -26,9 +26,8 @@ from sipsim.oracle import (
     poisson,
     semigroup_apply,
     state_space,
-    transient_distribution,
-    walk_hitting_probability,
 )
+from difference_chain import transient_distribution
 from reference_generator import (
     reference_cesaro_apply,
     reference_generator,
@@ -499,7 +498,7 @@ class TestMonteCarloAgreement:
         reps = 20_000
         counts = np.zeros(space.size)
         for r in range(reps):
-            traj = simulate(start, ProcessKind.SIP, params, t, derive_stream(21, r))
+            traj = simulate(start, ProcessKind.SIP, params, t, RandomStream(21, (r,)))
             counts[space.index_of_particles(traj.final)] += 1
         freq = counts / reps
         for p_hat, p in zip(freq, target):
@@ -533,22 +532,3 @@ class TestCesaro:
                 assert gap < prev_gap
             prev_gap = gap
 
-
-class TestDumpAndHitting:
-    def test_hitting_from_zero(self):
-        assert walk_hitting_probability(0, 5.0, 2.0) == 1.0
-
-    def test_hitting_probability_monotone_in_time(self):
-        values = [walk_hitting_probability(2, t, 2.0) for t in (0.5, 2.0, 8.0)]
-        assert values[0] < values[1] < values[2]
-        assert all(0.0 < v < 1.0 for v in values)
-
-    def test_hitting_against_series(self):
-        # one jump at rate r by time t, toward 0 with probability 1/2:
-        # P(tau_0 <= t) for start 1 is at least P(first jump hits 0)
-        r = 2.0
-        t = 0.3
-        p1 = 0.5 * (1.0 - math.exp(-r * t))
-        val = walk_hitting_probability(1, t, r)
-        assert val > p1
-        assert val < 1.0

@@ -1,10 +1,10 @@
 """Every top-level function and class in src/sipsim/, and every private
 module-level name, is reached: code in src/ outside its own definition and
-outside __init__.py refers to it by an ast Name or Attribute node. A public
-one may instead be named in README.md's "API outside the studies" section;
-a private one (leading underscore) has no such way out, so a helper merged
-into another cannot linger. Comments, docstrings and imports do not
-count."""
+outside __init__.py refers to it by an ast Name or Attribute node. The public
+ones that are not are exactly those README.md's "API outside the studies"
+lists, so a stale entry fails too; a private one (leading underscore) has
+no such way out, so a merged helper cannot linger. Comments, docstrings
+and imports do not count."""
 
 import ast
 import os
@@ -43,16 +43,16 @@ def _definitions_and_references():
     return definitions, references
 
 
-def _unreached(private, section=""):
+def _unreached(private):
+    """`module.name` of each unreached definition, public or private."""
     definitions, references = _definitions_and_references()
     unreached = []
     for module, name, first, last in definitions:
         if name.startswith("_") != private:
             continue
-        used = any(ref == name and not (m == module and first <= i <= last)
-                   for m, i, ref in references)
-        if not (used or re.search(rf"\b{re.escape(name)}\b", section)):
-            unreached.append(f"{module}:{first} {name}")
+        if not any(ref == name and not (m == module and first <= i <= last)
+                   for m, i, ref in references):
+            unreached.append(f"{module[:-3]}.{name}")
     return unreached
 
 
@@ -61,7 +61,8 @@ def test_every_public_definition_is_reached():
         readme = fh.read()
     assert SECTION in readme
     section = readme.split(SECTION, 1)[1].split("\n## ", 1)[0]
-    assert _unreached(private=False, section=section) == []
+    listed = re.findall(r"^\* `(\w+\.\w+)`", section, re.MULTILINE)
+    assert sorted(_unreached(private=False)) == sorted(listed)
 
 
 def test_every_private_definition_is_reached():
