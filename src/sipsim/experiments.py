@@ -1,10 +1,14 @@
 """Reproducible verification studies with statistical pass/fail contracts.
 
 Every study is a pure function of (config, seed). A Monte Carlo arm is one
-call of `_map_replicas` with a per-replica function: replica r of arm a is
-that function applied to the stream (seed, (a, r)), rows come back in
-replica order, and all reductions are order-independent, so reports are
-identical for any worker count. Report rows come in three kinds:
+call of `_map_replicas` with a block function, which turns a list of at
+most `_LOCKSTEP` streams into one row per stream: row r of arm a depends on
+the stream (seed, (a, r)) alone, blocks are handed out in replica order,
+rows come back in replica order, and all reductions are order-independent,
+so reports are identical for any worker count. The dynamics arms run a
+whole block through one lockstep `sample_at_times` call; the others apply a
+per-replica function to each stream in turn (`_each`). Report rows come in
+three kinds:
 
 * band rows: pass iff |estimate - target| <= max(3*stderr, floor);
 * threshold rows: one-sided, pass iff estimate >= target (or > for strict
@@ -272,25 +276,37 @@ class Report:
         }
 
 
-# (replica, arm, seed) of the fan-out in progress. Pool workers are forked
-# after it is set and inherit it, so the replica function may be a closure
+# Most replicas a block function is handed at once. The lockstep kernel
+# runs a block per `sample_at_times` call, and each live replica holds its
+# stream and two rows of running sums, so peak memory grows with the block.
+_LOCKSTEP = 32
+
+# (block, arm, seed) of the fan-out in progress. Pool workers are forked
+# after it is set and inherit it, so the block function may be a closure
 # and only (lo, hi) crosses the pipe.
 _fanout = None
 
 
 def _replica_block(lo, hi):
-    """Rows of replicas lo..hi-1 of the fan-out in progress."""
-    replica, arm, seed = _fanout
-    return np.array([replica(RandomStream(seed, (arm, r))) for r in range(lo, hi)],
-                    dtype=float)
+    """Rows of replicas lo..hi-1 of the fan-out in progress, handed to its
+    block function in equal blocks of at most _LOCKSTEP streams, in replica
+    order."""
+    block, arm, seed = _fanout
+    blocks = -(-(hi - lo) // _LOCKSTEP)
+    edges = [lo + round(i * (hi - lo) / blocks) for i in range(blocks + 1)]
+    rows = []
+    for first, end in zip(edges, edges[1:]):
+        rows += block([RandomStream(seed, (arm, r)) for r in range(first, end)])
+    return np.array(rows, dtype=float)
 
 
-def _map_replicas(replica, arm, cfg, n, workers):
-    """The rows replica(RandomStream(cfg.seed, (arm, r))) for r < n, in
-    replica order, so the array is independent of the worker count and
-    chunking."""
+def _map_replicas(block, arm, cfg, n, workers):
+    """The rows block(streams) gives for the streams RandomStream(cfg.seed,
+    (arm, r)), r < n, one row per stream, in replica order. A row depends on
+    its own stream alone, so the array is independent of the worker count,
+    chunking and blocking."""
     global _fanout
-    _fanout = (replica, arm, cfg.seed)
+    _fanout = (block, arm, cfg.seed)
     try:
         if workers <= 1:
             return _replica_block(0, n)
@@ -302,6 +318,20 @@ def _map_replicas(replica, arm, cfg, n, workers):
         return np.concatenate(parts, axis=0)
     finally:
         _fanout = None
+
+
+def _each(replica):
+    """The block function that applies replica to each stream in turn. It
+    drops each stream from the block's list before the call, so a long run
+    (up to 8,192 buffered draws) holds one draw buffer, not a block's."""
+    def block(streams):
+        rows = []
+        for i, stream in enumerate(streams):
+            streams[i] = None
+            rows.append(replica(stream))
+        return rows
+
+    return block
 
 
 def _map_calls(calls, workers):
@@ -337,16 +367,16 @@ def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
     for t, (left, right) in zip(cfg.t_grid, exact):
         rows.append(band_row(f"exact_gap[t={t:g}]", abs(left - right), 0.0, 0.0, floor=1e-8))
 
-    def lhs_replica(stream):
-        states = sample_at_times(cfg.eta, params, cfg.t_grid, stream)
-        return [evaluator.value(cfg.xi, occupation_of(s)) for s in states]
+    def lhs_block(streams):
+        paths = sample_at_times([cfg.eta] * len(streams), params, cfg.t_grid, streams)
+        return [[evaluator.value(cfg.xi, occupation_of(s)) for s in path] for path in paths]
 
-    def rhs_replica(stream):
-        states = sample_at_times(cfg.xi, params, cfg.t_grid, stream)
-        return [evaluator.value(s, eta_counts) for s in states]
+    def rhs_block(streams):
+        paths = sample_at_times([cfg.xi] * len(streams), params, cfg.t_grid, streams)
+        return [[evaluator.value(s, eta_counts) for s in path] for path in paths]
 
-    lhs = _map_replicas(lhs_replica, _ARM_SD_LHS, cfg, cfg.replicas, workers)
-    rhs = _map_replicas(rhs_replica, _ARM_SD_RHS, cfg, cfg.replicas, workers)
+    lhs = _map_replicas(lhs_block, _ARM_SD_LHS, cfg, cfg.replicas, workers)
+    rhs = _map_replicas(rhs_block, _ARM_SD_RHS, cfg, cfg.replicas, workers)
     for j, t in enumerate(cfg.t_grid):
         l_est, l_se = batched(lhs[:, j])
         r_est, r_se = batched(rhs[:, j])
@@ -383,14 +413,16 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     evaluator = DualityEvaluator(cfg.m)
     probes = [_dual_sites(cfg, n) for n in cfg.xi_sizes]
 
-    def direct_replica(stream):
-        eta0 = sample_product(law, geo, stream)
-        states = sample_at_times(particles_of(eta0), params, cfg.t_grid, stream)
-        counts = [occupation_of(s) for s in states]
-        return [evaluator.value(probe, c) for probe in probes for c in counts]
+    def direct_block(streams):
+        starts = [particles_of(sample_product(law, geo, stream)) for stream in streams]
+        rows = []
+        for path in sample_at_times(starts, params, cfg.t_grid, streams):
+            counts = [occupation_of(s) for s in path]
+            rows.append([evaluator.value(probe, c) for probe in probes for c in counts])
+        return rows
 
     rows = []
-    direct = _map_replicas(direct_replica, _ARM_STAT_DIRECT, cfg, cfg.replicas, workers)
+    direct = _map_replicas(direct_block, _ARM_STAT_DIRECT, cfg, cfg.replicas, workers)
     col = 0
     for n, probe in zip(cfg.xi_sizes, probes):
         target = law.rho**n
@@ -424,8 +456,8 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
     curve = []
     for j, t in enumerate(cfg.t_grid):
         flags = _map_replicas(
-            lambda stream: _coupled(two_stage_coupling(cfg.x_start, cfg.y_start, params,
-                                                       t, cfg.delta, stream)),
+            _each(lambda stream: _coupled(two_stage_coupling(cfg.x_start, cfg.y_start, params,
+                                                             t, cfg.delta, stream))),
             _ARM_COUPLING_BASE + j, cfg, cfg.replicas, workers)
         p_est, p_se = batched(flags)
         curve.append((p_est, p_se))
@@ -438,8 +470,8 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
     rows.append(threshold_row("trend_separation", separation, None, 0.0, strict=True))
     schedule = doubling_schedule(cfg.schedule_t0, cfg.schedule_doublings)
     iterated = _map_replicas(
-        lambda stream: _coupled(iterated_coupling(cfg.x_start, cfg.y_start, params,
-                                                  schedule, stream, delta=cfg.delta)),
+        _each(lambda stream: _coupled(iterated_coupling(cfg.x_start, cfg.y_start, params,
+                                                        schedule, stream, delta=cfg.delta))),
         _ARM_ITERATED, cfg, cfg.iterated_replicas, workers)
     it_est, it_se = batched(iterated)
     rows.append(threshold_row("iterated_success", it_est, it_se, 0.99))
@@ -459,7 +491,7 @@ def run_or_distance(cfg: ExperimentConfig, workers: int = 1) -> Report:
     params = cfg.sip_params
     rows = []
     block = _map_replicas(
-        lambda stream: or_distance_single(cfg.x_start, params, cfg.t_grid, stream),
+        _each(lambda stream: or_distance_single(cfg.x_start, params, cfg.t_grid, stream)),
         _ARM_OR_DISTANCE, cfg, cfg.replicas, workers)
     normalized = []
     for j, t in enumerate(cfg.t_grid):
@@ -485,7 +517,10 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
 
     Only the dual particles are simulated (infinite geometry allowed); the
     initial law enters through its closed-form transform evaluated along
-    dual trajectories. The contract binds the final grid time: estimate
+    dual trajectories. The nu_lambda and mixture transforms depend on |xi|
+    alone, which the dynamics conserve, so for them every dual path gives
+    the transform at xi and nothing is simulated; `batched` still reduces
+    one copy per replica. The contract binds the final grid time: estimate
     within max(3 sigma, 0.02 * target) of the analytic limit. The last row
     reports the theorem's hypothesis at |xi|: the tempered moment bound c_n.
     For these laws c_n is that limit: product laws converge to rho^n, and a
@@ -498,11 +533,15 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
     target = evaluator.temperedness_bound(law, n)
     rows = [info_row("ah_density", ah_density(law, cfg.m))]
 
-    def replica(stream):
-        states = sample_at_times(cfg.xi, params, cfg.t_grid, stream)
-        return [evaluator.closed_transform(law, s) for s in states]
+    def replica_block(streams):
+        paths = sample_at_times([cfg.xi] * len(streams), params, cfg.t_grid, streams)
+        return [[evaluator.closed_transform(law, s) for s in path] for path in paths]
 
-    block = _map_replicas(replica, _ARM_CONVERGENCE, cfg, cfg.replicas, workers)
+    if isinstance(law, PoissonProduct):
+        block = _map_replicas(replica_block, _ARM_CONVERGENCE, cfg, cfg.replicas, workers)
+    else:  # the simulated array's shape, so batched sees the same columns
+        block = np.full((cfg.replicas, len(cfg.t_grid)),
+                        evaluator.closed_transform(law, cfg.xi))
     last = len(cfg.t_grid) - 1
     for j, t in enumerate(cfg.t_grid):
         est, se = batched(block[:, j])
@@ -547,7 +586,7 @@ def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Repor
         eta = sample_product(law, geo, stream)
         return evaluator.value(probe, eta), evaluator.value(probe[:1], eta)
 
-    block = _map_replicas(replica, _ARM_CORRELATION, cfg, cfg.replicas, workers)
+    block = _map_replicas(_each(replica), _ARM_CORRELATION, cfg, cfg.replicas, workers)
     lhs_est, lhs_se = batched(block[:, 0])
     f_est, f_se = batched(block[:, 1])
     rows.append(band_row("sampled_lhs", lhs_est, lhs_se, lhs_closed))

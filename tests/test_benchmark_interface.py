@@ -141,6 +141,31 @@ def test_gillespie_steps_are_called_through_the_module_global(monkeypatch, geome
     monkeypatch.setattr(dynamics, "gillespie_step", counted)
     stream = _CountingStream(0, (0,))
     stream.draws = 0
-    dynamics.sample_at_times(xi0, SipParams(2.0, geometry), [0.5, 3.0], stream)
+    dynamics.sample_at_times([xi0], SipParams(2.0, geometry), [0.5, 3.0], [stream])
     assert len(calls) > 10
     assert 2 * len(calls) == stream.draws  # an event draws its time and its pick
+
+
+@pytest.mark.parametrize("geometry, starts", [
+    (Geometry(1), [((0,), (1,), (1,)), (), ((5,),), ((0,), (0,))]),
+    (Geometry(2, 4), [((0, 0), (0, 1), (2, 2), (3, 3)), ((1, 1),), ()]),
+])
+def test_gillespie_steps_of_a_block_are_one_per_replica_event(monkeypatch, geometry, starts):
+    # a lockstep round steps every live replica through the module global,
+    # so dynamics.events still counts the events of every trajectory
+    calls = []
+    step = dynamics.gillespie_step
+
+    def counted(cumulative, stream):
+        calls.append(stream)
+        return step(cumulative, stream)
+
+    monkeypatch.setattr(dynamics, "gillespie_step", counted)
+    streams = [_CountingStream(0, (b,)) for b in range(len(starts))]
+    for stream in streams:
+        stream.draws = 0
+    dynamics.sample_at_times(starts, SipParams(2.0, geometry), [0.5, 3.0], streams)
+    for xi0, stream in zip(starts, streams):
+        events = sum(s is stream for s in calls)
+        assert 2 * events == stream.draws
+        assert (events > 0) == bool(xi0)

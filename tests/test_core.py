@@ -94,7 +94,7 @@ class TestGeometry:
         with pytest.raises(ValueError, match=r"\(6,\) is outside \[0, 4\)"):
             event_rates(pair, g, 1.0)
         with pytest.raises(ValueError, match="outside"):
-            sample_at_times(pair, params, [1.0], RandomStream(0, (0,)))
+            sample_at_times([pair], params, [1.0], [RandomStream(0, (0,))])
         with pytest.raises(ValueError, match="outside"):
             simulate(pair, ProcessKind.SIP, params, 1.0, RandomStream(0, (0,)))
         for site in ((-1,), (4,)):

@@ -3,7 +3,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sipsim.core import Geometry, RandomStream
@@ -124,6 +124,23 @@ class TestGillespie:
         with pytest.raises(NoEventError):
             gillespie_step([], RandomStream(0, (0,)))
 
+    def test_empty_numpy_row(self):
+        with pytest.raises(NoEventError):
+            gillespie_step(np.empty(0), RandomStream(0, (0,)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40).filter(any),
+           st.integers(0, 2**32 - 1))
+    def test_a_numpy_row_steps_as_its_list_does(self, rates, seed):
+        # the lockstep kernel hands rows of a numpy buffer; trailing zero
+        # rates are its padding
+        row = np.cumsum(rates)
+        fast, slow = RandomStream(seed), RandomStream(seed)
+        (k, dt), (k_list, dt_list) = gillespie_step(row, fast), gillespie_step(row.tolist(), slow)
+        assert k == k_list
+        assert dt.hex() == dt_list.hex()
+        assert fast.uniform() == slow.uniform()
+
     def test_selection_frequencies(self):
         s = RandomStream(5, (0,))
         n = 100_000
@@ -169,6 +186,15 @@ class TestGillespie:
         assert u * cumulative[-1] >= cumulative[-1]
         assert gillespie_step(cumulative, _StubStream(u))[0] == len(rates) - 1
         assert self.reference_pick(rates, u) == len(rates) - 1
+
+    def test_rounding_past_a_padded_total_picks_the_replicas_last_entry(self):
+        # in a block the shorter start's row is padded with zero rates, so
+        # u * total = total must pick its own last entry, not the padding
+        starts = [((0,),), ((3,), (4,), (4,))]
+        [path, _] = sample_at_times(starts, P1, [0.75], [_StubStream(1.0), _StubStream(1.0)])
+        assert path == reference_sample_at_times(starts[0], ProcessKind.SIP, P1, [0.75],
+                                                 _StubStream(1.0))
+        assert path == [((1,),)]
 
 
 class TestSimulate:
@@ -230,14 +256,14 @@ class TestSimulate:
 
     def test_sample_at_times_matches_simulate_on_shared_stream(self):
         grid = [0.5, 1.0, 2.0]
-        states = sample_at_times(((0,), (1,)), P1, grid, RandomStream(9, (0,)))
+        [states] = sample_at_times([((0,), (1,))], P1, grid, [RandomStream(9, (0,))])
         assert len(states) == 3
         final = simulate(((0,), (1,)), ProcessKind.SIP, P1, 2.0, RandomStream(9, (0,))).final
         assert states[-1] == final
 
     def test_sample_at_times_validates_grid(self):
         with pytest.raises(ValueError):
-            sample_at_times(((0,),), P1, [2.0, 1.0], RandomStream(0, (0,)))
+            sample_at_times([((0,),)], P1, [2.0, 1.0], [RandomStream(0, (0,))])
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_non_finite_horizon(self, horizon):
@@ -248,7 +274,7 @@ class TestSimulate:
     @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.inf], [1.0, math.inf]])
     def test_sample_at_times_rejects_non_finite_grid(self, grid):
         with pytest.raises(ValueError):
-            sample_at_times(((0,),), P1, grid, RandomStream(0, (0,)))
+            sample_at_times([((0,),)], P1, grid, [RandomStream(0, (0,))])
 
     @pytest.mark.parametrize("m", [math.nan, math.inf])
     def test_m_must_be_finite(self, m):
@@ -256,17 +282,26 @@ class TestSimulate:
             SipParams(m=m, geometry=Geometry(1))
 
 
+def small_starts(geometry):
+    """Up to 8 particles on a small torus or near the origin of Z^d; the few
+    sites make stacked particles common."""
+    lo, hi = (0, geometry.L - 1) if geometry.L else (-2, 2)
+    site = st.tuples(*[st.integers(lo, hi)] * geometry.d)
+    return st.lists(site, max_size=8).map(tuple)
+
+
 @st.composite
-def small_systems(draw):
-    """A few particles on a small torus or near the origin of Z^d, d = 1..3."""
+def small_systems(draw, block=False):
+    """A few particles on a small torus or near the origin of Z^d, d = 1..3;
+    with block=True, a list of 1-12 such starts on one geometry instead."""
     d = draw(st.integers(1, 3))
     L = draw(st.sampled_from([None, 3, 4, 5]))
-    lo, hi = (0, L - 1) if L else (-2, 2)
-    site = st.tuples(*[st.integers(lo, hi)] * d)
-    xi = tuple(draw(st.lists(site, max_size=8)))
+    geometry = Geometry(d, L)
+    starts = small_starts(geometry)
+    xi = draw(st.lists(starts, min_size=1, max_size=12) if block else starts)
     m = draw(st.sampled_from([2.0, 0.7, 1.3, 5.0, 0.1]))
     kind = draw(st.sampled_from(list(ProcessKind)))
-    return xi, kind, SipParams(m=m, geometry=Geometry(d, L))
+    return xi, kind, SipParams(m=m, geometry=geometry)
 
 
 class TestAgainstFullRecompute:
@@ -293,10 +328,44 @@ class TestAgainstFullRecompute:
         fast, slow = RandomStream(seed), RandomStream(seed)
         # two calls on one stream: the second starts where the first left it
         for start in (xi, xi[::-1]):
-            a = sample_at_times(start, params, grid, fast)
+            [a] = sample_at_times([start], params, grid, [fast])
             b = reference_sample_at_times(start, ProcessKind.SIP, params, grid, slow)
             assert a == b
             assert fast.uniform() == slow.uniform()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems(block=True), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 3.0), max_size=4))
+    @example(([((0,), (1,), (1,))], ProcessKind.SIP, P1), 3, [0.5, 2.0])
+    @example(([(), (), ()], ProcessKind.SIP, SipParams(2.0, Geometry(2, 4))), 4, [1.0])
+    @example(([((0,), (0,)), (), ((2,),)], ProcessKind.SIP, P1), 5, [])
+    def test_a_block_equals_its_replicas_run_alone(self, system, seed, grid):
+        # empty starts, stacked particles and different sizes share one
+        # block; replica b runs on its own stream (seed, (b,))
+        starts, _, params = system
+        grid = sorted(grid)
+        fast = [RandomStream(seed, (b,)) for b in range(len(starts))]
+        slow = [RandomStream(seed, (b,)) for b in range(len(starts))]
+        assert sample_at_times(starts, params, grid, fast) == [
+            reference_sample_at_times(xi, ProcessKind.SIP, params, grid, stream)
+            for xi, stream in zip(starts, slow)]
+        assert [s.uniform() for s in fast] == [s.uniform() for s in slow]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_long_block_on_z_equals_its_replicas_run_alone(self, d):
+        # more sites come into sight on Z^d than the 64 ids a block's site
+        # table starts with, so the table grows while replicas run
+        params = SipParams(2.0, Geometry(d))
+        origin = (0,) * d
+        starts = [(origin, origin), (origin,) * 3, (), ((4,) + origin[1:],)]
+        grid = [10.0, 60.0, 150.0]
+        fast = [RandomStream(12, (b,)) for b in range(len(starts))]
+        slow = [RandomStream(12, (b,)) for b in range(len(starts))]
+        paths = sample_at_times(starts, params, grid, fast)
+        assert paths == [reference_sample_at_times(xi, ProcessKind.SIP, params, grid, stream)
+                         for xi, stream in zip(starts, slow)]
+        assert len({x for path in paths for state in path for x in state}) > 8
+        assert [s.uniform() for s in fast] == [s.uniform() for s in slow]
 
     @settings(max_examples=100, deadline=None)
     @given(small_systems(), st.integers(0, 2**32 - 1))

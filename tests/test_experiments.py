@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from sipsim.cli import DEFAULT_CONFIGS
-from sipsim.dynamics import ProcessKind
+from sipsim.core import Geometry, RandomStream
+from sipsim.duality import DualityEvaluator
+from sipsim.dynamics import ProcessKind, SipParams, sample_at_times
 from sipsim.experiments import (
+    _ARM_CONVERGENCE,
+    _CONVERGENCE_LAWS,
+    _LOCKSTEP,
     STUDIES,
     ExperimentConfig,
+    _each,
     _map_calls,
     _map_replicas,
     Report,
@@ -31,6 +37,12 @@ from sipsim.stats import InsufficientDataError, batched
 from difference_chain import exact_transform
 from reference_coupling import reference_or_distance_single, reference_two_stage
 from reference_dynamics import reference_sample_at_times
+
+
+def reference_block(starts, params, times, streams):
+    """`sample_at_times` for a block, one reference trajectory per start."""
+    return [reference_sample_at_times(xi0, ProcessKind.SIP, params, times, stream)
+            for xi0, stream in zip(starts, streams)]
 
 
 class TestBatchStats:
@@ -230,40 +242,104 @@ class TestMapCalls:
         assert started_threads and not any(t.is_alive() for t in started_threads)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run `_map_replicas`'s pool tasks in this process, in task order; the
+    list records the size of each pool asked for."""
+    import sipsim.experiments as experiments
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(experiments, "mp",
+                        SimpleNamespace(get_context=lambda method: SimpleNamespace(
+                            Pool=InlinePool)))
+    return sizes
+
+
+def kernel_block(streams):
+    """A block function on the lockstep kernel: three stacked and adjacent
+    particles on Z, the coordinate sum at t = 0.5 and t = 2."""
+    paths = sample_at_times([((0,), (1,), (1,))] * len(streams), SipParams(2.0, Geometry(1)),
+                            [0.5, 2.0], streams)
+    return [[sum(x for (x,) in state) for state in path] for path in paths]
+
+
+def kernel_rows_alone(seed, arm, n):
+    """kernel_block's rows with every replica run alone on the reference."""
+    return np.array([[sum(x for (x,) in state) for state in reference_sample_at_times(
+        ((0,), (1,), (1,)), ProcessKind.SIP, SipParams(2.0, Geometry(1)), [0.5, 2.0],
+        RandomStream(seed, (arm, r)))] for r in range(n)], dtype=float)
+
+
 class TestMapReplicas:
-    def test_pool_never_outnumbers_its_chunks(self, monkeypatch):
+    def test_pool_never_outnumbers_its_chunks(self, inline_pool):
         # 100 replicas make at most 100 chunks, so 200 workers must not fork
         # 100 processes that never get one; the pool runs inline here
-        import sipsim.experiments as experiments
-
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, tasks):
-                return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(experiments, "mp",
-                            SimpleNamespace(get_context=lambda method: SimpleNamespace(
-                                Pool=InlinePool)))
+        sizes = inline_pool
         cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
 
-        def replica(stream):
-            return [stream.uniform()]
+        def block(streams):
+            return [[stream.uniform()] for stream in streams]
 
-        serial = _map_replicas(replica, 0, cfg, 100, 1)
+        serial = _map_replicas(block, 0, cfg, 100, 1)
         assert sizes == []
         for workers, processes in ((2, 2), (200, 100)):
-            assert np.array_equal(_map_replicas(replica, 0, cfg, 100, workers), serial)
+            assert np.array_equal(_map_replicas(block, 0, cfg, 100, workers), serial)
             assert sizes.pop() == processes
+
+    def test_rows_are_equal_at_every_worker_count(self):
+        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
+        rows = [_map_replicas(kernel_block, 2, cfg, 150, workers) for workers in (1, 2, 3)]
+        assert np.array_equal(rows[0], kernel_rows_alone(3, 2, 150))
+        assert all(np.array_equal(r, rows[0]) for r in rows[1:])
+
+    @pytest.mark.parametrize("n", [_LOCKSTEP - 1, _LOCKSTEP, _LOCKSTEP + 1])
+    def test_rows_straddling_one_block_equal_replicas_run_alone(self, n):
+        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=4)
+        assert np.array_equal(_map_replicas(kernel_block, 5, cfg, n, 1),
+                              kernel_rows_alone(4, 5, n))
+
+    def test_each_drops_every_stream_it_has_used(self):
+        # a per-replica arm may buffer 8,192 draws per stream; the block's
+        # list must not keep them all alive
+        streams = [RandomStream(0, (r,)) for r in range(5)]
+        seen = []
+
+        def replica(stream):
+            seen.append(streams.count(None))
+            return stream.uniform()
+
+        assert _each(replica)(streams) == [RandomStream(0, (r,)).uniform() for r in range(5)]
+        assert seen == [1, 2, 3, 4, 5]
+        assert streams == [None] * 5
+
+    @pytest.mark.parametrize("n, workers", [(1, 1), (_LOCKSTEP + 1, 1), (2 * _LOCKSTEP, 1),
+                                            (3 * _LOCKSTEP + 5, 3), (7, 64)])
+    def test_block_functions_see_each_stream_once_in_replica_order(self, inline_pool, n,
+                                                                   workers):
+        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=5)
+        seen = []
+
+        def block(streams):
+            seen.append([stream.path for stream in streams])
+            return [[float(r)] for r in range(len(streams))]
+
+        _map_replicas(block, 7, cfg, n, workers)
+        assert [path for paths in seen for path in paths] == [(7, r) for r in range(n)]
+        assert max(map(len, seen)) <= _LOCKSTEP
 
 
 def small_self_duality_cfg(**kw):
@@ -304,8 +380,8 @@ class TestStudies:
         assert row.target == pytest.approx(2.0 / 3.0)
 
     def test_stationarity_simulates_the_direct_arm_alone(self, monkeypatch):
-        # the dual rows are exact: one stream and one sample_at_times call
-        # per replica, both of the direct arm
+        # the dual rows are exact: one stream and one sample_at_times
+        # trajectory per replica, both of the direct arm
         import sipsim.experiments as experiments
 
         calls, streams = [], []
@@ -325,10 +401,36 @@ class TestStudies:
                                lam=0.4, xi_sizes=(1, 2, 3), t_grid=(0.5, 1.0),
                                replicas=120, seed=8)
         rep = run_stationarity(cfg, workers=1)
-        assert len(calls) == cfg.replicas
+        assert sum(len(starts) for starts, *_ in calls) == cfg.replicas
         assert len(streams) == cfg.replicas
         dual = [r for r in rep.rows if r.statistic.startswith("dual_transform")]
         assert len(dual) == 6 and all(r.passed for r in dual)
+
+    @pytest.mark.parametrize("law, field", [("nu_lambda", {"lam": 0.4}),
+                                            ("mixture", {"mixture": ((0.2, 0.5), (0.6, 0.5))})])
+    def test_placement_free_convergence_simulates_nothing(self, monkeypatch, law, field):
+        # nu_lambda and mixture transforms depend on |xi| alone, which the
+        # dynamics conserve: the rows are the ones the simulated dual paths
+        # gave, with no sample_at_times call
+        import sipsim.experiments as experiments
+
+        def unexpected(*args):
+            raise AssertionError("sample_at_times was called")
+
+        monkeypatch.setattr(experiments, "sample_at_times", unexpected)
+        cfg = ExperimentConfig(study="convergence", initial_law=law, xi=((0,), (1,), (1,)),
+                               t_grid=(0.5, 2.0), replicas=100, seed=9, **field)
+        rows = run_convergence(cfg).rows
+        closed = _CONVERGENCE_LAWS[law][1](cfg)
+        evaluator = DualityEvaluator(cfg.m)
+        simulated = np.array([[evaluator.closed_transform(closed, s)
+                               for s in reference_sample_at_times(
+                                   cfg.xi, ProcessKind.SIP, cfg.sip_params, cfg.t_grid,
+                                   RandomStream(cfg.seed, (_ARM_CONVERGENCE, r)))]
+                              for r in range(cfg.replicas)])
+        for j, t in enumerate(cfg.t_grid):
+            row = next(r for r in rows if r.statistic == f"transform[t={t:g}]")
+            assert (row.estimate, row.stderr) == batched(simulated[:, j])
 
     def test_dense_stationarity_rows_match_full_recompute(self, monkeypatch):
         # about 64 particles per direct replica: every event of the
@@ -339,9 +441,7 @@ class TestStudies:
         cfg = ExperimentConfig(study="stationarity", d=2, boundary="torus", L=8,
                                lam=0.5, t_grid=(0.25, 1.0), replicas=100, seed=19)
         fast = run_stationarity(cfg, workers=1)
-        monkeypatch.setattr(experiments, "sample_at_times",
-                            lambda xi0, params, times, stream: reference_sample_at_times(
-                                xi0, ProcessKind.SIP, params, times, stream))
+        monkeypatch.setattr(experiments, "sample_at_times", reference_block)
         slow = run_stationarity(cfg, workers=1)
         assert fast.rows == slow.rows
 
