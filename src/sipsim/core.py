@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from operator import sub
 
@@ -131,10 +132,54 @@ def particles_of(counts) -> ParticleList:
     return tuple(out)
 
 
+def _hash(values, rows: int, init: int, mult: int, first: int = 0):
+    """SeedSequence's hash of rows of uint32 values held in uint64; row j is
+    hash call first + j, whose constant is init * mult^(first + j) mod 2^32."""
+    c = np.array([init * pow(mult, first + i, 2**32) % 2**32 for i in range(rows + 1)],
+                 np.uint64)[:, None]
+    v = (values ^ c[:-1]) * c[1:] & 0xFFFFFFFF
+    return v ^ v >> 16
+
+
+def stream_words(seed: int, head, lo: int, hi: int) -> np.ndarray:
+    """The PCG64 seed words of the streams (seed, head + (r,)), lo <= r < hi:
+    row r - lo is NumPy's SeedSequence(entropy=seed, spawn_key=head + (r,))
+    .generate_state(4, np.uint64). The pool of (seed, head) is computed
+    once; r, the last entropy word, is mixed in over an array of r.
+    """
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=tuple(head)).pool.astype(np.uint64)
+    # hash calls before r's, whatever the data: 4 fill the pool, 12 mix it,
+    # then 4 per entropy word past the fourth (a seed is padded to 4 words)
+    used = 4 * (max(4, -(-seed.bit_length() // 32)) + len(head))
+    h = _hash(np.arange(lo, hi, dtype=np.uint64), 4, 0x43B0D7E5, 0x931E8875, used)
+    mixed = (0xCA01F9DD * pool[:, None] - 0x4973F715 * h) & 0xFFFFFFFF
+    words = _hash(np.tile(mixed ^ mixed >> 16, (2, 1)), 8, 0x8B51F9DD, 0x58F38DED)
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+@cache
+def _preset():
+    """The seed-sequence type that hands PCG64 a stream's four words; built
+    on first use, as loading numpy.random at import costs memory."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Preset(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Preset
+
+
 class RandomStream:
     """Deterministic uniform source; (seed, path) pins the entire sequence.
 
-    Streams with distinct paths are independent by seed-sequence spawning.
+    Streams with distinct paths are independent by seed-sequence spawning:
+    PCG64 is seeded with NumPy's SeedSequence(entropy=seed, spawn_key=path)
+    .generate_state(4, np.uint64), or with `words`, the same four words as
+    `stream_words` computes them for a batch of sibling paths.
     Scalar draws are served from a prefetched buffer, so interleaving calls
     on the same stream object stays reproducible for a fixed call pattern.
     The buffer starts small and doubles at each refill up to a cap, since
@@ -147,7 +192,7 @@ class RandomStream:
 
     __slots__ = ("seed", "path", "_gen", "_arr", "_buf", "_pos")
 
-    def __init__(self, seed: int, path=()):
+    def __init__(self, seed: int, path=(), words=None):
         if not isinstance(seed, int) or seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         path = tuple(path)
@@ -156,7 +201,10 @@ class RandomStream:
                 raise ValueError(f"stream path entries must be uint32, got {p!r}")
         self.seed = seed
         self.path = path
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
+        if words is None:
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
+        else:
+            ss = _preset()(words)
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self._arr = _NO_DRAWS  # the buffered draws as the generator returned them
         self._buf = []  # the same draws as Python floats, for scalar reads
@@ -184,6 +232,8 @@ class RandomStream:
         self._arr, self._buf, self._pos = draws, draws.tolist(), 0
 
     def _fill(self, k: int):
+        if k < 0:
+            raise ValueError(f"draw count must be nonnegative, got {k}")
         short = k - (len(self._buf) - self._pos)
         if short > 0:
             self._refill(np.concatenate((self._arr[self._pos :], self._gen.random(short))))

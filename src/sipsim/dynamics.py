@@ -73,12 +73,14 @@ def gillespie_step(cumulative, stream: RandomStream):
     """One exact jump: exponential dt at the total rate, then a rate-weighted pick.
 
     `cumulative` holds the running sums of the event rates, left to right
-    (`itertools.accumulate`), so its last entry is the total rate; a list
-    and a 1-D numpy array of the same sums give the same (event index, dt),
-    dt a Python float. The waiting time is drawn first and the event second,
-    which fixes the draw order ties are broken by: the event picked is the
-    first whose running sum exceeds u * total, and the last one if rounding
-    puts u * total at or above the total.
+    (`itertools.accumulate`), so its last entry is the total rate; a list,
+    a 1-D numpy array and a 1-D float memoryview of the same sums give the
+    same (event index, dt), dt a Python float; bisecting a memoryview reads
+    Python floats, a numpy row makes a numpy scalar per probe. The waiting
+    time is drawn first and the event second, which fixes the draw order
+    ties are broken by: the event picked is the first whose running sum
+    exceeds u * total, and the last one if rounding puts u * total at or
+    above the total.
     """
     if len(cumulative) == 0:
         raise NoEventError("no events available")
@@ -276,12 +278,15 @@ def sample_at_times(starts, params: SipParams, times, streams):
     nothing.
 
     The replicas run in lockstep. Each round calls `gillespie_step` once per
-    live replica on that replica's row of running sums: entry 2d*i + j is
-    particle i jumping to its j-th neighbor, the entries past the
-    replica's own particles are exactly 0.0, and the pick is clamped to the
-    replica's own last entry. Then every mover's row is rebuilt from the
-    level table p_edge * (half_m + c) at its neighbors' occupations and
-    re-accumulated with `np.cumsum`, which adds left to right as
+    live replica on that replica's row of running sums, a memoryview slice
+    of one buffer: entry 2d*i + j is particle i jumping to its j-th
+    neighbor, the entries past the replica's own particles are exactly 0.0,
+    and the pick is clamped to the replica's own last entry. The first rows
+    and the occupation counts come from one array of site ids per replica,
+    padded with the void site id 0, in a few array operations. Then every
+    mover's row is rebuilt from the level table p_edge * (half_m + c) at
+    its neighbors' occupations and re-accumulated with `np.cumsum`, which
+    adds left to right as
     `itertools.accumulate` does, so every replica draws and moves bit for
     bit as it would alone. Finished replicas leave the live prefix of the
     row buffers, replaced by the last live one.
@@ -299,20 +304,22 @@ def sample_at_times(starts, params: SipParams, times, streams):
     levels = [p_edge * (half_m + c) for c in range(n_max + 1)]
     table = _SiteTable(geo, B, levels[0])
     positions = [table.enter(start) for start in starts]
-    sites, neighbors, occupation = table.sites, table.neighbors, table.occupation
     out = [[] if p else [() for _ in grid] for p in positions]
     live = [b for b, p in enumerate(positions) if p and grid]
-    for b, p in enumerate(positions):
-        for x in p:
-            occupation[x * B + b] += 1
-    table.level[B:] = np.take(levels, occupation[B:])
+    held = np.arange(n_max) < np.array(list(map(len, positions)))[:, None]
+    ids = np.zeros((B, n_max), dtype=np.intp)
+    ids[held] = [x for p in positions for x in p]
+    counts = np.bincount((ids * B + np.arange(B)[:, None])[held], minlength=len(table.occupation))
+    table.occupation = counts.tolist()
+    table.level[B:] = np.take(levels, counts[B:])
+    sites, neighbors, occupation = table.sites, table.neighbors, table.occupation
     n_live, n_grid = len(live), len(grid)
-    gather = np.zeros((n_live, width * n_max), dtype=np.intp)
-    for s, b in enumerate(live):
-        row = table.targets[positions[b]] + b
-        gather[s, :row.size] = row.ravel()
+    # a padding entry of replica b reads level[b], the void site's 0.0
+    gather = (table.targets[ids[live]] + np.array(live, dtype=np.intp)[:, None, None]
+              ).reshape(n_live, width * n_max)
     cumulative = np.empty(gather.shape)
-    rows = list(cumulative)
+    flat = memoryview(cumulative.ravel())  # bisect reads Python floats from it
+    rows = [flat[s * width * n_max:(s + 1) * width * n_max] for s in range(n_live)]
     moves = gather.reshape(n_live * n_max, width)  # one row per (slot, particle)
     last = [width * len(p) - 1 for p in positions]
     clock, next_time = [0.0] * B, [0] * B

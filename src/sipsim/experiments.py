@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import Geometry, RandomStream, occupation_of, particles_of
+from .core import Geometry, RandomStream, occupation_of, particles_of, stream_words
 from .coupling import (
     OutcomeKind,
     doubling_schedule,
@@ -292,11 +292,12 @@ def _replica_block(lo, hi):
     block function in equal blocks of at most _LOCKSTEP streams, in replica
     order."""
     block, arm, seed = _fanout
+    words = stream_words(seed, (arm,), lo, hi)
     blocks = -(-(hi - lo) // _LOCKSTEP)
     edges = [lo + round(i * (hi - lo) / blocks) for i in range(blocks + 1)]
     rows = []
     for first, end in zip(edges, edges[1:]):
-        rows += block([RandomStream(seed, (arm, r)) for r in range(first, end)])
+        rows += block([RandomStream(seed, (arm, r), words[r - lo]) for r in range(first, end)])
     return np.array(rows, dtype=float)
 
 

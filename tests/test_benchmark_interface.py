@@ -11,16 +11,22 @@ what they reach.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sipsim
 import sipsim.coupling as coupling
 import sipsim.dynamics as dynamics
+import sipsim.experiments as experiments
 import sipsim.oracle as oracle
 from sipsim.core import Geometry, RandomStream
 from sipsim.dynamics import SipParams
+from sipsim.experiments import _LOCKSTEP, ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -169,3 +175,33 @@ def test_gillespie_steps_of_a_block_are_one_per_replica_event(monkeypatch, geome
         events = sum(s is stream for s in calls)
         assert 2 * events == stream.draws
         assert (events > 0) == bool(xi0)
+
+
+@pytest.mark.parametrize("n", [1, _LOCKSTEP + 1, 100])
+def test_every_replica_stream_runs_the_wrapped_init(monkeypatch, n):
+    # the tracer counts core.streams by wrapping RandomStream.__init__, so
+    # the fan-out must build each replica's stream through it exactly once
+    paths = []
+    init = RandomStream.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        paths.append(self.path)
+
+    monkeypatch.setattr(RandomStream, "__init__", counted)
+    cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
+    rows = experiments._map_replicas(lambda streams: [[s.uniform()] for s in streams],
+                                     4, cfg, n, 1)
+    assert paths == [(4, r) for r in range(n)]
+    assert len(rows) == n
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random loads with the first stream; oracle-check builds none, and
+    # loading it with the package raises that run's peak memory by about 18%
+    src = str(Path(sipsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, sipsim.cli; print(sorted(m for m in sys.modules if 'numpy.random' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sipsim.core import (
     COORD_LIMIT,
@@ -10,7 +12,15 @@ from sipsim.core import (
     RandomStream,
     occupation_of,
     particles_of,
+    stream_words,
 )
+
+# seeds of one word, of two to four words and of five or more: a seed of
+# fewer than four words is padded to four when a spawn key follows it
+SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**128 - 1),
+                  st.integers(2**128, 2**200))
+HEADS = st.lists(st.integers(0, 2**32 - 1), max_size=2).map(tuple)
+INDICES = st.one_of(st.just(0), st.integers(0, 2**32 - 1))
 
 
 class TestGeometry:
@@ -235,6 +245,45 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             head[0] = 0.5
         assert s.uniform() == head[0]
+
+    @pytest.mark.parametrize("op", ["advance", "peek"])
+    @pytest.mark.parametrize("count", [-1, -2])
+    @pytest.mark.parametrize("drawn", [0, 3])
+    def test_negative_counts_are_rejected(self, op, count, drawn):
+        # a negative advance used to rewind the buffer and a negative peek
+        # to return an empty array; the stream is left as it was
+        expected = RandomStream(31, (3,))
+        s = RandomStream(31, (3,))
+        for _ in range(drawn):
+            assert s.uniform() == expected.uniform()
+        with pytest.raises(ValueError, match=str(count)):
+            getattr(s, op)(count)
+        assert s.uniform() == expected.uniform()
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS, HEADS, INDICES, st.integers(1, 4))
+    @example(0, (), 2**32 - 3, 3)
+    @example(2**32, (7,), 0, 2)
+    @example(2**128, (1, 2), 2**32 - 1, 1)
+    def test_stream_words_are_the_seed_sequence_words(self, seed, head, lo, n):
+        hi = min(lo + n, 2**32)
+        words = stream_words(seed, head, lo, hi)
+        assert words.dtype == np.uint64 and words.shape == (hi - lo, 4)
+        for r in range(lo, hi):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=head + (r,))
+            assert words[r - lo].tolist() == ss.generate_state(4, np.uint64).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, HEADS, INDICES, st.integers(0, 100), st.integers(0, 100))
+    def test_streams_from_words_draw_as_streams_from_paths(self, seed, head, r, k, j):
+        path = head + (r,)
+        batch = RandomStream(seed, path, stream_words(seed, head, r, r + 1)[0])
+        alone = RandomStream(seed, path)
+        assert [batch.uniform() for _ in range(200)] == [alone.uniform() for _ in range(200)]
+        assert batch.peek(k).tolist() == alone.peek(k).tolist()
+        batch.advance(j)
+        alone.advance(j)
+        assert batch.uniform() == alone.uniform()
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

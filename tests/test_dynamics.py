@@ -128,18 +128,27 @@ class TestGillespie:
         with pytest.raises(NoEventError):
             gillespie_step(np.empty(0), RandomStream(0, (0,)))
 
+    @staticmethod
+    def row_kinds(rates, padding):
+        """The running sums of rates and `padding` zero rates as a list, a
+        numpy row and a memoryview row: the lockstep kernel's rows are
+        slices of a memoryview of its buffer, here its second row."""
+        sums = np.cumsum(list(rates) + [0.0] * padding)
+        buffer = np.stack([np.full_like(sums, np.nan), sums])
+        return sums.tolist(), buffer[1], memoryview(buffer.ravel())[len(sums):]
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40).filter(any),
-           st.integers(0, 2**32 - 1))
-    def test_a_numpy_row_steps_as_its_list_does(self, rates, seed):
-        # the lockstep kernel hands rows of a numpy buffer; trailing zero
-        # rates are its padding
-        row = np.cumsum(rates)
-        fast, slow = RandomStream(seed), RandomStream(seed)
-        (k, dt), (k_list, dt_list) = gillespie_step(row, fast), gillespie_step(row.tolist(), slow)
-        assert k == k_list
-        assert dt.hex() == dt_list.hex()
-        assert fast.uniform() == slow.uniform()
+           st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_a_numpy_row_steps_as_its_list_does(self, rates, padding, seed):
+        # trailing zero rates are the kernel's padding
+        rows = self.row_kinds(rates, padding)
+        streams = [RandomStream(seed) for _ in rows]
+        (k, dt), *others = [gillespie_step(row, s) for row, s in zip(rows, streams)]
+        for k_row, dt_row in others:
+            assert k_row == k
+            assert type(dt_row) is float and dt_row.hex() == dt.hex()
+        assert len({s.uniform() for s in streams}) == 1
 
     def test_selection_frequencies(self):
         s = RandomStream(5, (0,))
@@ -185,6 +194,9 @@ class TestGillespie:
         cumulative = running_sums(rates)
         assert u * cumulative[-1] >= cumulative[-1]
         assert gillespie_step(cumulative, _StubStream(u))[0] == len(rates) - 1
+        for padding in (0, 3):
+            for row in self.row_kinds(rates, padding):
+                assert gillespie_step(row, _StubStream(u))[0] == len(rates) + padding - 1
         assert self.reference_pick(rates, u) == len(rates) - 1
 
     def test_rounding_past_a_padded_total_picks_the_replicas_last_entry(self):

@@ -385,18 +385,20 @@ class TestStudies:
         import sipsim.experiments as experiments
 
         calls, streams = [], []
-        sample, stream_cls = experiments.sample_at_times, experiments.RandomStream
+        sample, init = experiments.sample_at_times, RandomStream.__init__
 
         def counted_sample(*args):
             calls.append(args)
             return sample(*args)
 
-        def counted_stream(*args):
+        def counted_stream(self, *args):
+            # every stream, from a path or from a chunk's batch of words,
+            # runs __init__, which is what the benchmark tracer counts
             streams.append(args)
-            return stream_cls(*args)
+            init(self, *args)
 
         monkeypatch.setattr(experiments, "sample_at_times", counted_sample)
-        monkeypatch.setattr(experiments, "RandomStream", counted_stream)
+        monkeypatch.setattr(RandomStream, "__init__", counted_stream)
         cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, m=2.0,
                                lam=0.4, xi_sizes=(1, 2, 3), t_grid=(0.5, 1.0),
                                replicas=120, seed=8)
