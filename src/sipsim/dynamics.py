@@ -4,23 +4,19 @@ Under SIP(m), a labeled particle at x jumps to each neighbor y at rate
 p(x,y) * (m/2 + eta(y)), where eta counts all particles of the list and p
 is the symmetric nearest-neighbor kernel 1/(2d); summing over the eta(x)
 particles at a site recovers the occupation-level rate
-eta(x) * p(x,y) * (m/2 + eta(y)). Under IRW the inclusion term is absent
-and every particle is an independent rate-(m/2) walk. `event_rates` is the
-one statement of this rate list and its order; the OR coupling takes the
-inclusion part p(x,y) * eta(y) from it with half_m = 0.0.
+eta(x) * p(x,y) * (m/2 + eta(y)). `event_rates` is the one statement of
+this rate list and its order; the OR coupling takes the inclusion part
+p(x,y) * eta(y) from it with half_m = 0.0.
 
 Simulation is plain Gillespie, one `gillespie_step` per event, and every
 rate and running sum takes the floating-point operations of a full rebuild
 of `event_rates`, in the same order, so each event consumes the same two
-draws and picks the same move as full recomputation would. The studies run
-`sample_at_times`, a lockstep kernel over a block of trajectories: each
-round steps every live replica once, moves all movers, and rebuilds their
-rows of running sums at once with numpy from integer site ids, a
-neighbor-id table and per-replica occupation counts. `simulate`, the probe
-and test API, keeps its own one-trajectory kernel, `_EventKernel`, which
-after a move from x to y recomputes only the moved particle's rates and the
-rates aimed at x or y (a dependency-graph update in the spirit of Gibson &
-Bruck, J. Phys. Chem. A 104, 2000). Neighbor tuples are
+draws and picks the same move as full recomputation would. The one kernel
+is `sample_at_times`, lockstep over a block of trajectories: each round
+steps every live replica once, moves all movers, and rebuilds their rows
+of running sums at once with numpy from integer site ids, a neighbor-id
+table and per-replica occupation counts. `simulate` runs a one-start
+block and replays its event log. Neighbor tuples are
 `Geometry.neighbors`, a per-site table lookup on a torus.
 """
 
@@ -30,7 +26,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -43,7 +38,6 @@ class NoEventError(ValueError):
 
 class ProcessKind(str, Enum):
     SIP = "sip"
-    IRW = "irw"
 
 
 @dataclass(frozen=True)
@@ -90,72 +84,6 @@ def gillespie_step(cumulative, stream: RandomStream):
     return min(k, len(cumulative) - 1), dt
 
 
-class _EventKernel:
-    """The state of one labeled jump chain, updated in place event by event;
-    only `simulate` runs it.
-
-    Between events it keeps the particle positions, each particle's
-    `Geometry.neighbors` tuple (a table entry on a torus), a site ->
-    occupants map and the flat rate list of `event_rates`: entry 2d*i + j
-    is particle i jumping to its j-th neighbor. `cumulative` is that list's
-    running sum, what `gillespie_step` selects from. A neighbor z of a site
-    x holds x in slot j ^ 1 when x holds z in slot j, so the rates aimed at
-    a site are found from its neighbors' occupants. Under IRW the rates
-    never change and only positions move.
-    """
-
-    __slots__ = ("positions", "cumulative", "_neighbors", "_geometry", "_width",
-                 "_inclusion", "_occupants", "_rates", "_p_edge", "_half_m")
-
-    def __init__(self, xi0, kind: ProcessKind, params: SipParams):
-        kind = ProcessKind(kind)
-        geo = params.geometry
-        self.positions = list(xi0)
-        self._geometry = geo
-        self._width = 2 * geo.d
-        self._neighbors = [geo.neighbors(x) for x in self.positions]
-        self._inclusion = kind is ProcessKind.SIP
-        self._p_edge = 1.0 / (2.0 * geo.d)
-        self._half_m = 0.5 * params.m
-        if self._inclusion:
-            self._rates = event_rates(self.positions, geo, self._half_m)
-        else:  # not p_edge * half_m, which differs in the last bit at m = 5, d = 3
-            self._rates = [0.5 * params.m / (2.0 * geo.d)] * (self._width * len(self.positions))
-        self.cumulative = list(accumulate(self._rates))
-        self._occupants = {}
-        for i, x in enumerate(self.positions):
-            self._occupants.setdefault(x, []).append(i)
-
-    def jump(self, k: int):
-        """Apply event k (as indexed by `cumulative`) and refresh the rates."""
-        i, j = divmod(k, self._width)
-        around_x = self._neighbors[i]
-        x = self.positions[i]
-        y = around_x[j]
-        around_y = self._geometry.neighbors(y)
-        self.positions[i] = y
-        self._neighbors[i] = around_y
-        if not self._inclusion:
-            return
-        occupants = self._occupants
-        here = occupants[x]
-        here.remove(i)
-        if not here:
-            del occupants[x]
-        occupants.setdefault(y, []).append(i)
-        rates, width = self._rates, self._width
-        p_edge, half_m = self._p_edge, self._half_m
-        base = i * width
-        for s, z in enumerate(around_y):
-            rates[base + s] = p_edge * (half_m + len(occupants.get(z, ())))
-        for site, around in ((x, around_x), (y, around_y)):
-            rate = p_edge * (half_m + len(occupants.get(site, ())))
-            for s, z in enumerate(around):
-                for q in occupants.get(z, ()):
-                    rates[q * width + (s ^ 1)] = rate
-        self.cumulative = list(accumulate(rates))
-
-
 @dataclass
 class Trajectory:
     """Jump-chain record: strictly increasing event times with snapshots."""
@@ -171,34 +99,26 @@ class Trajectory:
 
 def simulate(xi0, kind: ProcessKind, params: SipParams, horizon: float,
              stream: RandomStream, record: str = "final") -> Trajectory:
-    """Exact jump-chain simulation of `kind` up to the time horizon.
+    """Exact SIP jump chain up to the time horizon: a one-start block of
+    `sample_at_times` to [horizon], its event log replayed.
 
-    record="full" keeps every event; "final" keeps only the endpoint for
-    memory-bounded long runs.
+    record="full" keeps every event; "final" keeps only the endpoint,
+    stamped with the time it was entered.
     """
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
+    ProcessKind(kind)  # SIP is the one kind; any other value raises ValueError
     if record not in ("final", "full"):
         raise ValueError(f"record must be 'final' or 'full', got {record!r}")
-    kernel = _EventKernel(xi0, kind, params)
-    full = record == "full"
-    times = [0.0]
-    states = [tuple(kernel.positions)]
-    t = 0.0
-    while kernel.positions:
-        k, dt = gillespie_step(kernel.cumulative, stream)
-        if t + dt > horizon:
-            break
-        t += dt
-        kernel.jump(k)
-        if full:
+    log = []
+    sample_at_times([xi0], params, [horizon], [stream], log)
+    positions = list(xi0)
+    times, states = [0.0], [tuple(positions)]
+    for t, _, i, y in log:
+        positions[i] = y
+        if record == "full":
             times.append(t)
-            states.append(tuple(kernel.positions))
-    if not full:
-        # single entry: the state holding at the horizon, stamped with the
-        # time it was entered
-        times = [t]
-        states = [tuple(kernel.positions)]
+            states.append(tuple(positions))
+    if record == "final":
+        times, states = [log[-1][0] if log else 0.0], [tuple(positions)]
     return Trajectory(times=times, states=states, horizon=horizon)
 
 
@@ -266,7 +186,7 @@ class _SiteTable:
         return out
 
 
-def sample_at_times(starts, params: SipParams, times, streams):
+def sample_at_times(starts, params: SipParams, times, streams, log=None):
     """SIP states observed at each requested time (ascending), for a block
     of trajectories: entry b of the result lists, per grid time, the state
     of starts[b] evolved on streams[b] alone.
@@ -290,6 +210,9 @@ def sample_at_times(starts, params: SipParams, times, streams):
     `itertools.accumulate` does, so every replica draws and moves bit for
     bit as it would alone. Finished replicas leave the live prefix of the
     row buffers, replaced by the last live one.
+
+    Passing a list as `log` records every applied move as a (time, replica,
+    particle, site moved to) tuple, in the order applied.
     """
     grid = list(times)
     if (not all(math.isfinite(t) and t >= 0 for t in grid)
@@ -364,6 +287,9 @@ def sample_at_times(starts, params: SipParams, times, streams):
         if moved:
             table.level.put(changed, new_levels)
             moves[moved] = table.targets[landed] + np.array(movers)[:, None]
+            if log is not None:
+                log += [(clock[b], b, k % n_max, sites[y])
+                        for b, k, y in zip(movers, moved, landed)]
         for s in reversed(done):
             n_live -= 1
             live[s] = live[n_live]

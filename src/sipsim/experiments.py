@@ -194,6 +194,15 @@ class ExperimentConfig:
         if self.study in grid_studies and self.t_grid[0] <= 0:
             raise FieldError("t_grid", f"t_grid times must be positive for {self.study}")
         _require(self, *study.required)
+        # each would run every replica to a crash or a false failure (exit 2)
+        if self.study == "coupling" and len(self.y_start) != len(self.x_start):
+            raise FieldError("y_start", f"y_start needs the {len(self.x_start)} particles "
+                             f"of x_start, got {len(self.y_start)}")
+        if self.study == "coupling" and self.y_start == self.x_start:
+            raise FieldError("y_start", "y_start equals x_start, so every replica couples at t = 0")
+        if self.study == "or-distance" and len(self.x_start) < 2:
+            raise FieldError("x_start", "x_start needs 2 or more particles, or no inclusion "
+                             "event moves the distance")
         if study.torus and self.boundary != "torus":
             raise FieldError("boundary", f"{self.study} study runs on a torus")
         if self.study == "correlation" and self.geometry.n_sites < self.n:

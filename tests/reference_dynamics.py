@@ -7,10 +7,13 @@ left-to-right `total += r` loop, and the event is the first whose running
 sum `acc += r` exceeds u * total (the last one if none does). The waiting
 time is drawn before the event, so a run consumes the stream exactly as the
 incremental kernel must.
+
+`kind` is "sip" (or `ProcessKind.SIP`) or "irw": the free-walker chain,
+every particle an independent rate-(m/2) walk, lives here alone.
 """
 
 from sipsim.core import occupation_of
-from sipsim.dynamics import ProcessKind, Trajectory
+from sipsim.dynamics import Trajectory
 
 
 def reference_sip_rates(particles, params):
@@ -35,7 +38,11 @@ def reference_irw_rates(particles, params):
     return entries
 
 
-_RATE_FNS = {ProcessKind.SIP: reference_sip_rates, ProcessKind.IRW: reference_irw_rates}
+_RATE_FNS = {"sip": reference_sip_rates, "irw": reference_irw_rates}
+
+
+def _rate_fn(kind):
+    return _RATE_FNS[getattr(kind, "value", kind)]
 
 
 def reference_step(particles, rates, stream):
@@ -58,7 +65,7 @@ def reference_step(particles, rates, stream):
 
 
 def reference_simulate(xi0, kind, params, horizon, stream, record="final"):
-    rate_fn = _RATE_FNS[ProcessKind(kind)]
+    rate_fn = _rate_fn(kind)
     full = record == "full"
     state = tuple(xi0)
     times = [0.0]
@@ -82,7 +89,7 @@ def reference_simulate(xi0, kind, params, horizon, stream, record="final"):
 
 def reference_sample_at_times(xi0, kind, params, times, stream):
     grid = list(times)
-    rate_fn = _RATE_FNS[ProcessKind(kind)]
+    rate_fn = _rate_fn(kind)
     state = tuple(xi0)
     out = []
     if not state:

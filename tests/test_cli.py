@@ -277,6 +277,10 @@ class TestRun:
         ("correlation", "L = 3\nn = 4\n", "line 2: n = 4"),
         ("convergence", "initial_law = gamma\n", "line 1: initial_law"),
         ("convergence", "m = 3\ninitial_law = nu_lambda\n", "line 2: initial_law"),
+        # two_stage_coupling raised on unequal sizes; the other two gave exit 2
+        ("coupling", "x_start = 0 10\ny_start = 3\n", "line 2: y_start"),
+        ("coupling", "x_start = 0 10\ny_start = 0 10\n", "line 2: y_start"),
+        ("or-distance", "x_start = 0\nt_grid = 1 2\nreplicas = 100\n", "line 1: x_start"),
     ])
     def test_study_errors_exit_one_with_their_line_before_dispatch(
             self, tmp_path, capsys, monkeypatch, study, text, where):

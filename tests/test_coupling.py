@@ -20,7 +20,7 @@ from sipsim.coupling import (
     or_distance_single,
     two_stage_coupling,
 )
-from sipsim.dynamics import ProcessKind, SipParams, simulate
+from sipsim.dynamics import SipParams
 from sipsim.oracle import build_generator, state_space
 from sipsim.stats import batched
 
@@ -30,6 +30,7 @@ from reference_coupling import (
     reference_or_distance_single,
     reference_two_stage,
 )
+from reference_dynamics import reference_simulate
 
 P1 = SipParams(m=2.0, geometry=Geometry(1))
 P2 = SipParams(m=2.0, geometry=Geometry(2))
@@ -486,15 +487,16 @@ class TestEventLog:
 
 class TestReflection:
     """Survival of level a by a rate-`rate` walk from 0, simulated as a
-    single IRW particle, against 1 - P(tau_a <= t) by reflection."""
+    single IRW particle by the full-recompute reference, against
+    1 - P(tau_a <= t) by reflection."""
 
     @staticmethod
     def check(a, t, rate, reps, stream):
         params = SipParams(m=2.0 * rate, geometry=Geometry(1))  # IRW jump rate m/2
         survived = 0
         for r in range(reps):
-            traj = simulate(((0,),), ProcessKind.IRW, params, t, stream.child(r),
-                            record="full")
+            traj = reference_simulate(((0,),), "irw", params, t, stream.child(r),
+                                      record="full")
             survived += all(state[0][0] != a for state in traj.states)
         p = 1.0 - hitting_probability(a, t, rate)
         se = math.sqrt(p * (1 - p) / reps)

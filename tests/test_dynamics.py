@@ -11,7 +11,6 @@ from sipsim.dynamics import (
     NoEventError,
     ProcessKind,
     SipParams,
-    _EventKernel,
     event_rates,
     gillespie_step,
     sample_at_times,
@@ -32,8 +31,9 @@ P1 = SipParams(m=2.0, geometry=G1)
 
 
 def irw_rates(particles, params):
-    """The IRW kernel's constant rate list, in the order of event_rates."""
-    return _EventKernel(particles, ProcessKind.IRW, params)._rates
+    """The free-walker (IRW) reference's constant rate list, in the order of
+    event_rates."""
+    return [r for _, _, r in reference_irw_rates(particles, params)]
 
 
 class TestRates:
@@ -230,14 +230,15 @@ class TestSimulate:
             assert geo.l1_distance(*moved[0]) == 1
 
     def test_empty_configuration(self):
-        traj = simulate((), ProcessKind.IRW, P1, 3.0, RandomStream(1, (0,)))
+        traj = reference_simulate((), "irw", P1, 3.0, RandomStream(1, (0,)))
         assert traj.final == ()
+        assert simulate((), ProcessKind.SIP, P1, 3.0, RandomStream(1, (0,))).final == ()
 
     def test_shared_stream_sip_and_irw_agree_for_one_particle(self):
         # with a single particle there is no inclusion partner, so the two
         # processes consume the stream identically
         a = simulate(((0,),), ProcessKind.SIP, P1, 50.0, RandomStream(3, (1,)), record="full")
-        b = simulate(((0,),), ProcessKind.IRW, P1, 50.0, RandomStream(3, (1,)), record="full")
+        b = reference_simulate(((0,),), "irw", P1, 50.0, RandomStream(3, (1,)), record="full")
         assert a.states == b.states
         assert a.times == b.times
 
@@ -246,7 +247,7 @@ class TestSimulate:
         t = 4.0
         disp = []
         for r in range(reps):
-            traj = simulate(((0,),), ProcessKind.IRW, P1, t, RandomStream(7, (r,)))
+            traj = reference_simulate(((0,),), "irw", P1, t, RandomStream(7, (r,)))
             disp.append(traj.final[0][0])
         se = np.std(disp, ddof=1) / math.sqrt(reps)
         assert abs(np.mean(disp)) < 3 * se
@@ -260,18 +261,11 @@ class TestSimulate:
         target = 0.5 * m * t / d
         coords = []
         for r in range(reps):
-            traj = simulate(((0,) * d,), ProcessKind.IRW, params, t, RandomStream(8, (r,)))
+            traj = reference_simulate(((0,) * d,), "irw", params, t, RandomStream(8, (r,)))
             coords.append(traj.final[0][0])
         var = np.var(coords, ddof=1)
         se = var * math.sqrt(2.0 / (reps - 1))
         assert abs(var - target) < 3 * se
-
-    def test_sample_at_times_matches_simulate_on_shared_stream(self):
-        grid = [0.5, 1.0, 2.0]
-        [states] = sample_at_times([((0,), (1,))], P1, grid, [RandomStream(9, (0,))])
-        assert len(states) == 3
-        final = simulate(((0,), (1,)), ProcessKind.SIP, P1, 2.0, RandomStream(9, (0,))).final
-        assert states[-1] == final
 
     def test_sample_at_times_validates_grid(self):
         with pytest.raises(ValueError):
@@ -379,22 +373,26 @@ class TestAgainstFullRecompute:
         assert len({x for path in paths for state in path for x in state}) > 8
         assert [s.uniform() for s in fast] == [s.uniform() for s in slow]
 
-    @settings(max_examples=100, deadline=None)
-    @given(small_systems(), st.integers(0, 2**32 - 1))
-    def test_running_sums_equal_those_of_a_full_rebuild(self, system, seed):
-        # after each jump the kernel's running sums equal, bit for bit, the
-        # accumulation of a full rate rebuild
-        xi, kind, params = system
-        if not xi:
-            return
-        kernel = _EventKernel(xi, kind, params)
-        stream = RandomStream(seed)
-        rate_fn = reference_sip_rates if kind is ProcessKind.SIP else reference_irw_rates
-        for _ in range(60):
-            k, _ = gillespie_step(kernel.cumulative, stream)
-            kernel.jump(k)
-            rates = [r for _, _, r in rate_fn(kernel.positions, params)]
-            assert kernel.cumulative == running_sums(rates)
+    @settings(max_examples=200, deadline=None)
+    @given(small_systems(block=True), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4))
+    def test_a_blocks_log_replays_each_replicas_full_path(self, system, seed, grid):
+        # the rows of replica b, in log order, are its moves up to the last
+        # grid time: the full path the reference records alone
+        starts, _, params = system
+        grid = sorted(grid)
+        streams = [RandomStream(seed, (b,)) for b in range(len(starts))]
+        log = []
+        sample_at_times(starts, params, grid, streams, log)
+        for b, xi in enumerate(starts):
+            ref = reference_simulate(xi, ProcessKind.SIP, params, grid[-1],
+                                     RandomStream(seed, (b,)), record="full")
+            positions, times, states = list(xi), [], []
+            for t, _, i, y in (row for row in log if row[1] == b):
+                positions[i] = y
+                times.append(t)
+                states.append(tuple(positions))
+            assert (times, states) == (ref.times[1:], ref.states[1:])
 
     @settings(max_examples=200, deadline=None)
     @given(small_systems())

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from sipsim.core import Geometry, RandomStream, occupation_of, particles_of
 from sipsim.duality import DualityEvaluator
-from sipsim.dynamics import ProcessKind, SipParams, simulate
+from sipsim.dynamics import SipParams, sample_at_times
 from sipsim import oracle
 from sipsim.measures import marginal_pmf
 from sipsim.oracle import (
@@ -497,9 +497,11 @@ class TestMonteCarloAgreement:
         target = transient_distribution(q, t, space.index_of_particles(start))
         reps = 20_000
         counts = np.zeros(space.size)
-        for r in range(reps):
-            traj = simulate(start, ProcessKind.SIP, params, t, RandomStream(21, (r,)))
-            counts[space.index_of_particles(traj.final)] += 1
+        for lo in range(0, reps, 32):  # lockstep blocks, as the studies run them
+            block = range(lo, min(lo + 32, reps))
+            for [state] in sample_at_times([start] * len(block), params, [t],
+                                           [RandomStream(21, (r,)) for r in block]):
+                counts[space.index_of_particles(state)] += 1
         freq = counts / reps
         for p_hat, p in zip(freq, target):
             se = math.sqrt(p * (1 - p) / reps)

@@ -4,7 +4,9 @@ outside __init__.py refers to it by an ast Name or Attribute node. The public
 ones that are not are exactly those README.md's "API outside the studies"
 lists, so a stale entry fails too; a private one (leading underscore) has
 no such way out, so a merged helper cannot linger. Comments, docstrings
-and imports do not count."""
+and imports do not count. Every module-level import in src/sipsim/ is used
+by its own module, or listed in its `__all__`, so a deletion leaves no
+stale import behind."""
 
 import ast
 import os
@@ -67,3 +69,30 @@ def test_every_public_definition_is_reached():
 
 def test_every_private_definition_is_reached():
     assert _unreached(private=True) == []
+
+
+def _unused_imports():
+    """`module.name` of each name a module-level import binds that its own
+    module never refers to; `from __future__` imports are directives."""
+    unused = []
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{module[:-3]}.{name}")
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    assert _unused_imports() == []
