@@ -215,6 +215,7 @@ def run(invocation: Invocation) -> int:
                 cfg = dataclasses.replace(cfg, seed=invocation.seed)
         else:
             cfg = default_config(invocation.subcommand, invocation.seed)
+        os.makedirs(invocation.out_dir, exist_ok=True)  # an unusable --out fails before the run
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -227,7 +228,6 @@ def run(invocation: Invocation) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.wall_ms = int((time.monotonic() - t0) * 1000.0)
-    os.makedirs(invocation.out_dir, exist_ok=True)
     base = os.path.join(invocation.out_dir, invocation.subcommand)
     _atomic_write(base + ".csv", report.csv_text())
     _atomic_write(base + ".json", json.dumps(report.json_summary(), indent=2) + "\n")

@@ -11,7 +11,7 @@ what duality polynomials and the exact solver consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import sub
@@ -23,7 +23,7 @@ ParticleList = tuple
 
 # Infinite-lattice walks abort rather than silently wrap beyond this bound.
 COORD_LIMIT = 2**62
-_NO_DRAWS = np.empty(0)  # a new stream's buffer
+_NO_DRAWS = memoryview(np.empty(0)).toreadonly()  # a new stream's buffer
 
 
 class CoordinateOverflowError(OverflowError):
@@ -32,13 +32,10 @@ class CoordinateOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class Geometry:
-    """Dimension plus boundary mode; L is None on the infinite lattice. On a
-    torus `neighbors` rejects sites outside [0, L) and keeps each answer in a
-    table of at most L^d entries, outside ==, hash and repr; Z^d keeps none."""
+    """Dimension plus boundary mode; L is None on the infinite lattice."""
 
     d: int
     L: int | None = None
-    _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
@@ -66,21 +63,20 @@ class Geometry:
         return site[:axis] + (c,) + site[axis + 1 :]
 
     def neighbors(self, site: Site) -> tuple[Site, ...]:
-        """The 2d nearest neighbors of a site (minus then plus per axis)."""
-        if self.L is not None:
-            around = self._table.get(site)
-            if around is None:
-                if not all(0 <= c < self.L for c in site):
-                    raise ValueError(f"torus site {site} is outside [0, {self.L})")
-                around = self._table[site] = tuple(
-                    self.shift(site, a, s) for a in range(self.d) for s in (-1, 1))
-            return around
-        out = []
+        """The 2d nearest neighbors of a site (minus then plus per axis); on a
+        torus a site outside [0, L) raises ValueError."""
+        L, out = self.L, []
         for axis, c in enumerate(site):
-            if abs(c) >= COORD_LIMIT:
-                raise CoordinateOverflowError(f"a neighbor of coordinate {c} is beyond +-2^62")
+            if L is None:
+                if abs(c) >= COORD_LIMIT:
+                    raise CoordinateOverflowError(f"a neighbor of coordinate {c} is beyond +-2^62")
+                lo, hi = c - 1, c + 1
+            elif 0 <= c < L:
+                lo, hi = (c - 1) % L, (c + 1) % L
+            else:
+                raise ValueError(f"torus site {site} is outside [0, {L})")
             head, tail = site[:axis], site[axis + 1 :]
-            out += (head + (c - 1,) + tail, head + (c + 1,) + tail)
+            out += (head + (lo,) + tail, head + (hi,) + tail)
         return tuple(out)
 
     def l1_distance(self, x: Site, y: Site) -> int:
@@ -184,13 +180,15 @@ class RandomStream:
     on the same stream object stays reproducible for a fixed call pattern.
     The buffer starts small and doubles at each refill up to a cap, since
     most streams are used for only tens of draws; PCG64 gives the same
-    sequence however its draws are chunked.
+    sequence however its draws are chunked. Each refill is held once, as a
+    float64 array behind a read-only memoryview, whose items read as Python
+    floats (8 bytes per buffered draw).
     """
 
     _FIRST_BUFFER = 64
     _BUFFER = 8192
 
-    __slots__ = ("seed", "path", "_gen", "_arr", "_buf", "_pos")
+    __slots__ = ("seed", "path", "_gen", "_buf", "_pos")
 
     def __init__(self, seed: int, path=(), words=None):
         if not isinstance(seed, int) or seed < 0:
@@ -206,8 +204,7 @@ class RandomStream:
         else:
             ss = _preset()(words)
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        self._arr = _NO_DRAWS  # the buffered draws as the generator returned them
-        self._buf = []  # the same draws as Python floats, for scalar reads
+        self._buf = _NO_DRAWS
         self._pos = 0
 
     def child(self, index: int) -> "RandomStream":
@@ -216,10 +213,12 @@ class RandomStream:
 
     def uniform(self) -> float:
         """One uniform draw on [0, 1)."""
-        if self._pos >= len(self._buf):
+        try:
+            u = self._buf[self._pos]
+        except IndexError:  # spent (a memoryview's len costs as much as the read)
             size = min(max(2 * len(self._buf), self._FIRST_BUFFER), self._BUFFER)
             self._refill(self._gen.random(size))
-        u = self._buf[self._pos]
+            u = self._buf[0]
         self._pos += 1
         return u
 
@@ -228,20 +227,19 @@ class RandomStream:
         return -math.log(1.0 - self.uniform()) / rate
 
     def _refill(self, draws):
-        draws.flags.writeable = False  # peek hands out views of it
-        self._arr, self._buf, self._pos = draws, draws.tolist(), 0
+        self._buf, self._pos = memoryview(draws).toreadonly(), 0  # peek hands out views
 
     def _fill(self, k: int):
         if k < 0:
             raise ValueError(f"draw count must be nonnegative, got {k}")
         short = k - (len(self._buf) - self._pos)
         if short > 0:
-            self._refill(np.concatenate((self._arr[self._pos :], self._gen.random(short))))
+            self._refill(np.concatenate((self._buf[self._pos :], self._gen.random(short))))
 
     def peek(self, k: int) -> np.ndarray:
         """The next k uniform draws, left in the stream: a read-only view."""
         self._fill(k)
-        return self._arr[self._pos : self._pos + k]
+        return np.asarray(self._buf[self._pos : self._pos + k])
 
     def advance(self, j: int):
         """Consume j draws, as j calls of uniform() would."""

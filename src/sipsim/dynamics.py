@@ -16,8 +16,7 @@ is `sample_at_times`, lockstep over a block of trajectories: each round
 steps every live replica once, moves all movers, and rebuilds their rows
 of running sums at once with numpy from integer site ids, a neighbor-id
 table and per-replica occupation counts. `simulate` runs a one-start
-block and replays its event log. Neighbor tuples are
-`Geometry.neighbors`, a per-site table lookup on a torus.
+block and replays its event log.
 """
 
 from __future__ import annotations
@@ -126,13 +125,13 @@ class _SiteTable:
     """Integer ids for the sites a block of B replicas sees, with their levels.
 
     Id 0 is a void site: padding entries of the running-sum rows point at
-    it, and its level is exactly 0.0. On a torus every site gets an id up
-    front; on Z^d a site gets one when it is first seen as a particle's
-    position or neighbor. `neighbors[k]` holds the ids of site k's 2d
-    neighbors in geometry order, or None until a particle stands on k, and
-    row k of `targets` holds the same ids times B. Entry k*B + b of
-    `occupation` (a list) counts the particles of replica b on site k, and
-    the same entry of `level` (an array) is that site's level in replica b.
+    it, and its level is exactly 0.0. A site, on a torus as on Z^d, gets an
+    id when it is first seen as a particle's position or neighbor.
+    `neighbors[k]` holds the ids of site k's 2d neighbors in geometry order
+    (`Geometry.neighbors`), or None until a particle stands on k, and row k
+    of `targets` holds the same ids times B. Entry k*B + b of `occupation`
+    (a list) counts the particles of replica b on site k, and the same
+    entry of `level` (an array) is that site's level in replica b.
     """
 
     __slots__ = ("geometry", "n_block", "sites", "neighbors", "targets", "occupation",
@@ -140,18 +139,12 @@ class _SiteTable:
 
     def __init__(self, geometry: Geometry, n_block: int, empty_level: float):
         self.geometry, self.n_block, self._empty = geometry, n_block, empty_level
-        width = 2 * geometry.d
-        cap = geometry.n_sites + 1 if geometry.is_torus else 64
+        width, cap = 2 * geometry.d, 64
         self.sites, self.neighbors, self._ids = [None], [(0,) * width], {}
         self.targets = np.zeros((cap, width), dtype=np.intp)
         self.occupation = [0] * (cap * n_block)
         self.level = np.full(cap * n_block, empty_level)
         self.level[:n_block] = 0.0
-        if geometry.is_torus:
-            for site in geometry.sites():
-                self._id(site)
-            for k in range(1, len(self.sites)):
-                self.stand(k)
 
     def _id(self, site) -> int:
         k = self._ids.get(site)
@@ -179,7 +172,6 @@ class _SiteTable:
         for site in start:
             k = ids.get(site)
             if k is None or neighbors[k] is None:
-                self.geometry.neighbors(site)
                 k = self._id(site)
                 self.stand(k)
             out.append(k)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -314,7 +315,8 @@ def _map_replicas(block, arm, cfg, n, workers):
     """The rows block(streams) gives for the streams RandomStream(cfg.seed,
     (arm, r)), r < n, one row per stream, in replica order. A row depends on
     its own stream alone, so the array is independent of the worker count,
-    chunking and blocking."""
+    chunking and blocking. The chunks follow `workers`; the pool has at most
+    one process per usable CPU."""
     global _fanout
     _fanout = (block, arm, cfg.seed)
     try:
@@ -323,7 +325,9 @@ def _map_replicas(block, arm, cfg, n, workers):
         chunks = max(1, min(4 * workers, n))
         edges = [round(i * n / chunks) for i in range(chunks + 1)]
         tasks = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-        with mp.get_context("fork").Pool(processes=min(workers, len(tasks))) as pool:
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        with mp.get_context("fork").Pool(processes=min(workers, len(tasks), cpus)) as pool:
             parts = pool.starmap(_replica_block, tasks)
         return np.concatenate(parts, axis=0)
     finally:

@@ -326,6 +326,25 @@ class TestRun:
         summary = json.load(open(os.path.join(inv.out_dir, "oracle-check.json")))
         assert summary["wall_ms"] >= 50
 
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_unusable_out_exits_one_before_dispatch(self, tmp_path, capsys, monkeypatch,
+                                                    below):
+        # --out naming a file, or a path through one, used to fail with a
+        # traceback once the whole study had run
+        calls = []
+        runner = RUNNERS["factorization"]
+        monkeypatch.setitem(RUNNERS, "factorization",
+                            lambda cfg, workers=1: calls.append(cfg) or runner(cfg, workers))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        inv = Invocation(subcommand="factorization", config_path=None, seed=None,
+                         out_dir=os.path.join(blocker, *below), workers=1)
+        assert run(inv) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert blocker.read_text() == ""
+
     def test_missing_config_file_exits_one(self, tmp_path):
         inv = Invocation(subcommand="correlation", config_path=str(tmp_path / "nope.cfg"),
                          seed=None, out_dir=str(tmp_path / "o"), workers=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,9 +73,8 @@ class TestGeometry:
         g = Geometry(d, L)
         for x in g.sites():
             expected = tuple(g.shift(x, a, s) for a in range(d) for s in (-1, 1))
-            assert g.neighbors(x) == expected  # the miss fills the table
-            assert g.neighbors(x) == expected  # the hit reads it
-        assert len(g._table) == L**d
+            assert g.neighbors(x) == expected
+            assert g.neighbors(x) == expected  # a second call gives the same tuple
 
     def test_torus_table_leaves_equality_hash_and_repr(self):
         g = Geometry(2, 8)
@@ -95,7 +95,6 @@ class TestGeometry:
 
     def test_unreduced_torus_sites_are_rejected(self):
         # (6,) would be a different occupancy key from its reduced twin (2,)
-        # and a table key beyond the L^d sites
         from sipsim.dynamics import ProcessKind, SipParams, event_rates, sample_at_times, simulate
 
         g = Geometry(1, 4)
@@ -110,14 +109,7 @@ class TestGeometry:
         for site in ((-1,), (4,)):
             with pytest.raises(ValueError):
                 g.neighbors(site)
-        assert set(g._table) <= set(g.sites())
         assert event_rates(((1,), (2,)), g, 1.0) == [0.5, 1.0, 1.0, 0.5]
-
-    def test_no_table_on_the_infinite_lattice(self):
-        g = Geometry(2)
-        for k in range(1000):
-            g.neighbors((k, -k))
-        assert g._table == {}
 
     def test_l1_distance(self):
         g = Geometry(2)
@@ -240,11 +232,42 @@ class TestRandomStream:
         assert s.uniform() == expected[at]
 
     def test_peek_is_a_read_only_view(self):
+        # peeks inside the first refill, across a growing refill and past the
+        # cap; a write to the view raises and leaves the next draws as they were
+        scalar = RandomStream(31, (3,))
+        expected = [scalar.uniform() for _ in range(9000)]
         s = RandomStream(31, (3,))
-        head = s.peek(5)
-        with pytest.raises(ValueError):
-            head[0] = 0.5
-        assert s.uniform() == head[0]
+        at = 0
+        for drawn, k in ((0, 5), (3, 100), (200, 8192)):
+            for _ in range(drawn):
+                assert s.uniform() == expected[at]
+                at += 1
+            head = s.peek(k)
+            with pytest.raises(ValueError):
+                head[0] = 0.5
+            with pytest.raises(ValueError):
+                head[-1] = 0.5
+            assert head.tolist() == expected[at : at + k]
+        assert s.uniform() == expected[at]
+
+    @pytest.mark.parametrize("fill", ["peek", "uniform"])
+    def test_a_full_buffer_holds_eight_bytes_a_draw(self, fill):
+        # each refill is held once, as float64; a second copy as a list of
+        # Python floats would cost about 40 bytes a draw
+        s = RandomStream(31, (4,))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if fill == "peek":
+                s.peek(RandomStream._BUFFER)
+            else:  # refills of 64, 128, ..., 4096 hold 8,128 draws; one more fills the cap
+                for _ in range(RandomStream._BUFFER - RandomStream._FIRST_BUFFER + 1):
+                    s.uniform()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(s._buf) == RandomStream._BUFFER
+        assert held / RandomStream._BUFFER < 16
 
     @pytest.mark.parametrize("op", ["advance", "peek"])
     @pytest.mark.parametrize("count", [-1, -2])

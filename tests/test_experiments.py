@@ -1,3 +1,4 @@
+import os
 import threading
 from functools import partial
 from types import SimpleNamespace
@@ -285,9 +286,12 @@ def kernel_rows_alone(seed, arm, n):
 
 
 class TestMapReplicas:
-    def test_pool_never_outnumbers_its_chunks(self, inline_pool):
+    def test_pool_never_outnumbers_its_chunks(self, inline_pool, monkeypatch):
         # 100 replicas make at most 100 chunks, so 200 workers must not fork
-        # 100 processes that never get one; the pool runs inline here
+        # 100 processes that never get one; the pool runs inline here, on a
+        # host that lets this process run on 256 CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(256)),
+                            raising=False)
         sizes = inline_pool
         cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
 
@@ -299,6 +303,31 @@ class TestMapReplicas:
         for workers, processes in ((2, 2), (200, 100)):
             assert np.array_equal(_map_replicas(block, 0, cfg, 100, workers), serial)
             assert sizes.pop() == processes
+
+    @pytest.mark.parametrize("affinity, cpu_count, processes",
+                             [({0, 5}, 64, 2), (None, 3, 3), (None, None, 1)])
+    def test_pool_never_outnumbers_the_usable_cpus(self, inline_pool, monkeypatch,
+                                                   affinity, cpu_count, processes):
+        # --workers 64 used to fork 64 processes however few CPUs the host
+        # has; the chunks, and so the rows, still follow the requested count
+        sizes = inline_pool
+        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
+        chunks = []
+
+        def block(streams):
+            chunks.append(len(streams))
+            return [[stream.uniform()] for stream in streams]
+
+        serial = _map_replicas(block, 0, cfg, 300, 1)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        chunks.clear()
+        assert np.array_equal(_map_replicas(block, 0, cfg, 300, 64), serial)
+        assert sizes == [processes]
+        assert len(chunks) == 256  # 4 * 64 chunks of one or two replicas
 
     def test_rows_are_equal_at_every_worker_count(self):
         cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
