@@ -234,7 +234,8 @@ class RandomStream:
             raise ValueError(f"draw count must be nonnegative, got {k}")
         short = k - (len(self._buf) - self._pos)
         if short > 0:
-            self._refill(np.concatenate((self._buf[self._pos :], self._gen.random(short))))
+            more = self._gen.random(max(short, self._FIRST_BUFFER))
+            self._refill(np.concatenate((self._buf[self._pos :], more)) if short < k else more)
 
     def peek(self, k: int) -> np.ndarray:
         """The next k uniform draws, left in the stream: a read-only view."""

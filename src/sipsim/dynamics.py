@@ -8,21 +8,22 @@ eta(x) * p(x,y) * (m/2 + eta(y)). `event_rates` is the one statement of
 this rate list and its order; the OR coupling takes the inclusion part
 p(x,y) * eta(y) from it with half_m = 0.0.
 
-Simulation is plain Gillespie, one `gillespie_step` per event, and every
-rate and running sum takes the floating-point operations of a full rebuild
-of `event_rates`, in the same order, so each event consumes the same two
-draws and picks the same move as full recomputation would. The one kernel
-is `sample_at_times`, lockstep over a block of trajectories: each round
-steps every live replica once, moves all movers, and rebuilds their rows
-of running sums at once with numpy from integer site ids, a neighbor-id
-table and per-replica occupation counts. `simulate` runs a one-start
-block and replays its event log.
+Simulation is plain Gillespie: an exponential waiting time at the total
+rate, then a rate-weighted pick, as `gillespie_step` states them. Every rate
+and running sum takes the floating-point operations of a full rebuild of
+`event_rates`, in the same order, so each event consumes the same two draws
+and picks the same move as full recomputation would. The one kernel is
+`sample_at_times`, lockstep over a block of trajectories: each round is a
+few array operations over every live replica, on a window of peeked draws,
+integer site ids, a neighbor-id table and per-replica occupation counts.
+`simulate` runs a one-start block.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,14 +67,11 @@ def gillespie_step(cumulative, stream: RandomStream):
     """One exact jump: exponential dt at the total rate, then a rate-weighted pick.
 
     `cumulative` holds the running sums of the event rates, left to right
-    (`itertools.accumulate`), so its last entry is the total rate; a list,
-    a 1-D numpy array and a 1-D float memoryview of the same sums give the
-    same (event index, dt), dt a Python float; bisecting a memoryview reads
-    Python floats, a numpy row makes a numpy scalar per probe. The waiting
-    time is drawn first and the event second, which fixes the draw order
-    ties are broken by: the event picked is the first whose running sum
-    exceeds u * total, and the last one if rounding puts u * total at or
-    above the total.
+    (`itertools.accumulate`); a list, a 1-D numpy array and a 1-D float
+    memoryview give the same (event index, dt). The waiting time is drawn
+    first, then the event: the first whose running sum exceeds u * total,
+    or the last one if rounding puts u * total at or above the total.
+    `sample_at_times` takes these float operations for a whole block.
     """
     if len(cumulative) == 0:
         raise NoEventError("no events available")
@@ -99,25 +97,24 @@ class Trajectory:
 def simulate(xi0, kind: ProcessKind, params: SipParams, horizon: float,
              stream: RandomStream, record: str = "final") -> Trajectory:
     """Exact SIP jump chain up to the time horizon: a one-start block of
-    `sample_at_times` to [horizon], its event log replayed.
+    `sample_at_times` to [horizon].
 
-    record="full" keeps every event; "final" keeps only the endpoint,
-    stamped with the time it was entered.
+    record="full" replays the event log into every event; "final" keeps only
+    the endpoint, stamped with the time it was entered, and its log keeps
+    only the last row.
     """
     ProcessKind(kind)  # SIP is the one kind; any other value raises ValueError
     if record not in ("final", "full"):
         raise ValueError(f"record must be 'final' or 'full', got {record!r}")
-    log = []
-    sample_at_times([xi0], params, [horizon], [stream], log)
-    positions = list(xi0)
-    times, states = [0.0], [tuple(positions)]
+    log = [] if record == "full" else deque(maxlen=1)
+    [final] = sample_at_times([xi0], params, [horizon], [stream], log)
+    if record == "final":
+        return Trajectory(times=[log[-1][0] if log else 0.0], states=final, horizon=horizon)
+    positions, times, states = list(xi0), [0.0], [tuple(xi0)]
     for t, _, i, y in log:
         positions[i] = y
-        if record == "full":
-            times.append(t)
-            states.append(tuple(positions))
-    if record == "final":
-        times, states = [log[-1][0] if log else 0.0], [tuple(positions)]
+        times.append(t)
+        states.append(tuple(positions))
     return Trajectory(times=times, states=states, horizon=horizon)
 
 
@@ -125,24 +122,23 @@ class _SiteTable:
     """Integer ids for the sites a block of B replicas sees, with their levels.
 
     Id 0 is a void site: padding entries of the running-sum rows point at
-    it, and its level is exactly 0.0. A site, on a torus as on Z^d, gets an
-    id when it is first seen as a particle's position or neighbor.
-    `neighbors[k]` holds the ids of site k's 2d neighbors in geometry order
-    (`Geometry.neighbors`), or None until a particle stands on k, and row k
-    of `targets` holds the same ids times B. Entry k*B + b of `occupation`
-    (a list) counts the particles of replica b on site k, and the same
-    entry of `level` (an array) is that site's level in replica b.
+    it, and its level is exactly 0.0. A site gets an id when it is first
+    seen as a particle's position or neighbor; a torus table has room for
+    every site. Once a particle stands on site k, row k of `targets` holds
+    its 2d neighbors' ids in geometry order (`Geometry.neighbors`) times B,
+    until then 0. Entry k*B + b of `occupation` counts the particles of
+    replica b on site k, and the same entry of `level` is their level.
     """
 
-    __slots__ = ("geometry", "n_block", "sites", "neighbors", "targets", "occupation",
-                 "level", "_ids", "_empty")
+    __slots__ = ("geometry", "n_block", "sites", "targets", "occupation", "level", "_ids",
+                 "_empty")
 
     def __init__(self, geometry: Geometry, n_block: int, empty_level: float):
         self.geometry, self.n_block, self._empty = geometry, n_block, empty_level
-        width, cap = 2 * geometry.d, 64
-        self.sites, self.neighbors, self._ids = [None], [(0,) * width], {}
-        self.targets = np.zeros((cap, width), dtype=np.intp)
-        self.occupation = [0] * (cap * n_block)
+        cap = geometry.n_sites + 1 if geometry.is_torus else 64
+        self.sites, self._ids = [None], {}
+        self.targets = np.zeros((cap, 2 * geometry.d), dtype=np.intp)
+        self.occupation = np.zeros(cap * n_block, dtype=np.intp)
         self.level = np.full(cap * n_block, empty_level)
         self.level[:n_block] = 0.0
 
@@ -151,31 +147,24 @@ class _SiteTable:
         if k is None:
             k = self._ids[site] = len(self.sites)
             self.sites.append(site)
-            self.neighbors.append(None)
-            cap = len(self.targets)
-            if k == cap:  # double every table; old flat indices keep their entries
-                B = self.n_block
+            if k == len(self.targets):  # double every table; old flat indices keep their entries
                 self.targets = np.concatenate((self.targets, np.zeros_like(self.targets)))
-                self.occupation += [0] * (cap * B)
-                self.level = np.concatenate((self.level, np.full(cap * B, self._empty)))
+                self.occupation = np.concatenate((self.occupation, np.zeros_like(self.occupation)))
+                self.level = np.concatenate((self.level, np.full(len(self.level), self._empty)))
         return k
 
-    def stand(self, k: int):
-        """Fill the neighbor row of site id k, on which a particle stands."""
-        around = self.neighbors[k] = tuple(map(self._id, self.geometry.neighbors(self.sites[k])))
-        self.targets[k] = [z * self.n_block for z in around]
+    def stand(self, ks):
+        """Fill the neighbor rows of the site ids ks (an array) on which
+        particles stand; on a torus a site outside [0, L) raises
+        `ValueError` from `Geometry.neighbors`."""
+        for k in dict.fromkeys(ks[self.targets[ks, 0] == 0].tolist()):  # np.unique loads numpy.ma
+            self.targets[k] = [self._id(z) * self.n_block
+                               for z in self.geometry.neighbors(self.sites[k])]
 
-    def enter(self, start) -> list:
-        """The ids of a start's sites, their neighbor rows filled; on a torus
-        a site outside [0, L) raises `ValueError` from `Geometry.neighbors`."""
-        ids, neighbors, out = self._ids, self.neighbors, []
-        for site in start:
-            k = ids.get(site)
-            if k is None or neighbors[k] is None:
-                k = self._id(site)
-                self.stand(k)
-            out.append(k)
-        return out
+
+# Rounds a block reads from one peek: each live stream's next 2 * _WINDOW
+# draws, advanced past the draws used when it finishes or the window ends.
+_WINDOW = 16
 
 
 def sample_at_times(starts, params: SipParams, times, streams, log=None):
@@ -189,22 +178,18 @@ def sample_at_times(starts, params: SipParams, times, streams, log=None):
     draws and its move is never seen. Empty starts and an empty grid draw
     nothing.
 
-    The replicas run in lockstep. Each round calls `gillespie_step` once per
-    live replica on that replica's row of running sums, a memoryview slice
-    of one buffer: entry 2d*i + j is particle i jumping to its j-th
-    neighbor, the entries past the replica's own particles are exactly 0.0,
-    and the pick is clamped to the replica's own last entry. The first rows
-    and the occupation counts come from one array of site ids per replica,
-    padded with the void site id 0, in a few array operations. Then every
-    mover's row is rebuilt from the level table p_edge * (half_m + c) at
-    its neighbors' occupations and re-accumulated with `np.cumsum`, which
-    adds left to right as
-    `itertools.accumulate` does, so every replica draws and moves bit for
-    bit as it would alone. Finished replicas leave the live prefix of the
-    row buffers, replaced by the last live one.
+    The replicas run in lockstep, one round of array operations per event,
+    with `gillespie_step`'s float operations: a live replica's running sums
+    (entry 2d*i + j is particle i jumping to its j-th neighbor, exactly 0.0
+    past its own particles) give the waiting time -log(1 - u1) / total by
+    `math.log` and the event as the count of sums at or below u2 * total,
+    clamped to its own last entry, u1 and u2 its next draws in the block's
+    window. The sums are rebuilt from the level table p_edge * (half_m + c)
+    and `np.cumsum`, left to right as `itertools.accumulate` adds, so every
+    replica draws and moves bit for bit as it would alone.
 
-    Passing a list as `log` records every applied move as a (time, replica,
-    particle, site moved to) tuple, in the order applied.
+    Passing a list (or a deque) as `log` appends every applied move as a
+    (time, replica, particle, site moved to) tuple, in the order applied.
     """
     grid = list(times)
     if (not all(math.isfinite(t) and t >= 0 for t in grid)
@@ -216,74 +201,81 @@ def sample_at_times(starts, params: SipParams, times, streams, log=None):
     width, B = 2 * geo.d, len(starts)
     n_max = max(map(len, starts), default=0)
     p_edge, half_m = 1.0 / (2.0 * geo.d), 0.5 * params.m
-    levels = [p_edge * (half_m + c) for c in range(n_max + 1)]
+    levels = np.array([p_edge * (half_m + c) for c in range(n_max + 1)])
     table = _SiteTable(geo, B, levels[0])
-    positions = [table.enter(start) for start in starts]
-    out = [[] if p else [() for _ in grid] for p in positions]
-    live = [b for b, p in enumerate(positions) if p and grid]
-    held = np.arange(n_max) < np.array(list(map(len, positions)))[:, None]
+    sizes = np.array(list(map(len, starts)), dtype=np.intp)
+    held = np.arange(n_max) < sizes[:, None]
     ids = np.zeros((B, n_max), dtype=np.intp)
-    ids[held] = [x for p in positions for x in p]
-    counts = np.bincount((ids * B + np.arange(B)[:, None])[held], minlength=len(table.occupation))
-    table.occupation = counts.tolist()
-    table.level[B:] = np.take(levels, counts[B:])
-    sites, neighbors, occupation = table.sites, table.neighbors, table.occupation
-    n_live, n_grid = len(live), len(grid)
-    # a padding entry of replica b reads level[b], the void site's 0.0
-    gather = (table.targets[ids[live]] + np.array(live, dtype=np.intp)[:, None, None]
-              ).reshape(n_live, width * n_max)
-    cumulative = np.empty(gather.shape)
-    flat = memoryview(cumulative.ravel())  # bisect reads Python floats from it
-    rows = [flat[s * width * n_max:(s + 1) * width * n_max] for s in range(n_live)]
+    get = table._ids.get  # a site seen before costs one dict lookup
+    ids[held] = entered = np.array([get(x) or table._id(x) for s in starts for x in s], np.intp)
+    table.stand(entered)
+    out = [[] if n else [() for _ in grid] for n in sizes.tolist()]
+    table.occupation = np.bincount((ids * B + np.arange(B)[:, None])[held],
+                                   minlength=len(table.level))
+    table.level[B:] = levels[table.occupation[B:]]
+    sites, n_grid = table.sites, len(grid)
+    # per live slot: replica, flat index k*B + b of each particle's site (b for padding,
+    # the void site), running-sum sources, clock, next grid index and last own entry
+    live = np.flatnonzero(sizes if grid else ())
+    n_live = len(live)
+    pos = ids[live] * B + live[:, None]
+    gather = (table.targets[ids[live]] + live[:, None, None]).reshape(n_live, width * n_max)
     moves = gather.reshape(n_live * n_max, width)  # one row per (slot, particle)
-    last = [width * len(p) - 1 for p in positions]
-    clock, next_time = [0.0] * B, [0] * B
+    cumulative = np.empty(gather.shape)
+    clock, next_time, last = np.zeros(n_live), np.zeros_like(live), width * sizes[live] - 1
+    grid_at, slots = np.array(grid), np.arange(n_live)
+    rows = slots * n_max
+    r = 0
     while n_live:
-        # mode="clip" fills the buffer in place ("raise" would stage a copy);
-        # every index is in range
-        table.level.take(gather[:n_live], out=cumulative[:n_live], mode="clip")
-        np.cumsum(cumulative[:n_live], axis=1, out=cumulative[:n_live])
-        changed, new_levels, moved, landed, movers, done = [], [], [], [], [], []
-        for s in range(n_live):
-            b = live[s]
-            k, dt = gillespie_step(rows[s], streams[b])
-            t = clock[b] + dt
-            gi = next_time[b]
-            if grid[gi] < t:
-                state = tuple([sites[x] for x in positions[b]])
-                path = out[b]
-                while gi < n_grid and grid[gi] < t:
-                    path.append(state)
-                    gi += 1
-                if gi == n_grid:
-                    done.append(s)
-                    continue
-                next_time[b] = gi
-            clock[b] = t
-            if k > last[b]:
-                k = last[b]
-            i, j = divmod(k, width)
-            p = positions[b]
-            x = p[i]
-            y = p[i] = neighbors[x][j]
-            if neighbors[y] is None:
-                table.stand(y)
-            fx, fy = x * B + b, y * B + b
-            cx = occupation[fx] = occupation[fx] - 1
-            cy = occupation[fy] = occupation[fy] + 1
-            changed += fx, fy
-            new_levels += levels[cx], levels[cy]
-            moved.append(s * n_max + i)
-            landed.append(y)
-            movers.append(b)
-        if moved:
-            table.level.put(changed, new_levels)
-            moves[moved] = table.targets[landed] + np.array(movers)[:, None]
-            if log is not None:
-                log += [(clock[b], b, k % n_max, sites[y])
-                        for b, k, y in zip(movers, moved, landed)]
-        for s in reversed(done):
+        if not r:  # a window: each live stream's next 2 * _WINDOW draws
+            draws = np.array([streams[b].peek(2 * _WINDOW) for b in live[:n_live].tolist()])
+        c = cumulative[:n_live]
+        # mode="clip" fills c in place ("raise" would stage a copy); indices are in range
+        table.level.take(gather[:n_live], out=c, mode="clip")
+        c.cumsum(1, out=c)  # the method skips np.cumsum's dispatch
+        total = c[:, -1]
+        k = np.minimum((c <= (draws[:n_live, 2 * r + 1] * total)[:, None]).sum(1),
+                       last[:n_live])
+        # clock + (-log(1 - u) / total), the same float as clock minus the quotient
+        t = clock[:n_live] - np.fromiter(map(math.log, (1.0 - draws[:n_live, 2 * r]).tolist()),
+                                         float, n_live) / total
+        r += 1
+        cross = done = (grid_at[next_time[:n_live]] < t).nonzero()[0]
+        if len(cross):
+            passed = grid_at.searchsorted(t[cross])  # grid times before the event
+            for b, row, gi, gj in zip(live[cross].tolist(), pos[cross].tolist(),
+                                      next_time[cross].tolist(), passed.tolist()):
+                out[b] += [tuple([sites[x // B] for x in row if x >= B])] * (gj - gi)
+            next_time[cross] = passed
+            done = cross[passed == n_grid]
+        for b in (live[:n_live] if r == _WINDOW else live[done]).tolist():
+            streams[b].advance(2 * r)  # past the draws it used
+        r %= _WINDOW
+        # every live replica moves: the move of one that finished is never
+        # seen, and it leaves the live prefix below
+        s, b, i = slots[:n_live], live[:n_live], k // width
+        fx, fy = pos[s, i], gather[s, k]
+        pos[s, i], y = fy, fy // B
+        clock[:n_live] = t
+        table.occupation[fx] -= 1
+        table.occupation[fy] += 1
+        f = np.concatenate((fx, fy))
+        table.level[f] = levels[table.occupation[f]]
+        table.stand(y)
+        moves[rows[:n_live] + i] = table.targets[y] + b[:, None]
+        if log is not None:
+            go = np.delete(s, done)
+            log += zip(t[go].tolist(), b[go].tolist(), i[go].tolist(),
+                       map(sites.__getitem__, y[go].tolist()))
+        if not len(done):
+            continue
+        # each finished slot, last first, takes the last live slot's place
+        src = {}
+        for s in done[::-1].tolist():
             n_live -= 1
-            live[s] = live[n_live]
-            gather[s] = gather[n_live]
+            src[s] = src.pop(n_live, n_live)
+        holes = [s for s in src if s < n_live]
+        fill = [src[s] for s in holes]
+        for a in (live, pos, gather, draws, clock, next_time, last):
+            a[holes] = a[fill]
     return out

@@ -38,7 +38,8 @@ from .coupling import (
 )
 from .duality import DualityEvaluator, ah_density
 from .dynamics import SipParams, sample_at_times
-from .measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_product
+from .measures import (NuLambda, NuMixture, PoissonProduct, marginal_pmf, product_counts,
+                       sample_product)
 from .stats import batched
 
 
@@ -287,9 +288,9 @@ class Report:
 
 
 # Most replicas a block function is handed at once. The lockstep kernel
-# runs a block per `sample_at_times` call, and each live replica holds its
-# stream and two rows of running sums, so peak memory grows with the block.
-_LOCKSTEP = 32
+# pays each round's array operations once per block, and each live replica
+# holds its stream, a draw window and two rows of running sums.
+_LOCKSTEP = 192
 
 # (block, arm, seed) of the fan-out in progress. Pool workers are forked
 # after it is set and inherit it, so the block function may be a closure
@@ -426,14 +427,27 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     law = NuLambda(lam=cfg.lam, m=cfg.m)
     evaluator = DualityEvaluator(cfg.m)
     probes = [_dual_sites(cfg, n) for n in cfg.xi_sizes]
+    n_t, n_sites = len(cfg.t_grid), geo.n_sites
+    index = {x: i for i, x in enumerate(geo.sites())}
+    # each probe's (site index, count) pairs, in `DualityEvaluator.value`'s order
+    factors = [[(index[x], k) for x, k in occupation_of(p).items()] for p in probes]
 
     def direct_block(streams):
-        starts = [particles_of(sample_product(law, geo, stream)) for stream in streams]
-        rows = []
-        for path in sample_at_times(starts, params, cfg.t_grid, streams):
-            counts = [occupation_of(s) for s in path]
-            rows.append([evaluator.value(probe, c) for probe in probes for c in counts])
-        return rows
+        counts = product_counts(cfg.lam, cfg.m, geo, streams)
+        starts = [particles_of(dict(zip(index, row))) for row in counts.tolist()]
+        paths = sample_at_times(starts, params, cfg.t_grid, streams)
+        # one occupation row per (replica, time) state; D(probe, .) multiplies
+        # the factors d(k, l) of a table that `single` fills, in `value`'s order
+        owner = np.repeat(np.arange(len(paths) * n_t), np.repeat(counts.sum(1), n_t))
+        seen = np.array([index[x] for path in paths for s in path for x in s], dtype=np.intp)
+        occ = np.bincount(owner * n_sites + seen, minlength=counts.size * n_t).reshape(-1, n_sites)
+        table = np.array([[evaluator.single(k, l) for l in range(occ.max() + 1)]
+                          for k in range(max(cfg.xi_sizes) + 1)])
+        moments = np.ones((len(factors), len(occ)))
+        for moment, pairs in zip(moments, factors):
+            for i, k in pairs:
+                moment *= table[k, occ[:, i]]
+        return np.hstack(moments.reshape(len(factors), -1, n_t)).tolist()
 
     rows = []
     direct = _map_replicas(direct_block, _ARM_STAT_DIRECT, cfg, cfg.replicas, workers)

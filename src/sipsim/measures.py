@@ -6,15 +6,19 @@ sites of the discrete-Gamma (negative binomial) marginal
     pmf(k) = (1 - lam)^(m/2) * lam^k * Gamma(m/2 + k) / (k! Gamma(m/2)),
 
 with density parameter rho = lam / (1 - lam) and mean count (m/2) * rho.
-Sampling is by sequential CDF inversion, which is exact and deterministic
-given the stream; cost is O(E[k]) per draw, negligible at lam <= 0.999.
+Sampling is by CDF inversion, which is exact and deterministic given the
+stream: one table of CDF values per (lam, m), built by the exact float
+recursion of the pmf, and one `np.searchsorted` over a block's uniforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
+
+import numpy as np
 
 from .core import Geometry, RandomStream
 
@@ -92,19 +96,34 @@ def marginal_pmf(k: int, lam: float, m: float) -> float:
     return math.exp(log_p)
 
 
-def _invert(u: float, p: float, lam: float, half_m: float) -> int:
-    """The count at which the NuLambda(lam, m = 2 half_m) marginal's CDF first
-    exceeds u: P(0) = p and P(k+1)/P(k) = lam*(half_m+k)/(k+1) -> lam < 1.
-    Stops early if the pmf underflows to 0, where the mass left is ~1e-16."""
-    cum = p
-    k = 0
-    while u >= cum:
-        p *= lam * (half_m + k) / (k + 1)
-        k += 1
-        cum += p
-        if p == 0.0:
-            break
-    return k
+@cache
+def _cdf(lam: float, half_m: float) -> np.ndarray:
+    """The NuLambda(lam, m = 2 half_m) marginal's CDF by the float recursion
+    P(0) = (1 - lam)^half_m, P(k+1) = P(k) * (lam*(half_m+k)/(k+1)), summed
+    left to right, up to the count where the pmf underflows to 0: inversion
+    gives that count for u at or past every sum. Past lam = 1/2 the pmf can
+    stall on a subnormal value instead; the table ends there."""
+    p = cum = (1.0 - lam) ** half_m
+    sums, k = [cum], 0
+    while True:
+        ratio = lam * (half_m + k) / (k + 1)
+        q, k = p * ratio, k + 1
+        if q == 0.0 or (q == p and ratio < 1.0):
+            return np.array(sums)
+        p, cum = q, cum + q
+        sums.append(cum)
+
+
+def product_counts(lam: float, m: float, geometry: Geometry, streams) -> np.ndarray:
+    """NuLambda(lam, m) counts on a torus, one row per stream, one column per
+    site in `Geometry.sites()` order: each stream's next n_sites uniforms,
+    consumed, inverted through one CDF table, the count at which the CDF
+    first exceeds u (`searchsorted(u, side="right")`)."""
+    n = geometry.n_sites
+    u = np.array([s.peek(n) for s in streams])
+    for s in streams:
+        s.advance(n)
+    return _cdf(lam, 0.5 * m).searchsorted(u, "right")  # np.searchsorted's dispatch costs more
 
 
 def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) -> dict:
@@ -114,9 +133,7 @@ def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) ->
         raise ValueError("product sampling requires a finite site set (torus)")
     if isinstance(law, NuMixture):
         # one shared fugacity for the whole configuration, then a product
-        u = stream.uniform()
-        acc = 0.0
-        lam = law.atoms[-1][0]
+        u, acc, lam = stream.uniform(), 0.0, law.atoms[-1][0]
         for atom_lam, w in law.atoms:
             acc += w
             if u < acc:
@@ -126,11 +143,7 @@ def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) ->
         lam = law.lam
     else:
         raise TypeError(f"cannot sample law of type {type(law).__name__}")
-    half_m = 0.5 * law.m
-    p0 = (1.0 - lam) ** half_m
-    counts: dict = {}
-    for site in geometry.sites():
-        k = _invert(stream.uniform(), p0, lam, half_m)
-        if k:
-            counts[site] = k
-    return counts
+    n = geometry.n_sites  # `product_counts` of one stream, without its per-block arrays
+    counts = _cdf(lam, 0.5 * law.m).searchsorted(stream.peek(n), "right").tolist()
+    stream.advance(n)
+    return {site: k for site, k in zip(geometry.sites(), counts) if k}

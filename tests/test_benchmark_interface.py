@@ -123,58 +123,64 @@ def test_or_steps_are_called_through_the_module_global(monkeypatch):
 
 
 class _CountingStream(RandomStream):
+    """A stream that counts the draws it is moved past: uniform() calls and
+    advance(j); peek moves nothing."""
+
     __slots__ = ("draws",)
 
     def uniform(self):
         self.draws += 1
         return super().uniform()
 
+    def advance(self, j):
+        self.draws += j
+        super().advance(j)
+
+
+def drawn_events(starts, geometry, grid, seed=0):
+    """Per replica of one block: (log rows + one drawn but unapplied event if
+    its start and the grid are non-empty, half the draws its stream moved
+    past). The next draw of each stream is checked against a fresh one."""
+    streams = [_CountingStream(seed, (b,)) for b in range(len(starts))]
+    for stream in streams:
+        stream.draws = 0
+    log = []
+    dynamics.sample_at_times(starts, SipParams(2.0, geometry), grid, streams, log)
+    out = []
+    for b, (xi0, stream) in enumerate(zip(starts, streams)):
+        moved = stream.draws
+        assert stream.uniform() == RandomStream(seed, (b,)).peek(moved + 1)[-1]
+        rows = sum(row[1] == b for row in log)
+        out.append((rows + (bool(xi0) and bool(grid)), moved / 2))
+    return out
+
 
 @pytest.mark.parametrize("geometry, xi0", [
     (Geometry(1), ((0,), (1,), (1,))),
     (Geometry(2, 4), ((0, 0), (0, 1), (2, 2), (3, 3))),
 ])
-def test_gillespie_steps_are_called_through_the_module_global(monkeypatch, geometry, xi0):
-    # the tracer's dynamics.events counts calls of the module attribute, so
-    # the kernel loop must look it up at call time, once per drawn event
-    calls = []
-    step = dynamics.gillespie_step
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "gillespie_step", counted)
-    stream = _CountingStream(0, (0,))
-    stream.draws = 0
-    dynamics.sample_at_times([xi0], SipParams(2.0, geometry), [0.5, 3.0], [stream])
-    assert len(calls) > 10
-    assert 2 * len(calls) == stream.draws  # an event draws its time and its pick
+def test_events_are_log_rows_and_one_drawn_event(geometry, xi0):
+    # the counting rule for dynamics.events: with log=[] the events a
+    # trajectory draws are its log rows and the last, unapplied event, and
+    # each spends two draws (its time and its pick)
+    [(events, half_draws)] = drawn_events([xi0], geometry, [0.5, 3.0])
+    assert events > 10
+    assert events == half_draws
 
 
 @pytest.mark.parametrize("geometry, starts", [
     (Geometry(1), [((0,), (1,), (1,)), (), ((5,),), ((0,), (0,))]),
     (Geometry(2, 4), [((0, 0), (0, 1), (2, 2), (3, 3)), ((1, 1),), ()]),
 ])
-def test_gillespie_steps_of_a_block_are_one_per_replica_event(monkeypatch, geometry, starts):
-    # a lockstep round steps every live replica through the module global,
-    # so dynamics.events still counts the events of every trajectory
-    calls = []
-    step = dynamics.gillespie_step
-
-    def counted(cumulative, stream):
-        calls.append(stream)
-        return step(cumulative, stream)
-
-    monkeypatch.setattr(dynamics, "gillespie_step", counted)
-    streams = [_CountingStream(0, (b,)) for b in range(len(starts))]
-    for stream in streams:
-        stream.draws = 0
-    dynamics.sample_at_times(starts, SipParams(2.0, geometry), [0.5, 3.0], streams)
-    for xi0, stream in zip(starts, streams):
-        events = sum(s is stream for s in calls)
-        assert 2 * events == stream.draws
+def test_gillespie_steps_of_a_block_are_one_per_replica_event(geometry, starts):
+    # a lockstep block draws per replica exactly the events the counting
+    # rule gives, so dynamics.events counts the events of every trajectory
+    counted = drawn_events(starts, geometry, [0.5, 3.0])
+    for xi0, (events, half_draws) in zip(starts, counted):
+        assert events == half_draws
         assert (events > 0) == bool(xi0)
+    # an empty grid draws nothing
+    assert drawn_events(starts, geometry, []) == [(0, 0.0)] * len(starts)
 
 
 @pytest.mark.parametrize("n", [1, _LOCKSTEP + 1, 100])

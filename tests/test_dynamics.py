@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sipsim.dynamics as dynamics
 from sipsim.core import Geometry, RandomStream
 from sipsim.dynamics import (
     NoEventError,
@@ -16,6 +17,7 @@ from sipsim.dynamics import (
     sample_at_times,
     simulate,
 )
+from sipsim.experiments import _LOCKSTEP
 
 from reference_coupling import _inclusion_entries as reference_inclusion_entries
 from reference_dynamics import (
@@ -97,16 +99,27 @@ class TestRates:
 
 
 class _StubStream:
-    """Fixed draws: waiting time 0.5, pick uniform `u`."""
+    """Fixed draws in pairs: 0.5 for the waiting time, then `u` for the pick,
+    served one at a time or peeked, as `RandomStream` serves them."""
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.pos = u, 0
 
-    def exponential(self, rate):
-        return 0.5
+    def _draw(self, j):
+        return self.u if j % 2 else 0.5
 
     def uniform(self):
-        return self.u
+        self.pos += 1
+        return self._draw(self.pos - 1)
+
+    def exponential(self, rate):
+        return -math.log(1.0 - self.uniform()) / rate
+
+    def peek(self, k):
+        return np.array([self._draw(self.pos + j) for j in range(k)])
+
+    def advance(self, j):
+        self.pos += j
 
 
 def running_sums(rates):
@@ -282,6 +295,27 @@ class TestSimulate:
         with pytest.raises(ValueError):
             sample_at_times([((0,),)], P1, grid, [RandomStream(0, (0,))])
 
+    def test_final_record_keeps_no_rows(self, monkeypatch):
+        # a long run on Z logs thousands of moves; record="final" keeps the
+        # last row only, and the same final state and time as the reference
+        logs = []
+        kernel = dynamics.sample_at_times
+
+        def spy(starts, params, times, streams, log=None):
+            logs.append(log)
+            return kernel(starts, params, times, streams, log)
+
+        monkeypatch.setattr(dynamics, "sample_at_times", spy)
+        xi0 = ((0,), (1,))
+        fast, slow = RandomStream(4, (0,)), RandomStream(4, (0,))
+        traj = simulate(xi0, ProcessKind.SIP, P1, 2000.0, fast)
+        ref = reference_simulate(xi0, ProcessKind.SIP, P1, 2000.0, slow, record="full")
+        assert len(ref.times) > 3000
+        assert (traj.times, traj.states) == ([ref.times[-1]], [ref.states[-1]])
+        assert fast.uniform() == slow.uniform()
+        [log] = logs
+        assert log.maxlen == 1 and len(log) == 1
+
     @pytest.mark.parametrize("m", [math.nan, math.inf])
     def test_m_must_be_finite(self, m):
         with pytest.raises(ValueError):
@@ -410,3 +444,70 @@ class TestAgainstFullRecompute:
                 for k, r in enumerate(inclusion) if r] == entries
         # the OR step's set total is the last running sum
         assert (list(accumulate(inclusion))[-1] if xi else 0.0) == total
+
+
+def check_block(starts, params, grid, seed):
+    """A block of starts on the streams (seed, (b,)) gives each replica the
+    path, the log rows and the next draw it gets alone, and the path and next
+    draw of the full-recompute reference; its rows replay the reference's
+    full path up to the last grid time."""
+    streams = [RandomStream(seed, (b,)) for b in range(len(starts))]
+    log = []
+    paths = sample_at_times(starts, params, grid, streams, log)
+    for b, xi in enumerate(starts):
+        alone, slow = RandomStream(seed, (b,)), RandomStream(seed, (b,))
+        alone_log = []
+        assert [paths[b]] == sample_at_times([xi], params, grid, [alone], alone_log)
+        assert paths[b] == reference_sample_at_times(xi, ProcessKind.SIP, params, grid, slow)
+        rows = [(t, i, y) for t, r, i, y in log if r == b]
+        assert rows == [(t, i, y) for t, _, i, y in alone_log]
+        assert streams[b].uniform() == alone.uniform() == slow.uniform()
+        if grid:
+            ref = reference_simulate(xi, ProcessKind.SIP, params, grid[-1],
+                                     RandomStream(seed, (b,)), record="full")
+            positions, states = list(xi), []
+            for _, i, y in rows:
+                positions[i] = y
+                states.append(tuple(positions))
+            assert ([t for t, _, _ in rows], states) == (ref.times[1:], ref.states[1:])
+
+
+class TestBlockEdges:
+    """Blocks whose replicas end at, before and after the end of a draw
+    window, blocks around the lockstep size, and a site table that grows
+    within one round."""
+
+    @pytest.mark.parametrize("window, rounds", [
+        (w, w + offset) for w in (1, 2, 3, 5) for offset in (-1, 0, 1) if w + offset])
+    @pytest.mark.parametrize("geometry", [Geometry(1), Geometry(2, 4)], ids=["Z", "torus"])
+    def test_blocks_straddling_a_draw_window(self, monkeypatch, geometry, window, rounds):
+        # replica 0 draws exactly window - 1, window or window + 1 events,
+        # the last one past the grid; the others draw more or fewer
+        monkeypatch.setattr(dynamics, "_WINDOW", window)
+        params = SipParams(2.0, geometry)
+        origin = (0,) * geometry.d
+        neighbor = geometry.neighbors(origin)[1]
+        starts = [(origin, neighbor), (), (neighbor,) * 3, (origin,), (origin, origin)]
+        full = reference_simulate(starts[0], ProcessKind.SIP, params, 50.0,
+                                  RandomStream(7, (0,)), record="full")
+        end = full.times[rounds - 1]
+        check_block(starts, params, sorted({0.5 * end, end}), seed=7)
+
+    @pytest.mark.parametrize("size", [_LOCKSTEP - 1, _LOCKSTEP, _LOCKSTEP + 1])
+    @pytest.mark.parametrize("geometry", [Geometry(1), Geometry(2, 4)], ids=["Z", "torus"])
+    def test_blocks_of_the_lockstep_size(self, geometry, size):
+        # mixed sizes and empty starts, as the studies hand the kernel
+        rng = np.random.default_rng(size)
+        hi = geometry.L or 3
+        starts = [tuple(tuple(int(c) for c in rng.integers(0, hi, geometry.d))
+                        for _ in range(rng.integers(0, 5)))
+                  for _ in range(size)]
+        assert () in starts
+        check_block(starts, SipParams(1.3, geometry), [0.05, 0.2], seed=size)
+
+    def test_a_z_table_grows_past_its_first_ids_within_one_round(self):
+        # 21 lone particles far apart see 63 sites, which with the void site
+        # fill the table's first 64 ids; the first round stands 21 landing
+        # sites at once, and their outer neighbors need ids past 64
+        starts = [((100 * b,),) for b in range(21)]
+        check_block(starts, SipParams(2.0, Geometry(1)), [0.3, 2.0], seed=5)

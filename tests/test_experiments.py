@@ -355,8 +355,9 @@ class TestMapReplicas:
         assert seen == [1, 2, 3, 4, 5]
         assert streams == [None] * 5
 
-    @pytest.mark.parametrize("n, workers", [(1, 1), (_LOCKSTEP + 1, 1), (2 * _LOCKSTEP, 1),
-                                            (3 * _LOCKSTEP + 5, 3), (7, 64)])
+    @pytest.mark.parametrize("n, workers", [(1, 1), (_LOCKSTEP + 1, 1), (64, 1),
+                                            (2 * _LOCKSTEP, 1), (3 * _LOCKSTEP + 5, 3),
+                                            (7, 64)])
     def test_block_functions_see_each_stream_once_in_replica_order(self, inline_pool, n,
                                                                    workers):
         cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=5)

@@ -5,8 +5,10 @@ import pytest
 from scipy.stats import nbinom
 
 from sipsim.core import Geometry, RandomStream
-from sipsim.measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_product
+from sipsim.measures import (NuLambda, NuMixture, PoissonProduct, marginal_pmf, product_counts,
+                             sample_product)
 
+from reference_measures import reference_invert, reference_sample_product, reference_sums
 from reversibility import detailed_balance_ratio
 from test_benchmark_interface import _CountingStream
 
@@ -121,6 +123,72 @@ class TestSampleProduct:
             a.append(eta.get((0,), 0))
             b.append(eta.get((3,), 0))
         assert np.cov(a, b)[0, 1] > 1.0  # rho^2/4 = 4 in expectation, far from 0
+
+
+class _Draws:
+    """Fixed draws, served as `RandomStream.peek` and `advance` serve them."""
+
+    def __init__(self, draws):
+        self.draws, self.pos = np.asarray(draws, dtype=float), 0
+
+    def peek(self, k):
+        return self.draws[self.pos : self.pos + k]
+
+    def advance(self, k):
+        self.pos += k
+
+
+class TestBlockSampler:
+    """`product_counts` inverts a block's uniforms through one CDF table; it
+    must give the count the sequential walk (tests/reference_measures.py)
+    gives for every u, at the CDF values themselves and just below them."""
+
+    @pytest.mark.parametrize("m", [0.5, 2.0, 7.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.4, 0.5, 0.999])
+    def test_cdf_values_and_their_predecessors(self, lam, m):
+        sums = reference_sums(lam, 0.5 * m, 40_000)
+        grows = [k for k in range(1, len(sums)) if sums[k] > sums[k - 1]]
+        last = grows[-1] if grows else 0  # the sums never grow past it
+        picks = sorted(set(range(min(last, 60) + 1))
+                       | set(np.geomspace(1, last + 1, 80).astype(int) - 1))
+        us = [0.0, 1e-300, 0.25, 0.5]
+        for k in picks:
+            us += [u for u in (sums[k], np.nextafter(sums[k], 0.0)) if u < min(1.0, sums[last])]
+        us += [0.0] * (len(us) % 2)  # two streams of equal length
+        half = len(us) // 2
+        streams = [_Draws(us[:half]), _Draws(us[half:])]
+        counts = product_counts(lam, m, Geometry(1, half), streams)
+        assert counts.ravel().tolist() == [reference_invert(u, lam, 0.5 * m) for u in us]
+        assert [s.pos for s in streams] == [half, half]
+
+    def test_a_u_past_every_sum_gets_the_count_where_the_pmf_underflows(self):
+        # the sums of (0.2, 7) stop growing at 1 - 2^-53, the largest uniform
+        # below 1, and the walk goes on to where the pmf underflows, at 472
+        u = np.nextafter(1.0, 0.0)
+        assert max(reference_sums(0.2, 3.5, 1_000)) == u
+        assert reference_invert(u, 0.2, 3.5) == 472
+        assert product_counts(0.2, 7.0, Geometry(1, 3), [_Draws([u] * 3)]).tolist() == [[472] * 3]
+
+    @pytest.mark.parametrize("law", [
+        NuLambda(0.4, 2.0), NuLambda(0.999, 0.5),
+        NuMixture(atoms=((0.2, 0.5), (0.6, 0.5)), m=2.0),
+        NuMixture(atoms=((0.0, 0.3), (0.5, 0.3), (0.9, 0.4)), m=7.0)])
+    def test_sample_product_equals_the_sequential_inversion(self, law):
+        # the correlation study's mixture path: the same map and the same
+        # next draw as one uniform per site walked in order
+        g = Geometry(2, 4)
+        for r in range(100):
+            fast, slow = RandomStream(9, (r,)), RandomStream(9, (r,))
+            assert sample_product(law, g, fast) == reference_sample_product(law, g, slow)
+            assert fast.uniform() == slow.uniform()
+
+    def test_a_block_of_streams_equals_each_stream_alone(self):
+        g = Geometry(1, 10)
+        streams = [RandomStream(3, (r,)) for r in range(40)]
+        counts = product_counts(0.4, 2.0, g, streams)
+        for r, row in enumerate(counts.tolist()):
+            alone = reference_sample_product(NuLambda(0.4, 2.0), g, RandomStream(3, (r,)))
+            assert {site: k for site, k in zip(g.sites(), row) if k} == alone
 
 
 class TestDetailedBalance:
