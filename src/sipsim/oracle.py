@@ -3,9 +3,10 @@
 Ground truth for the Monte Carlo claims: explicit sparse generator assembly
 on the n-particle sector of a torus, semigroup evaluation by uniformization
 (Poisson mixture of powers of the jump kernel, truncated with a certified
-tail bound; the kernel is built once per generator, under a lock, so the
-threads that sweep one generator share it, and one sweep of its powers
-serves every time of a grid), and time-averaged semigroups in closed form.
+tail bound; the kernel is built once per generator, in place on one copy
+of its CSR arrays and under a lock, so the threads that sweep one generator
+share it, and one sweep of its powers serves every time of a grid), and
+time-averaged semigroups in closed form.
 
 A sector is held once, as a (size x sites) integer array of occupation
 count-vectors in colexicographic order (the last site is the most
@@ -13,8 +14,9 @@ significant digit), which fixes a reproducible indexing across platforms.
 A state's ordinal is its colex rank in the combinatorial number system
 (Knuth, TAOCP 4A, 7.2.1.3), computed in integer arithmetic from a table of
 binomials that never exceeds the sector size, so no state -> ordinal map is
-stored. The generator is assembled with numpy from a site-major copy of the
-sector: one vectorized pass over contiguous rows per (site, neighbour) pair.
+stored. The generator is assembled with numpy from a site-major int32 copy
+of the sector: one vectorized pass over contiguous rows per (site,
+neighbour) pair, its int32 index pieces joined one array at a time.
 """
 
 from __future__ import annotations
@@ -107,19 +109,22 @@ class StateSpace:
 
 
 def _colex_states(n: int, v: int) -> np.ndarray:
-    """The n-particle count-vectors on v sites, one per row, in colex order."""
-    # blocks[p]: the p-particle states of the sites seen so far; a state of
-    # one more site is a lower state plus its top count c, ordered by c first
-    blocks = [np.array([[p]], dtype=np.int64) for p in range(n + 1)]
+    """The n-particle count-vectors on v >= 2 sites, one per row, in colex order."""
+    # table: the states of at most n particles on sites 0..j-1, group q (q
+    # particles) from row C(q + j - 1, j) on. A p-particle state of one more
+    # site is a group p - c state plus its count c at site j, ordered by c.
+    table = np.arange(n + 1, dtype=np.min_scalar_type(n))[:, None]
     for j in range(1, v):
-        blocks = [
-            np.vstack([
-                np.column_stack((blocks[p - c], np.full(len(blocks[p - c]), c)))
-                for c in range(p + 1)
-            ])
-            for p in (range(n + 1) if j < v - 1 else (n,))
-        ]
-    return blocks[-1]
+        starts, lengths, tops = np.array([
+            (math.comb(p - c + j - 1, j), math.comb(p - c + j - 1, j - 1), c)
+            for p in (range(n + 1) if j < v - 1 else (n,)) for c in range(p + 1)
+        ]).T
+        ends = np.cumsum(lengths)
+        level = np.empty((ends[-1], j + 1), dtype=np.int64 if j == v - 1 else table.dtype)
+        level[:, :j] = table[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)]
+        level[:, j] = np.repeat(tops, lengths)
+        table = level
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -153,39 +158,43 @@ def build_generator(n: int, params: SipParams):
     zero. Each (site x, neighbour slot y) pair is one vectorized pass over
     the states, and the diagonal accumulates pass by pass in the order of
     the sites and of `Geometry.neighbors`, so every entry is bitwise what a
-    state-by-state loop gives. Returned matrix is CSR and must be treated as
-    read-only (it is cached and shared).
+    state-by-state loop gives. Ranks and COO indices are int32 and the COO
+    arrays are joined one at a time: the assembly peaks near 30 bytes per
+    entry. Returned matrix is CSR and must be treated as read-only (it is
+    cached and shared).
     """
     space = state_space(n, params.geometry)
+    if 2 * space.size > np.iinfo(np.int32).max:  # ranks and rank shifts are int32
+        raise StateCapError(f"sector has {space.size} states, too many for int32 indices")
     geo = params.geometry
     half_m = 0.5 * params.m
     p_edge = 1.0 / (2.0 * geo.d)
     # site-major: row s is site s's count in every state, read as a whole row
-    by_site = np.ascontiguousarray(space.states.T)
+    by_site = np.ascontiguousarray(space.states.T, dtype=np.int32)
     # Moving one particle from x to y lowers R_j by one for x <= j < y, or
     # raises it for y <= j < x, so the target's rank is the source's (its
     # row number) plus a difference of two running sums over sites of the
     # weight change under that shift. The clip only touches prefix sums a
     # move never shifts.
-    prefix = np.cumsum(by_site, axis=0)
+    prefix = np.cumsum(by_site, axis=0, dtype=np.int32)
 
     def running_change(shift):
-        out = np.zeros((geo.n_sites + 1, space.size), dtype=np.int64)
+        out = np.zeros((geo.n_sites + 1, space.size), dtype=np.int32)
         for s, weight in enumerate(space.weights.T):
             step = np.take(weight, prefix[s] + shift, mode="clip") - np.take(weight, prefix[s])
-            np.add(out[s], step, out=out[s + 1])
+            np.add(out[s], step, out=out[s + 1], casting="same_kind")
         return out
 
     down, up = running_change(-1), running_change(+1)
-    pulls = half_m + by_site
-    diag = np.zeros(space.size)
-    rows, cols, vals = [], [], []
+    # the diagonal goes in first and is filled in place; the CSR sort orders each row
+    diag, every = np.zeros(space.size), np.arange(space.size, dtype=np.int32)
+    rows, cols, vals = [every], [every], [diag]
     for x, site_x in enumerate(geo.sites()):
         k = by_site[x]
-        movers = np.flatnonzero(k)
+        movers = np.flatnonzero(k).astype(np.int32)
         push = p_edge * k
         for y in (geo.site_index(z) for z in geo.neighbors(site_x)):
-            rate = push * pulls[y]  # p_edge * k * (m/2 + eta(y)), 0.0 where k == 0
+            rate = push * (half_m + by_site[y])  # p_edge * k * (m/2 + eta(y)), 0.0 where k == 0
             diag -= rate
             if x < y:
                 shift = down[y][movers] - down[x][movers]
@@ -194,22 +203,27 @@ def build_generator(n: int, params: SipParams):
             rows.append(movers)
             cols.append(movers + shift)
             vals.append(rate[movers])
-    del by_site, prefix, down, up, pulls, k  # freed before the COO -> CSR peak
-    every = np.arange(space.size)
-    rows.append(every)
-    cols.append(every)
-    vals.append(diag)
-    q = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.size, space.size), dtype=float,
-    )
-    q.sum_duplicates()
-    return q
+    del by_site, prefix, down, up, k  # freed before the COO -> CSR peak
+    vals = np.concatenate(vals)  # one list or its array alive at a time
+    cols = np.concatenate(cols)
+    rows = np.concatenate(rows)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(space.size, space.size))
 
 
 # id(q) -> (I + Q/Lambda, Lambda); a finalizer drops the entry with its q
 _uniformized_cache = {}
 _uniformized_lock = threading.Lock()
+
+
+def _jump_kernel(q, lam):
+    """I + Q/lam with the float operations of scipy's `eye + q.multiply(1/lam)`:
+    data * (1/lam), then 1.0 + that on the diagonal (1.0 where q stores none),
+    and every entry that comes out 0.0 dropped; built in place on one copy of
+    q's CSR arrays."""
+    p = sparse.csr_matrix(q.multiply(1.0 / lam))
+    p.setdiag(1.0 + p.diagonal())
+    p.eliminate_zeros()
+    return p
 
 
 def uniformized(q):
@@ -218,10 +232,7 @@ def uniformized(q):
         if id(q) not in _uniformized_cache:
             diag = q.diagonal()
             lam = float(np.max(-diag)) if diag.size else 0.0
-            p = None
-            if lam > 0.0:
-                p = (sparse.eye(q.shape[0], format="csr") + q.multiply(1.0 / lam)).tocsr()
-            _uniformized_cache[id(q)] = (p, lam)
+            _uniformized_cache[id(q)] = (_jump_kernel(q, lam) if lam > 0.0 else None, lam)
             weakref.finalize(q, _uniformized_cache.pop, id(q), None)
         return _uniformized_cache[id(q)]
 

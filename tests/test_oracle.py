@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from sipsim.core import Geometry, RandomStream, occupation_of, particles_of
@@ -33,6 +35,7 @@ from reference_generator import (
     reference_generator,
     reference_semigroup_apply,
     reference_states,
+    reference_uniformized,
 )
 
 T3 = SipParams(m=2.0, geometry=Geometry(1, 3))
@@ -359,14 +362,14 @@ class TestSeriesAgainstReference:
         times = (2.0, 0.7, 2.0, 0.3, 1.1)
         serial = [semigroup_apply(q.copy(), t, f) for t in times]
         builds = []
-        eye = oracle.sparse.eye
+        jump_kernel = oracle._jump_kernel
 
-        def slow_eye(*args, **kwargs):
+        def slow_jump_kernel(*args):
             builds.append(threading.current_thread().name)
             time.sleep(0.05)  # keeps the first builder inside while the others arrive
-            return eye(*args, **kwargs)
+            return jump_kernel(*args)
 
-        monkeypatch.setattr(oracle.sparse, "eye", slow_eye)
+        monkeypatch.setattr(oracle, "_jump_kernel", slow_jump_kernel)
         barrier = threading.Barrier(len(times), timeout=30)
         outs = [None] * len(times)
 
@@ -394,6 +397,75 @@ class TestSeriesAgainstReference:
         transient_distribution(q, 1.0, 0)
         gc.collect()
         assert len(oracle._uniformized_cache) == before
+
+
+class TestJumpKernel:
+    """uniformized's P = I + Q/Lambda against scipy's eye + q.multiply(1/Lambda)."""
+
+    @staticmethod
+    def check(q):
+        before = csr_bytes(q)
+        (p, lam), (want, want_lam) = oracle.uniformized(q), reference_uniformized(q)
+        assert lam == want_lam
+        assert (p is None) == (want is None)
+        if p is not None:
+            assert csr_bytes(p) == csr_bytes(want)
+        assert csr_bytes(q) == before
+        return p
+
+    @pytest.mark.parametrize("n, geometry", SECTORS)
+    def test_bitwise_equal_to_reference(self, n, geometry):
+        q = build_generator(n, SipParams(m=0.7, geometry=geometry)).copy()
+        self.check(q)
+        self.check(q.T.tocsr())
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_sectors())
+    def test_bitwise_equal_to_reference_on_small_sectors(self, sector):
+        n, params = sector
+        self.check(build_generator(n, params).copy())
+
+    def test_diagonal_entries_that_round_to_zero_are_dropped(self):
+        # one particle: every state has the largest exit rate, so 1 + q_ii / Lambda is 0.0
+        q = build_generator(1, SipParams(m=2.0, geometry=Geometry(2, 4))).copy()
+        p = self.check(q)
+        assert (q.nnz, p.nnz) == (80, 64)
+        assert not p.diagonal().any()
+
+    def test_missing_diagonal_and_non_canonical_inputs(self):
+        # an absorbing state with no stored entry gets P's 1.0; unsorted or
+        # duplicate entries and other formats give the same matrix
+        dense = np.array([[-1.0, 1.0, 0.0], [0.5, -1.5, 1.0], [0.0, 0.0, 0.0]])
+        q = sparse.csr_matrix(dense)
+        assert q.nnz == 5 and self.check(q)[2, 2] == 1.0
+        scrambled = sparse.csr_matrix(
+            (np.array([1.0, -1.0, 0.25, 1.0, -1.5, 0.25]), np.array([1, 0, 0, 2, 1, 0]),
+             np.array([0, 2, 6, 6])), shape=(3, 3))
+        for other in (scrambled, sparse.coo_matrix(dense), sparse.csc_matrix(dense)):
+            p, lam = oracle.uniformized(other)
+            assert lam == 1.5
+            assert np.array_equal(p.toarray(), reference_uniformized(q)[0].toarray())
+
+    def test_assembly_and_kernel_hold_few_bytes_per_entry(self):
+        # a 15,504-state sector with 263,568 entries, its states built before
+        # tracing. Per entry, the assembly peaks near 30 bytes (a CSR entry is
+        # 12, its COO input 16, the int32 site tables about 15 until the
+        # passes end) and P's build near 14, 12 of them P's own
+        params = SipParams(m=2.0, geometry=Geometry(2, 4))
+        state_space(5, params.geometry)
+        tracemalloc.start()
+        try:
+            q = build_generator.__wrapped__(5, params)
+            assembly = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            oracle.uniformized(q)
+            kernel = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert q.nnz == 263_568
+        assert assembly / q.nnz < 40
+        assert kernel / q.nnz < 20
 
 
 class TestSelfDuality:
