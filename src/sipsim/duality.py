@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import occupation_of
 from .measures import InitialLaw, NuLambda, NuMixture, PoissonProduct
 
@@ -70,6 +72,22 @@ class DualityEvaluator:
             if k > l:
                 return 0.0
             out *= self.single(k, l)
+        return out
+
+    def product(self, factors, size: int) -> np.ndarray:
+        """prod over (k, l) in `factors` of d(k, l), as `size` entries; each k
+        and l is an int or an int array of that length. d is tabulated once,
+        rows to the largest k and columns to the largest l (a square table to
+        l = 1500 would need d(750, 1500), which overflows `math.exp`), and the
+        factors are multiplied in the order given, so each entry is bitwise the
+        product of `single` values taken one by one (d(0, l) = 1 exactly)."""
+        k_top, l_top = (int(max((np.max(f[j], initial=0) for f in factors), default=0))
+                        for j in (0, 1))
+        table = np.array([[self.single(k, l) for l in range(l_top + 1)]
+                          for k in range(k_top + 1)])
+        out = np.ones(size)
+        for k, l in factors:
+            out = out * table[k, l]
         return out
 
     def closed_transform(self, law: InitialLaw, xi) -> float:

@@ -6,9 +6,9 @@ most `_LOCKSTEP` streams into one row per stream: row r of arm a depends on
 the stream (seed, (a, r)) alone, blocks are handed out in replica order,
 rows come back in replica order, and all reductions are order-independent,
 so reports are identical for any worker count. The dynamics arms run a
-whole block through one lockstep `sample_at_times` call; the others apply a
-per-replica function to each stream in turn (`_each`). Report rows come in
-three kinds:
+whole block through one lockstep `sample_at_times` call, the correlation arm
+through one `sample_product` call; the coupling arms apply a per-replica
+function to each stream in turn (`_each`). Report rows come in three kinds:
 
 * band rows: pass iff |estimate - target| <= max(3*stderr, floor);
 * threshold rows: one-sided, pass iff estimate >= target (or > for strict
@@ -38,8 +38,7 @@ from .coupling import (
 )
 from .duality import DualityEvaluator, ah_density
 from .dynamics import SipParams, sample_at_times
-from .measures import (NuLambda, NuMixture, PoissonProduct, marginal_pmf, product_counts,
-                       sample_product)
+from .measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_product
 from .stats import batched
 
 
@@ -411,6 +410,14 @@ def _dual_sites(cfg, n):
     return tuple(geo.wrap((j,) + (0,) * (cfg.d - 1)) for j in range(n))
 
 
+def _moments(evaluator, geo, probes, counts):
+    """D(probe, .) of each row of a (rows x sites) count array, one array per
+    probe, its factors taken in `DualityEvaluator.value`'s order."""
+    index = {x: i for i, x in enumerate(geo.sites())}
+    return [evaluator.product([(k, counts[:, index[x]]) for x, k in occupation_of(p).items()],
+                              len(counts)) for p in probes]
+
+
 def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Stationary duality moments: both arms must return rho^|xi| at every t.
 
@@ -429,25 +436,17 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     probes = [_dual_sites(cfg, n) for n in cfg.xi_sizes]
     n_t, n_sites = len(cfg.t_grid), geo.n_sites
     index = {x: i for i, x in enumerate(geo.sites())}
-    # each probe's (site index, count) pairs, in `DualityEvaluator.value`'s order
-    factors = [[(index[x], k) for x, k in occupation_of(p).items()] for p in probes]
 
     def direct_block(streams):
-        counts = product_counts(cfg.lam, cfg.m, geo, streams)
+        counts = sample_product(law, geo, streams)
         starts = [particles_of(dict(zip(index, row))) for row in counts.tolist()]
         paths = sample_at_times(starts, params, cfg.t_grid, streams)
-        # one occupation row per (replica, time) state; D(probe, .) multiplies
-        # the factors d(k, l) of a table that `single` fills, in `value`'s order
+        # one occupation row per (replica, time) state, then D(probe, .) of each
         owner = np.repeat(np.arange(len(paths) * n_t), np.repeat(counts.sum(1), n_t))
         seen = np.array([index[x] for path in paths for s in path for x in s], dtype=np.intp)
         occ = np.bincount(owner * n_sites + seen, minlength=counts.size * n_t).reshape(-1, n_sites)
-        table = np.array([[evaluator.single(k, l) for l in range(occ.max() + 1)]
-                          for k in range(max(cfg.xi_sizes) + 1)])
-        moments = np.ones((len(factors), len(occ)))
-        for moment, pairs in zip(moments, factors):
-            for i, k in pairs:
-                moment *= table[k, occ[:, i]]
-        return np.hstack(moments.reshape(len(factors), -1, n_t)).tolist()
+        return np.hstack([d.reshape(-1, n_t)
+                          for d in _moments(evaluator, geo, probes, occ)]).tolist()
 
     rows = []
     direct = _map_replicas(direct_block, _ARM_STAT_DIRECT, cfg, cfg.replicas, workers)
@@ -610,11 +609,11 @@ def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Repor
     else:
         rows.append(band_row("jensen_gap", gap, 0.0, 0.0, floor=1e-12))
 
-    def replica(stream):
-        eta = sample_product(law, geo, stream)
-        return evaluator.value(probe, eta), evaluator.value(probe[:1], eta)
+    def replica_block(streams):
+        counts = sample_product(law, geo, streams)
+        return np.transpose(_moments(evaluator, geo, (probe, probe[:1]), counts)).tolist()
 
-    block = _map_replicas(_each(replica), _ARM_CORRELATION, cfg, cfg.replicas, workers)
+    block = _map_replicas(replica_block, _ARM_CORRELATION, cfg, cfg.replicas, workers)
     lhs_est, lhs_se = batched(block[:, 0])
     f_est, f_se = batched(block[:, 1])
     rows.append(band_row("sampled_lhs", lhs_est, lhs_se, lhs_closed))
@@ -656,7 +655,7 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
     polynomials on a conserved torus sector flatten toward a
     placement-independent limit as the averaging horizon doubles.
     """
-    from .oracle import build_generator, cesaro_apply, duality_probe, state_space
+    from .oracle import build_generator, cesaro_apply, state_space
     geo = cfg.geometry
     evaluator = DualityEvaluator(cfg.m)
     rows = []
@@ -685,7 +684,7 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
     eta_index = space.index_of_particles(cfg.eta)
     # sites[a] has site index a, so column a of the sector holds its count
     pair_probes = [
-        duality_probe(space, evaluator, [(1, space.states[:, a]), (1, space.states[:, b])])
+        evaluator.product([(1, space.states[:, a]), (1, space.states[:, b])], space.size)
         for a in range(len(sites))
         for b in range(a + 1, len(sites))
     ]

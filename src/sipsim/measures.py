@@ -8,7 +8,9 @@ sites of the discrete-Gamma (negative binomial) marginal
 with density parameter rho = lam / (1 - lam) and mean count (m/2) * rho.
 Sampling is by CDF inversion, which is exact and deterministic given the
 stream: one table of CDF values per (lam, m), built by the exact float
-recursion of the pmf, and one `np.searchsorted` over a block's uniforms.
+recursion of the pmf. `sample_product` is the one sampler: it draws a whole
+block of streams at once, a mixture's atoms by one `searchsorted` over the
+running weights and each atom's counts by one over its CDF table.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Geometry, RandomStream
+from .core import Geometry
 
 
 @dataclass(frozen=True)
@@ -114,36 +116,29 @@ def _cdf(lam: float, half_m: float) -> np.ndarray:
         sums.append(cum)
 
 
-def product_counts(lam: float, m: float, geometry: Geometry, streams) -> np.ndarray:
-    """NuLambda(lam, m) counts on a torus, one row per stream, one column per
-    site in `Geometry.sites()` order: each stream's next n_sites uniforms,
-    consumed, inverted through one CDF table, the count at which the CDF
-    first exceeds u (`searchsorted(u, side="right")`)."""
-    n = geometry.n_sites
-    u = np.array([s.peek(n) for s in streams])
-    for s in streams:
-        s.advance(n)
-    return _cdf(lam, 0.5 * m).searchsorted(u, "right")  # np.searchsorted's dispatch costs more
-
-
-def sample_product(law: InitialLaw, geometry: Geometry, stream: RandomStream) -> dict:
-    """A NuLambda or NuMixture configuration on a torus by CDF inversion, one
-    uniform per site after one for a mixture's fugacity; the occupied-site map."""
+def sample_product(law: InitialLaw, geometry: Geometry, streams) -> np.ndarray:
+    """NuLambda or NuMixture counts on a torus, one row per stream, one column
+    per site in `Geometry.sites()` order, by CDF inversion. Each stream's next
+    draws are consumed: one for a mixture's fugacity, which picks the first
+    atom whose running weight exceeds it (the last atom when rounding leaves
+    none), then one per site, inverted through the atom's CDF table to the
+    count at which the CDF first exceeds u (`searchsorted(u, side="right")`)."""
     if not geometry.is_torus:
         raise ValueError("product sampling requires a finite site set (torus)")
     if isinstance(law, NuMixture):
-        # one shared fugacity for the whole configuration, then a product
-        u, acc, lam = stream.uniform(), 0.0, law.atoms[-1][0]
-        for atom_lam, w in law.atoms:
-            acc += w
-            if u < acc:
-                lam = atom_lam
-                break
+        lams, weights = zip(*law.atoms)
     elif isinstance(law, NuLambda):
-        lam = law.lam
+        lams, weights = (law.lam,), ()
     else:
         raise TypeError(f"cannot sample law of type {type(law).__name__}")
-    n = geometry.n_sites  # `product_counts` of one stream, without its per-block arrays
-    counts = _cdf(lam, 0.5 * law.m).searchsorted(stream.peek(n), "right").tolist()
-    stream.advance(n)
-    return {site: k for site, k in zip(geometry.sites(), counts) if k}
+    head, n = (1 if weights else 0), geometry.n_sites
+    u = np.array([s.peek(head + n) for s in streams]).reshape(len(streams), head + n)
+    for s in streams:
+        s.advance(head + n)
+    # no weights (NuLambda) pick atom 0; the methods dispatch faster than np.searchsorted
+    atom = np.minimum(np.cumsum(weights).searchsorted(u[:, 0], "right"), len(lams) - 1)
+    counts = np.empty((len(streams), n), dtype=np.intp)
+    for a, lam in enumerate(lams):
+        rows = atom == a
+        counts[rows] = _cdf(lam, 0.5 * law.m).searchsorted(u[rows, head:], "right")
+    return counts

@@ -16,7 +16,8 @@ A state's ordinal is its colex rank in the combinatorial number system
 binomials that never exceeds the sector size, so no state -> ordinal map is
 stored. The generator is assembled with numpy from a site-major int32 copy
 of the sector: one vectorized pass over contiguous rows per (site,
-neighbour) pair, its int32 index pieces joined one array at a time.
+neighbour) pair, its int32 index pieces joined one array at a time. A
+duality polynomial on a sector is `DualityEvaluator.product` of its columns.
 """
 
 from __future__ import annotations
@@ -270,23 +271,6 @@ def semigroup_apply(q, t: float, f):
     return _poisson_series(q, (t,), f, _transient_weights)[0]
 
 
-def duality_probe(space: StateSpace, evaluator: DualityEvaluator, factors):
-    """prod over (k, l) in `factors` of d(k, l), at every state of the sector.
-
-    Each k and l is an int or a site column `space.states[:, s]`. d is
-    tabulated once up to the largest occupation involved and the factors
-    are multiplied in the order given, so each entry is bitwise the product
-    of `evaluator.single` values taken state by state (d(0, l) = 1 exactly).
-    """
-    top = max([space.n] + [int(np.max(a)) for pair in factors for a in pair])
-    table = np.array([[evaluator.single(k, l) for l in range(top + 1)]
-                      for k in range(top + 1)])
-    out = np.ones(space.size)
-    for k, l in factors:
-        out = out * table[k, l]
-    return out
-
-
 def exact_dual_expectation(xi, eta_counts, times, params: SipParams):
     """Both sides of the self-duality identity, one (left, right) pair per
     time in `times`; each side is one uniformization sweep for every time.
@@ -304,21 +288,15 @@ def exact_dual_expectation(xi, eta_counts, times, params: SipParams):
 
     space_eta = state_space(n_eta, geo)
     q_eta = build_generator(n_eta, params)
-    f_left = duality_probe(space_eta, evaluator, [
-        (k, space_eta.states[:, geo.site_index(site)])
-        for site, k in occupation_of(xi).items()
-    ])
+    f_left = evaluator.product([(k, space_eta.states[:, geo.site_index(site)])
+                                for site, k in occupation_of(xi).items()], space_eta.size)
     lefts = _poisson_series(q_eta, times, f_left, _transient_weights)
     i_left = space_eta.index_of_occupation(eta_counts)
 
-    eta_vec = [0] * geo.n_sites
-    for site, k in eta_counts.items():  # keys that wrap to one site add up
-        eta_vec[geo.site_index(geo.wrap(site))] += k
     space_xi = state_space(n_xi, geo)
     q_xi = build_generator(n_xi, params)
-    f_right = duality_probe(space_xi, evaluator, [
-        (space_xi.states[:, s], l) for s, l in enumerate(eta_vec)
-    ])
+    f_right = evaluator.product([(space_xi.states[:, s], l)  # eta's row is its count vector
+                                 for s, l in enumerate(space_eta.states[i_left])], space_xi.size)
     rights = _poisson_series(q_xi, times, f_right, _transient_weights)
     i_right = space_xi.index_of_particles(xi)
     return [(float(a[i_left]), float(b[i_right])) for a, b in zip(lefts, rights)]

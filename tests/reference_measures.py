@@ -37,15 +37,21 @@ def reference_sums(lam, half_m, n):
     return sums
 
 
+def reference_fugacity(law, u):
+    """The lam of the mixture atom a fugacity draw u picks: the first whose
+    running weight exceeds u, or the last atom if none does."""
+    acc = 0.0
+    for lam, w in law.atoms:
+        acc += w
+        if u < acc:
+            return lam
+    return law.atoms[-1][0]
+
+
 def reference_sample_product(law, geometry, stream):
     """The occupied-site map of one NuLambda or NuMixture configuration."""
     if isinstance(law, NuMixture):
-        u, acc, lam = stream.uniform(), 0.0, law.atoms[-1][0]
-        for atom_lam, w in law.atoms:
-            acc += w
-            if u < acc:
-                lam = atom_lam
-                break
+        lam = reference_fugacity(law, stream.uniform())
     else:
         assert isinstance(law, NuLambda)
         lam = law.lam

@@ -122,6 +122,28 @@ def test_or_steps_are_called_through_the_module_global(monkeypatch):
     assert len(calls) > from_distance
 
 
+def test_both_product_law_arms_sample_through_the_module_global(monkeypatch):
+    # the tracer times measures.sample_product by replacing the experiments
+    # attribute, so the stationarity and correlation arms must look it up at
+    # call time, once per block
+    calls = []
+    sample = experiments.sample_product
+
+    def counted(law, geometry, streams):
+        calls.append((type(law).__name__, len(streams)))
+        return sample(law, geometry, streams)
+
+    monkeypatch.setattr(experiments, "sample_product", counted)
+    experiments.run_stationarity(ExperimentConfig(study="stationarity", boundary="torus", L=4,
+                                                  lam=0.4, replicas=100, t_grid=(0.5,)))
+    assert calls == [("NuLambda", 100)]
+    experiments.run_correlation_inequality(ExperimentConfig(
+        study="correlation", boundary="torus", L=4, mixture=((0.2, 0.5), (0.6, 0.5)),
+        replicas=_LOCKSTEP + 1))
+    assert [law for law, _ in calls[1:]] == ["NuMixture"] * 2
+    assert sum(size for _, size in calls[1:]) == _LOCKSTEP + 1
+
+
 class _CountingStream(RandomStream):
     """A stream that counts the draws it is moved past: uniform() calls and
     advance(j); peek moves nothing."""

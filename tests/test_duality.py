@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipsim.core import Geometry, RandomStream
+from sipsim.core import Geometry, RandomStream, occupation_of
 from sipsim.duality import DualityEvaluator, ah_density
 from sipsim.measures import (
     NuLambda,
@@ -14,6 +14,7 @@ from sipsim.measures import (
     PoissonProduct,
     sample_product,
 )
+from sipsim.oracle import state_space
 from sipsim.stats import batched
 
 EV2 = DualityEvaluator(2.0)
@@ -23,6 +24,12 @@ def empirical_transform(xi, sampler, reps, stream):
     """Sample mean and batch-means stderr of D(xi, .) over sampled fields:
     the Monte Carlo check of the closed-form transforms."""
     return batched([EV2.value(xi, sampler(stream)) for _ in range(reps)])
+
+
+def product_sampler(law, geometry):
+    """One configuration of `law` per call, from a block of one stream, as
+    the site -> count map `DualityEvaluator.value` reads."""
+    return lambda s: dict(zip(geometry.sites(), sample_product(law, geometry, [s])[0].tolist()))
 
 
 class TestSingleSite:
@@ -104,6 +111,50 @@ class TestPolynomial:
             assert DualityEvaluator(1.1).value(xi, eta) >= 0.0
 
 
+class TestProduct:
+    def test_bitwise_equal_to_state_by_state_products(self):
+        space = state_space(4, Geometry(2, 3))
+        evaluator = DualityEvaluator(0.7)
+        rows = space.states.tolist()
+        support = [(0, 1), (4, 2), (8, 1), (5, 3)]  # (site index, k)
+        left = evaluator.product([(k, space.states[:, s]) for s, k in support], space.size)
+        expect = np.array([math.prod(evaluator.single(k, state[s]) for s, k in support)
+                           for state in rows])
+        assert left.tobytes() == expect.tobytes()
+        eta = [2, 0, 1, 3, 0, 1, 2, 0, 1]
+        right = evaluator.product([(space.states[:, s], l) for s, l in enumerate(eta)],
+                                  space.size)
+        expect = np.array([math.prod(evaluator.single(k, eta[s])
+                                     for s, k in enumerate(state) if k)
+                           for state in rows])
+        assert right.tobytes() == expect.tobytes()
+
+    def test_the_table_is_not_square(self):
+        # a square table to l = 1500 would hold d(750, 1500), which overflows
+        ls = np.array([0, 5, 1500])
+        with pytest.raises(OverflowError):
+            EV2.single(750, 1500)
+        out = EV2.product([(2, ls)], 3)
+        assert np.isfinite(out).all()
+        assert out.tobytes() == np.array([EV2.single(2, l) for l in ls.tolist()]).tobytes()
+
+    def test_no_factors_give_ones(self):
+        empty = np.array([], dtype=int)
+        assert EV2.product([], 4).tobytes() == np.ones(4).tobytes()
+        assert EV2.product([(empty, empty)], 0).tobytes() == np.ones(0).tobytes()
+        assert EV2.product([(0, empty), (empty, 3)], 0).shape == (0,)
+
+    def test_matches_value_on_count_rows(self):
+        # the correlation and stationarity arms read D this way from count rows
+        g = Geometry(1, 4)
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 4, size=(50, 4))
+        for xi in [((0,),), ((0,), (0,), (2,)), ((3,), (1,), (3,), (3,))]:
+            pairs = [(k, counts[:, x[0]]) for x, k in occupation_of(xi).items()]
+            expect = [EV2.value(xi, dict(zip(g.sites(), row))) for row in counts.tolist()]
+            assert EV2.product(pairs, len(counts)).tolist() == expect
+
+
 class TestClosedTransforms:
     def test_nu_lambda_is_rho_power(self):
         law = NuLambda(0.4, 2.0)
@@ -180,8 +231,7 @@ class TestEmpiricalTransform:
         g = Geometry(1, 8)
         law = NuLambda(0.4, 2.0)
         xi = ((0,),)
-        est, se = empirical_transform(xi, lambda s: sample_product(law, g, s), 40_000,
-                                      RandomStream(1, (0,)))
+        est, se = empirical_transform(xi, product_sampler(law, g), 40_000, RandomStream(1, (0,)))
         assert abs(est - 2.0 / 3.0) < 3 * se
 
     def test_closed_form_coverage_grid(self):
@@ -192,8 +242,7 @@ class TestEmpiricalTransform:
             law = NuLambda(lam, 2.0)
             for n in (2, 4):
                 xi = tuple((j,) for j in range(n))
-                est, se = empirical_transform(xi, lambda s: sample_product(law, g, s),
-                                              40_000, stream)
+                est, se = empirical_transform(xi, product_sampler(law, g), 40_000, stream)
                 target = law.rho**n
                 assert abs(est - target) < 3 * se + 1e-12
 

@@ -5,10 +5,10 @@ import pytest
 from scipy.stats import nbinom
 
 from sipsim.core import Geometry, RandomStream
-from sipsim.measures import (NuLambda, NuMixture, PoissonProduct, marginal_pmf, product_counts,
-                             sample_product)
+from sipsim.measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_product
 
-from reference_measures import reference_invert, reference_sample_product, reference_sums
+from reference_measures import (reference_fugacity, reference_invert, reference_sample_product,
+                                reference_sums)
 from reversibility import detailed_balance_ratio
 from test_benchmark_interface import _CountingStream
 
@@ -45,8 +45,7 @@ class TestMarginalPmf:
 
 def marginal_draws(lam, m, n, stream):
     """n draws of the NuLambda(lam, m) marginal: the counts on a ring of n sites."""
-    eta = sample_product(NuLambda(lam, m), Geometry(1, n), stream)
-    return [eta.get((i,), 0) for i in range(n)]
+    return sample_product(NuLambda(lam, m), Geometry(1, n), [stream])[0].tolist()
 
 
 class TestSampling:
@@ -78,13 +77,13 @@ class TestSampling:
 
 class TestSampleProduct:
     def test_lam_zero_gives_empty_configuration(self):
-        eta = sample_product(NuLambda(0.0, 2.0), Geometry(1, 5), RandomStream(0, (0,)))
-        assert eta == {}
+        counts = sample_product(NuLambda(0.0, 2.0), Geometry(1, 5), [RandomStream(0, (0,))])
+        assert counts.tolist() == [[0] * 5]
 
     def test_poisson_product_is_not_sampled(self):
         # no study samples it: only its closed transform is used
         with pytest.raises(TypeError):
-            sample_product(PoissonProduct(0.0), Geometry(1, 5), RandomStream(0, (0,)))
+            sample_product(PoissonProduct(0.0), Geometry(1, 5), [RandomStream(0, (0,))])
 
     @pytest.mark.parametrize("law,extra", [
         (NuLambda(0.4, 2.0), 0), (NuMixture(atoms=((0.2, 0.5), (0.6, 0.5)), m=2.0), 1)])
@@ -93,43 +92,42 @@ class TestSampleProduct:
         # stationarity and correlation replicas, and marginal_draws, rely on it
         stream = _CountingStream(6, (0,))
         stream.draws = 0
-        sample_product(law, geometry, stream)
+        sample_product(law, geometry, [stream])
         assert stream.draws == geometry.n_sites + extra
 
     def test_requires_torus(self):
         with pytest.raises(ValueError):
-            sample_product(NuLambda(0.4, 2.0), Geometry(1), RandomStream(0, (0,)))
+            sample_product(NuLambda(0.4, 2.0), Geometry(1), [RandomStream(0, (0,))])
 
     def test_sites_are_independent(self):
         g = Geometry(1, 6)
         reps = 20_000
-        a, b = [], []
-        for r in range(reps):
-            eta = sample_product(NuLambda(0.4, 2.0), g, RandomStream(4, (r,)))
-            a.append(eta.get((0,), 0))
-            b.append(eta.get((3,), 0))
+        streams = [RandomStream(4, (r,)) for r in range(reps)]
+        counts = sample_product(NuLambda(0.4, 2.0), g, streams)
+        a, b = counts[:, 0], counts[:, 3]
         cov = np.cov(a, b)[0, 1]
-        se = np.std(np.array(a) * np.array(b), ddof=1) / math.sqrt(reps)
+        se = np.std(a * b, ddof=1) / math.sqrt(reps)
         assert abs(cov) < 3 * se + 1e-9
 
     def test_mixture_shares_one_fugacity_per_draw(self):
         # under the mixture, distinct sites must be positively correlated
         g = Geometry(1, 6)
         law = NuMixture(atoms=((0.0, 0.5), (0.8, 0.5)), m=2.0)
-        reps = 20_000
-        a, b = [], []
-        for r in range(reps):
-            eta = sample_product(law, g, RandomStream(5, (r,)))
-            a.append(eta.get((0,), 0))
-            b.append(eta.get((3,), 0))
-        assert np.cov(a, b)[0, 1] > 1.0  # rho^2/4 = 4 in expectation, far from 0
+        counts = sample_product(law, g, [RandomStream(5, (r,)) for r in range(20_000)])
+        # rho^2/4 = 4 in expectation, far from 0
+        assert np.cov(counts[:, 0], counts[:, 3])[0, 1] > 1.0
 
 
 class _Draws:
-    """Fixed draws, served as `RandomStream.peek` and `advance` serve them."""
+    """Fixed draws, served as `RandomStream.uniform`, `peek` and `advance`
+    serve them."""
 
     def __init__(self, draws):
         self.draws, self.pos = np.asarray(draws, dtype=float), 0
+
+    def uniform(self):
+        self.pos += 1
+        return float(self.draws[self.pos - 1])
 
     def peek(self, k):
         return self.draws[self.pos : self.pos + k]
@@ -139,9 +137,10 @@ class _Draws:
 
 
 class TestBlockSampler:
-    """`product_counts` inverts a block's uniforms through one CDF table; it
-    must give the count the sequential walk (tests/reference_measures.py)
-    gives for every u, at the CDF values themselves and just below them."""
+    """`sample_product` inverts a block's uniforms through one CDF table per
+    atom; it must give the count the sequential walk
+    (tests/reference_measures.py) gives for every u, at the CDF values
+    themselves and just below them, and pick the atom it picks."""
 
     @pytest.mark.parametrize("m", [0.5, 2.0, 7.0])
     @pytest.mark.parametrize("lam", [0.0, 0.4, 0.5, 0.999])
@@ -157,7 +156,7 @@ class TestBlockSampler:
         us += [0.0] * (len(us) % 2)  # two streams of equal length
         half = len(us) // 2
         streams = [_Draws(us[:half]), _Draws(us[half:])]
-        counts = product_counts(lam, m, Geometry(1, half), streams)
+        counts = sample_product(NuLambda(lam, m), Geometry(1, half), streams)
         assert counts.ravel().tolist() == [reference_invert(u, lam, 0.5 * m) for u in us]
         assert [s.pos for s in streams] == [half, half]
 
@@ -167,7 +166,8 @@ class TestBlockSampler:
         u = np.nextafter(1.0, 0.0)
         assert max(reference_sums(0.2, 3.5, 1_000)) == u
         assert reference_invert(u, 0.2, 3.5) == 472
-        assert product_counts(0.2, 7.0, Geometry(1, 3), [_Draws([u] * 3)]).tolist() == [[472] * 3]
+        counts = sample_product(NuLambda(0.2, 7.0), Geometry(1, 3), [_Draws([u] * 3)])
+        assert counts.tolist() == [[472] * 3]
 
     @pytest.mark.parametrize("law", [
         NuLambda(0.4, 2.0), NuLambda(0.999, 0.5),
@@ -176,19 +176,61 @@ class TestBlockSampler:
     def test_sample_product_equals_the_sequential_inversion(self, law):
         # the correlation study's mixture path: the same map and the same
         # next draw as one uniform per site walked in order
-        g = Geometry(2, 4)
-        for r in range(100):
-            fast, slow = RandomStream(9, (r,)), RandomStream(9, (r,))
-            assert sample_product(law, g, fast) == reference_sample_product(law, g, slow)
-            assert fast.uniform() == slow.uniform()
+        assert_block_is_the_reference(law, Geometry(2, 4), 9, 100)
 
     def test_a_block_of_streams_equals_each_stream_alone(self):
-        g = Geometry(1, 10)
-        streams = [RandomStream(3, (r,)) for r in range(40)]
-        counts = product_counts(0.4, 2.0, g, streams)
-        for r, row in enumerate(counts.tolist()):
-            alone = reference_sample_product(NuLambda(0.4, 2.0), g, RandomStream(3, (r,)))
-            assert {site: k for site, k in zip(g.sites(), row) if k} == alone
+        assert_block_is_the_reference(NuLambda(0.4, 2.0), Geometry(1, 10), 3, 40)
+
+    @pytest.mark.parametrize("law", [
+        NuLambda(0.0, 2.0), NuMixture(atoms=((0.0, 1.0),), m=2.0),
+        NuMixture(atoms=((0.0, 0.5), (0.0, 0.5)), m=0.5)])
+    def test_lam_zero_blocks_are_empty(self, law):
+        counts = assert_block_is_the_reference(law, Geometry(2, 3), 2, 30)
+        assert not counts.any()
+
+    @pytest.mark.parametrize("law", [
+        NuLambda(0.6, 3.0), NuMixture(atoms=((0.2, 0.5), (0.6, 0.5)), m=2.0)])
+    def test_a_block_of_one_stream(self, law):
+        assert_block_is_the_reference(law, Geometry(1, 5), 4, 1)
+
+    @pytest.mark.parametrize("atoms", [
+        ((0.2, 0.3), (0.5, 0.2), (0.9, 0.5)),
+        ((0.2, 0.5), (0.5, 0.0), (0.7, 0.5)),  # a zero-weight atom, never picked
+        ((0.0, 0.0), (0.3, 0.4), (0.6, 0.0), (0.8, 0.6), (0.1, 0.0))])
+    def test_the_atoms_mix_within_one_block(self, atoms):
+        law = NuMixture(atoms=atoms, m=2.0)
+        assert_block_is_the_reference(law, Geometry(2, 3), 8, 200)
+        picked = {reference_fugacity(law, RandomStream(8, (r,)).uniform()) for r in range(200)}
+        assert picked == {lam for lam, w in atoms if w > 0}
+
+    def test_a_fugacity_draw_at_or_past_every_running_weight_picks_the_last_atom(self):
+        # seven weights 1/7 run up to 1 - 2^-52, below the largest uniform
+        law = NuMixture(atoms=tuple((0.1 * j, 1 / 7) for j in range(7)), m=2.0)
+        last = np.cumsum([1 / 7] * 7)[-1]
+        assert last == 1.0 - 2.0**-52
+        sites = [0.3, 0.7, 0.95]
+        firsts = [last, np.nextafter(last, 1.0), np.nextafter(1.0, 0.0)]
+        counts = sample_product(law, Geometry(1, 3), [_Draws([u] + sites) for u in firsts])
+        last_lam = law.atoms[-1][0]
+        assert [reference_fugacity(law, u) for u in firsts] == [last_lam] * 3
+        assert counts.tolist() == [[reference_invert(u, last_lam, 1.0) for u in sites]] * 3
+
+
+def assert_block_is_the_reference(law, geometry, seed, size):
+    """sample_product on a block of `size` streams equals
+    `reference_sample_product` stream by stream, and leaves each stream where
+    a fresh one stands after 1 + n_sites draws (a mixture) or n_sites (NuLambda)."""
+    streams = [RandomStream(seed, (r,)) for r in range(size)]
+    counts = sample_product(law, geometry, streams)
+    assert counts.shape == (size, geometry.n_sites)
+    drawn = geometry.n_sites + isinstance(law, NuMixture)
+    for r, (row, stream) in enumerate(zip(counts.tolist(), streams)):
+        alone = reference_sample_product(law, geometry, RandomStream(seed, (r,)))
+        assert {site: k for site, k in zip(geometry.sites(), row) if k} == alone
+        fresh = RandomStream(seed, (r,))
+        fresh.advance(drawn)
+        assert stream.uniform() == fresh.uniform()
+    return counts
 
 
 class TestDetailedBalance:

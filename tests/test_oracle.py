@@ -23,7 +23,6 @@ from sipsim.oracle import (
     StateCapError,
     build_generator,
     cesaro_apply,
-    duality_probe,
     exact_dual_expectation,
     poisson,
     semigroup_apply,
@@ -215,26 +214,6 @@ class TestPoisson:
                 cdf = ref.cdf(k, mu)
                 if 0.5 <= cdf < 1.0:
                     assert poisson.isf(1.0 - cdf, mu) == ref.isf(1.0 - cdf, mu) == k
-
-
-class TestDualityProbe:
-    def test_bitwise_equal_to_state_by_state_products(self):
-        space = state_space(4, Geometry(2, 3))
-        evaluator = DualityEvaluator(0.7)
-        rows = space.states.tolist()
-        support = [(0, 1), (4, 2), (8, 1), (5, 3)]  # (site index, k)
-        left = duality_probe(space, evaluator,
-                             [(k, space.states[:, s]) for s, k in support])
-        expect = np.array([math.prod(evaluator.single(k, state[s]) for s, k in support)
-                           for state in rows])
-        assert left.tobytes() == expect.tobytes()
-        eta = [2, 0, 1, 3, 0, 1, 2, 0, 1]
-        right = duality_probe(space, evaluator,
-                              [(space.states[:, s], l) for s, l in enumerate(eta)])
-        expect = np.array([math.prod(evaluator.single(k, eta[s])
-                                     for s, k in enumerate(state) if k)
-                           for state in rows])
-        assert right.tobytes() == expect.tobytes()
 
 
 class TestSemigroup:
