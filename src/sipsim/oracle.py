@@ -8,16 +8,16 @@ of its CSR arrays and under a lock, so the threads that sweep one generator
 share it, and one sweep of its powers serves every time of a grid), and
 time-averaged semigroups in closed form.
 
-A sector is held once, as a (size x sites) integer array of occupation
-count-vectors in colexicographic order (the last site is the most
-significant digit), which fixes a reproducible indexing across platforms.
-A state's ordinal is its colex rank in the combinatorial number system
-(Knuth, TAOCP 4A, 7.2.1.3), computed in integer arithmetic from a table of
-binomials that never exceeds the sector size, so no state -> ordinal map is
-stored. The generator is assembled with numpy from a site-major int32 copy
-of the sector: one vectorized pass over contiguous rows per (site,
-neighbour) pair, its int32 index pieces joined one array at a time. A
-duality polynomial on a sector is `DualityEvaluator.product` of its columns.
+A sector is held once, as a (size x sites) array of occupation
+count-vectors in the narrowest unsigned type that holds n, in colex order
+(the last site is the most significant digit), which fixes a reproducible
+indexing across platforms. A state's ordinal is its colex rank in the
+combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3), computed in integer
+arithmetic from a table of binomials that never exceeds the sector size, so
+no state -> ordinal map is stored. The generator is assembled with numpy
+from a site-major copy of the sector, one vectorized pass per (site,
+neighbour) pair writing into preallocated CSR arrays. A duality polynomial
+on a sector is `DualityEvaluator.product` of its columns.
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ def _colex_states(n: int, v: int) -> np.ndarray:
     # table: the states of at most n particles on sites 0..j-1, group q (q
     # particles) from row C(q + j - 1, j) on. A p-particle state of one more
     # site is a group p - c state plus its count c at site j, ordered by c.
+    # Every level, the sector itself included, keeps n's narrowest unsigned type.
     table = np.arange(n + 1, dtype=np.min_scalar_type(n))[:, None]
     for j in range(1, v):
         starts, lengths, tops = np.array([
@@ -121,7 +122,7 @@ def _colex_states(n: int, v: int) -> np.ndarray:
             for p in (range(n + 1) if j < v - 1 else (n,)) for c in range(p + 1)
         ]).T
         ends = np.cumsum(lengths)
-        level = np.empty((ends[-1], j + 1), dtype=np.int64 if j == v - 1 else table.dtype)
+        level = np.empty((ends[-1], j + 1), dtype=table.dtype)
         level[:, :j] = table[np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)]
         level[:, j] = np.repeat(tops, lengths)
         table = level
@@ -159,27 +160,28 @@ def build_generator(n: int, params: SipParams):
     zero. Each (site x, neighbour slot y) pair is one vectorized pass over
     the states, and the diagonal accumulates pass by pass in the order of
     the sites and of `Geometry.neighbors`, so every entry is bitwise what a
-    state-by-state loop gives. Ranks and COO indices are int32 and the COO
-    arrays are joined one at a time: the assembly peaks near 30 bytes per
+    state-by-state loop gives. The passes write into preallocated CSR
+    arrays with int32 indices: the assembly peaks near 22 to 24 bytes per
     entry. Returned matrix is CSR and must be treated as read-only (it is
     cached and shared).
     """
     space = state_space(n, params.geometry)
-    if 2 * space.size > np.iinfo(np.int32).max:  # ranks and rank shifts are int32
-        raise StateCapError(f"sector has {space.size} states, too many for int32 indices")
     geo = params.geometry
+    # a row: its diagonal, then 2d distinct targets (L >= 3) per occupied site
+    nnz = space.size + 2 * geo.d * np.count_nonzero(space.states)
+    if nnz > np.iinfo(np.int32).max:  # n >= 1 puts 3 entries in a row, so 2 * size fits too
+        raise StateCapError(f"sector has {nnz} generator entries, too many for int32 indices")
     half_m = 0.5 * params.m
     p_edge = 1.0 / (2.0 * geo.d)
     # site-major: row s is site s's count in every state, read as a whole row
-    by_site = np.ascontiguousarray(space.states.T, dtype=np.int32)
+    by_site = np.ascontiguousarray(space.states.T)
     # Moving one particle from x to y lowers R_j by one for x <= j < y, or
     # raises it for y <= j < x, so the target's rank is the source's (its
     # row number) plus a difference of two running sums over sites of the
     # weight change under that shift. The clip only touches prefix sums a
-    # move never shifts.
-    prefix = np.cumsum(by_site, axis=0, dtype=np.int32)
-
+    # move never shifts; they are int32, as an unsigned 0 - 1 would never reach it.
     def running_change(shift):
+        prefix = np.cumsum(by_site, axis=0, dtype=np.int32)
         out = np.zeros((geo.n_sites + 1, space.size), dtype=np.int32)
         for s, weight in enumerate(space.weights.T):
             step = np.take(weight, prefix[s] + shift, mode="clip") - np.take(weight, prefix[s])
@@ -187,13 +189,15 @@ def build_generator(n: int, params: SipParams):
         return out
 
     down, up = running_change(-1), running_change(+1)
-    # the diagonal goes in first and is filled in place; the CSR sort orders each row
-    diag, every = np.zeros(space.size), np.arange(space.size, dtype=np.int32)
-    rows, cols, vals = [every], [every], [diag]
+    indptr = np.zeros(space.size + 1, dtype=np.int32)
+    np.cumsum(1 + 2 * geo.d * np.count_nonzero(by_site, axis=0), out=indptr[1:])
+    indices, data = np.empty(nnz, dtype=np.int32), np.empty(nnz)
+    fill, diag = indptr[:-1] + 1, np.zeros(space.size)  # slot 0 of a row: the diagonal
     for x, site_x in enumerate(geo.sites()):
         k = by_site[x]
         movers = np.flatnonzero(k).astype(np.int32)
         push = p_edge * k
+        at = fill[movers]
         for y in (geo.site_index(z) for z in geo.neighbors(site_x)):
             rate = push * (half_m + by_site[y])  # p_edge * k * (m/2 + eta(y)), 0.0 where k == 0
             diag -= rate
@@ -201,14 +205,14 @@ def build_generator(n: int, params: SipParams):
                 shift = down[y][movers] - down[x][movers]
             else:
                 shift = up[x][movers] - up[y][movers]
-            rows.append(movers)
-            cols.append(movers + shift)
-            vals.append(rate[movers])
-    del by_site, prefix, down, up, k  # freed before the COO -> CSR peak
-    vals = np.concatenate(vals)  # one list or its array alive at a time
-    cols = np.concatenate(cols)
-    rows = np.concatenate(rows)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(space.size, space.size))
+            indices[at] = movers + shift
+            data[at] = rate[movers]
+            at += 1
+        fill[movers] = at
+    indices[indptr[:-1]], data[indptr[:-1]] = np.arange(space.size, dtype=np.int32), diag
+    q = sparse.csr_matrix((data, indices, indptr), shape=(space.size, space.size))
+    q.sort_indices()  # in place: each row in column order, as a COO -> CSR conversion gives
+    return q
 
 
 # id(q) -> (I + Q/Lambda, Lambda); a finalizer drops the entry with its q

@@ -142,6 +142,17 @@ class TestVectorizedAssembly:
         assert csr_bytes(build_generator(n, params)) == csr_bytes(
             reference_generator(n, params))
 
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_widest_counts_of_a_count_type(self, n, dtype):
+        # 32,896 and 33,153 states on the 3-site ring: the sector is held in
+        # the narrowest type that holds n, and neither ranks nor rates wrap
+        params = SipParams(m=0.7, geometry=Geometry(1, 3))
+        space = state_space(n, params.geometry)
+        assert space.states.dtype == dtype
+        assert np.array_equal(space.rank(space.states), np.arange(space.size))
+        assert csr_bytes(build_generator(n, params)) == csr_bytes(
+            reference_generator(n, params))
+
     def test_one_cache_entry_per_sector(self):
         # both sides of the identity live on the 2-particle sector; the
         # direct call afterwards must reuse the entry they created
@@ -426,12 +437,13 @@ class TestJumpKernel:
             assert np.array_equal(p.toarray(), reference_uniformized(q)[0].toarray())
 
     def test_assembly_and_kernel_hold_few_bytes_per_entry(self):
-        # a 15,504-state sector with 263,568 entries, its states built before
-        # tracing. Per entry, the assembly peaks near 30 bytes (a CSR entry is
-        # 12, its COO input 16, the int32 site tables about 15 until the
-        # passes end) and P's build near 14, 12 of them P's own
+        # a 15,504-state sector with 263,568 entries, its uint8 states built
+        # before tracing. Per entry, the assembly peaks near 24 bytes (a CSR
+        # entry is 12, the int32 rank-shift tables about 8 until the passes
+        # end, each pass's float rows and the site-major copy the rest) and
+        # P's build near 14, 12 of them P's own
         params = SipParams(m=2.0, geometry=Geometry(2, 4))
-        state_space(5, params.geometry)
+        assert state_space(5, params.geometry).states.dtype == np.min_scalar_type(5)
         tracemalloc.start()
         try:
             q = build_generator.__wrapped__(5, params)
@@ -443,7 +455,7 @@ class TestJumpKernel:
         finally:
             tracemalloc.stop()
         assert q.nnz == 263_568
-        assert assembly / q.nnz < 40
+        assert assembly / q.nnz < 26
         assert kernel / q.nnz < 20
 
 
