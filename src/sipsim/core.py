@@ -2,10 +2,10 @@
 
 Sites are integer coordinate tuples of length d. Two boundary modes exist:
 the infinite lattice Z^d and a periodic torus of side L (coordinates are
-always stored reduced mod L). Particle state comes in two equivalent views:
-an ordered tuple of sites, which carries labels and is what the dynamics and
-the couplings evolve, and a site -> count map with finite support, which is
-what duality polynomials and the exact solver consume.
+always stored reduced mod L). A particle state is an ordered tuple of sites,
+which the couplings evolve, a row of integer site ids in the same label order,
+which the dynamics kernel evolves, or site counts (a site -> count map or a
+row over `Geometry.sites()`), which D and the exact solver consume.
 """
 
 from __future__ import annotations
@@ -118,14 +118,6 @@ def occupation_of(particles) -> dict:
     for x in particles:
         counts[x] = counts.get(x, 0) + 1
     return counts
-
-
-def particles_of(counts) -> ParticleList:
-    """Expand an occupation map to a particle tuple, sites in sorted order."""
-    out = []
-    for site in sorted(counts):
-        out.extend([site] * counts[site])
-    return tuple(out)
 
 
 def _hash(values, rows: int, init: int, mult: int, first: int = 0):

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,8 +62,6 @@ class OutcomeKind(str, Enum):
 class CouplingOutcome:
     kind: OutcomeKind
     time: float
-    rw_jumps: int
-    inclusion_jumps: int
     collisions: int
     final_x: ParticleList
     final_y: ParticleList
@@ -330,14 +327,14 @@ def _or_run(state: OrState, stream, t, t_end=math.inf, t_last=math.inf, log=None
 
     States with every within-set SIP pair at l1 distance >= _REACH run as
     free flights, all others one `or_coupled_step` at a time; `log` gets
-    every movement. Yields (t, event class, moves, events) after each
-    flight ("rw", no moves) or step (one event), and ends at the first
-    event reaching t_end, having drawn only its waiting time.
+    every movement. Yields (t, event class, moves) after each flight ("rw",
+    no moves) or step (one event), and ends at the first event reaching
+    t_end, having drawn only its waiting time.
     """
     while t <= t_last:
         if state.nearest >= _REACH:
-            t, stop, events = state.fly(stream, t, t_end=t_end, t_last=t_last, log=log)
-            yield t, "rw", (), events
+            t, stop, _ = state.fly(stream, t, t_end=t_end, t_last=t_last, log=log)
+            yield t, "rw", ()
             if stop == "end":
                 return
             continue
@@ -348,25 +345,10 @@ def _or_run(state: OrState, stream, t, t_end=math.inf, t_last=math.inf, log=None
         t += dt
         if log is not None:
             log.extend((t, _SETS[j], i, src, dst, cls) for j, i, src, dst in moves)
-        yield t, cls, moves, 1
+        yield t, cls, moves
 
 
-def _stage_one(state, t_start, t_end, stream, counters, log=None):
-    """The OR coupling of the two SIP sets of `state` to their shared-jump
-    IRW shadows, on [t_start, t_end].
-
-    Stage-one collisions are genuine SIP behavior and never abort; they are
-    only counted, once per flight or step from no within-set pair within l1
-    distance 1 to one. `counters` are named by event class.
-    """
-    contact = state.nearest <= 1
-    for _, cls, _, events in _or_run(state, stream, t_start, t_end, log=log):
-        counters.collisions += not contact and state.nearest <= 1
-        contact = state.nearest <= 1
-        vars(counters)[cls] += events
-
-
-def _stage_two(xs, ys, geo, rate_each, t_start, t_end, stream, counters, log=None):
+def _stage_two(xs, ys, geo, rate_each, t_start, t_end, stream, log=None):
     """Ornstein pairing of the two SIP sets, aborting on collision; every
     move runs at `rate_each`, the OR coupling's rate per direction.
 
@@ -383,16 +365,14 @@ def _stage_two(xs, ys, geo, rate_each, t_start, t_end, stream, counters, log=Non
         if xs == ys:
             return OutcomeKind.COUPLED, t
         if collision_check(xs, geo) or collision_check(ys, geo):
-            counters.collisions += 1
             return OutcomeKind.COLLISION_ABORT, t
         entries = tuple(_ornstein_entries(xs, ys, d))
         watches = _contact_watches((0, 1), n) + tuple(
             (i, n + i, k, 0) for i, (x, y) in enumerate(zip(xs, ys))
             for k in range(d) if x[k] != y[k])
-        t, stop, events = _free_flight(
+        t, stop, _ = _free_flight(
             (xs, ys), entries, lambda u: u * len(entries), len(entries) * rate_each,
             watches, geo, stream, t, t_end=t_end, log=log, cls="ornstein")
-        counters.rw += events
         if stop == "end":
             return OutcomeKind.HORIZON_EXPIRED, t_end
 
@@ -417,17 +397,21 @@ def two_stage_coupling(x, y, params: SipParams, horizon: float, delta: float,
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    counters = SimpleNamespace(rw=0, inclusion=0, collisions=0)
     if x == y:
-        return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, 0, 0, x, y)
+        return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, x, y)
     xs, ys = list(x), list(y)
     stage1_end = (1.0 - delta) * horizon
     state = OrState((xs, ys), (list(x), list(y)), params)
-    _stage_one(state, 0.0, stage1_end, stream, counters, log=log)
+    # stage one: SIP collisions never abort it; each flight or step from no
+    # within-set pair at l1 distance <= 1 to one counts once
+    collisions, contact = 0, state.nearest <= 1
+    for _ in _or_run(state, stream, 0.0, stage1_end, log=log):
+        collisions += not contact and state.nearest <= 1
+        contact = state.nearest <= 1
     kind, t = _stage_two(xs, ys, state.geo, state.rate_each, stage1_end, horizon, stream,
-                         counters, log=log)
-    return CouplingOutcome(kind, t, counters.rw, counters.inclusion,
-                           counters.collisions, tuple(xs), tuple(ys))
+                         log=log)
+    return CouplingOutcome(kind, t, collisions + (kind is OutcomeKind.COLLISION_ABORT),
+                           tuple(xs), tuple(ys))
 
 
 def doubling_schedule(t0: float, doublings: int):
@@ -456,20 +440,17 @@ def iterated_coupling(x, y, params: SipParams, schedule, stream: RandomStream,
         raise ValueError("schedule must be nonempty")
     cx, cy = tuple(x), tuple(y)
     elapsed = 0.0
-    rw = inclusion = collisions = 0
+    collisions = 0
     for a, horizon in enumerate(schedule):
         out = two_stage_coupling(cx, cy, params, horizon, delta, stream.child(a))
-        rw += out.rw_jumps
-        inclusion += out.inclusion_jumps
         collisions += out.collisions
         if out.kind is OutcomeKind.COUPLED:
-            return CouplingOutcome(OutcomeKind.COUPLED, elapsed + out.time, rw,
-                                   inclusion, collisions, out.final_x, out.final_y,
-                                   attempts=a + 1)
+            return CouplingOutcome(OutcomeKind.COUPLED, elapsed + out.time, collisions,
+                                   out.final_x, out.final_y, attempts=a + 1)
         elapsed += out.time
         cx, cy = out.final_x, out.final_y
-    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, elapsed, rw, inclusion,
-                           collisions, cx, cy, attempts=len(schedule))
+    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, elapsed, collisions, cx, cy,
+                           attempts=len(schedule))
 
 
 def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
@@ -490,8 +471,8 @@ def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
     irw = list(sip)
     out = []
     dist = 0
-    for t, cls, moves, _ in _or_run(OrState((sip,), (irw,), params), stream, 0.0,
-                                    t_last=max(grid, default=-1.0)):
+    for t, cls, moves in _or_run(OrState((sip,), (irw,), params), stream, 0.0,
+                                 t_last=max(grid, default=-1.0)):
         while len(out) < len(grid) and grid[len(out)] < t:
             out.append(dist)
         if cls == "inclusion":  # shared moves leave the distance as it is

@@ -65,7 +65,8 @@ class DualityEvaluator:
         )
 
     def value(self, xi, eta_counts) -> float:
-        """D(xi, eta): product over xi's support, short-circuiting at 0."""
+        """D(xi, eta): product over xi's support, short-circuiting at 0. The
+        scalar reference: no study calls it; they take `product`'s table."""
         out = 1.0
         for site, k in occupation_of(xi).items():
             l = eta_counts.get(site, 0)
@@ -74,16 +75,16 @@ class DualityEvaluator:
             out *= self.single(k, l)
         return out
 
-    def product(self, factors, size: int) -> np.ndarray:
-        """prod over (k, l) in `factors` of d(k, l), as `size` entries; each k
-        and l is an int or an int array of that length. d is tabulated once,
-        rows to the largest k and columns to the largest l (a square table to
-        l = 1500 would need d(750, 1500), which overflows `math.exp`), and the
-        factors are multiplied in the order given, so each entry is bitwise the
-        product of `single` values taken one by one (d(0, l) = 1 exactly)."""
+    def product(self, factors, size: int, single=None) -> np.ndarray:
+        """prod over (k, l) in `factors` of single(k, l) (d(k, l) by default)
+        as an array of shape `size`, each k and l an int or an array of it.
+        It is tabulated once, rows to the largest k and columns to the largest
+        l (a square table to l = 1500 would need d(750, 1500), which overflows
+        `math.exp`), and multiplied in the order given, so each entry is
+        bitwise the product of `single` values taken one by one."""
         k_top, l_top = (int(max((np.max(f[j], initial=0) for f in factors), default=0))
                         for j in (0, 1))
-        table = np.array([[self.single(k, l) for l in range(l_top + 1)]
+        table = np.array([[(single or self.single)(k, l) for l in range(l_top + 1)]
                           for k in range(k_top + 1)])
         out = np.ones(size)
         for k, l in factors:

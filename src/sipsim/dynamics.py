@@ -15,8 +15,8 @@ and running sum takes the floating-point operations of a full rebuild of
 and picks the same move as full recomputation would. The one kernel is
 `sample_at_times`, lockstep over a block of trajectories: each round is a
 few array operations over every live replica, on a window of peeked draws,
-integer site ids, a neighbor-id table and per-replica occupation counts.
-`simulate` runs a one-start block.
+integer site ids, a neighbor-id table and per-replica occupation counts;
+it takes and returns site-id arrays. `simulate` runs a one-start block.
 """
 
 from __future__ import annotations
@@ -107,9 +107,10 @@ def simulate(xi0, kind: ProcessKind, params: SipParams, horizon: float,
     if record not in ("final", "full"):
         raise ValueError(f"record must be 'final' or 'full', got {record!r}")
     log = [] if record == "full" else deque(maxlen=1)
-    [final] = sample_at_times([xi0], params, [horizon], [stream], log)
+    paths, sites = sample_at_times(*site_ids([xi0]), params, [horizon], [stream], log)
     if record == "final":
-        return Trajectory(times=[log[-1][0] if log else 0.0], states=final, horizon=horizon)
+        final = tuple(map(sites.__getitem__, paths[0, 0].tolist()))
+        return Trajectory(times=[log[-1][0] if log else 0.0], states=[final], horizon=horizon)
     positions, times, states = list(xi0), [0.0], [tuple(xi0)]
     for t, _, i, y in log:
         positions[i] = y
@@ -118,25 +119,35 @@ def simulate(xi0, kind: ProcessKind, params: SipParams, horizon: float,
     return Trajectory(times=times, states=states, horizon=horizon)
 
 
+def site_ids(states, sites=()):
+    """Particle tuples as `sample_at_times` takes them: an id array padded
+    with -1, and the id -> site list, `sites` then new sites as first seen."""
+    table = {x: k for k, x in enumerate(sites)}
+    ids = np.full((len(states), max(map(len, states), default=0)), -1, dtype=np.intp)
+    for row, state in zip(ids, states):
+        row[: len(state)] = [table.setdefault(x, len(table)) for x in state]
+    return ids, list(table)
+
+
 class _SiteTable:
     """Integer ids for the sites a block of B replicas sees, with their levels.
 
-    Id 0 is a void site: padding entries of the running-sum rows point at
-    it, and its level is exactly 0.0. A site gets an id when it is first
-    seen as a particle's position or neighbor; a torus table has room for
-    every site. Once a particle stands on site k, row k of `targets` holds
-    its 2d neighbors' ids in geometry order (`Geometry.neighbors`) times B,
-    until then 0. Entry k*B + b of `occupation` counts the particles of
-    replica b on site k, and the same entry of `level` is their level.
+    Id 0 is a void site: padding entries of the running-sum rows point at it,
+    and its level is exactly 0.0. Ids 1, 2, ... are the caller's sites, then
+    each site first seen as a position or neighbor; a torus table has room
+    for every site. Once a particle stands on site k, row k of `targets`
+    holds its 2d neighbors' ids in geometry order (`Geometry.neighbors`)
+    times B, until then 0. Entry k*B + b of `occupation` counts the particles
+    of replica b on site k, and the same entry of `level` is their level.
     """
 
     __slots__ = ("geometry", "n_block", "sites", "targets", "occupation", "level", "_ids",
                  "_empty")
 
-    def __init__(self, geometry: Geometry, n_block: int, empty_level: float):
+    def __init__(self, geometry: Geometry, n_block: int, empty_level: float, sites):
         self.geometry, self.n_block, self._empty = geometry, n_block, empty_level
-        cap = geometry.n_sites + 1 if geometry.is_torus else 64
-        self.sites, self._ids = [None], {}
+        self.sites, self._ids = [None, *sites], {x: k for k, x in enumerate(sites, 1)}
+        cap = max(geometry.n_sites if geometry.is_torus else 63, len(sites)) + 1
         self.targets = np.zeros((cap, 2 * geometry.d), dtype=np.intp)
         self.occupation = np.zeros(cap * n_block, dtype=np.intp)
         self.level = np.full(cap * n_block, empty_level)
@@ -167,16 +178,17 @@ class _SiteTable:
 _WINDOW = 16
 
 
-def sample_at_times(starts, params: SipParams, times, streams, log=None):
-    """SIP states observed at each requested time (ascending), for a block
-    of trajectories: entry b of the result lists, per grid time, the state
-    of starts[b] evolved on streams[b] alone.
+def sample_at_times(starts, sites, params: SipParams, times, streams, log=None):
+    """SIP states at each requested time (ascending) of a block: row b of the
+    (B x n) int array `starts` holds start b's ids (k names distinct sites[k])
+    in label order, -1 padding last. Returns the (B x len(times) x n) ids of
+    each start evolved on streams[b] alone, and `sites` plus sites first seen.
 
     Each trajectory is evolved to max(times); snapshots at the grid points
     are the pre-jump states, matching right-continuous paths up to a
     measure-zero set of exact ties. The last event drawn spends its two
     draws and its move is never seen. Empty starts and an empty grid draw
-    nothing.
+    nothing; bad ids and torus sites outside [0, L) raise before any draw.
 
     The replicas run in lockstep, one round of array operations per event,
     with `gillespie_step`'s float operations: a live replica's running sums
@@ -195,25 +207,23 @@ def sample_at_times(starts, params: SipParams, times, streams, log=None):
     if (not all(math.isfinite(t) and t >= 0 for t in grid)
             or any(b < a for a, b in zip(grid, grid[1:]))):
         raise ValueError("times must be finite, nonnegative and ascending")
-    if len(streams) != len(starts):
-        raise ValueError(f"{len(starts)} starts need as many streams, got {len(streams)}")
+    starts = np.asarray(starts)
+    held = starts >= 0
+    if (starts.ndim != 2 or starts.dtype.kind not in "iu" or len(starts) != len(streams)
+            or ((starts < -1) | (starts >= len(sites)) | (held.cumprod(1) < held)).any()):
+        raise ValueError(f"starts need a row of ids in [-1, {len(sites)}) per stream, -1 last")
     geo = params.geometry
-    width, B = 2 * geo.d, len(starts)
-    n_max = max(map(len, starts), default=0)
+    width, (B, n_max) = 2 * geo.d, starts.shape
     p_edge, half_m = 1.0 / (2.0 * geo.d), 0.5 * params.m
     levels = np.array([p_edge * (half_m + c) for c in range(n_max + 1)])
-    table = _SiteTable(geo, B, levels[0])
-    sizes = np.array(list(map(len, starts)), dtype=np.intp)
-    held = np.arange(n_max) < sizes[:, None]
-    ids = np.zeros((B, n_max), dtype=np.intp)
-    get = table._ids.get  # a site seen before costs one dict lookup
-    ids[held] = entered = np.array([get(x) or table._id(x) for s in starts for x in s], np.intp)
-    table.stand(entered)
-    out = [[] if n else [() for _ in grid] for n in sizes.tolist()]
+    table = _SiteTable(geo, B, levels[0], sites)
+    ids = starts.astype(np.intp) + 1  # table ids: the void site 0 for padding
+    table.stand(ids[held])
+    sizes, n_grid = held.sum(1), len(grid)
+    out = np.full((B, n_grid, n_max), -1, dtype=np.intp)
     table.occupation = np.bincount((ids * B + np.arange(B)[:, None])[held],
                                    minlength=len(table.level))
     table.level[B:] = levels[table.occupation[B:]]
-    sites, n_grid = table.sites, len(grid)
     # per live slot: replica, flat index k*B + b of each particle's site (b for padding,
     # the void site), running-sum sources, clock, next grid index and last own entry
     live = np.flatnonzero(sizes if grid else ())
@@ -223,7 +233,7 @@ def sample_at_times(starts, params: SipParams, times, streams, log=None):
     moves = gather.reshape(n_live * n_max, width)  # one row per (slot, particle)
     cumulative = np.empty(gather.shape)
     clock, next_time, last = np.zeros(n_live), np.zeros_like(live), width * sizes[live] - 1
-    grid_at, slots = np.array(grid), np.arange(n_live)
+    grid_at, slots, g = np.array(grid), np.arange(n_live), np.arange(n_grid)
     rows = slots * n_max
     r = 0
     while n_live:
@@ -243,9 +253,8 @@ def sample_at_times(starts, params: SipParams, times, streams, log=None):
         cross = done = (grid_at[next_time[:n_live]] < t).nonzero()[0]
         if len(cross):
             passed = grid_at.searchsorted(t[cross])  # grid times before the event
-            for b, row, gi, gj in zip(live[cross].tolist(), pos[cross].tolist(),
-                                      next_time[cross].tolist(), passed.tolist()):
-                out[b] += [tuple([sites[x // B] for x in row if x >= B])] * (gj - gi)
+            at, gi = ((next_time[cross, None] <= g) & (g < passed[:, None])).nonzero()
+            out[live[cross[at]], gi] = pos[cross[at]] // B - 1
             next_time[cross] = passed
             done = cross[passed == n_grid]
         for b in (live[:n_live] if r == _WINDOW else live[done]).tolist():
@@ -266,7 +275,7 @@ def sample_at_times(starts, params: SipParams, times, streams, log=None):
         if log is not None:
             go = np.delete(s, done)
             log += zip(t[go].tolist(), b[go].tolist(), i[go].tolist(),
-                       map(sites.__getitem__, y[go].tolist()))
+                       map(table.sites.__getitem__, y[go].tolist()))
         if not len(done):
             continue
         # each finished slot, last first, takes the last live slot's place
@@ -278,4 +287,4 @@ def sample_at_times(starts, params: SipParams, times, streams, log=None):
         fill = [src[s] for s in holes]
         for a in (live, pos, gather, draws, clock, next_time, last):
             a[holes] = a[fill]
-    return out
+    return out, table.sites[1:]

@@ -6,9 +6,9 @@ most `_LOCKSTEP` streams into one row per stream: row r of arm a depends on
 the stream (seed, (a, r)) alone, blocks are handed out in replica order,
 rows come back in replica order, and all reductions are order-independent,
 so reports are identical for any worker count. The dynamics arms run a
-whole block through one lockstep `sample_at_times` call, the correlation arm
-through one `sample_product` call; the coupling arms apply a per-replica
-function to each stream in turn (`_each`). Report rows come in three kinds:
+whole block through one lockstep `sample_at_times` call on site ids, the
+correlation arm through one `sample_product` call; the coupling arms apply
+a per-replica function to each stream (`_each`). Report rows come in three kinds:
 
 * band rows: pass iff |estimate - target| <= max(3*stderr, floor);
 * threshold rows: one-sided, pass iff estimate >= target (or > for strict
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import Geometry, RandomStream, occupation_of, particles_of, stream_words
+from .core import Geometry, RandomStream, occupation_of, stream_words
 from .coupling import (
     OutcomeKind,
     doubling_schedule,
@@ -37,7 +37,7 @@ from .coupling import (
     two_stage_coupling,
 )
 from .duality import DualityEvaluator, ah_density
-from .dynamics import SipParams, sample_at_times
+from .dynamics import SipParams, sample_at_times, site_ids
 from .measures import NuLambda, NuMixture, PoissonProduct, marginal_pmf, sample_product
 from .stats import batched
 
@@ -370,24 +370,46 @@ def _require(cfg, *names):
 # self-duality
 
 
+def _label_product(evaluator, paths, eta, single=None):
+    """`product` over the labels of each state of a (B x T x n) unpadded id
+    array of single(k, l): k the state's count at the label's site at its
+    first label, else 0 (d(0, l) = theta^0 = 1.0), l the count of the ids
+    `eta` there; so bitwise `value` or the Poisson `closed_transform`."""
+    same = paths[..., None] == paths[..., None, :]
+    heads = np.where(np.tril(same, -1).any(3), 0, same.sum(3)).transpose(2, 0, 1)
+    ls = (paths[..., None] == eta).sum(3).transpose(2, 0, 1)
+    return evaluator.product(list(zip(heads, ls)), paths.shape[:2], single)
+
+
+def _moments(evaluator, geo, probes, count_at, shape):
+    """D(probe, .) of a `shape` array of torus states, one per probe, from
+    their counts count_at(i) at site index i, in `DualityEvaluator.value`'s order."""
+    return [evaluator.product([(k, count_at(geo.site_index(x)))
+                               for x, k in occupation_of(p).items()], shape) for p in probes]
+
+
 def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Exact and Monte Carlo check of E_eta D(xi, eta_t) = E_xi D(xi_t, eta)."""
     from .oracle import exact_dual_expectation
     rows = []
-    params = cfg.sip_params
+    geo, params = cfg.geometry, cfg.sip_params
     evaluator = DualityEvaluator(cfg.m)
-    eta_counts = occupation_of(cfg.eta)
-    exact = exact_dual_expectation(cfg.xi, eta_counts, cfg.t_grid, params)
+    exact = exact_dual_expectation(cfg.xi, occupation_of(cfg.eta), cfg.t_grid, params)
     for t, (left, right) in zip(cfg.t_grid, exact):
         rows.append(band_row(f"exact_gap[t={t:g}]", abs(left - right), 0.0, 0.0, floor=1e-8))
+    sites = list(geo.sites())
+    (eta_ids, _), (xi_ids, _) = site_ids([cfg.eta], sites), site_ids([cfg.xi], sites)
 
     def lhs_block(streams):
-        paths = sample_at_times([cfg.eta] * len(streams), params, cfg.t_grid, streams)
-        return [[evaluator.value(cfg.xi, occupation_of(s)) for s in path] for path in paths]
+        paths, _ = sample_at_times(eta_ids.repeat(len(streams), 0), sites, params,
+                                   cfg.t_grid, streams)
+        [d] = _moments(evaluator, geo, [cfg.xi], lambda i: (paths == i).sum(2), paths.shape[:2])
+        return d.tolist()
 
     def rhs_block(streams):
-        paths = sample_at_times([cfg.xi] * len(streams), params, cfg.t_grid, streams)
-        return [[evaluator.value(s, eta_counts) for s in path] for path in paths]
+        paths, _ = sample_at_times(xi_ids.repeat(len(streams), 0), sites, params,
+                                   cfg.t_grid, streams)
+        return _label_product(evaluator, paths, eta_ids[0]).tolist()
 
     lhs = _map_replicas(lhs_block, _ARM_SD_LHS, cfg, cfg.replicas, workers)
     rhs = _map_replicas(rhs_block, _ARM_SD_RHS, cfg, cfg.replicas, workers)
@@ -410,14 +432,6 @@ def _dual_sites(cfg, n):
     return tuple(geo.wrap((j,) + (0,) * (cfg.d - 1)) for j in range(n))
 
 
-def _moments(evaluator, geo, probes, counts):
-    """D(probe, .) of each row of a (rows x sites) count array, one array per
-    probe, its factors taken in `DualityEvaluator.value`'s order."""
-    index = {x: i for i, x in enumerate(geo.sites())}
-    return [evaluator.product([(k, counts[:, index[x]]) for x, k in occupation_of(p).items()],
-                              len(counts)) for p in probes]
-
-
 def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Stationary duality moments: both arms must return rho^|xi| at every t.
 
@@ -434,19 +448,16 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
     law = NuLambda(lam=cfg.lam, m=cfg.m)
     evaluator = DualityEvaluator(cfg.m)
     probes = [_dual_sites(cfg, n) for n in cfg.xi_sizes]
-    n_t, n_sites = len(cfg.t_grid), geo.n_sites
-    index = {x: i for i, x in enumerate(geo.sites())}
+    sites = list(geo.sites())
 
     def direct_block(streams):
         counts = sample_product(law, geo, streams)
-        starts = [particles_of(dict(zip(index, row))) for row in counts.tolist()]
-        paths = sample_at_times(starts, params, cfg.t_grid, streams)
-        # one occupation row per (replica, time) state, then D(probe, .) of each
-        owner = np.repeat(np.arange(len(paths) * n_t), np.repeat(counts.sum(1), n_t))
-        seen = np.array([index[x] for path in paths for s in path for x in s], dtype=np.intp)
-        occ = np.bincount(owner * n_sites + seen, minlength=counts.size * n_t).reshape(-1, n_sites)
-        return np.hstack([d.reshape(-1, n_t)
-                          for d in _moments(evaluator, geo, probes, occ)]).tolist()
+        held = np.arange(counts.sum(1).max()) < counts.sum(1)[:, None]
+        starts = np.full(held.shape, -1)  # each replica's particles in site order
+        starts[held] = np.repeat(np.arange(counts.size) % len(sites), counts.ravel())
+        paths, _ = sample_at_times(starts, sites, params, cfg.t_grid, streams)
+        return np.hstack(_moments(evaluator, geo, probes, lambda i: (paths == i).sum(2),
+                                  paths.shape[:2])).tolist()
 
     rows = []
     direct = _map_replicas(direct_block, _ARM_STAT_DIRECT, cfg, cfg.replicas, workers)
@@ -560,9 +571,13 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
     target = evaluator.temperedness_bound(law, n)
     rows = [info_row("ah_density", ah_density(law, cfg.m))]
 
-    def replica_block(streams):
-        paths = sample_at_times([cfg.xi] * len(streams), params, cfg.t_grid, streams)
-        return [[evaluator.closed_transform(law, s) for s in path] for path in paths]
+    xi_ids, xi_sites = site_ids([cfg.xi])
+
+    def replica_block(streams):  # a site holding k: the transform of k particles on one site
+        paths, _ = sample_at_times(xi_ids.repeat(len(streams), 0), xi_sites, params,
+                                   cfg.t_grid, streams)
+        return _label_product(evaluator, paths, (), lambda k, _:
+                              evaluator.closed_transform(law, cfg.xi[:1] * k)).tolist()
 
     if isinstance(law, PoissonProduct):
         block = _map_replicas(replica_block, _ARM_CONVERGENCE, cfg, cfg.replicas, workers)
@@ -611,7 +626,8 @@ def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Repor
 
     def replica_block(streams):
         counts = sample_product(law, geo, streams)
-        return np.transpose(_moments(evaluator, geo, (probe, probe[:1]), counts)).tolist()
+        return np.transpose(_moments(evaluator, geo, (probe, probe[:1]), lambda i: counts[:, i],
+                                     len(counts))).tolist()
 
     block = _map_replicas(replica_block, _ARM_CORRELATION, cfg, cfg.replicas, workers)
     lhs_est, lhs_se = batched(block[:, 0])

@@ -95,8 +95,6 @@ def reference_or_coupled_step(sip, irw, params, stream):
 
 class Counters:
     def __init__(self):
-        self.rw = 0
-        self.inclusion = 0
         self.collisions = 0
 
 
@@ -132,7 +130,6 @@ def reference_stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end,
             ys[i] = geo.shift(ys[i], axis, step)
             xi_shadow[i] = geo.shift(xi_shadow[i], axis, step)
             yi_shadow[i] = geo.shift(yi_shadow[i], axis, step)
-            counters.rw += 1
         else:
             u -= rw_total
             if u < tot_x:
@@ -150,7 +147,6 @@ def reference_stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end,
             if log is not None:
                 log.append((t, name, chosen[0], lst[chosen[0]], chosen[1], "inclusion"))
             lst[chosen[0]] = chosen[1]
-            counters.inclusion += 1
         now = collision_check(xs, geo) or collision_check(ys, geo)
         if now and not colliding:
             counters.collisions += 1
@@ -184,7 +180,6 @@ def reference_stage_two(xs, ys, params, t_start, t_end, stream, counters, log=No
             if log is not None:
                 log.append((t, "YS", i, ys[i], geo.shift(ys[i], k, dy), "ornstein"))
             ys[i] = geo.shift(ys[i], k, dy)
-        counters.rw += 1
 
 
 def reference_two_stage(x, y, params, horizon, delta, stream, log=None):
@@ -192,7 +187,7 @@ def reference_two_stage(x, y, params, horizon, delta, stream, log=None):
     y = tuple(params.geometry.wrap(s) for s in y)
     counters = Counters()
     if x == y:
-        return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, 0, 0, x, y)
+        return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, x, y)
     xs, ys = list(x), list(y)
     stage1_end = (1.0 - delta) * horizon
     reference_stage_one(xs, ys, list(x), list(y), params, 0.0, stage1_end, stream,
@@ -201,13 +196,10 @@ def reference_two_stage(x, y, params, horizon, delta, stream, log=None):
                                     counters, log=log)
     fx, fy = tuple(xs), tuple(ys)
     if status == "coupled":
-        return CouplingOutcome(OutcomeKind.COUPLED, t, counters.rw,
-                               counters.inclusion, counters.collisions, fx, fy)
+        return CouplingOutcome(OutcomeKind.COUPLED, t, counters.collisions, fx, fy)
     if status == "collision":
-        return CouplingOutcome(OutcomeKind.COLLISION_ABORT, t, counters.rw,
-                               counters.inclusion, counters.collisions, fx, fy)
-    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, horizon, counters.rw,
-                           counters.inclusion, counters.collisions, fx, fy)
+        return CouplingOutcome(OutcomeKind.COLLISION_ABORT, t, counters.collisions, fx, fy)
+    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, horizon, counters.collisions, fx, fy)
 
 
 def reference_or_distance_single(x, params, t_grid, stream):

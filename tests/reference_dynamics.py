@@ -10,10 +10,45 @@ incremental kernel must.
 
 `kind` is "sip" (or `ProcessKind.SIP`) or "irw": the free-walker chain,
 every particle an independent rate-(m/2) walk, lives here alone.
+
+`sample_tuples` and `reference_block` translate between the kernel's site
+ids and particle tuples, so that tests can compare the two.
 """
 
+import numpy as np
+
 from sipsim.core import occupation_of
-from sipsim.dynamics import Trajectory
+from sipsim.dynamics import ProcessKind, Trajectory, sample_at_times, site_ids
+
+
+def particles_of(counts):
+    """Expand an occupation map to a particle tuple, sites in sorted order."""
+    out = []
+    for site in sorted(counts):
+        out.extend([site] * counts[site])
+    return tuple(out)
+
+
+def sample_tuples(starts, params, times, streams, log=None):
+    """`sample_at_times` on particle tuples: the starts through `site_ids`,
+    and per replica its state at each grid time as a tuple."""
+    paths, sites = sample_at_times(*site_ids(starts), params, times, streams, log)
+    return [[tuple(sites[k] for k in state if k >= 0) for state in path]
+            for path in paths.tolist()]
+
+
+def reference_block(starts, sites, params, times, streams):
+    """`sample_at_times` by the full-recompute reference: each start of the
+    id array run alone as a tuple, its states turned back into ids, sites
+    outside `sites` appended in order of first sight."""
+    table = {x: k for k, x in enumerate(sites)}
+    out = np.full((len(starts), len(times), starts.shape[1]), -1, dtype=np.intp)
+    for path, row, stream in zip(out, starts.tolist(), streams):
+        xi0 = tuple(sites[k] for k in row if k >= 0)
+        for ids, state in zip(path, reference_sample_at_times(xi0, ProcessKind.SIP, params,
+                                                               times, stream)):
+            ids[: len(state)] = [table.setdefault(x, len(table)) for x in state]
+    return out, list(table)
 
 
 def reference_sip_rates(particles, params):

@@ -18,7 +18,7 @@ import pytest
 
 from sipsim.cli import Invocation, default_config, run
 from sipsim.core import Geometry, RandomStream, occupation_of
-from sipsim.dynamics import SipParams, sample_at_times
+from sipsim.dynamics import SipParams
 from sipsim.experiments import (
     ExperimentConfig,
     run_convergence,
@@ -32,6 +32,7 @@ from sipsim.measures import PoissonProduct
 from sipsim.oracle import build_generator, exact_dual_expectation, state_space
 
 from difference_chain import exact_transform, transient_distribution
+from reference_dynamics import sample_tuples
 from reversibility import detailed_balance_ratio
 
 SEED = 11
@@ -101,8 +102,8 @@ def test_criterion_04_simulation_oracle_agreement():
     counts = np.zeros(space.size)
     for lo in range(0, reps, 32):  # lockstep blocks, as the studies run them
         block = range(lo, min(lo + 32, reps))
-        for [state] in sample_at_times([start] * len(block), params, [t],
-                                       [RandomStream(SEED, (r,)) for r in block]):
+        for [state] in sample_tuples([start] * len(block), params, [t],
+                                     [RandomStream(SEED, (r,)) for r in block]):
             counts[space.index_of_particles(state)] += 1
     freq = counts / reps
     worst_sigma = 0.0

@@ -11,6 +11,7 @@ what they reach.
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -167,7 +168,8 @@ def drawn_events(starts, geometry, grid, seed=0):
     for stream in streams:
         stream.draws = 0
     log = []
-    dynamics.sample_at_times(starts, SipParams(2.0, geometry), grid, streams, log)
+    dynamics.sample_at_times(*dynamics.site_ids(starts), SipParams(2.0, geometry), grid,
+                             streams, log)
     out = []
     for b, (xi0, stream) in enumerate(zip(starts, streams)):
         moved = stream.draws
@@ -233,3 +235,61 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Runs in a child process: `install` patches sipsim's modules for good.
+TRACED_RUN = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer as tracing
+from sipsim.core import Geometry, RandomStream
+from sipsim.dynamics import ProcessKind, SipParams, simulate
+from sipsim.experiments import RUNNERS, ExperimentConfig
+
+CONFIGS = [
+    dict(study="stationarity", boundary="torus", L=4, lam=0.4, t_grid=(0.5, 1.0)),
+    dict(study="self-duality", boundary="torus", L=4, xi=((0,), (2,), (2,)),
+         eta=((1,), (0,), (1,), (2,)), t_grid=(0.5, 1.0)),
+    dict(study="convergence", initial_law="poisson", theta=1.0, xi=((0,), (1,), (1,)),
+         t_grid=(1.0, 2.0)),
+]
+
+def reports():
+    return [RUNNERS[c["study"]](ExperimentConfig(seed=0, replicas=100, **c)).csv_text()
+            for c in CONFIGS]
+
+plain = reports()
+tracer = tracing.Tracer("tier-1")
+tracing.install(tracer)
+traced = reports()
+# as perfbench/probes.py times the kernel: a tuple start on Z, recorded in full
+stream = RandomStream(0, (9, 10, 0))
+traj = simulate(tuple((i,) for i in range(10)), ProcessKind.SIP,
+                SipParams(m=2.0, geometry=Geometry(1)), 5.0, stream, record="full")
+events = len(traj.times) - 1
+json.dump({"same": plain == traced, "aggregates": tracer.dump()["aggregates"],
+           "events": events,
+           "next_draw_ok": bool(stream.uniform() == RandomStream(0, (9, 10, 0)).peek(
+               2 * (events + 1) + 1)[-1])}, sys.stdout)
+"""
+
+
+def test_traced_runs_give_the_untraced_reports():
+    # `perfbench/run.py --trace 1` installs the tracer before the study
+    # runs; the dynamics studies must give the same CSV through it, with
+    # the kernel's spans recorded, and the probes' `simulate` call must
+    # draw two draws per applied event plus one drawn but unapplied event
+    src = str(Path(sipsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", TRACED_RUN, str(PERFBENCH)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["same"]
+    calls = {name: agg["calls"] for name, agg in result["aggregates"].items()}
+    # one block per arm (stationarity's direct arm, both self-duality arms
+    # and the Poisson convergence arm) and the block `simulate` runs
+    assert calls["dynamics.sample_at_times"] == 5
+    assert calls["measures.sample_product"] == 1
+    assert calls["experiments._map_replicas"] == 4
+    assert result["events"] > 10 and result["next_draw_ok"]

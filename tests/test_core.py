@@ -12,9 +12,10 @@ from sipsim.core import (
     Geometry,
     RandomStream,
     occupation_of,
-    particles_of,
     stream_words,
 )
+
+from reference_dynamics import particles_of
 
 # seeds of one word, of two to four words and of five or more: a seed of
 # fewer than four words is padded to four when a spawn key follows it
@@ -95,15 +96,21 @@ class TestGeometry:
 
     def test_unreduced_torus_sites_are_rejected(self):
         # (6,) would be a different occupancy key from its reduced twin (2,)
-        from sipsim.dynamics import ProcessKind, SipParams, event_rates, sample_at_times, simulate
+        from sipsim.dynamics import (ProcessKind, SipParams, event_rates, sample_at_times,
+                                     simulate, site_ids)
 
         g = Geometry(1, 4)
         params = SipParams(2.0, g)
         pair = ((1,), (6,))
         with pytest.raises(ValueError, match=r"\(6,\) is outside \[0, 4\)"):
             event_rates(pair, g, 1.0)
-        with pytest.raises(ValueError, match="outside"):
-            sample_at_times([pair], params, [1.0], [RandomStream(0, (0,))])
+        # the adapter's ids, on the torus's own site list or alone, reach the
+        # kernel, which rejects the start before any draw
+        for sites in ((), list(g.sites())):
+            stream = RandomStream(0, (0,))
+            with pytest.raises(ValueError, match="outside"):
+                sample_at_times(*site_ids([pair], sites), params, [1.0], [stream])
+            assert stream.uniform() == RandomStream(0, (0,)).uniform()
         with pytest.raises(ValueError, match="outside"):
             simulate(pair, ProcessKind.SIP, params, 1.0, RandomStream(0, (0,)))
         for site in ((-1,), (4,)):

@@ -16,6 +16,7 @@ from sipsim.dynamics import (
     gillespie_step,
     sample_at_times,
     simulate,
+    site_ids,
 )
 from sipsim.experiments import _LOCKSTEP
 
@@ -26,6 +27,7 @@ from reference_dynamics import (
     reference_simulate,
     reference_sip_rates,
     reference_step,
+    sample_tuples,
 )
 
 G1 = Geometry(1)
@@ -216,7 +218,7 @@ class TestGillespie:
         # in a block the shorter start's row is padded with zero rates, so
         # u * total = total must pick its own last entry, not the padding
         starts = [((0,),), ((3,), (4,), (4,))]
-        [path, _] = sample_at_times(starts, P1, [0.75], [_StubStream(1.0), _StubStream(1.0)])
+        [path, _] = sample_tuples(starts, P1, [0.75], [_StubStream(1.0), _StubStream(1.0)])
         assert path == reference_sample_at_times(starts[0], ProcessKind.SIP, P1, [0.75],
                                                  _StubStream(1.0))
         assert path == [((1,),)]
@@ -282,7 +284,7 @@ class TestSimulate:
 
     def test_sample_at_times_validates_grid(self):
         with pytest.raises(ValueError):
-            sample_at_times([((0,),)], P1, [2.0, 1.0], [RandomStream(0, (0,))])
+            sample_tuples([((0,),)], P1, [2.0, 1.0], [RandomStream(0, (0,))])
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_non_finite_horizon(self, horizon):
@@ -293,7 +295,7 @@ class TestSimulate:
     @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.inf], [1.0, math.inf]])
     def test_sample_at_times_rejects_non_finite_grid(self, grid):
         with pytest.raises(ValueError):
-            sample_at_times([((0,),)], P1, grid, [RandomStream(0, (0,))])
+            sample_tuples([((0,),)], P1, grid, [RandomStream(0, (0,))])
 
     def test_final_record_keeps_no_rows(self, monkeypatch):
         # a long run on Z logs thousands of moves; record="final" keeps the
@@ -301,9 +303,9 @@ class TestSimulate:
         logs = []
         kernel = dynamics.sample_at_times
 
-        def spy(starts, params, times, streams, log=None):
+        def spy(starts, sites, params, times, streams, log=None):
             logs.append(log)
-            return kernel(starts, params, times, streams, log)
+            return kernel(starts, sites, params, times, streams, log)
 
         monkeypatch.setattr(dynamics, "sample_at_times", spy)
         xi0 = ((0,), (1,))
@@ -368,7 +370,7 @@ class TestAgainstFullRecompute:
         fast, slow = RandomStream(seed), RandomStream(seed)
         # two calls on one stream: the second starts where the first left it
         for start in (xi, xi[::-1]):
-            [a] = sample_at_times([start], params, grid, [fast])
+            [a] = sample_tuples([start], params, grid, [fast])
             b = reference_sample_at_times(start, ProcessKind.SIP, params, grid, slow)
             assert a == b
             assert fast.uniform() == slow.uniform()
@@ -386,7 +388,7 @@ class TestAgainstFullRecompute:
         grid = sorted(grid)
         fast = [RandomStream(seed, (b,)) for b in range(len(starts))]
         slow = [RandomStream(seed, (b,)) for b in range(len(starts))]
-        assert sample_at_times(starts, params, grid, fast) == [
+        assert sample_tuples(starts, params, grid, fast) == [
             reference_sample_at_times(xi, ProcessKind.SIP, params, grid, stream)
             for xi, stream in zip(starts, slow)]
         assert [s.uniform() for s in fast] == [s.uniform() for s in slow]
@@ -401,7 +403,7 @@ class TestAgainstFullRecompute:
         grid = [10.0, 60.0, 150.0]
         fast = [RandomStream(12, (b,)) for b in range(len(starts))]
         slow = [RandomStream(12, (b,)) for b in range(len(starts))]
-        paths = sample_at_times(starts, params, grid, fast)
+        paths = sample_tuples(starts, params, grid, fast)
         assert paths == [reference_sample_at_times(xi, ProcessKind.SIP, params, grid, stream)
                          for xi, stream in zip(starts, slow)]
         assert len({x for path in paths for state in path for x in state}) > 8
@@ -417,7 +419,7 @@ class TestAgainstFullRecompute:
         grid = sorted(grid)
         streams = [RandomStream(seed, (b,)) for b in range(len(starts))]
         log = []
-        sample_at_times(starts, params, grid, streams, log)
+        sample_tuples(starts, params, grid, streams, log)
         for b, xi in enumerate(starts):
             ref = reference_simulate(xi, ProcessKind.SIP, params, grid[-1],
                                      RandomStream(seed, (b,)), record="full")
@@ -453,11 +455,11 @@ def check_block(starts, params, grid, seed):
     full path up to the last grid time."""
     streams = [RandomStream(seed, (b,)) for b in range(len(starts))]
     log = []
-    paths = sample_at_times(starts, params, grid, streams, log)
+    paths = sample_tuples(starts, params, grid, streams, log)
     for b, xi in enumerate(starts):
         alone, slow = RandomStream(seed, (b,)), RandomStream(seed, (b,))
         alone_log = []
-        assert [paths[b]] == sample_at_times([xi], params, grid, [alone], alone_log)
+        assert [paths[b]] == sample_tuples([xi], params, grid, [alone], alone_log)
         assert paths[b] == reference_sample_at_times(xi, ProcessKind.SIP, params, grid, slow)
         rows = [(t, i, y) for t, r, i, y in log if r == b]
         assert rows == [(t, i, y) for t, _, i, y in alone_log]
@@ -511,3 +513,57 @@ class TestBlockEdges:
         # sites at once, and their outer neighbors need ids past 64
         starts = [((100 * b,),) for b in range(21)]
         check_block(starts, SipParams(2.0, Geometry(1)), [0.3, 2.0], seed=5)
+
+
+class TestSiteIds:
+    """The kernel's input and output are site ids and the id -> site list."""
+
+    @pytest.mark.parametrize("starts", [
+        [[0, 3]],  # one id past the list
+        [[-2, 0]],
+        [[-1, 0]],  # padding before a particle
+        [[0, -1, 1]],
+        [[0, 1], [2, 3]],  # in the second row
+    ])
+    def test_bad_ids_fail_before_any_draw(self, starts):
+        streams = [RandomStream(0, (b,)) for b in range(len(starts))]
+        with pytest.raises(ValueError, match=r"ids in \[-1, 3\) per stream, -1 last"):
+            sample_at_times(np.array(starts), [(0,), (1,), (2,)], P1, [1.0], streams)
+        assert [s.uniform() for s in streams] == [
+            RandomStream(0, (b,)).uniform() for b in range(len(starts))]
+
+    def test_starts_must_be_an_integer_row_per_stream(self):
+        streams = [RandomStream(0, (0,))]
+        for starts in (np.zeros((1, 2)), np.zeros(2, dtype=int), np.zeros((2, 1), dtype=int)):
+            with pytest.raises(ValueError, match="per stream"):
+                sample_at_times(starts, [(0,), (1,)], P1, [1.0], streams)
+
+    def test_torus_ids_are_site_indices_and_the_list_comes_back_whole(self):
+        # seeded with the torus's own sites, every id the kernel hands back
+        # is a Geometry.sites() index; padding stays -1 at every grid time
+        geometry = Geometry(2, 4)
+        params, sites = SipParams(1.3, geometry), list(geometry.sites())
+        starts = [((0, 0), (3, 1), (0, 0)), (), ((2, 2),)]
+        ids, listed = site_ids(starts, sites)
+        assert listed == sites
+        assert ids.tolist() == [[0, 13, 0], [-1, -1, -1], [10, -1, -1]]
+        grid = [0.3, 1.0]
+        paths, out = sample_at_times(ids, sites, params, grid,
+                                     [RandomStream(3, (b,)) for b in range(3)])
+        assert out == sites and paths.shape == (3, 2, 3)
+        assert (paths[1] == -1).all() and (paths[2, :, 1:] == -1).all()
+        assert [[tuple(sites[k] for k in s if k >= 0) for s in path]
+                for path in paths.tolist()] == [
+            reference_sample_at_times(xi, ProcessKind.SIP, params, grid, RandomStream(3, (b,)))
+            for b, xi in enumerate(starts)]
+
+    def test_z_ids_extend_the_callers_list(self):
+        # on Z^d a site first seen on the way gets the next id after the
+        # caller's list, which comes back as the prefix of the one returned
+        ids, sites = site_ids([((5,), (5,))], [(9,)])
+        assert ids.tolist() == [[1, 1]] and sites == [(9,), (5,)]
+        paths, out = sample_at_times(ids, sites, P1, [4.0], [RandomStream(2, (0,))])
+        assert out[:2] == sites and len(out) > 2
+        assert [tuple(out[k] for k in s) for s in paths[0].tolist()] == (
+            reference_sample_at_times(((5,), (5,)), ProcessKind.SIP, P1, [4.0],
+                                      RandomStream(2, (0,))))

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
-from sipsim.core import Geometry, RandomStream, occupation_of, particles_of
+from sipsim.core import Geometry, RandomStream, occupation_of
 from sipsim.duality import DualityEvaluator
-from sipsim.dynamics import SipParams, sample_at_times
+from sipsim.dynamics import SipParams
 from sipsim import oracle
 from sipsim.measures import marginal_pmf
 from sipsim.oracle import (
@@ -29,6 +29,7 @@ from sipsim.oracle import (
     state_space,
 )
 from difference_chain import transient_distribution
+from reference_dynamics import particles_of, sample_tuples
 from reference_generator import (
     reference_cesaro_apply,
     reference_generator,
@@ -562,8 +563,8 @@ class TestMonteCarloAgreement:
         counts = np.zeros(space.size)
         for lo in range(0, reps, 32):  # lockstep blocks, as the studies run them
             block = range(lo, min(lo + 32, reps))
-            for [state] in sample_at_times([start] * len(block), params, [t],
-                                           [RandomStream(21, (r,)) for r in block]):
+            for [state] in sample_tuples([start] * len(block), params, [t],
+                                         [RandomStream(21, (r,)) for r in block]):
                 counts[space.index_of_particles(state)] += 1
         freq = counts / reps
         for p_hat, p in zip(freq, target):
