@@ -173,15 +173,6 @@ def parse_config(text: str, study: str) -> ExperimentConfig:
         raise ConfigError(message, lines_of.get(_KEY_OF_FIELD.get(field, field))) from None
 
 
-def default_config(study: str, seed: int | None = None) -> ExperimentConfig:
-    if study not in STUDIES:
-        raise ConfigError(f"unknown study {study!r}")
-    fields = dict(DEFAULT_CONFIGS[study])
-    if seed is not None:
-        fields["seed"] = seed
-    return ExperimentConfig(study=study, **fields)
-
-
 @dataclass(frozen=True)
 class Invocation:
     subcommand: str
@@ -207,14 +198,13 @@ def _atomic_write(path: str, data: str):
 def run(invocation: Invocation) -> int:
     """Execute one study and write report files; returns the exit status."""
     try:
-        if invocation.config_path is not None:
-            with open(invocation.config_path, "r", encoding="utf-8") as fh:
+        text = ""  # no --config: the study's defaults
+        if invocation.config_path is not None:  # utf-8-sig: a leading byte-order mark is dropped
+            with open(invocation.config_path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
-            cfg = parse_config(text, invocation.subcommand)
-            if invocation.seed is not None:
-                cfg = dataclasses.replace(cfg, seed=invocation.seed)
-        else:
-            cfg = default_config(invocation.subcommand, invocation.seed)
+        cfg = parse_config(text, invocation.subcommand)
+        if invocation.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=invocation.seed)
         os.makedirs(invocation.out_dir, exist_ok=True)  # an unusable --out fails before the run
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

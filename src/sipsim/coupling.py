@@ -22,9 +22,9 @@ through the per-event float operations at once and is cut at the first
 contact, sync, stage end or last grid time; only the applied events' draws
 are consumed, so every event, output and next draw is that of a per-event
 loop (Oppelstrup et al., PRL 97, 230602, 2006). Other OR events go through
-`or_coupled_step`, which keeps each SIP set's running sums and pair
-distances across events. One loop, `_or_run`, applies this rule for stage
-one and for the OR distance alike.
+`or_coupled_step`, which keeps each SIP set's inclusion sums
+(`_inclusion_sums`) and pair distances across events. One loop, `_or_run`,
+applies this rule for stage one and for the OR distance alike.
 
 The two-stage scheme runs the OR coupling of both SIP sets to shared-jump
 IRW shadows on [0, (1-delta)t] and then pairs the two SIP sets directly
@@ -48,8 +48,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import COORD_LIMIT, CoordinateOverflowError, Geometry, ParticleList, RandomStream
-from .dynamics import SipParams, event_rates
+from .core import (COORD_LIMIT, CoordinateOverflowError, Geometry, ParticleList, RandomStream,
+                   occupation_of)
+from .dynamics import SipParams
 
 
 class OutcomeKind(str, Enum):
@@ -89,14 +90,21 @@ def collision_check(particles, geometry: Geometry) -> bool:
     return any(dist <= 1 for dist in _pair_distances(particles, geometry))
 
 
+def _inclusion_sums(sip, geometry: Geometry):
+    """A SIP set's inclusion rates p(x,y) * eta(y) summed left to right, by (particle, neighbor)."""
+    p_edge = 1.0 / (2.0 * geometry.d)
+    occ = occupation_of(sip)
+    return list(accumulate(p_edge * occ.get(y, 0) for x in sip for y in geometry.neighbors(x)))
+
+
 class OrState:
     """SIP position lists `sips` OR-coupled to IRW lists `shadows`, all of one
     length n and moved in place: the rate m/(4d) of a shared move per
     particle and direction (`rate_each`), their total `rw_total`, the move
-    table with its contact watches, and per SIP set the inclusion running
-    sums (bitwise `event_rates` at half_m = 0.0) and each within-set pair's
-    l1 distance, then an inf sentinel; `nearest` is the least over all sets,
-    and `pairs_of[i]` lists (pair index, other particle) for particle i."""
+    table with its contact watches, and per SIP set the inclusion running sums
+    (`_inclusion_sums`) and each within-set pair's l1 distance, then an inf
+    sentinel; `nearest` is the least over all sets, and `pairs_of[i]` lists
+    (pair index, other particle) for particle i."""
 
     def __init__(self, sips, shadows, params: SipParams):
         n, d = len(sips[0]), params.geometry.d
@@ -113,7 +121,7 @@ class OrState:
 
     def _rebuild(self):
         self.dist = [[*_pair_distances(sip, self.geo), math.inf] for sip in self.sips]
-        self.sums = [list(accumulate(event_rates(sip, self.geo, 0.0))) for sip in self.sips]
+        self.sums = [_inclusion_sums(sip, self.geo) for sip in self.sips]
         self.nearest = min(map(min, self.dist))
 
     def fly(self, stream: RandomStream, t: float, **kw):
@@ -134,11 +142,11 @@ def or_coupled_step(state: OrState, stream: RandomStream, t: float = 0.0,
 
     A shared random-walk event (rate m/(4d) per particle and direction)
     displaces particle i of every list by the same unit vector; an
-    inclusion event (rate p(x,y) * eta(y) in its own SIP set: `event_rates`
-    at half_m = 0.0) moves one particle of one SIP set, picked by bisection
-    on that set's running sums. The waiting time dt is drawn first, at the
-    total rate rw_total + the SIP sets' inclusion totals (their last running
-    sums) summed left to right.
+    inclusion event (rate p(x,y) * eta(y) in its own SIP set) moves one
+    particle of one SIP set, picked by bisection on that set's running sums
+    (`_inclusion_sums`). The waiting time dt is drawn first, at the total
+    rate rw_total + the SIP sets' inclusion totals (their last running sums)
+    summed left to right.
 
     `state` is updated in place; a set's sums are rebuilt only when its
     moved particle is within l1 distance 1 of another before or after the
@@ -183,8 +191,7 @@ def or_coupled_step(state: OrState, stream: RandomStream, t: float = 0.0,
             old, dist[e] = dist[e], geo.l1_distance(dst, sip[q])
             touched = touched or min(old, dist[e]) <= 1
         if touched:  # no pair at distance 1: every rate is 0.0
-            sums[j] = (list(accumulate(event_rates(sip, geo, 0.0))) if 1 in dist
-                       else [0.0] * len(sums[j]))
+            sums[j] = _inclusion_sums(sip, geo) if 1 in dist else [0.0] * len(sums[j])
     state.nearest = min(map(min, state.dist))
     return dt, cls, moves
 

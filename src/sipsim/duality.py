@@ -6,9 +6,10 @@ The single-site factor is
     d(k, l) = 0                                          for k > l,
 
 so d(0, .) = 1, and the full polynomial D(xi, eta) is the product of the
-factors over the sites xi occupies. The transform of a measure mu is the
-collection of its duality moments hat(mu)(xi) = integral of D(xi, .) d mu;
-closed forms exist for the laws in `measures`.
+factors over the sites xi occupies, in `occupation_of`'s order; only this
+module evaluates it (`value`; `moments` and `label_product` on arrays). The
+transform of a measure mu is the collection of its duality moments
+hat(mu)(xi) = integral of D(xi, .) d mu; closed forms exist for `measures`.
 
 Temperedness asks the per-size suprema c_n = sup_{|xi|=n} hat(mu)(xi) to be
 finite and to satisfy the Carleman condition sum_n c_n^(-1/n) = infinity.
@@ -66,7 +67,7 @@ class DualityEvaluator:
 
     def value(self, xi, eta_counts) -> float:
         """D(xi, eta): product over xi's support, short-circuiting at 0. The
-        scalar reference: no study calls it; they take `product`'s table."""
+        scalar reference: no study calls it; they take `moments` or `label_product`."""
         out = 1.0
         for site, k in occupation_of(xi).items():
             l = eta_counts.get(site, 0)
@@ -90,6 +91,22 @@ class DualityEvaluator:
         for k, l in factors:
             out = out * table[k, l]
         return out
+
+    def moments(self, probes, count_at, shape) -> list:
+        """D(probe, .) of a `shape` array of states per probe, from their counts
+        count_at(site) at a site: `product` of the factors in `value`'s order."""
+        return [self.product([(k, count_at(x)) for x, k in occupation_of(p).items()], shape)
+                for p in probes]
+
+    def label_product(self, paths, eta, single=None) -> np.ndarray:
+        """`product` over the labels of each state of a (B x T x n) unpadded id
+        array of single(k, l): k the state's count at the label's site at its
+        first label, else 0 (d(0, l) = theta^0 = 1.0), l the count of the ids
+        `eta` there; so bitwise `value` or the Poisson `closed_transform`."""
+        same = paths[..., None] == paths[..., None, :]
+        heads = np.where(np.tril(same, -1).any(3), 0, same.sum(3)).transpose(2, 0, 1)
+        ls = (paths[..., None] == eta).sum(3).transpose(2, 0, 1)
+        return self.product(list(zip(heads, ls)), paths.shape[:2], single)
 
     def closed_transform(self, law: InitialLaw, xi) -> float:
         """Exact duality moment of a closed-form law at the configuration xi."""

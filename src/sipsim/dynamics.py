@@ -4,14 +4,14 @@ Under SIP(m), a labeled particle at x jumps to each neighbor y at rate
 p(x,y) * (m/2 + eta(y)), where eta counts all particles of the list and p
 is the symmetric nearest-neighbor kernel 1/(2d); summing over the eta(x)
 particles at a site recovers the occupation-level rate
-eta(x) * p(x,y) * (m/2 + eta(y)). `event_rates` is the one statement of
-this rate list and its order; the OR coupling takes the inclusion part
-p(x,y) * eta(y) from it with half_m = 0.0.
+eta(x) * p(x,y) * (m/2 + eta(y)). The kernel's level table p(x,y) * (m/2 + c)
+is the one statement of this rate; the rate list's entry 2d*i + j is particle
+i jumping to its j-th neighbor, in geometry order.
 
 Simulation is plain Gillespie: an exponential waiting time at the total
 rate, then a rate-weighted pick, as `gillespie_step` states them. Every rate
 and running sum takes the floating-point operations of a full rebuild of
-`event_rates`, in the same order, so each event consumes the same two draws
+that list, in the same order, so each event consumes the same two draws
 and picks the same move as full recomputation would. The one kernel is
 `sample_at_times`, lockstep over a block of trajectories: each round is a
 few array operations over every live replica, on a window of peeked draws,
@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Geometry, ParticleList, RandomStream, occupation_of
+from .core import Geometry, ParticleList, RandomStream
 
 
 class NoEventError(ValueError):
@@ -49,18 +49,6 @@ class SipParams:
         if not (math.isfinite(self.m) and self.m > 0):
             raise ValueError(
                 f"inclusion parameter m must be positive and finite, got {self.m!r}")
-
-
-def event_rates(particles, geometry: Geometry, half_m: float):
-    """Per-(particle, neighbor) rates p(x,y) * (half_m + eta(y)), as a list.
-
-    Entry 2d*i + j is particle i jumping to its j-th neighbor, in geometry
-    order. With half_m = m/2 these are the SIP jump rates; with half_m = 0.0
-    they are the inclusion part alone, exactly 0.0 towards an empty site.
-    """
-    p_edge = 1.0 / (2.0 * geometry.d)
-    occ = occupation_of(particles)
-    return [p_edge * (half_m + occ.get(y, 0)) for x in particles for y in geometry.neighbors(x)]
 
 
 def gillespie_step(cumulative, stream: RandomStream):

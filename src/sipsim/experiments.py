@@ -7,8 +7,9 @@ the stream (seed, (a, r)) alone, blocks are handed out in replica order,
 rows come back in replica order, and all reductions are order-independent,
 so reports are identical for any worker count. The dynamics arms run a
 whole block through one lockstep `sample_at_times` call on site ids, the
-correlation arm through one `sample_product` call; the coupling arms apply
-a per-replica function to each stream (`_each`). Report rows come in three kinds:
+correlation arm through one `sample_product` call, and `DualityEvaluator`
+reads D off the arrays; the coupling arms apply a per-replica function to
+each stream (`_each`). Report rows come in three kinds:
 
 * band rows: pass iff |estimate - target| <= max(3*stderr, floor);
 * threshold rows: one-sided, pass iff estimate >= target (or > for strict
@@ -18,6 +19,8 @@ a per-replica function to each stream (`_each`). Report rows come in three kinds
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import multiprocessing as mp
 import os
@@ -194,7 +197,9 @@ class ExperimentConfig:
                              f"got {len(self.t_grid)}")
         if self.study in grid_studies and self.t_grid[0] <= 0:
             raise FieldError("t_grid", f"t_grid times must be positive for {self.study}")
-        _require(self, *study.required)
+        for name in study.required:
+            if getattr(self, name) is None:
+                raise FieldError(name, f"study {self.study!r} requires the {name!r} field")
         # each would run every replica to a crash or a false failure (exit 2)
         if self.study == "coupling" and len(self.y_start) != len(self.x_start):
             raise FieldError("y_start", f"y_start needs the {len(self.x_start)} particles "
@@ -268,13 +273,11 @@ class Report:
         def fmt(v):
             return "" if v is None else f"{v:.12g}"
 
-        lines = ["study,statistic,estimate,stderr,target,tolerance,pass"]
-        for r in self.rows:
-            lines.append(
-                f"{self.study},{r.statistic},{fmt(r.estimate)},{fmt(r.stderr)},"
-                f"{fmt(r.target)},{fmt(r.tolerance)},{'true' if r.passed else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
+        out = csv.writer(buf := io.StringIO(), lineterminator="\n")  # quotes a field with a comma
+        out.writerow(("study", "statistic", "estimate", "stderr", "target", "tolerance", "pass"))
+        out.writerows((self.study, r.statistic, fmt(r.estimate), fmt(r.stderr), fmt(r.target),
+                       fmt(r.tolerance), "true" if r.passed else "false") for r in self.rows)
+        return buf.getvalue()
 
     def json_summary(self) -> dict:
         return {
@@ -360,56 +363,37 @@ def _map_calls(calls, workers):
         return list(pool.map(lambda call: call(), calls))
 
 
-def _require(cfg, *names):
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise FieldError(name, f"study {cfg.study!r} requires the {name!r} field")
-
-
 # ---------------------------------------------------------------------------
 # self-duality
 
 
-def _label_product(evaluator, paths, eta, single=None):
-    """`product` over the labels of each state of a (B x T x n) unpadded id
-    array of single(k, l): k the state's count at the label's site at its
-    first label, else 0 (d(0, l) = theta^0 = 1.0), l the count of the ids
-    `eta` there; so bitwise `value` or the Poisson `closed_transform`."""
-    same = paths[..., None] == paths[..., None, :]
-    heads = np.where(np.tril(same, -1).any(3), 0, same.sum(3)).transpose(2, 0, 1)
-    ls = (paths[..., None] == eta).sum(3).transpose(2, 0, 1)
-    return evaluator.product(list(zip(heads, ls)), paths.shape[:2], single)
-
-
-def _moments(evaluator, geo, probes, count_at, shape):
-    """D(probe, .) of a `shape` array of torus states, one per probe, from
-    their counts count_at(i) at site index i, in `DualityEvaluator.value`'s order."""
-    return [evaluator.product([(k, count_at(geo.site_index(x)))
-                               for x, k in occupation_of(p).items()], shape) for p in probes]
+def _exact_gap_rows(cfg, exact):
+    """One band row |left - right| <= 1e-8 per grid time of `exact_dual_expectation`."""
+    return [band_row(f"exact_gap[t={t:g}]", abs(left - right), 0.0, 0.0, floor=1e-8)
+            for t, (left, right) in zip(cfg.t_grid, exact)]
 
 
 def run_self_duality(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Exact and Monte Carlo check of E_eta D(xi, eta_t) = E_xi D(xi_t, eta)."""
     from .oracle import exact_dual_expectation
-    rows = []
     geo, params = cfg.geometry, cfg.sip_params
     evaluator = DualityEvaluator(cfg.m)
-    exact = exact_dual_expectation(cfg.xi, occupation_of(cfg.eta), cfg.t_grid, params)
-    for t, (left, right) in zip(cfg.t_grid, exact):
-        rows.append(band_row(f"exact_gap[t={t:g}]", abs(left - right), 0.0, 0.0, floor=1e-8))
+    rows = _exact_gap_rows(cfg, exact_dual_expectation(cfg.xi, occupation_of(cfg.eta),
+                                                       cfg.t_grid, params))
     sites = list(geo.sites())
     (eta_ids, _), (xi_ids, _) = site_ids([cfg.eta], sites), site_ids([cfg.xi], sites)
 
     def lhs_block(streams):
         paths, _ = sample_at_times(eta_ids.repeat(len(streams), 0), sites, params,
                                    cfg.t_grid, streams)
-        [d] = _moments(evaluator, geo, [cfg.xi], lambda i: (paths == i).sum(2), paths.shape[:2])
+        [d] = evaluator.moments([cfg.xi], lambda x: (paths == geo.site_index(x)).sum(2),
+                                paths.shape[:2])
         return d.tolist()
 
     def rhs_block(streams):
         paths, _ = sample_at_times(xi_ids.repeat(len(streams), 0), sites, params,
                                    cfg.t_grid, streams)
-        return _label_product(evaluator, paths, eta_ids[0]).tolist()
+        return evaluator.label_product(paths, eta_ids[0]).tolist()
 
     lhs = _map_replicas(lhs_block, _ARM_SD_LHS, cfg, cfg.replicas, workers)
     rhs = _map_replicas(rhs_block, _ARM_SD_RHS, cfg, cfg.replicas, workers)
@@ -456,8 +440,8 @@ def run_stationarity(cfg: ExperimentConfig, workers: int = 1) -> Report:
         starts = np.full(held.shape, -1)  # each replica's particles in site order
         starts[held] = np.repeat(np.arange(counts.size) % len(sites), counts.ravel())
         paths, _ = sample_at_times(starts, sites, params, cfg.t_grid, streams)
-        return np.hstack(_moments(evaluator, geo, probes, lambda i: (paths == i).sum(2),
-                                  paths.shape[:2])).tolist()
+        return np.hstack(evaluator.moments(probes, lambda x: (paths == geo.site_index(x)).sum(2),
+                                           paths.shape[:2])).tolist()
 
     rows = []
     direct = _map_replicas(direct_block, _ARM_STAT_DIRECT, cfg, cfg.replicas, workers)
@@ -576,8 +560,8 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> Report:
     def replica_block(streams):  # a site holding k: the transform of k particles on one site
         paths, _ = sample_at_times(xi_ids.repeat(len(streams), 0), xi_sites, params,
                                    cfg.t_grid, streams)
-        return _label_product(evaluator, paths, (), lambda k, _:
-                              evaluator.closed_transform(law, cfg.xi[:1] * k)).tolist()
+        return evaluator.label_product(paths, (), lambda k, _:
+                                       evaluator.closed_transform(law, cfg.xi[:1] * k)).tolist()
 
     if isinstance(law, PoissonProduct):
         block = _map_replicas(replica_block, _ARM_CONVERGENCE, cfg, cfg.replicas, workers)
@@ -626,8 +610,9 @@ def run_correlation_inequality(cfg: ExperimentConfig, workers: int = 1) -> Repor
 
     def replica_block(streams):
         counts = sample_product(law, geo, streams)
-        return np.transpose(_moments(evaluator, geo, (probe, probe[:1]), lambda i: counts[:, i],
-                                     len(counts))).tolist()
+        return np.transpose(evaluator.moments((probe, probe[:1]),
+                                              lambda x: counts[:, geo.site_index(x)],
+                                              len(counts))).tolist()
 
     block = _map_replicas(replica_block, _ARM_CORRELATION, cfg, cfg.replicas, workers)
     lhs_est, lhs_se = batched(block[:, 0])
@@ -698,12 +683,9 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
     space = state_space(n_eta, geo)
     q = build_generator(n_eta, params)
     eta_index = space.index_of_particles(cfg.eta)
-    # sites[a] has site index a, so column a of the sector holds its count
-    pair_probes = [
-        evaluator.product([(1, space.states[:, a]), (1, space.states[:, b])], space.size)
-        for a in range(len(sites))
-        for b in range(a + 1, len(sites))
-    ]
+    pair_probes = evaluator.moments(
+        [(x, y) for a, x in enumerate(sites) for y in sites[a + 1:]],
+        lambda x: space.states[:, geo.site_index(x)], space.size)
     spreads = []
     for horizon in cfg.t_grid:
         averaged = [float(cesaro_apply(q, horizon, vec)[eta_index]) for vec in pair_probes]
@@ -742,9 +724,7 @@ def run_oracle_check(cfg: ExperimentConfig, workers: int = 1) -> Report:
     *blocks, exact = _map_calls(
         [partial(sector_rows, n) for n in sectors]
         + [partial(exact_dual_expectation, cfg.xi, eta_counts, cfg.t_grid, params)], workers)
-    rows = [row for block in blocks for row in block]
-    for t, (left, right) in zip(cfg.t_grid, exact):
-        rows.append(band_row(f"exact_gap[t={t:g}]", abs(left - right), 0.0, 0.0, floor=1e-8))
+    rows = [row for block in blocks for row in block] + _exact_gap_rows(cfg, exact)
     return Report(study=cfg.study, rows=rows, seed=cfg.seed)
 
 

@@ -17,7 +17,7 @@ arithmetic from a table of binomials that never exceeds the sector size, so
 no state -> ordinal map is stored. The generator is assembled with numpy
 from a site-major copy of the sector, one vectorized pass per (site,
 neighbour) pair writing into preallocated CSR arrays. A duality polynomial
-on a sector is `DualityEvaluator.product` of its columns.
+on a sector is `DualityEvaluator.moments` or `product` of its columns.
 """
 
 from __future__ import annotations
@@ -292,8 +292,8 @@ def exact_dual_expectation(xi, eta_counts, times, params: SipParams):
 
     space_eta = state_space(n_eta, geo)
     q_eta = build_generator(n_eta, params)
-    f_left = evaluator.product([(k, space_eta.states[:, geo.site_index(site)])
-                                for site, k in occupation_of(xi).items()], space_eta.size)
+    [f_left] = evaluator.moments([xi], lambda x: space_eta.states[:, geo.site_index(x)],
+                                 space_eta.size)
     lefts = _poisson_series(q_eta, times, f_left, _transient_weights)
     i_left = space_eta.index_of_occupation(eta_counts)
 

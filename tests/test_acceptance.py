@@ -12,11 +12,12 @@ exact transient at every grid time.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sipsim.cli import Invocation, default_config, run
+from sipsim.cli import Invocation, parse_config, run
 from sipsim.core import Geometry, RandomStream, occupation_of
 from sipsim.dynamics import SipParams
 from sipsim.experiments import (
@@ -118,7 +119,7 @@ def test_criterion_04_simulation_oracle_agreement():
 
 def test_criterion_05_coupling_success():
     t0 = time.monotonic()
-    cfg = default_config("coupling", seed=SEED)
+    cfg = replace(parse_config("", "coupling"), seed=SEED)
     assert cfg.x_start == ((0,), (10,)) and cfg.y_start == ((3,), (17,))
     assert cfg.t_grid == (100.0, 1000.0, 10000.0) and cfg.replicas == 500
     rep = run_coupling_success(cfg, workers=2)
@@ -136,7 +137,7 @@ def test_criterion_05_coupling_success():
 
 def test_criterion_06_or_distance_decay():
     t0 = time.monotonic()
-    cfg = default_config("or-distance", seed=SEED)
+    cfg = replace(parse_config("", "or-distance"), seed=SEED)
     assert cfg.replicas == 1000 and cfg.t_grid == (100.0, 1000.0, 10000.0)
     rep = run_or_distance(cfg, workers=2)
     elapsed = time.monotonic() - t0
@@ -150,7 +151,7 @@ def test_criterion_06_or_distance_decay():
 
 def test_criterion_07_convergence_poisson():
     t0 = time.monotonic()
-    cfg = default_config("convergence", seed=SEED)
+    cfg = replace(parse_config("", "convergence"), seed=SEED)
     assert cfg.initial_law == "poisson" and cfg.theta == 1.0 and cfg.m == 2.0
     assert cfg.xi == ((0,), (1,)) and cfg.replicas == 10_000
     assert cfg.t_grid == (1.0, 10.0, 100.0, 400.0)
@@ -179,7 +180,7 @@ def test_criterion_07_convergence_poisson():
 
 def test_criterion_08_correlation_inequality():
     t0 = time.monotonic()
-    cfg = default_config("correlation", seed=SEED)
+    cfg = replace(parse_config("", "correlation"), seed=SEED)
     rep = run_correlation_inequality(cfg, workers=2)
     elapsed = time.monotonic() - t0
     rows = {r.statistic: r for r in rep.rows}
@@ -215,7 +216,7 @@ def test_criterion_09_factorization():
     }
     gap = abs(hat[3] - hat[1] * hat[2])
     elapsed_static = time.monotonic() - t0
-    rep = run_factorization(default_config("factorization", seed=SEED))
+    rep = run_factorization(replace(parse_config("", "factorization"), seed=SEED))
     rows = {r.statistic: r for r in rep.rows}
     ok = (spread <= 1e-10 and gap <= 1e-10 and elapsed_static < 1.0
           and rows["position_spread[n=2]"].passed

@@ -12,6 +12,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -224,6 +225,18 @@ def test_every_replica_stream_runs_the_wrapped_init(monkeypatch, n):
                                      4, cfg, n, 1)
     assert paths == [(4, r) for r in range(n)]
     assert len(rows) == n
+
+
+def test_the_probes_run_and_give_ten_positive_finite_metrics():
+    # probes.py calls simulate, two_stage_coupling, build_generator and more
+    # with fixed arguments, so a changed signature fails here first
+    src = str(Path(sipsim.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, str(PERFBENCH / "probes.py"), src, "0"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout)
+    assert len(metrics) == 10
+    assert all(math.isfinite(v) and v > 0 for v in metrics.values()), metrics
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

@@ -13,7 +13,6 @@ from sipsim.cli import (
     ConfigError,
     Invocation,
     build_invocation,
-    default_config,
     parse_config,
     run,
 )
@@ -144,7 +143,7 @@ class TestParseConfig:
     def test_default_configs_are_valid(self):
         for study in ("self-duality", "stationarity", "coupling", "or-distance",
                       "convergence", "correlation", "factorization", "oracle-check"):
-            cfg = default_config(study)
+            cfg = parse_config("", study)
             assert cfg.study == study
 
 
@@ -203,6 +202,21 @@ class TestRun:
             f"cli.main(['oracle-check', '--out', {str(tmp_path)!r}])\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True"]
+
+    def test_a_byte_order_mark_before_the_config_is_dropped(self, tmp_path, monkeypatch):
+        # an editor may save UTF-8 with a leading U+FEFF; the run then gets
+        # the config the plain file gives
+        seen = []
+        monkeypatch.setitem(RUNNERS, "correlation",
+                            lambda cfg, workers: seen.append(cfg) or Report("correlation", [], 0))
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(CORRELATION_CFG, encoding=encoding)
+            inv = Invocation(subcommand="correlation", config_path=str(path), seed=None,
+                             out_dir=str(tmp_path / name), workers=1)
+            assert run(inv) == 0
+        assert (tmp_path / "bom.cfg").read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert seen == [parse_config(CORRELATION_CFG, "correlation")] * 2
 
     def test_oracle_check_default_config_exits_zero(self, tmp_path):
         inv = invocation("oracle-check", tmp_path)

@@ -46,8 +46,9 @@ class TestGeometry:
                                    Geometry(2, 3), Geometry(3, 3), Geometry(1, 4),
                                    Geometry(2, 5), Geometry(3, 4)])
     def test_neighbor_order(self, g):
-        # entry 2d*i + j of event_rates, the event kernel's j ^ 1 slot for the
-        # reverse move and build_generator all rely on this order
+        # entry 2d*i + j of the kernel's and the OR coupling's rate lists, the
+        # kernel's j ^ 1 slot for the reverse move and build_generator all
+        # rely on this order
         rng = np.random.default_rng(11)
         lo, hi = (0, g.L) if g.is_torus else (-50, 50)
         for _ in range(100):
@@ -96,14 +97,14 @@ class TestGeometry:
 
     def test_unreduced_torus_sites_are_rejected(self):
         # (6,) would be a different occupancy key from its reduced twin (2,)
-        from sipsim.dynamics import (ProcessKind, SipParams, event_rates, sample_at_times,
-                                     simulate, site_ids)
+        from sipsim.coupling import _inclusion_sums
+        from sipsim.dynamics import ProcessKind, SipParams, sample_at_times, simulate, site_ids
 
         g = Geometry(1, 4)
         params = SipParams(2.0, g)
         pair = ((1,), (6,))
         with pytest.raises(ValueError, match=r"\(6,\) is outside \[0, 4\)"):
-            event_rates(pair, g, 1.0)
+            _inclusion_sums(pair, g)
         # the adapter's ids, on the torus's own site list or alone, reach the
         # kernel, which rejects the start before any draw
         for sites in ((), list(g.sites())):
@@ -116,7 +117,7 @@ class TestGeometry:
         for site in ((-1,), (4,)):
             with pytest.raises(ValueError):
                 g.neighbors(site)
-        assert event_rates(((1,), (2,)), g, 1.0) == [0.5, 1.0, 1.0, 0.5]
+        assert _inclusion_sums(((1,), (2,)), g) == [0.0, 0.5, 1.0, 1.0]
 
     def test_l1_distance(self):
         g = Geometry(2)

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sipsim.coupling import (
     _REACH,
     OrState,
     OutcomeKind,
+    _inclusion_sums,
     _ornstein_entries,
     collision_check,
     doubling_schedule,
@@ -25,6 +27,7 @@ from sipsim.oracle import build_generator, state_space
 from sipsim.stats import batched
 
 from difference_chain import transient_distribution
+from reference_coupling import _inclusion_entries as reference_inclusion_entries
 from reference_coupling import (
     reference_or_coupled_step,
     reference_or_distance_single,
@@ -543,6 +546,23 @@ class TestOrState:
             assert ([[r.hex() for r in sums] for sums in state.sums]
                     == [[r.hex() for r in sums] for sums in fresh.sums])
             assert (state.dist, state.nearest) == (fresh.dist, fresh.nearest)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coupling_systems())
+    def test_inclusion_sums_match_the_reference(self, system):
+        # the running sums of the reference's inclusion entries, placed at
+        # entry 2d*i + j (particle i to its j-th neighbor) and 0.0 elsewhere,
+        # with the same bitwise set total
+        x, _, params = system
+        geo = params.geometry
+        width = 2 * geo.d
+        entries, total = reference_inclusion_entries(x, geo, 1.0 / width)
+        rates = [0.0] * (width * len(x))
+        for i, y, r in entries:
+            rates[width * i + geo.neighbors(x[i]).index(y)] = r
+        sums = _inclusion_sums(x, geo)
+        assert [s.hex() for s in sums] == [s.hex() for s in accumulate(rates)]
+        assert sums[-1] == total
 
 
 class TestAgainstReference:

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 import sipsim.dynamics as dynamics
 from sipsim.core import Geometry, RandomStream
+from sipsim.coupling import _inclusion_sums
 from sipsim.dynamics import (
     NoEventError,
     ProcessKind,
     SipParams,
-    event_rates,
     gillespie_step,
     sample_at_times,
     simulate,
@@ -20,7 +20,6 @@ from sipsim.dynamics import (
 )
 from sipsim.experiments import _LOCKSTEP
 
-from reference_coupling import _inclusion_entries as reference_inclusion_entries
 from reference_dynamics import (
     reference_irw_rates,
     reference_sample_at_times,
@@ -36,23 +35,30 @@ P1 = SipParams(m=2.0, geometry=G1)
 
 def irw_rates(particles, params):
     """The free-walker (IRW) reference's constant rate list, in the order of
-    event_rates."""
+    the SIP rate list: entry 2d*i + j is particle i to its j-th neighbor."""
     return [r for _, _, r in reference_irw_rates(particles, params)]
+
+
+def sip_rates(particles, params):
+    """The SIP rate list p(x,y) * (m/2 + eta(y)) of the full-recompute
+    reference, which `TestAgainstFullRecompute` holds the kernel to."""
+    return [r for _, _, r in reference_sip_rates(particles, params)]
 
 
 class TestRates:
     def test_single_free_particle(self):
         # neighbors in geometry order: (-1,) then (1,)
-        assert event_rates(((0,),), G1, 1.0) == [0.5, 0.5]
+        assert sip_rates(((0,),), P1) == [0.5, 0.5]
 
     def test_inclusion_term_on_occupied_neighbor(self):
-        rates = event_rates(((0,), (1,)), G1, 1.0)
+        rates = sip_rates(((0,), (1,)), P1)
         # 0 -> -1, 0 -> 1, 1 -> 0, 1 -> 2
         assert rates == pytest.approx([0.5, 1.0, 1.0, 0.5])  # (1/2)(1+1) when occupied
 
     def test_empty_list(self):
-        assert event_rates((), G1, 1.0) == []
+        assert sip_rates((), P1) == []
         assert irw_rates((), P1) == []
+        assert _inclusion_sums((), G1) == []
 
     def test_irw_total_rate_is_n_m_half(self):
         assert sum(irw_rates(((0,),), P1)) == pytest.approx(1.0)
@@ -65,16 +71,17 @@ class TestRates:
             assert sum(rates[2 * i : 2 * i + 2]) == pytest.approx(1.0)  # m/2 each
 
     def test_sip_equals_irw_for_one_particle(self):
-        assert event_rates(((3,),), G1, 1.0) == irw_rates(((3,),), P1)
+        assert sip_rates(((3,),), P1) == irw_rates(((3,),), P1)
 
     def test_sip_minus_inclusion_equals_irw(self):
-        # the inclusion part (half_m = 0) is p(x,y) * eta(y), so removing it
+        # the OR coupling's inclusion part is p(x,y) * eta(y), so removing it
         # entrywise must recover the free rates
         rng = np.random.default_rng(3)
         for _ in range(50):
             particles = tuple((int(x),) for x in rng.integers(-10, 10, size=4))
-            sip = event_rates(particles, G1, 1.0)
-            inclusion = event_rates(particles, G1, 0.0)
+            sip = sip_rates(particles, P1)
+            sums = _inclusion_sums(particles, G1)
+            inclusion = [b - a for a, b in zip([0.0] + sums, sums)]
             irw = irw_rates(particles, P1)
             assert len(sip) == len(inclusion) == len(irw)
             for rs, ri, rf in zip(sip, inclusion, irw):
@@ -86,7 +93,7 @@ class TestRates:
 
         particles = ((0,), (0,), (1,), (3,))
         occ = occupation_of(particles)
-        rates = event_rates(particles, G1, 1.0)
+        rates = sip_rates(particles, P1)
         lumped = {}
         for k, r in enumerate(rates):
             x = particles[k // 2]
@@ -429,23 +436,6 @@ class TestAgainstFullRecompute:
                 times.append(t)
                 states.append(tuple(positions))
             assert (times, states) == (ref.times[1:], ref.states[1:])
-
-    @settings(max_examples=200, deadline=None)
-    @given(small_systems())
-    def test_event_rates_match_the_references(self, system):
-        # half_m = m/2: the SIP rates; half_m = 0.0: the OR coupling's
-        # inclusion entries, in order, with the same bitwise total
-        xi, _, params = system
-        geo = params.geometry
-        width = 2 * geo.d
-        assert event_rates(xi, geo, 0.5 * params.m) == [
-            r for _, _, r in reference_sip_rates(xi, params)]
-        inclusion = event_rates(xi, geo, 0.0)
-        entries, total = reference_inclusion_entries(xi, geo, 1.0 / width)
-        assert [(k // width, geo.neighbors(xi[k // width])[k % width], r)
-                for k, r in enumerate(inclusion) if r] == entries
-        # the OR step's set total is the last running sum
-        assert (list(accumulate(inclusion))[-1] if xi else 0.0) == total
 
 
 def check_block(starts, params, grid, seed):

@@ -5,13 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sipsim.cli import DEFAULT_CONFIGS
-from sipsim.core import Geometry, RandomStream, occupation_of
+from sipsim.core import Geometry, RandomStream
 from sipsim.duality import DualityEvaluator
-from sipsim.dynamics import ProcessKind, SipParams, site_ids
+from sipsim.dynamics import ProcessKind, SipParams
 from sipsim.experiments import (
     _ARM_CONVERGENCE,
     _CONVERGENCE_LAWS,
@@ -19,10 +17,8 @@ from sipsim.experiments import (
     STUDIES,
     ExperimentConfig,
     _each,
-    _label_product,
     _map_calls,
     _map_replicas,
-    _moments,
     Report,
     band_row,
     info_row,
@@ -619,56 +615,3 @@ class TestStudies:
         a = run_correlation_inequality(cfg, workers=1)
         b = run_correlation_inequality(cfg, workers=4)
         assert a.csv_text() == b.csv_text()
-
-
-class TestDualityOfIdArrays:
-    """The dynamics arms read D and the Poisson transform off the kernel's id
-    arrays; every state's value must be bitwise the scalar one, with sites
-    held more than once and factors in `occupation_of`'s order."""
-
-    GEO = Geometry(2, 3)
-    SITES = list(GEO.sites())
-
-    @staticmethod
-    def bits(values):
-        return np.asarray(values, dtype=float).view(np.int64).tolist()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.sampled_from([0.1, 0.7, 2.0, 5.0]))
-    def test_label_factors_equal_value_and_the_poisson_transform(self, data, m):
-        # |xi| <= 6 on 4 of the 9 sites, so most states hold a site twice
-        n = data.draw(st.integers(0, 6))
-        index = st.integers(0, 3)
-        states = [tuple(self.SITES[i] for i in row) for row in data.draw(
-            st.lists(st.lists(index, min_size=n, max_size=n), min_size=1, max_size=8))]
-        eta = tuple(self.SITES[i] for i in data.draw(st.lists(st.integers(0, 8), max_size=8)))
-        theta = data.draw(st.floats(0.05, 4.0))
-        evaluator, law = DualityEvaluator(m), PoissonProduct(theta=theta)
-        ids, _ = site_ids(states, self.SITES)
-        # (B x T x n) as the kernel gives it: two replicas when the states pair up
-        paths = ids.reshape(2, len(ids) // 2, n) if len(ids) % 2 == 0 else ids[:, None, :]
-        d = _label_product(evaluator, paths, site_ids([eta], self.SITES)[0][0])
-        assert self.bits(d.ravel()) == self.bits(
-            [evaluator.value(s, occupation_of(eta)) for s in states])
-        one_site = states[0][:1]
-        f = _label_product(evaluator, paths, (),
-                           lambda k, _: evaluator.closed_transform(law, one_site * k))
-        assert self.bits(f.ravel()) == self.bits(
-            [evaluator.closed_transform(law, s) for s in states])
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.integers(0, 8), max_size=7), min_size=1, max_size=6),
-           st.lists(st.integers(0, 3), max_size=6), st.sampled_from([0.1, 0.7, 2.0, 5.0]))
-    def test_counts_read_off_padded_ids_equal_value(self, rows, probe, m):
-        # states of different sizes, padded with -1, and a probe holding a
-        # site more than once: each state's count at a site is the number
-        # of its ids equal to the site's index
-        states = [tuple(self.SITES[i] for i in row) for row in rows]
-        xi = tuple(self.SITES[i] for i in probe)
-        evaluator = DualityEvaluator(m)
-        ids, _ = site_ids(states, self.SITES)
-        paths = ids[:, None, :]
-        [d] = _moments(evaluator, self.GEO, [xi], lambda i: (paths == i).sum(2), paths.shape[:2])
-        assert d.shape == (len(states), 1)
-        assert self.bits(d.ravel()) == self.bits(
-            [evaluator.value(xi, occupation_of(s)) for s in states])

@@ -3,13 +3,20 @@
 The files under tests/golden/ pin what the statistical checks cannot see:
 the stream arm ids, the replica-to-stream mapping and the order of rows.
 Each report must come out byte for byte the same at one and two workers.
-Regenerate them only for a change that is meant to alter the draws.
+Regenerate them only for a change that is meant to alter the draws, or one
+that fixes the CSV format: stationarity.csv was regenerated once when a
+statistic holding a comma, such as `direct_moment[n=1,t=0.5]`, came to be
+quoted, which changed no other byte.
 """
 
+import csv
+import io
 import os
+from dataclasses import replace
 
 import pytest
 
+from sipsim.cli import DEFAULT_CONFIGS, parse_config
 from sipsim.experiments import RUNNERS, ExperimentConfig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -60,3 +67,22 @@ def golden_csv(name, workers):
 def test_report_bytes_match_golden(study, workers):
     with open(os.path.join(GOLDEN, study + ".csv"), encoding="utf-8") as fh:
         assert golden_csv(study, workers) == fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_rows_parse_into_seven_fields(name):
+    with open(os.path.join(GOLDEN, name + ".csv"), encoding="utf-8", newline="") as fh:
+        assert {len(row) for row in csv.reader(fh)} == {7}
+
+
+@pytest.mark.parametrize("study", sorted(DEFAULT_CONFIGS))
+def test_default_report_rows_parse_into_seven_fields(study):
+    # a default report's statistics follow its grid and probe sizes, not its
+    # replica counts or its schedule's length, so a small run of the default
+    # config prints every statistic the full run prints
+    cfg = replace(parse_config("", study), replicas=100, iterated_replicas=100,
+                  schedule_doublings=2)
+    report = RUNNERS[study](cfg, workers=1)
+    rows = list(csv.reader(io.StringIO(report.csv_text())))
+    assert [len(row) for row in rows] == [7] * (len(report.rows) + 1)
+    assert [row[1] for row in rows[1:]] == [r.statistic for r in report.rows]
