@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import sub
+from operator import gt, sub
 
 import numpy as np
 
@@ -91,6 +91,11 @@ class Geometry:
         return total
 
     @property
+    def p_edge(self) -> float:
+        """p(x, y) = 1/(2d): the nearest-neighbor walk's weight of each neighbor."""
+        return 1.0 / (2.0 * self.d)
+
+    @property
     def n_sites(self) -> int:
         if self.L is None:
             raise ValueError("infinite lattice has no site count")
@@ -118,6 +123,14 @@ def occupation_of(particles) -> dict:
     for x in particles:
         counts[x] = counts.get(x, 0) + 1
     return counts
+
+
+def check_grid(times) -> list:
+    """`times` as a list, once it is finite, nonnegative and ascending (ties allowed)."""
+    grid = list(times)
+    if not all(math.isfinite(t) and t >= 0 for t in grid) or any(map(gt, grid, grid[1:])):
+        raise ValueError("times must be finite, nonnegative and ascending")
+    return grid
 
 
 def _hash(values, rows: int, init: int, mult: int, first: int = 0):
@@ -215,7 +228,7 @@ class RandomStream:
         return u
 
     def exponential(self, rate: float) -> float:
-        """Exponential waiting time with the given total rate."""
+        """Exponential waiting time at the total rate; `waiting_times` maps a column."""
         return -math.log(1.0 - self.uniform()) / rate
 
     def _refill(self, draws):
@@ -238,3 +251,10 @@ class RandomStream:
         """Consume j draws, as j calls of uniform() would."""
         self._fill(j)
         self._pos += j
+
+
+def waiting_times(us, rates) -> np.ndarray:
+    """`RandomStream.exponential` at each draw u of a 1-D array, bit for bit: 1 - u
+    and / rate (an array or a float) round alike in numpy, and the log is
+    `math.log`, as np.log rounds otherwise on a few draws in 1,000."""
+    return -np.fromiter(map(math.log, (1.0 - us).tolist()), float, len(us)) / rates

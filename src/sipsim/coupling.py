@@ -14,15 +14,15 @@ Two kinds of event make up every coupling here:
   of an unsynced coordinate is a symmetric walk at twice the single-walker
   speed (rate m in one dimension).
 
-Both run as free flights (`_free_flight`) while their move table is fixed:
-the Ornstein pairing between syncs, the OR coupling (`OrState.fly`) from
-states with every within-set SIP pair at l1 distance >= _REACH to the first
-contact (inclusion totals are 0.0 till then). A block of peeked draws goes
-through the per-event float operations at once and is cut at the first
-contact, sync, stage end or last grid time; only the applied events' draws
-are consumed, so every event, output and next draw is that of a per-event
-loop (Oppelstrup et al., PRL 97, 230602, 2006). Other OR events go through
-`or_coupled_step`, which keeps each SIP set's inclusion sums
+Both run as free flights (`_free_flight`) while their move table is fixed: the
+Ornstein pairing between syncs, the OR coupling (`OrState.fly`) from states
+with every within-set SIP pair at l1 distance >= _REACH to the first contact
+(inclusion totals are 0.0 till then). A block of peeked draws goes through the
+per-event float operations at once (waits by `core.waiting_times`) and is cut
+at the first contact, sync, stage end or last grid time; only the applied
+events' draws are consumed, so every event, output and next draw is that of a
+per-event loop (Oppelstrup et al., PRL 97, 230602, 2006). Other OR events go
+through `or_coupled_step`, which keeps each SIP set's inclusion sums
 (`_inclusion_sums`) and pair distances across events. One loop, `_or_run`,
 applies this rule for stage one and for the OR distance alike.
 
@@ -34,7 +34,8 @@ while no two particles of the same set sit within l1 distance 1 of each
 other (inclusion rates vanish on such configurations). A collision
 therefore aborts the attempt; an aborted or expired attempt hands its
 terminal positions to the next attempt of an iterated schedule, preserving
-the marginal laws throughout.
+the marginal laws throughout. An outcome holds its kind, time, final
+positions and attempt count.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import (COORD_LIMIT, CoordinateOverflowError, Geometry, ParticleList, RandomStream,
-                   occupation_of)
+                   check_grid, occupation_of, waiting_times)
 from .dynamics import SipParams
 
 
@@ -63,7 +64,6 @@ class OutcomeKind(str, Enum):
 class CouplingOutcome:
     kind: OutcomeKind
     time: float
-    collisions: int
     final_x: ParticleList
     final_y: ParticleList
     attempts: int = 1
@@ -92,8 +92,7 @@ def collision_check(particles, geometry: Geometry) -> bool:
 
 def _inclusion_sums(sip, geometry: Geometry):
     """A SIP set's inclusion rates p(x,y) * eta(y) summed left to right, by (particle, neighbor)."""
-    p_edge = 1.0 / (2.0 * geometry.d)
-    occ = occupation_of(sip)
+    p_edge, occ = geometry.p_edge, occupation_of(sip)
     return list(accumulate(p_edge * occ.get(y, 0) for x in sip for y in geometry.neighbors(x)))
 
 
@@ -256,19 +255,18 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
                  t_end=math.inf, t_last=math.inf, log=None, cls=""):
     """Run events of a fixed move table in blocks of draws, until a cut.
 
-    An event draws dt = -log(1 - u) / total, then row
+    An event draws its wait dt by `waiting_times`, then row
     min(int(pick(u')), len(table) - 1) of `table`: (particle, axis, step in
-    each of `lists`). Each block peeks at the stream, applies exactly these
-    float operations per draw (math.log; 1 - u and the division by total,
-    correctly rounded in numpy as in Python; times summed in sequence by
-    np.cumsum) and consumes only the draws of the events it applies. A
-    watch (a, b, axis, reach) names two particles by flat index
-    (list * n + particle) and the axis whose distance counts (None: l1).
-    The run stops after the first event bringing a watched pair within
-    reach ("watch"; all start out of reach), at the first event reaching
-    t_end having drawn only its dt ("end"), or after the first event past
-    t_last ("last"). `lists` move in place, `log` gets the per-event rows
-    (lists named along `_SETS`), and (t, stop, events applied) is returned.
+    each of `lists`). Each block peeks at the stream, applies these float
+    operations per draw, sums the times in sequence by np.cumsum and
+    consumes only the draws of the events it applies. A watch (a, b, axis,
+    reach) names two particles by flat index (list * n + particle) and the
+    axis whose distance counts (None: l1). The run stops after the first
+    event bringing a watched pair within reach ("watch"; all start out of
+    reach), at the first event reaching t_end having drawn only its dt
+    ("end"), or after the first event past t_last ("last"). `lists` move in
+    place, `log` gets the per-event rows (lists named along `_SETS`), and
+    (t, stop, events applied) is returned.
     """
     n, d, L = len(lists[0]), geo.d, geo.L
     disp, gap_step, a, b, mask, reach = _flight_plan(table, watches, len(lists), n, d)
@@ -288,8 +286,7 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
             gap = np.minimum(gap, L - gap)
         hits = np.flatnonzero(((gap * mask).sum(axis=2) <= reach).any(axis=1))
         applied, stop = (int(hits[0]) + 1, "watch") if len(hits) else (block, None)
-        logs = np.fromiter(map(math.log, (1.0 - us[: 2 * applied : 2]).tolist()), float, applied)
-        times = np.concatenate(([t], -logs / total)).cumsum()
+        times = np.concatenate(([t], waiting_times(us[: 2 * applied : 2], total))).cumsum()
         ended = int(np.searchsorted(times[1:], t_end))
         if ended < applied:
             applied, stop = ended, "end"
@@ -405,20 +402,15 @@ def two_stage_coupling(x, y, params: SipParams, horizon: float, delta: float,
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if x == y:
-        return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, x, y)
+        return CouplingOutcome(OutcomeKind.COUPLED, 0.0, x, y)
     xs, ys = list(x), list(y)
     stage1_end = (1.0 - delta) * horizon
     state = OrState((xs, ys), (list(x), list(y)), params)
-    # stage one: SIP collisions never abort it; each flight or step from no
-    # within-set pair at l1 distance <= 1 to one counts once
-    collisions, contact = 0, state.nearest <= 1
-    for _ in _or_run(state, stream, 0.0, stage1_end, log=log):
-        collisions += not contact and state.nearest <= 1
-        contact = state.nearest <= 1
+    for _ in _or_run(state, stream, 0.0, stage1_end, log=log):  # SIP contacts never abort it
+        pass
     kind, t = _stage_two(xs, ys, state.geo, state.rate_each, stage1_end, horizon, stream,
                          log=log)
-    return CouplingOutcome(kind, t, collisions + (kind is OutcomeKind.COLLISION_ABORT),
-                           tuple(xs), tuple(ys))
+    return CouplingOutcome(kind, t, tuple(xs), tuple(ys))
 
 
 def doubling_schedule(t0: float, doublings: int):
@@ -447,17 +439,14 @@ def iterated_coupling(x, y, params: SipParams, schedule, stream: RandomStream,
         raise ValueError("schedule must be nonempty")
     cx, cy = tuple(x), tuple(y)
     elapsed = 0.0
-    collisions = 0
     for a, horizon in enumerate(schedule):
         out = two_stage_coupling(cx, cy, params, horizon, delta, stream.child(a))
-        collisions += out.collisions
         if out.kind is OutcomeKind.COUPLED:
-            return CouplingOutcome(OutcomeKind.COUPLED, elapsed + out.time, collisions,
-                                   out.final_x, out.final_y, attempts=a + 1)
+            return CouplingOutcome(OutcomeKind.COUPLED, elapsed + out.time, out.final_x,
+                                   out.final_y, attempts=a + 1)
         elapsed += out.time
         cx, cy = out.final_x, out.final_y
-    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, elapsed, collisions, cx, cy,
-                           attempts=len(schedule))
+    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, elapsed, cx, cy, attempts=len(schedule))
 
 
 def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
@@ -468,16 +457,10 @@ def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
     term, by exactly one unit. Grid times passed are read before the move
     of the event that passes them.
     """
-    geo = params.geometry
-    grid = list(t_grid)
-    if not all(math.isfinite(g) for g in grid):
-        raise ValueError("t_grid must be finite")
-    if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
-        raise ValueError("t_grid must be nonnegative and ascending")
+    geo, grid = params.geometry, check_grid(t_grid)
     sip = [geo.wrap(s) for s in x]
     irw = list(sip)
-    out = []
-    dist = 0
+    out, dist = [], 0
     for t, cls, moves in _or_run(OrState((sip,), (irw,), params), stream, 0.0,
                                  t_last=max(grid, default=-1.0)):
         while len(out) < len(grid) and grid[len(out)] < t:

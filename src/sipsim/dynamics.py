@@ -2,8 +2,8 @@
 
 Under SIP(m), a labeled particle at x jumps to each neighbor y at rate
 p(x,y) * (m/2 + eta(y)), where eta counts all particles of the list and p
-is the symmetric nearest-neighbor kernel 1/(2d); summing over the eta(x)
-particles at a site recovers the occupation-level rate
+is the symmetric nearest-neighbor kernel 1/(2d), `Geometry.p_edge`; summing
+over the eta(x) particles at a site recovers the occupation-level rate
 eta(x) * p(x,y) * (m/2 + eta(y)). The kernel's level table p(x,y) * (m/2 + c)
 is the one statement of this rate; the rate list's entry 2d*i + j is particle
 i jumping to its j-th neighbor, in geometry order.
@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Geometry, ParticleList, RandomStream
+from .core import Geometry, ParticleList, RandomStream, check_grid, waiting_times
 
 
 class NoEventError(ValueError):
@@ -181,20 +181,17 @@ def sample_at_times(starts, sites, params: SipParams, times, streams, log=None):
     The replicas run in lockstep, one round of array operations per event,
     with `gillespie_step`'s float operations: a live replica's running sums
     (entry 2d*i + j is particle i jumping to its j-th neighbor, exactly 0.0
-    past its own particles) give the waiting time -log(1 - u1) / total by
-    `math.log` and the event as the count of sums at or below u2 * total,
-    clamped to its own last entry, u1 and u2 its next draws in the block's
-    window. The sums are rebuilt from the level table p_edge * (half_m + c)
-    and `np.cumsum`, left to right as `itertools.accumulate` adds, so every
-    replica draws and moves bit for bit as it would alone.
+    past its own particles) give the wait `waiting_times` at u1 and the
+    event as the count of sums at or below u2 * total, clamped to its own
+    last entry, u1 and u2 its next draws in the block's window. The sums are
+    rebuilt from the level table p(x,y) * (m/2 + c) and `np.cumsum`, left
+    to right as `itertools.accumulate` adds, so every replica draws and
+    moves bit for bit as it would alone.
 
     Passing a list (or a deque) as `log` appends every applied move as a
     (time, replica, particle, site moved to) tuple, in the order applied.
     """
-    grid = list(times)
-    if (not all(math.isfinite(t) and t >= 0 for t in grid)
-            or any(b < a for a, b in zip(grid, grid[1:]))):
-        raise ValueError("times must be finite, nonnegative and ascending")
+    grid = check_grid(times)
     starts = np.asarray(starts)
     held = starts >= 0
     if (starts.ndim != 2 or starts.dtype.kind not in "iu" or len(starts) != len(streams)
@@ -202,8 +199,7 @@ def sample_at_times(starts, sites, params: SipParams, times, streams, log=None):
         raise ValueError(f"starts need a row of ids in [-1, {len(sites)}) per stream, -1 last")
     geo = params.geometry
     width, (B, n_max) = 2 * geo.d, starts.shape
-    p_edge, half_m = 1.0 / (2.0 * geo.d), 0.5 * params.m
-    levels = np.array([p_edge * (half_m + c) for c in range(n_max + 1)])
+    levels = np.array([geo.p_edge * (0.5 * params.m + c) for c in range(n_max + 1)])
     table = _SiteTable(geo, B, levels[0], sites)
     ids = starts.astype(np.intp) + 1  # table ids: the void site 0 for padding
     table.stand(ids[held])
@@ -234,9 +230,7 @@ def sample_at_times(starts, sites, params: SipParams, times, streams, log=None):
         total = c[:, -1]
         k = np.minimum((c <= (draws[:n_live, 2 * r + 1] * total)[:, None]).sum(1),
                        last[:n_live])
-        # clock + (-log(1 - u) / total), the same float as clock minus the quotient
-        t = clock[:n_live] - np.fromiter(map(math.log, (1.0 - draws[:n_live, 2 * r]).tolist()),
-                                         float, n_live) / total
+        t = clock[:n_live] + waiting_times(draws[:n_live, 2 * r], total)
         r += 1
         cross = done = (grid_at[next_time[:n_live]] < t).nonzero()[0]
         if len(cross):

@@ -16,8 +16,9 @@ combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3), computed in integer
 arithmetic from a table of binomials that never exceeds the sector size, so
 no state -> ordinal map is stored. The generator is assembled with numpy
 from a site-major copy of the sector, one vectorized pass per (site,
-neighbour) pair writing into preallocated CSR arrays. A duality polynomial
-on a sector is `DualityEvaluator.moments` or `product` of its columns.
+neighbour) pair writing into preallocated CSR arrays. D on a sector is
+`DualityEvaluator`'s: `moments` of its columns, or `label_product` of its
+states' particles as site ids in site order; no factor of D is stated here.
 """
 
 from __future__ import annotations
@@ -171,8 +172,7 @@ def build_generator(n: int, params: SipParams):
     nnz = space.size + 2 * geo.d * np.count_nonzero(space.states)
     if nnz > np.iinfo(np.int32).max:  # n >= 1 puts 3 entries in a row, so 2 * size fits too
         raise StateCapError(f"sector has {nnz} generator entries, too many for int32 indices")
-    half_m = 0.5 * params.m
-    p_edge = 1.0 / (2.0 * geo.d)
+    half_m, p_edge = 0.5 * params.m, geo.p_edge
     # site-major: row s is site s's count in every state, read as a whole row
     by_site = np.ascontiguousarray(space.states.T)
     # Moving one particle from x to y lowers R_j by one for x <= j < y, or
@@ -299,8 +299,10 @@ def exact_dual_expectation(xi, eta_counts, times, params: SipParams):
 
     space_xi = state_space(n_xi, geo)
     q_xi = build_generator(n_xi, params)
-    f_right = evaluator.product([(space_xi.states[:, s], l)  # eta's row is its count vector
-                                 for s, l in enumerate(space_eta.states[i_left])], space_xi.size)
+    sites = np.arange(geo.n_sites)  # each state's particles, and eta's, as site ids in site order
+    paths = np.repeat(np.tile(sites, space_xi.size), space_xi.states.ravel())
+    f_right = evaluator.label_product(paths.reshape(space_xi.size, 1, n_xi),
+                                      np.repeat(sites, space_eta.states[i_left])).ravel()
     rights = _poisson_series(q_xi, times, f_right, _transient_weights)
     i_right = space_xi.index_of_particles(xi)
     return [(float(a[i_left]), float(b[i_right])) for a, b in zip(lefts, rights)]

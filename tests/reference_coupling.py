@@ -93,13 +93,8 @@ def reference_or_coupled_step(sip, irw, params, stream):
     return OrStep(tuple(sip_l), tuple(irw), dt, True)
 
 
-class Counters:
-    def __init__(self):
-        self.collisions = 0
-
-
 def reference_stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end,
-                        stream, counters, log=None):
+                        stream, log=None):
     geo = params.geometry
     n = len(xs)
     d = geo.d
@@ -107,7 +102,6 @@ def reference_stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end,
     rw_total = n * 2 * d * rate_each
     p_edge = 1.0 / (2.0 * d)
     t = t_start
-    colliding = collision_check(xs, geo) or collision_check(ys, geo)
     while True:
         inc_x, tot_x = _inclusion_entries(xs, geo, p_edge)
         inc_y, tot_y = _inclusion_entries(ys, geo, p_edge)
@@ -147,13 +141,9 @@ def reference_stage_one(xs, ys, xi_shadow, yi_shadow, params, t_start, t_end,
             if log is not None:
                 log.append((t, name, chosen[0], lst[chosen[0]], chosen[1], "inclusion"))
             lst[chosen[0]] = chosen[1]
-        now = collision_check(xs, geo) or collision_check(ys, geo)
-        if now and not colliding:
-            counters.collisions += 1
-        colliding = now
 
 
-def reference_stage_two(xs, ys, params, t_start, t_end, stream, counters, log=None):
+def reference_stage_two(xs, ys, params, t_start, t_end, stream, log=None):
     geo = params.geometry
     d = geo.d
     rate_each = params.m / (4.0 * d)
@@ -162,7 +152,6 @@ def reference_stage_two(xs, ys, params, t_start, t_end, stream, counters, log=No
         if xs == ys:
             return "coupled", t
         if collision_check(xs, geo) or collision_check(ys, geo):
-            counters.collisions += 1
             return "collision", t
         entries = _ornstein_entries(xs, ys, d)
         total = len(entries) * rate_each
@@ -185,21 +174,18 @@ def reference_stage_two(xs, ys, params, t_start, t_end, stream, counters, log=No
 def reference_two_stage(x, y, params, horizon, delta, stream, log=None):
     x = tuple(params.geometry.wrap(s) for s in x)
     y = tuple(params.geometry.wrap(s) for s in y)
-    counters = Counters()
     if x == y:
-        return CouplingOutcome(OutcomeKind.COUPLED, 0.0, 0, x, y)
+        return CouplingOutcome(OutcomeKind.COUPLED, 0.0, x, y)
     xs, ys = list(x), list(y)
     stage1_end = (1.0 - delta) * horizon
-    reference_stage_one(xs, ys, list(x), list(y), params, 0.0, stage1_end, stream,
-                        counters, log=log)
-    status, t = reference_stage_two(xs, ys, params, stage1_end, horizon, stream,
-                                    counters, log=log)
+    reference_stage_one(xs, ys, list(x), list(y), params, 0.0, stage1_end, stream, log=log)
+    status, t = reference_stage_two(xs, ys, params, stage1_end, horizon, stream, log=log)
     fx, fy = tuple(xs), tuple(ys)
     if status == "coupled":
-        return CouplingOutcome(OutcomeKind.COUPLED, t, counters.collisions, fx, fy)
+        return CouplingOutcome(OutcomeKind.COUPLED, t, fx, fy)
     if status == "collision":
-        return CouplingOutcome(OutcomeKind.COLLISION_ABORT, t, counters.collisions, fx, fy)
-    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, horizon, counters.collisions, fx, fy)
+        return CouplingOutcome(OutcomeKind.COLLISION_ABORT, t, fx, fy)
+    return CouplingOutcome(OutcomeKind.HORIZON_EXPIRED, horizon, fx, fy)
 
 
 def reference_or_distance_single(x, params, t_grid, stream):

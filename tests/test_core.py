@@ -11,9 +11,13 @@ from sipsim.core import (
     CoordinateOverflowError,
     Geometry,
     RandomStream,
+    check_grid,
     occupation_of,
     stream_words,
+    waiting_times,
 )
+from sipsim.coupling import or_distance_single
+from sipsim.dynamics import SipParams, sample_at_times, site_ids
 
 from reference_dynamics import particles_of
 
@@ -321,3 +325,59 @@ class TestRandomStream:
             RandomStream(-1)
         with pytest.raises(ValueError):
             RandomStream(1, (2**33,))
+
+
+# every draw a stream can give: a multiple of 2^-53 in [0, 1)
+DRAWS = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+# totals from the least subnormal to 1e300
+TOTALS = st.floats(5e-324, 1e300)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestWaitingTimes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(DRAWS, TOTALS), min_size=1, max_size=40))
+    @example([(0.0, 5e-324), (1.0 - 2.0**-53, 5e-324), (0.0, 1e300), (1.0 - 2.0**-53, 1e300),
+              (0.5, 2.2250738585072014e-308), (1.0 - 2.0**-53, 1e-310)])
+    def test_the_column_is_the_scalar_exponential(self, pairs):
+        # on the same draws, per-draw totals or one total for the column; a
+        # tiny total overflows to inf in both
+        us, totals = map(np.array, zip(*pairs))
+        s = RandomStream(0)
+        with np.errstate(over="ignore"):
+            s._refill(us)
+            assert bits(waiting_times(us, totals)) == bits([s.exponential(r)
+                                                            for r in totals.tolist()])
+            s._refill(us)
+            first = totals[0].item()
+            assert bits(waiting_times(us, first)) == bits([s.exponential(first) for _ in us])
+
+    def test_the_column_follows_a_stream(self):
+        fresh, s = RandomStream(9, (1,)), RandomStream(9, (1,))
+        assert bits(waiting_times(s.peek(500), 3.0)) == bits([fresh.exponential(3.0)
+                                                               for _ in range(500)])
+
+
+# NaN, +-inf, negative and descending grids
+BAD_GRIDS = [[math.nan], [0.5, math.nan], [math.inf], [1.0, math.inf], [-math.inf],
+             [0.0, -math.inf], [-0.5], [-1.0, 1.0], [2.0, 1.0], [0.0, 3.0, 3.0, 2.0]]
+
+
+class TestTimeGrid:
+    def test_ties_and_the_empty_grid_pass(self):
+        assert check_grid((0.0, 1.0, 1.0)) == [0.0, 1.0, 1.0]
+        assert check_grid(iter([0.5])) == [0.5]
+        assert check_grid(()) == []
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_bad_grids_raise_before_any_draw(self, grid):
+        params, xi = SipParams(2.0, Geometry(1)), ((0,), (1,))
+        for run in (lambda s: sample_at_times(*site_ids([xi]), params, grid, [s]),
+                    lambda s: or_distance_single(xi, params, grid, s)):
+            s, fresh = RandomStream(5, (0,)), RandomStream(5, (0,))
+            with pytest.raises(ValueError, match="finite, nonnegative and ascending"):
+                run(s)
+            assert s.uniform() == fresh.uniform()

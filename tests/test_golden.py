@@ -1,4 +1,5 @@
-"""Golden report bytes: every study at a tiny size, seed 0.
+"""Golden report bytes: every study at a tiny size, seed 0, plus two
+benchmark workloads and a d = 2 torus OR distance.
 
 The files under tests/golden/ pin what the statistical checks cannot see:
 the stream arm ids, the replica-to-stream mapping and the order of rows.
@@ -43,6 +44,17 @@ CONFIGS = {
                           t_grid=(1.0, 2.0)),
     "oracle-check": dict(boundary="torus", L=4, xi=((0,), (2,)), eta=((0,), (1,)),
                          t_grid=(0.5, 1.0), replicas=1),
+    # the stationarity-dense and oracle-2d benchmark workloads, values copied
+    # from their configs over the study defaults
+    "stationarity-dense": dict(boundary="torus", d=2, L=8, m=2.0, lam=0.5, xi_sizes=(1, 2, 3),
+                               t_grid=(0.25,), replicas=640),
+    "oracle-2d": dict(boundary="torus", d=2, L=4, m=2.0, xi=((0, 0), (0, 2)),
+                      eta=((0, 0), (0, 1), (1, 1), (2, 3), (3, 3), (1, 2)),
+                      t_grid=(0.5, 1.0, 2.0), replicas=100),
+    # two particles 8 apart on the 8x8 torus: OR free flights that wrap (the decay
+    # rows read false, as from far apart the distance has only begun to grow)
+    "or-distance-torus": dict(boundary="torus", d=2, L=8, x_start=((0, 0), (4, 4)),
+                              t_grid=(5.0, 50.0), replicas=100),
 }
 
 
@@ -51,7 +63,8 @@ CONFIGS = {
 LATER_ROWS = ("convergence,temperedness_bound[",)
 
 # golden files beyond one per study: file name -> study
-STUDY_OF = {"self-duality-stacked": "self-duality"}
+STUDY_OF = {"self-duality-stacked": "self-duality", "stationarity-dense": "stationarity",
+            "oracle-2d": "oracle-check", "or-distance-torus": "or-distance"}
 
 
 def golden_csv(name, workers):

@@ -491,6 +491,39 @@ class TestSelfDuality:
         assert wrapped == exact_dual_expectation(((0,),), {(0,): 2}, grid, params)
         assert wrapped != exact_dual_expectation(((0,),), {(0,): 1}, grid, params)
 
+    @pytest.mark.parametrize("params, xi, eta, size", [
+        # the xi sectors of the oracle-2d workload, the default self-duality
+        # config and the stacked golden config; at m = 2 each factor is a
+        # binomial coefficient, so their products take any order exactly
+        (SipParams(2.0, Geometry(2, 4)), ((0, 0), (0, 2)),
+         ((0, 0), (0, 1), (1, 1), (2, 3), (3, 3), (1, 2)), 136),
+        (T5, ((0,), (2,)), ((0,), (1,), (3,)), 15),
+        (SipParams(2.0, Geometry(2, 3)), ((1, 1), (0, 2), (1, 1)),
+         ((2, 1), (1, 1), (0, 2), (1, 1)), 165),
+        # here 4 entries change bits when their 3 factors run in reverse site order
+        (SipParams(0.7, Geometry(2, 3)), ((1, 1), (0, 2), (1, 1)),
+         ((2, 1), (1, 1), (0, 2), (1, 1), (0, 0), (2, 2), (2, 2)), 165),
+    ])
+    def test_right_vector_is_value_at_particles_in_site_order(self, monkeypatch, params, xi,
+                                                              eta, size):
+        # D's factor order has one owner: each entry of E_xi D(xi_t, eta)'s
+        # vector is `value` at that state's particles listed in site order
+        vectors = []
+        series = oracle._poisson_series
+
+        def spy(q, times, f, weights_of):
+            vectors.append(np.array(f))
+            return series(q, times, f, weights_of)
+
+        monkeypatch.setattr(oracle, "_poisson_series", spy)
+        eta_counts = occupation_of(eta)
+        exact_dual_expectation(xi, eta_counts, (0.5,), params)
+        sites, value = list(params.geometry.sites()), DualityEvaluator(params.m).value
+        want = [value([x for x, k in zip(sites, row) for _ in range(k)], eta_counts)
+                for row in state_space(len(xi), params.geometry).states.tolist()]
+        assert len(want) == size and 0.0 < max(want)
+        assert vectors[1].tobytes() == np.array(want).tobytes()
+
     def test_identity_across_parameters(self):
         for m in (0.7, 3.0):
             params = SipParams(m=m, geometry=Geometry(1, 4))

@@ -6,7 +6,8 @@ lists, so a stale entry fails too; a private one (leading underscore) has
 no such way out, so a merged helper cannot linger. Comments, docstrings
 and imports do not count. Every module-level import in src/sipsim/ is used
 by its own module, or listed in its `__all__`, so a deletion leaves no
-stale import behind."""
+stale import behind. The waiting-time log and the walk weight are each
+stated once, in `core`."""
 
 import ast
 import os
@@ -96,3 +97,36 @@ def _unused_imports():
 
 def test_every_module_level_import_is_used():
     assert _unused_imports() == []
+
+
+def _rule_owners():
+    """(module, top-level definition) of each statement in src/sipsim/ of
+    the waiting-time log `map(math.log, ...)` and of the walk weight
+    `1.0 / (2.0 * <...>.d)`, in that order of rules."""
+    logs, weights = [], []
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            owner = (module, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "map" and node.args
+                        and ast.unparse(node.args[0]) == "math.log"):
+                    logs.append(owner)
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                        and ast.unparse(node.left) == "1.0"
+                        and isinstance(node.right, ast.BinOp)
+                        and isinstance(node.right.op, ast.Mult)
+                        and ast.unparse(node.right.left) == "2.0"
+                        and isinstance(node.right.right, ast.Attribute)
+                        and node.right.right.attr == "d"):
+                    weights.append(owner)
+    return logs, weights
+
+
+def test_waiting_time_and_walk_weight_are_stated_once():
+    # a second statement of either rule would let two copies drift apart
+    logs, weights = _rule_owners()
+    assert logs == [("core.py", "waiting_times")]
+    assert weights == [("core.py", "Geometry")]
