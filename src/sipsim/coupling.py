@@ -22,9 +22,15 @@ per-event float operations at once (waits by `core.waiting_times`) and is cut
 at the first contact, sync, stage end or last grid time; only the applied
 events' draws are consumed, so every event, output and next draw is that of a
 per-event loop (Oppelstrup et al., PRL 97, 230602, 2006). Other OR events go
-through `or_coupled_step`, which keeps each SIP set's inclusion sums
-(`_inclusion_sums`) and pair distances across events. One loop, `_or_run`,
-applies this rule for stage one and for the OR distance alike.
+through `or_coupled_step`. What a SIP set's events need and every translate
+of it shares (its inclusion running sums by `_inclusion_sums`, its pair
+distances and nearest pair, and the set that each row of the move table
+leads to) is kept once per shape, the set's sites relative to particle 0
+(reduced mod L on a torus), in a bounded table per geometry and n, filled
+on first use; a step reads its total and pick off the shapes and follows
+its move by one lookup. One loop, `_or_run`, applies this rule for stage
+one and for the OR distance alike, and yields only the inclusion events,
+the only events that change a SIP set's distance to its shadow.
 
 The two-stage scheme runs the OR coupling of both SIP sets to shared-jump
 IRW shadows on [0, (1-delta)t] and then pairs the two SIP sets directly
@@ -96,43 +102,121 @@ def _inclusion_sums(sip, geometry: Geometry):
     return list(accumulate(p_edge * occ.get(y, 0) for x in sip for y in geometry.neighbors(x)))
 
 
+class _Shape:
+    """What every translate of a SIP set shares: its inclusion running sums
+    (`_inclusion_sums`), its within-set pair distances in (p, q) order then
+    an inf sentinel, their least `nearest`, and `next`, per row of the OR
+    move table, (shape after the row's move, check) once `_next_shape` has
+    filled it; check is True on Z where a per-event loop recounts the sums
+    after that move, a recount that looks at every coordinate."""
+
+    __slots__ = ("sums", "dist", "nearest", "next")
+
+    def __init__(self, sums, dist, rows):
+        self.sums, self.dist, self.nearest = sums, dist, min(dist)
+        self.next = [None] * rows
+
+
+# shapes kept per table, about 1 KB each; a full table is emptied and its
+# shapes' moves unlinked
+_SHAPES = 4096
+
+
+@lru_cache(maxsize=4)
+def _shape_table(geo, n):
+    """The shapes of n-particle SIP sets on `geo`, keyed by the sites relative
+    to particle 0; the OR move table, whose rows `_Shape.next` follows, is
+    fixed by n and geo.d."""
+    return {}
+
+
+def _intern(known, sip, geo, sums, dist):
+    """The shape of `sip` in `known`, made from `sums` and `dist` if new."""
+    o, L = sip[0], geo.L
+    if L is None:
+        key = tuple([c - c0 for s in sip for c, c0 in zip(s, o)])
+    else:
+        key = tuple([(c - c0) % L for s in sip for c, c0 in zip(s, o)])
+    shape = known.get(key)
+    if shape is None:
+        if len(known) >= _SHAPES:
+            for old in known.values():
+                old.next = [None] * len(old.next)
+            known.clear()
+        shape = known[key] = _Shape(sums, dist, len(sip) * 2 * geo.d)
+    return shape
+
+
+def _next_shape(state, shape, k, j):
+    """Fill `shape.next[k]` once SIP set j has made row k's move: only the
+    moved particle's pair distances change, and the sums are recounted, as
+    after a per-event move, only where it is within l1 distance 1 of another
+    before or after the move (no pair at distance 1: every rate is 0.0);
+    else they are `shape`'s."""
+    geo, sip, i = state.geo, state.sips[j], state.table[k][0]
+    dist, touched = list(shape.dist), False
+    for e, q in state.pairs_of[i]:
+        dist[e] = geo.l1_distance(sip[i], sip[q])
+        touched = touched or min(shape.dist[e], dist[e]) <= 1
+    recount = touched and 1 in dist
+    sums = (_inclusion_sums(sip, geo) if recount
+            else [0.0] * len(shape.sums) if touched else shape.sums)
+    entry = (_intern(state.known, sip, geo, sums, dist), recount and geo.L is None)
+    shape.next[k] = entry
+    return entry
+
+
 class OrState:
     """SIP position lists `sips` OR-coupled to IRW lists `shadows`, all of one
-    length n and moved in place: the rate m/(4d) of a shared move per
-    particle and direction (`rate_each`), their total `rw_total`, the move
-    table with its contact watches, and per SIP set the inclusion running sums
-    (`_inclusion_sums`) and each within-set pair's l1 distance, then an inf
-    sentinel; `nearest` is the least over all sets, and `pairs_of[i]` lists
-    (pair index, other particle) for particle i."""
+    length n and moved in place (`lists`: sips + shadows): the rate m/(4d)
+    of a shared move per particle and direction (`rate_each`), their total
+    `rw_total`, the move table with its contact watches, `pairs_of[i]`
+    listing (pair index, other particle) for particle i, the shape table
+    `known` of the geometry and n, and per SIP set its `_Shape` in `shapes`,
+    which carries the set's inclusion running sums and pair distances across
+    events; `nearest` is the least pair distance over all sets."""
 
     def __init__(self, sips, shadows, params: SipParams):
         n, d = len(sips[0]), params.geometry.d
         if n == 0:
             raise ValueError("no particles to move")
-        self.sips, self.shadows, self.geo = sips, shadows, params.geometry
+        self.sips, self.lists, self.geo = sips, sips + shadows, params.geometry
         self.rate_each = params.m / (4.0 * d)
         self.rw_total = n * 2 * d * self.rate_each
-        self.table, self.watches = _or_table(len(sips), len(sips) + len(shadows), n, d)
+        self.table, self.watches = _or_table(len(sips), len(self.lists), n, d)
         pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
         self.pairs_of = [[(e, p + q - i) for e, (p, q) in enumerate(pairs) if i in (p, q)]
                          for i in range(n)]
+        self.known = _shape_table(self.geo, n)
         self._rebuild()
 
     def _rebuild(self):
-        self.dist = [[*_pair_distances(sip, self.geo), math.inf] for sip in self.sips]
-        self.sums = [_inclusion_sums(sip, self.geo) for sip in self.sips]
-        self.nearest = min(map(min, self.dist))
+        """Each set's shape, from its sums counted on the absolute sites
+        (which checks them) and its pair distances."""
+        self.shapes = [_intern(self.known, sip, self.geo, _inclusion_sums(sip, self.geo),
+                               [*_pair_distances(sip, self.geo), math.inf])
+                       for sip in self.sips]
+        self.nearest = min(shape.nearest for shape in self.shapes)
 
     def fly(self, stream: RandomStream, t: float, **kw):
         """`_free_flight` of shared moves at the total rate rw_total, from a
         state with every within-set SIP pair at l1 distance >= 2 (every
         inclusion total is exactly 0.0 there) to the first contact; then
-        rebuilds the sums and distances."""
-        out = _free_flight(self.sips + self.shadows, self.table,
+        rebuilds the shapes."""
+        out = _free_flight(self.lists, self.table,
                            lambda u: u * self.rw_total / self.rate_each, self.rw_total,
                            self.watches, self.geo, stream, t, cls="rw", **kw)
         self._rebuild()
         return out
+
+
+def _check_limit(sip):
+    """Raise as a recount of `sip`'s sums on Z would (`Geometry.neighbors`):
+    a coordinate at +-2^62 has a neighbour beyond it."""
+    for site in sip:
+        for c in site:
+            if abs(c) >= COORD_LIMIT:
+                raise CoordinateOverflowError(f"a neighbor of coordinate {c} is beyond +-2^62")
 
 
 def or_coupled_step(state: OrState, stream: RandomStream, t: float = 0.0,
@@ -147,51 +231,52 @@ def or_coupled_step(state: OrState, stream: RandomStream, t: float = 0.0,
     rate rw_total + the SIP sets' inclusion totals (their last running sums)
     summed left to right.
 
-    `state` is updated in place; a set's sums are rebuilt only when its
-    moved particle is within l1 distance 1 of another before or after the
-    move.
+    Each moved SIP set's shape follows the move by one lookup in the shape
+    table (`_next_shape` on first use).
 
     Returns None when t + dt >= t_end, having drawn only dt. Otherwise
     draws the event and returns (dt, event_class, moves): event_class is
     "rw" or "inclusion", and moves lists (list, particle, from, to) with
     lists indexed along sips + shadows.
     """
-    geo, sips, sums = state.geo, state.sips, state.sums
+    shapes = state.shapes
     total = state.rw_total
-    for cumulative in sums:
-        total += cumulative[-1]
+    for shape in shapes:
+        total += shape.sums[-1]
     dt = stream.exponential(total)
     if t + dt >= t_end:
         return None
     u = stream.uniform() * total
     if u < state.rw_total:
         k = min(int(u / state.rate_each), len(state.table) - 1)
-        cls, lists = "rw", enumerate(sips + state.shadows)
+        cls, lists = "rw", enumerate(state.lists)
     else:
         u -= state.rw_total
         j = 0
-        while j < len(sums) - 1 and u >= sums[j][-1]:
-            u -= sums[j][-1]
+        while j < len(shapes) - 1 and u >= shapes[j].sums[-1]:
+            u -= shapes[j].sums[-1]
             j += 1
-        cumulative = sums[j]
+        cumulative = shapes[j].sums
         k = bisect_right(cumulative, u)
         if k == len(cumulative):  # rounding: the last occupied move, not len - 1
             k = bisect_left(cumulative, cumulative[-1])
-        cls, lists = "inclusion", ((j, sips[j]),)
+        cls, lists = "inclusion", ((j, state.sips[j]),)
     i, axis, step = state.table[k][:3]
-    moves = []
+    shift, moves = state.geo.shift, []
     for j, lst in lists:
         src = lst[i]
-        lst[i] = dst = geo.shift(src, axis, step)
+        lst[i] = dst = shift(src, axis, step)
         moves.append((j, i, src, dst))
-    for j, _, _, dst in moves[: len(sips)]:  # the moved SIP sets come first
-        sip, dist, touched = sips[j], state.dist[j], False
-        for e, q in state.pairs_of[i]:
-            old, dist[e] = dist[e], geo.l1_distance(dst, sip[q])
-            touched = touched or min(old, dist[e]) <= 1
-        if touched:  # no pair at distance 1: every rate is 0.0
-            sums[j] = _inclusion_sums(sip, geo) if 1 in dist else [0.0] * len(sums[j])
-    state.nearest = min(map(min, state.dist))
+    for j, *_ in moves[: len(shapes)]:  # the moved SIP sets come first
+        shape = shapes[j]
+        shapes[j], check = shape.next[k] or _next_shape(state, shape, k, j)
+        if check:
+            _check_limit(state.sips[j])
+    nearest = math.inf
+    for shape in shapes:
+        if shape.nearest < nearest:
+            nearest = shape.nearest
+    state.nearest = nearest
     return dt, cls, moves
 
 
@@ -219,8 +304,9 @@ def _ornstein_entries(xs, ys, d: int):
 # free-flight blocks start at _FIRST_BLOCK events and double up to _BLOCK
 _FIRST_BLOCK = 128
 _BLOCK = 4096
-# OR flights start only with every within-set SIP pair at l1 distance >= _REACH; a
-# flight's fixed cost is ~25 per-event steps, so (R - 1)^2 ~ 25 balances the two
+# OR flights start only with every within-set SIP pair at l1 distance >= _REACH; on the
+# or-long workload a flight's fixed cost (60-120 us) is 24-30 per-event steps (2.5-4 us),
+# so (R - 1)^2 ~ 25 balances the two (R = 8 measured no faster)
 _REACH = 6
 
 
@@ -236,7 +322,7 @@ def _flight_plan(table, watches, n_lists, n, d):
     """Arrays for `_free_flight`: per row of the move table, the displacement
     of every (list, particle) coordinate, flattened, and the change of every
     watched coordinate gap; then the watches' particles, axis masks and
-    reaches."""
+    reaches, the mask None when every watch is l1."""
     disp = np.zeros((len(table), n_lists * n, d), dtype=np.int64)
     for r, (i, axis, *steps) in enumerate(table):
         disp[r, np.arange(n_lists) * n + i, axis] = steps
@@ -248,7 +334,7 @@ def _flight_plan(table, watches, n_lists, n, d):
             np.array([w[3] for w in watches]))
     for arr in plan:  # shared by every caller through the cache
         arr.flags.writeable = False
-    return plan
+    return plan[:4] + (None if mask.all() else mask,) + plan[5:]
 
 
 def _free_flight(lists, table, pick, total, watches, geo, stream, t,
@@ -284,20 +370,27 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
         else:
             gap %= L
             gap = np.minimum(gap, L - gap)
-        hits = np.flatnonzero(((gap * mask).sum(axis=2) <= reach).any(axis=1))
+        if mask is not None:
+            gap *= mask
+        hits = np.flatnonzero((gap.sum(axis=2) <= reach).any(axis=1))
         applied, stop = (int(hits[0]) + 1, "watch") if len(hits) else (block, None)
         times = np.concatenate(([t], waiting_times(us[: 2 * applied : 2], total))).cumsum()
-        ended = int(np.searchsorted(times[1:], t_end))
-        if ended < applied:
-            applied, stop = ended, "end"
-        passed = int(np.searchsorted(times[1:], t_last, side="right"))
-        if passed < applied:
-            applied, stop = passed + 1, "last"
+        if times[applied] >= t_end or times[applied] > t_last:
+            ended = int(np.searchsorted(times[1:], t_end))
+            if ended < applied:
+                applied, stop = ended, "end"
+            passed = int(np.searchsorted(times[1:], t_last, side="right"))
+            if passed < applied:
+                applied, stop = passed + 1, "last"
         stream.advance(2 * applied + (stop == "end"))
-        path = np.vstack((start.ravel(), disp[rows[:applied]])).cumsum(axis=0)
-        if L is None and np.abs(path).max() > COORD_LIMIT:
-            raise CoordinateOverflowError("coordinate beyond +-2^62")
-        path = (path % L if L else path).reshape(applied + 1, len(lists), n, d)
+        moved = disp[rows[:applied]]
+        if log is None and (L or np.abs(start).max() + applied <= COORD_LIMIT):
+            path = start.ravel() + moved.sum(axis=0)  # the end alone: no step can pass the limit
+        else:
+            path = np.vstack((start.ravel(), moved)).cumsum(axis=0)
+            if L is None and np.abs(path).max() > COORD_LIMIT:
+                raise CoordinateOverflowError("coordinate beyond +-2^62")
+        path = (path % L if L else path).reshape(-1, len(lists), n, d)
         for lst, sites in zip(lists, path[-1].tolist()):
             lst[:] = map(tuple, sites)
         if log is not None:
@@ -331,14 +424,13 @@ def _or_run(state: OrState, stream, t, t_end=math.inf, t_last=math.inf, log=None
 
     States with every within-set SIP pair at l1 distance >= _REACH run as
     free flights, all others one `or_coupled_step` at a time; `log` gets
-    every movement. Yields (t, event class, moves) after each flight ("rw",
-    no moves) or step (one event), and ends at the first event reaching
-    t_end, having drawn only its waiting time.
+    every movement. Yields (t, moves) after each inclusion event, the only
+    events that change a SIP set's distance to its shadow, and ends at the
+    first event reaching t_end, having drawn only its waiting time.
     """
     while t <= t_last:
         if state.nearest >= _REACH:
             t, stop, _ = state.fly(stream, t, t_end=t_end, t_last=t_last, log=log)
-            yield t, "rw", ()
             if stop == "end":
                 return
             continue
@@ -349,7 +441,8 @@ def _or_run(state: OrState, stream, t, t_end=math.inf, t_last=math.inf, log=None
         t += dt
         if log is not None:
             log.extend((t, _SETS[j], i, src, dst, cls) for j, i, src, dst in moves)
-        yield t, cls, moves
+        if cls == "inclusion":
+            yield t, moves
 
 
 def _stage_two(xs, ys, geo, rate_each, t_start, t_end, stream, log=None):
@@ -455,20 +548,19 @@ def or_distance_single(x, params: SipParams, t_grid, stream: RandomStream):
     Both sets start at x, so the distance starts at zero; shared moves leave
     it unchanged and an inclusion move changes only the moved particle's
     term, by exactly one unit. Grid times passed are read before the move
-    of the event that passes them.
+    of the event that passes them, so grid times after the last inclusion
+    event read the final distance.
     """
     geo, grid = params.geometry, check_grid(t_grid)
     sip = [geo.wrap(s) for s in x]
     irw = list(sip)
     out, dist = [], 0
-    for t, cls, moves in _or_run(OrState((sip,), (irw,), params), stream, 0.0,
-                                 t_last=max(grid, default=-1.0)):
+    for t, ((_, i, src, dst),) in _or_run(OrState((sip,), (irw,), params), stream, 0.0,
+                                          t_last=max(grid, default=-1.0)):
         while len(out) < len(grid) and grid[len(out)] < t:
             out.append(dist)
-        if cls == "inclusion":  # shared moves leave the distance as it is
-            _, i, src, dst = moves[0]
-            dist += geo.l1_distance(dst, irw[i]) - geo.l1_distance(src, irw[i])
-    return out
+        dist += geo.l1_distance(dst, irw[i]) - geo.l1_distance(src, irw[i])
+    return out + [dist] * (len(grid) - len(out))
 
 
 def dump_event_log(rows, path):

@@ -224,9 +224,18 @@ def _jump_kernel(q, lam):
     """I + Q/lam with the float operations of scipy's `eye + q.multiply(1/lam)`:
     data * (1/lam), then 1.0 + that on the diagonal (1.0 where q stores none),
     and every entry that comes out 0.0 dropped; built in place on one copy of
-    q's CSR arrays."""
+    q's CSR arrays, canonical, whose diagonal offsets are found once for the
+    read and the write."""
     p = sparse.csr_matrix(q.multiply(1.0 / lam))
-    p.setdiag(1.0 + p.diagonal())
+    p.sum_duplicates()
+    n = p.shape[0]
+    at = np.flatnonzero(p.indices == np.repeat(np.arange(n, dtype=p.indices.dtype),
+                                               np.diff(p.indptr)))
+    p.data[at] += 1.0
+    if len(at) < n:  # rows that store no diagonal get 1.0
+        diag = np.ones(n)
+        diag[p.indices[at]] = p.data[at]
+        p.setdiag(diag)
     p.eliminate_zeros()
     return p
 

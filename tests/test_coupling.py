@@ -7,13 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import skellam
 
-from sipsim.core import Geometry, RandomStream
+import sipsim.coupling as coupling
+from sipsim.core import COORD_LIMIT, CoordinateOverflowError, Geometry, RandomStream
 from sipsim.coupling import (
     _REACH,
     OrState,
     OutcomeKind,
     _inclusion_sums,
     _ornstein_entries,
+    _pair_distances,
     collision_check,
     doubling_schedule,
     dump_event_log,
@@ -244,6 +246,31 @@ class TestOrCoupling:
         assert (step_lists, dt) == (flight_lists, t)
         assert step_lists != (sip, irw)
         assert a.uniform() == b.uniform()
+
+    def test_coordinate_limit_on_z(self):
+        # a coordinate may rest at +-2^62, but the recount of a set's sums
+        # (here when particle 1 comes next to particle 0) looks at its
+        # neighbours and raises, also where the same moves near the origin
+        # have filled the shapes; a flight raises when its path passes the
+        # limit, even where the flight ends back inside it
+        M = COORD_LIMIT
+        for far in (False, True):
+            sip = [(M - 1,), (M - 3,)] if far else [(1,), (-1,)]
+            state = OrState((sip,), (list(sip),), P1)
+            stream = _ListStream([0.5, 0.3, 0.5, 0.8, 0.5, 0.8])  # rows 1, 3, 3
+            or_coupled_step(state, stream)
+            or_coupled_step(state, stream)
+            assert sip == ([(M,), (M - 2,)] if far else [(2,), (0,)])
+            if far:
+                with pytest.raises(CoordinateOverflowError):
+                    or_coupled_step(state, stream)
+            else:
+                or_coupled_step(state, stream)
+        ups, downs = [0.37, 0.9] * 2, [0.37, 0.1] * 2
+        draws = ups + downs + (ups[:2] + downs[:2]) * 62  # +1, +1, -1, -1, then +1/-1 pairs
+        state = OrState(([(M - 1,)],), ([(M - 1,)],), P1)
+        with pytest.raises(CoordinateOverflowError):
+            state.fly(_ListStream(draws), 0.0)
 
     def test_sip_marginal_matches_oracle(self):
         # the SIP side of the OR pair must follow the plain SIP law
@@ -534,18 +561,47 @@ class TestOrState:
     @settings(max_examples=200, deadline=None)
     @given(coupling_systems(), st.integers(0, 2**32 - 1), st.integers(1, 60))
     def test_kept_state_equals_a_rebuilt_one(self, system, seed, steps):
-        # the bookkeeping a step updates in place (running sums bit for bit,
-        # pair distances, nearest) equals that of a state built afresh
+        # the bookkeeping a step carries over in its shapes (running sums bit
+        # for bit, pair distances, nearest) equals that counted afresh on the
+        # absolute positions
         x, y, params = system
+        geo = params.geometry
         sips, shadows = (list(x), list(y)), (list(x), list(y))
         state = OrState(sips, shadows, params)
         stream = RandomStream(seed)
         for _ in range(steps):
             or_coupled_step(state, stream)
-            fresh = OrState(sips, shadows, params)
-            assert ([[r.hex() for r in sums] for sums in state.sums]
-                    == [[r.hex() for r in sums] for sums in fresh.sums])
-            assert (state.dist, state.nearest) == (fresh.dist, fresh.nearest)
+            assert ([[r.hex() for r in shape.sums] for shape in state.shapes]
+                    == [[r.hex() for r in _inclusion_sums(sip, geo)] for sip in sips])
+            dist = [[*_pair_distances(sip, geo), math.inf] for sip in sips]
+            assert [shape.dist for shape in state.shapes] == dist
+            assert state.nearest == min(map(min, dist))
+
+    def test_shape_table_stays_under_its_bound(self, monkeypatch):
+        # a contact pair and a third particle on Z, run one event at a time
+        # (no flights): as the three spread out, most events meet a new
+        # shape. The table fills, is emptied and stays under its bound, and
+        # a far smaller bound gives the same run
+        params = SipParams(0.5, Geometry(1))
+
+        def run():
+            coupling._shape_table.cache_clear()
+            sip = [(0,), (1,), (2,)]
+            state = OrState((sip,), (list(sip),), params)
+            stream, sizes = RandomStream(8, (0,)), []
+            for _ in range(30_000):
+                or_coupled_step(state, stream)
+                sizes.append(len(state.known))
+            emptied = sum(b < a for a, b in zip(sizes, sizes[1:]))
+            return (sip, stream.uniform()), max(sizes), emptied
+
+        bound = coupling._SHAPES
+        kept, most, emptied = run()
+        assert most == bound and emptied >= 1
+        monkeypatch.setattr(coupling, "_SHAPES", 100)
+        small, most, emptied = run()
+        assert small == kept
+        assert most == 100 and emptied > 100
 
     @settings(max_examples=200, deadline=None)
     @given(coupling_systems())
@@ -573,6 +629,12 @@ class TestAgainstReference:
     @given(coupling_systems(), st.integers(0, 2**32 - 1),
            st.lists(st.floats(0.0, 20.0), max_size=4))
     @straddling([2.0, 20.0])
+    # grid times after the last inclusion event (here at t ~ 1.32) read the
+    # final distance once the run ends; equal grid times read one value; an
+    # empty grid draws nothing
+    @example((((0, 0, 0), (1, 0, 0)), None, SipParams(2.0, Geometry(3))), 7, [1.0, 20.0])
+    @example((((0,), (1,)), None, P1), 1, [3.0, 3.0, 7.0])
+    @example((((0,), (1,)), None, P1), 2, [])
     def test_or_distance_single(self, system, seed, grid):
         x, _, params = system
         grid = sorted(grid)

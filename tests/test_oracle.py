@@ -437,12 +437,19 @@ class TestJumpKernel:
             assert lam == 1.5
             assert np.array_equal(p.toarray(), reference_uniformized(q)[0].toarray())
 
+    def test_duplicate_diagonal_entries_add_up(self):
+        # a diagonal stored as two entries is summed before 1.0 is added to it
+        q = sparse.csr_matrix((np.array([-0.5, 1.0, -0.5, 0.5, -0.25, -0.25]),
+                               np.array([0, 1, 0, 0, 1, 1]), np.array([0, 3, 6])), shape=(2, 2))
+        assert np.array_equal(self.check(q).toarray(), [[0.0, 1.0], [0.5, 0.5]])
+
     def test_assembly_and_kernel_hold_few_bytes_per_entry(self):
         # a 15,504-state sector with 263,568 entries, its uint8 states built
         # before tracing. Per entry, the assembly peaks near 24 bytes (a CSR
         # entry is 12, the int32 rank-shift tables about 8 until the passes
         # end, each pass's float rows and the site-major copy the rest) and
-        # P's build near 14, 12 of them P's own
+        # P's build near 17: 12 of them P's own, 5 each entry's int32 row and
+        # its diagonal flag while the diagonal's offsets are found
         params = SipParams(m=2.0, geometry=Geometry(2, 4))
         assert state_space(5, params.geometry).states.dtype == np.min_scalar_type(5)
         tracemalloc.start()
