@@ -21,7 +21,8 @@ import numpy as np
 Site = tuple
 ParticleList = tuple
 
-# Infinite-lattice walks abort rather than silently wrap beyond this bound.
+# Infinite-lattice walks abort rather than silently wrap: no particle may
+# stand at |c| >= COORD_LIMIT.
 COORD_LIMIT = 2**62
 _NO_DRAWS = memoryview(np.empty(0)).toreadonly()  # a new stream's buffer
 
@@ -58,8 +59,8 @@ class Geometry:
         c = site[axis] + step
         if self.L is not None:
             c %= self.L
-        elif abs(c) > COORD_LIMIT:
-            raise CoordinateOverflowError(f"coordinate {c} beyond +-2^62")
+        elif abs(c) >= COORD_LIMIT:
+            raise CoordinateOverflowError(f"coordinate {c} at or beyond +-2^62")
         return site[:axis] + (c,) + site[axis + 1 :]
 
     def neighbors(self, site: Site) -> tuple[Site, ...]:

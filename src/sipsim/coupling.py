@@ -28,9 +28,11 @@ distances and nearest pair, and the set that each row of the move table
 leads to) is kept once per shape, the set's sites relative to particle 0
 (reduced mod L on a torus), in a bounded table per geometry and n, filled
 on first use; a step reads its total and pick off the shapes and follows
-its move by one lookup. One loop, `_or_run`, applies this rule for stage
-one and for the OR distance alike, and yields only the inclusion events,
-the only events that change a SIP set's distance to its shadow.
+its move by one lookup, unchecked: on Z no particle may stand at +-2^62, and
+`Geometry.shift` (a step) or `_free_flight` (a flight) raises on a move onto
+it. One loop, `_or_run`, applies this rule for stage one and for the OR
+distance alike, and yields only the inclusion events, the only events that
+change a SIP set's distance to its shadow.
 
 The two-stage scheme runs the OR coupling of both SIP sets to shared-jump
 IRW shadows on [0, (1-delta)t] and then pairs the two SIP sets directly
@@ -51,7 +53,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -80,10 +82,8 @@ class CouplingOutcome:
 
 
 def _pair_distances(particles, geometry: Geometry):
-    """The l1 distance of every pair p < q of `particles`, in (p, q) order."""
-    n = len(particles)
-    return (geometry.l1_distance(particles[p], particles[q])
-            for p in range(n) for q in range(p + 1, n))
+    """The l1 distance of every pair p < q of `particles`, in `combinations` order."""
+    return (geometry.l1_distance(x, y) for x, y in combinations(particles, 2))
 
 
 def collision_check(particles, geometry: Geometry) -> bool:
@@ -106,9 +106,9 @@ class _Shape:
     """What every translate of a SIP set shares: its inclusion running sums
     (`_inclusion_sums`), its within-set pair distances in (p, q) order then
     an inf sentinel, their least `nearest`, and `next`, per row of the OR
-    move table, (shape after the row's move, check) once `_next_shape` has
-    filled it; check is True on Z where a per-event loop recounts the sums
-    after that move, a recount that looks at every coordinate."""
+    move table, the shape after the row's move once `_next_shape` has filled
+    it. Reading it looks at no site: no particle stands at +-2^62, where
+    `Geometry.neighbors` raises, so no recount could raise where it is read."""
 
     __slots__ = ("sums", "dist", "nearest", "next")
 
@@ -161,9 +161,8 @@ def _next_shape(state, shape, k, j):
     recount = touched and 1 in dist
     sums = (_inclusion_sums(sip, geo) if recount
             else [0.0] * len(shape.sums) if touched else shape.sums)
-    entry = (_intern(state.known, sip, geo, sums, dist), recount and geo.L is None)
-    shape.next[k] = entry
-    return entry
+    shape.next[k] = _intern(state.known, sip, geo, sums, dist)
+    return shape.next[k]
 
 
 class OrState:
@@ -184,9 +183,8 @@ class OrState:
         self.rate_each = params.m / (4.0 * d)
         self.rw_total = n * 2 * d * self.rate_each
         self.table, self.watches = _or_table(len(sips), len(self.lists), n, d)
-        pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-        self.pairs_of = [[(e, p + q - i) for e, (p, q) in enumerate(pairs) if i in (p, q)]
-                         for i in range(n)]
+        self.pairs_of = [[(e, p + q - i) for e, (p, q) in enumerate(combinations(range(n), 2))
+                          if i in (p, q)] for i in range(n)]
         self.known = _shape_table(self.geo, n)
         self._rebuild()
 
@@ -208,15 +206,6 @@ class OrState:
                            self.watches, self.geo, stream, t, cls="rw", **kw)
         self._rebuild()
         return out
-
-
-def _check_limit(sip):
-    """Raise as a recount of `sip`'s sums on Z would (`Geometry.neighbors`):
-    a coordinate at +-2^62 has a neighbour beyond it."""
-    for site in sip:
-        for c in site:
-            if abs(c) >= COORD_LIMIT:
-                raise CoordinateOverflowError(f"a neighbor of coordinate {c} is beyond +-2^62")
 
 
 def or_coupled_step(state: OrState, stream: RandomStream, t: float = 0.0,
@@ -269,9 +258,7 @@ def or_coupled_step(state: OrState, stream: RandomStream, t: float = 0.0,
         moves.append((j, i, src, dst))
     for j, *_ in moves[: len(shapes)]:  # the moved SIP sets come first
         shape = shapes[j]
-        shapes[j], check = shape.next[k] or _next_shape(state, shape, k, j)
-        if check:
-            _check_limit(state.sips[j])
+        shapes[j] = shape.next[k] or _next_shape(state, shape, k, j)
     nearest = math.inf
     for shape in shapes:
         if shape.nearest < nearest:
@@ -314,7 +301,7 @@ def _contact_watches(sets, n):
     """Watches for `_free_flight`: two particles of one of the given lists
     come within l1 distance 1."""
     return tuple((c * n + p, c * n + q, None, 1) for c in sets
-                 for p in range(n) for q in range(p + 1, n))
+                 for p, q in combinations(range(n), 2))
 
 
 @lru_cache(maxsize=256)
@@ -384,12 +371,12 @@ def _free_flight(lists, table, pick, total, watches, geo, stream, t,
                 applied, stop = passed + 1, "last"
         stream.advance(2 * applied + (stop == "end"))
         moved = disp[rows[:applied]]
-        if log is None and (L or np.abs(start).max() + applied <= COORD_LIMIT):
-            path = start.ravel() + moved.sum(axis=0)  # the end alone: no step can pass the limit
+        if log is None and (L or np.abs(start).max() + applied < COORD_LIMIT):
+            path = start.ravel() + moved.sum(axis=0)  # the end alone: no step can reach the limit
         else:
             path = np.vstack((start.ravel(), moved)).cumsum(axis=0)
-            if L is None and np.abs(path).max() > COORD_LIMIT:
-                raise CoordinateOverflowError("coordinate beyond +-2^62")
+            if L is None and np.abs(path).max() >= COORD_LIMIT:
+                raise CoordinateOverflowError("coordinate at or beyond +-2^62")
         path = (path % L if L else path).reshape(-1, len(lists), n, d)
         for lst, sites in zip(lists, path[-1].tolist()):
             lst[:] = map(tuple, sites)

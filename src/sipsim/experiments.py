@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import Geometry, RandomStream, occupation_of, stream_words
+from .core import Geometry, RandomStream, check_grid, occupation_of, stream_words
 from .coupling import (
     OutcomeKind,
     doubling_schedule,
@@ -95,6 +95,15 @@ class FieldError(ValueError):
         self.field = field
 
 
+def _built(field, build, name=None):
+    """build(), its ValueError raised again as a FieldError of `field`, whose
+    message starts with `name` (by default the quoted field)."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise FieldError(field, f"{name or repr(field)}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one study run."""
@@ -128,14 +137,15 @@ class ExperimentConfig:
         if self.boundary not in ("infinite", "torus"):
             raise FieldError("boundary",
                              f"boundary must be 'infinite' or 'torus', got {self.boundary!r}")
-        if self.boundary == "torus" and (self.L is None or self.L < 3):
-            raise FieldError("L", "torus boundary needs L >= 3")
+        if self.boundary == "torus" and self.L is None:
+            raise FieldError("L", "torus boundary needs its side L")
         if self.boundary == "infinite" and self.L is not None:
             raise FieldError("L", "L is only meaningful on the torus")
-        if self.d < 1:
-            raise FieldError("d", f"d must be >= 1, got {self.d}")
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise FieldError("m", f"m must be positive and finite, got {self.m}")
+        # the model objects state the domains of d, L, m, theta and the
+        # mixture: building them checks the config
+        _built("d", partial(Geometry, self.d))
+        _built("L", lambda: self.geometry)
+        _built("m", lambda: self.sip_params)
         if not isinstance(self.seed, int) or self.seed < 0:
             raise FieldError("seed", f"seed must be a nonnegative integer, got {self.seed!r}")
         study = STUDIES[self.study]
@@ -146,42 +156,33 @@ class ExperimentConfig:
         if self.iterated_replicas < 100:
             raise FieldError("iterated_replicas",
                              f"iterated_replicas must be >= 100, got {self.iterated_replicas}")
-        if not self.t_grid:
-            raise FieldError("t_grid", "t_grid must be nonempty")
-        if not all(math.isfinite(t) and t >= 0 for t in self.t_grid) or any(
-            b <= a for a, b in zip(self.t_grid, self.t_grid[1:])
-        ):
-            raise FieldError("t_grid", "t_grid must be finite, nonnegative and strictly ascending")
-        if self.lam is not None and not 0.0 <= self.lam <= 0.999:
-            raise FieldError("lam", f"lam must lie in [0, 0.999], got {self.lam}")
-        if self.theta is not None and not (math.isfinite(self.theta) and self.theta >= 0):
-            raise FieldError("theta", f"theta must be finite and >= 0, got {self.theta}")
+        grid = _built("t_grid", partial(check_grid, self.t_grid))
+        if not grid or any(a == b for a, b in zip(grid, grid[1:])):
+            raise FieldError("t_grid", "t_grid must be nonempty and strictly ascending")
+        if self.lam is not None:
+            if self.lam > 0.999:
+                raise FieldError("lam", f"lam must lie in [0, 0.999], got {self.lam}")
+            _built("lam", partial(NuLambda, self.lam, self.m))
+        if self.theta is not None:
+            _built("theta", partial(PoissonProduct, self.theta))
         if self.mixture is not None:
-            for atom_lam, w in self.mixture:
-                if not 0.0 <= atom_lam <= 0.999:
-                    raise FieldError("mixture",
-                                     f"mixture lam must lie in [0, 0.999], got {atom_lam}")
-                if not (math.isfinite(w) and w >= 0):
-                    raise FieldError("mixture",
-                                     f"mixture weight must be finite and >= 0, got {w}")
-            total = sum(w for _, w in self.mixture)
-            if abs(total - 1.0) > 1e-12:
-                raise FieldError("mixture", f"mixture weights must sum to 1, got {total}")
+            top = max((lam for lam, _ in self.mixture), default=0.0)
+            if top > 0.999:
+                raise FieldError("mixture", f"mixture lam must lie in [0, 0.999], got {top}")
+            _built("mixture", partial(NuMixture, self.mixture, self.m))
         if not 0.0 < self.delta < 1.0:
             raise FieldError("delta", f"delta must lie in (0, 1), got {self.delta}")
         # t0 alone is checked as the schedule without doublings
         for field, doublings in (("schedule_t0", 0),
                                  ("schedule_doublings", self.schedule_doublings)):
-            try:
-                doubling_schedule(self.schedule_t0, doublings)
-            except ValueError as exc:
-                raise FieldError(field, f"'schedule_t0' {self.schedule_t0}, "
-                                 f"'schedule_doublings' {self.schedule_doublings}: "
-                                 f"{exc}") from None
+            _built(field, partial(doubling_schedule, self.schedule_t0, doublings),
+                   f"'schedule_t0' {self.schedule_t0}, "
+                   f"'schedule_doublings' {self.schedule_doublings}")
         if self.n < 1:
             raise FieldError("n", f"n must be >= 1, got {self.n}")
-        if any(s < 1 for s in self.xi_sizes):
-            raise FieldError("xi_sizes", "xi_sizes entries must be >= 1")
+        # a repeated size would print its rows twice
+        if any(s < 1 for s in self.xi_sizes) or len(set(self.xi_sizes)) < len(self.xi_sizes):
+            raise FieldError("xi_sizes", "xi_sizes entries must be >= 1 and distinct")
         for name in ("xi", "eta", "x_start", "y_start"):
             sites = getattr(self, name) or ()
             if not all(isinstance(s, tuple) and len(s) == self.d for s in sites):

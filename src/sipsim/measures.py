@@ -66,15 +66,12 @@ class NuMixture:
             raise ValueError("mixture needs at least one atom")
         total = 0.0
         for lam, w in self.atoms:
-            if not 0.0 <= lam < 1.0:
-                raise ValueError(f"mixture atom lam must lie in [0, 1), got {lam!r}")
+            NuLambda(lam, self.m)  # checks the atom's lam and m
             if not (math.isfinite(w) and w >= 0):
                 raise ValueError(f"mixture weights must be finite and >= 0, got {w!r}")
             total += w
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise ValueError(f"m must be positive and finite, got {self.m!r}")
 
 
 InitialLaw = Union[NuLambda, PoissonProduct, NuMixture]
@@ -82,8 +79,7 @@ InitialLaw = Union[NuLambda, PoissonProduct, NuMixture]
 
 def marginal_pmf(k: int, lam: float, m: float) -> float:
     """Single-site probability of count k under NuLambda(lam, m)."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam must lie in [0, 1), got {lam!r}")
+    NuLambda(lam, m)  # checks lam and m
     if k < 0:
         return 0.0
     if lam == 0.0:

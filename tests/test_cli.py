@@ -359,6 +359,25 @@ class TestRun:
         assert err.startswith("error: ") and "Traceback" not in err
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("study,line", [
+        ("or-distance", "d = 0"),
+        ("self-duality", "L = 2"),
+        ("or-distance", "m = 0"),
+        ("convergence", "theta = -1"),
+        ("correlation", "mixture = 0.2:0.5 0.6:0.4"),
+        ("correlation", "mixture = -0.2:0.5 0.6:0.5"),
+        ("stationarity", "xi_sizes = 1 1"),
+    ], ids=["d", "L", "m", "theta", "mixture-weights", "mixture-lambda", "xi_sizes"])
+    def test_out_of_domain_value_exits_one_naming_key_and_line(self, tmp_path, capsys,
+                                                                study, line):
+        # the model objects state the domains of d, L, m, theta and the
+        # mixture; a repeated xi_sizes entry would print its rows twice
+        key = line.split(" = ")[0]
+        inv = invocation(study, tmp_path, config_text=f"replicas = 200\n{line}\n")
+        assert run(inv) == 1
+        assert re.match(rf"error: line 2: .*\b{key}\b", capsys.readouterr().err)
+        assert not os.path.exists(inv.out_dir)
+
     def test_missing_config_file_exits_one(self, tmp_path):
         inv = Invocation(subcommand="correlation", config_path=str(tmp_path / "nope.cfg"),
                          seed=None, out_dir=str(tmp_path / "o"), workers=1)

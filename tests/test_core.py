@@ -147,6 +147,10 @@ class TestGeometry:
         g = Geometry(1)
         with pytest.raises(CoordinateOverflowError):
             g.shift((COORD_LIMIT,), 0, 1)
+        for c, step in ((COORD_LIMIT - 1, 1), (1 - COORD_LIMIT, -1)):  # no site at the limit
+            with pytest.raises(CoordinateOverflowError):
+                g.shift((c,), 0, step)
+        assert g.shift((COORD_LIMIT - 1,), 0, -1) == (COORD_LIMIT - 2,)
 
     def test_site_index_matches_enumeration(self):
         g = Geometry(2, 4)

@@ -248,29 +248,26 @@ class TestOrCoupling:
         assert a.uniform() == b.uniform()
 
     def test_coordinate_limit_on_z(self):
-        # a coordinate may rest at +-2^62, but the recount of a set's sums
-        # (here when particle 1 comes next to particle 0) looks at its
-        # neighbours and raises, also where the same moves near the origin
-        # have filled the shapes; a flight raises when its path passes the
-        # limit, even where the flight ends back inside it
+        # no particle may stand at +-2^62: the step onto it raises, also where
+        # the same move near the origin has filled the shape's transition,
+        # and a flight raises when its path touches the limit, even where
+        # the flight ends back inside it
         M = COORD_LIMIT
-        for far in (False, True):
-            sip = [(M - 1,), (M - 3,)] if far else [(1,), (-1,)]
-            state = OrState((sip,), (list(sip),), P1)
-            stream = _ListStream([0.5, 0.3, 0.5, 0.8, 0.5, 0.8])  # rows 1, 3, 3
-            or_coupled_step(state, stream)
-            or_coupled_step(state, stream)
-            assert sip == ([(M,), (M - 2,)] if far else [(2,), (0,)])
-            if far:
+        for sign, u in ((1, 0.3), (-1, 0.1)):  # row 1 steps particle 0 up, row 0 down
+            for filled in (False, True):
+                coupling._shape_table.cache_clear()
+                if filled:
+                    near = [(sign,), (-sign,)]
+                    or_coupled_step(OrState((near,), (list(near),), P1), _ListStream([0.5, u]))
+                    assert near == [(2 * sign,), (-sign,)]
+                far = [(sign * (M - 1),), (sign * (M - 3),)]
+                state = OrState((far,), (list(far),), P1)
                 with pytest.raises(CoordinateOverflowError):
-                    or_coupled_step(state, stream)
-            else:
-                or_coupled_step(state, stream)
-        ups, downs = [0.37, 0.9] * 2, [0.37, 0.1] * 2
-        draws = ups + downs + (ups[:2] + downs[:2]) * 62  # +1, +1, -1, -1, then +1/-1 pairs
-        state = OrState(([(M - 1,)],), ([(M - 1,)],), P1)
-        with pytest.raises(CoordinateOverflowError):
-            state.fly(_ListStream(draws), 0.0)
+                    or_coupled_step(state, _ListStream([0.5, u]))
+            there, back = [0.37, 0.5 + 0.4 * sign], [0.37, 0.5 - 0.4 * sign]
+            state = OrState(([(sign * (M - 1),)],), ([(sign * (M - 1),)],), P1)
+            with pytest.raises(CoordinateOverflowError):
+                state.fly(_ListStream((there + back) * 64), 0.0)
 
     def test_sip_marginal_matches_oracle(self):
         # the SIP side of the OR pair must follow the plain SIP law

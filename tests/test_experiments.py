@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 from functools import partial
@@ -5,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sipsim.cli import DEFAULT_CONFIGS
 from sipsim.core import Geometry, RandomStream
@@ -32,7 +35,7 @@ from sipsim.experiments import (
     run_stationarity,
     threshold_row,
 )
-from sipsim.measures import PoissonProduct
+from sipsim.measures import NuMixture, PoissonProduct
 from sipsim.stats import InsufficientDataError, batched
 
 from difference_chain import exact_transform
@@ -197,6 +200,34 @@ class TestConfigValidation:
                 ExperimentConfig(study=study, **fields)
         else:
             assert not ExperimentConfig(study=study, **fields).geometry.is_torus
+
+
+def _models_accept(d, L, m, theta, mixture):
+    try:
+        SipParams(m, Geometry(d, L))
+        PoissonProduct(theta)
+        if mixture is not None:
+            NuMixture(mixture, m)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 3), st.one_of(st.none(), st.integers(0, 6)), st.floats(), st.floats(),
+       st.one_of(st.none(), st.lists(st.tuples(st.floats(-0.5, 0.999),
+                                               st.sampled_from([0.25, 0.5, 1.0, -0.5, math.nan])),
+                                     min_size=1, max_size=3).map(tuple)))
+def test_config_accepts_what_its_models_accept(d, L, m, theta, mixture):
+    # below the config's own cap on lambda, the models alone decide
+    fields = dict(d=d, boundary="infinite" if L is None else "torus", L=L, m=m, theta=theta,
+                  mixture=mixture, xi=((0,) * d,), initial_law="poisson", replicas=100)
+    try:
+        ExperimentConfig(study="convergence", **fields)
+    except ValueError:
+        assert not _models_accept(d, L, m, theta, mixture)
+    else:
+        assert _models_accept(d, L, m, theta, mixture)
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 """Golden report bytes: every study at a tiny size, seed 0, plus two
-benchmark workloads and a d = 2 torus OR distance.
+benchmark workloads, a d = 2 torus OR distance and a coupling on Z^2.
 
 The files under tests/golden/ pin what the statistical checks cannot see:
 the stream arm ids, the replica-to-stream mapping and the order of rows.
@@ -55,6 +55,11 @@ CONFIGS = {
     # rows read false, as from far apart the distance has only begun to grow)
     "or-distance-torus": dict(boundary="torus", d=2, L=8, x_start=((0, 0), (4, 4)),
                               t_grid=(5.0, 50.0), replicas=100),
+    # two particles on Z^2: stage two's sync watches count one axis each, the
+    # per-axis mask of `_free_flight`, which no d = 1 run and no torus OR run reaches
+    "coupling-2d": dict(d=2, x_start=((0, 0), (3, 1)), y_start=((2, 1), (4, 4)),
+                        t_grid=(5.0, 40.0), replicas=100, iterated_replicas=100, delta=0.6,
+                        schedule_t0=5.0, schedule_doublings=3),
 }
 
 
@@ -64,7 +69,8 @@ LATER_ROWS = ("convergence,temperedness_bound[",)
 
 # golden files beyond one per study: file name -> study
 STUDY_OF = {"self-duality-stacked": "self-duality", "stationarity-dense": "stationarity",
-            "oracle-2d": "oracle-check", "or-distance-torus": "or-distance"}
+            "oracle-2d": "oracle-check", "or-distance-torus": "or-distance",
+            "coupling-2d": "coupling"}
 
 
 def golden_csv(name, workers):
@@ -99,3 +105,4 @@ def test_default_report_rows_parse_into_seven_fields(study):
     rows = list(csv.reader(io.StringIO(report.csv_text())))
     assert [len(row) for row in rows] == [7] * (len(report.rows) + 1)
     assert [row[1] for row in rows[1:]] == [r.statistic for r in report.rows]
+    assert len({r.statistic for r in report.rows}) == len(report.rows)  # no row printed twice

@@ -7,7 +7,9 @@ no such way out, so a merged helper cannot linger. Comments, docstrings
 and imports do not count. Every module-level import in src/sipsim/ is used
 by its own module, or listed in its `__all__`, so a deletion leaves no
 stale import behind. The waiting-time log and the walk weight are each
-stated once, in `core`."""
+stated once, in `core`; the coordinate limit is compared only in
+`Geometry` and `_free_flight`, and the config states no domain of d, m or
+theta of its own."""
 
 import ast
 import os
@@ -130,3 +132,40 @@ def test_waiting_time_and_walk_weight_are_stated_once():
     logs, weights = _rule_owners()
     assert logs == [("core.py", "waiting_times")]
     assert weights == [("core.py", "Geometry")]
+
+
+def _coord_limit_comparisons():
+    """(module, top-level definition, operator) of each comparison in
+    src/sipsim/ with `COORD_LIMIT` on its right."""
+    found = []
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare):
+                    found += [(module, getattr(top, "name", None), type(op).__name__)
+                              for op, right in zip(node.ops, node.comparators)
+                              if isinstance(right, ast.Name) and right.id == "COORD_LIMIT"]
+    return found
+
+
+def test_coordinate_limit_is_one_rule_in_two_places():
+    # no particle may stand at |c| >= COORD_LIMIT: the step, the neighbour
+    # list and the flight say so, and nothing else restates it
+    found = _coord_limit_comparisons()
+    assert {(module, owner) for module, owner, _ in found} == {
+        ("core.py", "Geometry"), ("coupling.py", "_free_flight")}
+    assert {op for *_, op in found} <= {"GtE", "Lt"}
+
+
+def test_config_leaves_the_model_domains_to_the_models():
+    # ExperimentConfig checks d, m and theta by building the model objects
+    # that state their domains, not by a FieldError of its own
+    with open(os.path.join(SRC, "experiments.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    stated = [node.args[0].value for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "FieldError" and node.args
+              and isinstance(node.args[0], ast.Constant)]
+    assert stated and not {"m", "theta", "d"} & set(stated)
