@@ -15,7 +15,6 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .experiments import RUNNERS, STUDIES, ExperimentConfig
@@ -79,47 +78,40 @@ _KEY_PARSERS = {
     "y_start": _parse_sites,
 }
 
-_COMMON_KEYS = {"d", "boundary", "L", "m", "seed", "replicas", "t_grid"}
+_COMMON_KEYS = {"d", "boundary", "L", "m", "seed"}
 
 # renames from config syntax to ExperimentConfig fields
 _FIELD_OF_KEY = {"lambda": "lam"}
 _KEY_OF_FIELD = {field: key for key, field in _FIELD_OF_KEY.items()}
 
-# built-in defaults; every subcommand runs out of the box
+# built-in defaults, where they differ from ExperimentConfig's; every
+# subcommand runs out of the box
 DEFAULT_CONFIGS = {
     "self-duality": {
-        "boundary": "torus", "L": 5, "m": 2.0, "xi": ((0,), (2,)),
-        "eta": ((0,), (1,), (3,)), "t_grid": (0.5, 1.0, 2.0), "replicas": 20000,
+        "boundary": "torus", "L": 5, "xi": ((0,), (2,)), "eta": ((0,), (1,), (3,)),
+        "t_grid": (0.5, 1.0, 2.0), "replicas": 20000,
     },
-    "stationarity": {
-        "boundary": "torus", "L": 10, "m": 2.0, "lam": 0.4,
-        "xi_sizes": (1, 2, 3), "t_grid": (1.0,), "replicas": 100000,
-    },
+    "stationarity": {"boundary": "torus", "L": 10, "lam": 0.4, "replicas": 100000},
     "coupling": {
-        "m": 2.0, "x_start": ((0,), (10,)), "y_start": ((3,), (17,)),
+        "x_start": ((0,), (10,)), "y_start": ((3,), (17,)),
         "t_grid": (100.0, 1000.0, 10000.0), "replicas": 500,
         "delta": 0.8, "schedule_t0": 25.0, "schedule_doublings": 20,
-        "iterated_replicas": 200,
     },
-    "or-distance": {
-        "m": 2.0, "x_start": ((0,), (1,)), "t_grid": (100.0, 1000.0, 10000.0),
-        "replicas": 1000,
-    },
+    "or-distance": {"x_start": ((0,), (1,)), "t_grid": (100.0, 1000.0, 10000.0)},
     "convergence": {
-        "m": 2.0, "initial_law": "poisson", "theta": 1.0, "xi": ((0,), (1,)),
+        "initial_law": "poisson", "theta": 1.0, "xi": ((0,), (1,)),
         "t_grid": (1.0, 10.0, 100.0, 400.0), "replicas": 10000,
     },
     "correlation": {
-        "boundary": "torus", "L": 8, "m": 2.0,
-        "mixture": ((0.2, 0.5), (0.6, 0.5)), "n": 2, "replicas": 100000,
+        "boundary": "torus", "L": 8, "mixture": ((0.2, 0.5), (0.6, 0.5)), "replicas": 100000,
     },
     "factorization": {
-        "boundary": "torus", "L": 5, "m": 2.0, "lam": 0.4,
+        "boundary": "torus", "L": 5, "lam": 0.4,
         "eta": ((0,), (1,), (3,)), "t_grid": (5.0, 10.0, 20.0, 40.0),
     },
     "oracle-check": {
-        "boundary": "torus", "L": 5, "m": 2.0, "xi": ((0,), (2,)),
-        "eta": ((0,), (1,), (3,)), "t_grid": (0.5, 1.0, 2.0), "replicas": 100,
+        "boundary": "torus", "L": 5, "xi": ((0,), (2,)),
+        "eta": ((0,), (1,), (3,)), "t_grid": (0.5, 1.0, 2.0),
     },
 }
 
@@ -173,15 +165,6 @@ def parse_config(text: str, study: str) -> ExperimentConfig:
         raise ConfigError(message, lines_of.get(_KEY_OF_FIELD.get(field, field))) from None
 
 
-@dataclass(frozen=True)
-class Invocation:
-    subcommand: str
-    config_path: str | None
-    seed: int | None
-    out_dir: str
-    workers: int
-
-
 def _atomic_write(path: str, data: str):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
@@ -195,30 +178,31 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def run(invocation: Invocation) -> int:
-    """Execute one study and write report files; returns the exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute the study `build_invocation` parsed and write its report
+    files; returns the exit status."""
     try:
         text = ""  # no --config: the study's defaults
-        if invocation.config_path is not None:  # utf-8-sig: a leading byte-order mark is dropped
-            with open(invocation.config_path, "r", encoding="utf-8-sig") as fh:
+        if args.config is not None:  # utf-8-sig: a leading byte-order mark is dropped
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
-        cfg = parse_config(text, invocation.subcommand)
-        if invocation.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=invocation.seed)
-        os.makedirs(invocation.out_dir, exist_ok=True)  # an unusable --out fails before the run
+        cfg = parse_config(text, args.study)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the run
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if STUDIES[invocation.subcommand].exact:  # scipy's import stays off the report clock
+    if STUDIES[args.study].exact:  # scipy's import stays off the report clock
         from . import oracle  # noqa: F401
     t0 = time.monotonic()
     try:
-        report = RUNNERS[invocation.subcommand](cfg, workers=invocation.workers)
+        report = RUNNERS[args.study](cfg, workers=args.workers)
     except Exception as exc:  # runtime failure: no partial outputs
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.wall_ms = int((time.monotonic() - t0) * 1000.0)
-    base = os.path.join(invocation.out_dir, invocation.subcommand)
+    base = os.path.join(args.out, args.study)
     _atomic_write(base + ".csv", report.csv_text())
     _atomic_write(base + ".json", json.dumps(report.json_summary(), indent=2) + "\n")
     return 0 if report.passed else 2
@@ -230,13 +214,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_invocation(argv) -> Invocation:
+def build_invocation(argv) -> argparse.Namespace:
     parser = _Parser(
         prog="sip-verify",
         description="Run one verification study of the inclusion-process simulator.",
     )
     parser.add_argument("study", choices=STUDIES)
-    parser.add_argument("--config", dest="config", default=None, metavar="PATH")
+    parser.add_argument("--config", default=None, metavar="PATH")
     parser.add_argument("--seed", type=int, default=None, metavar="N")
     parser.add_argument("--out", default="reports", metavar="DIR")
     parser.add_argument("--workers", type=int, default=1, metavar="N")
@@ -244,13 +228,7 @@ def build_invocation(argv) -> Invocation:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    return Invocation(
-        subcommand=args.study,
-        config_path=args.config,
-        seed=args.seed,
-        out_dir=args.out,
-        workers=args.workers,
-    )
+    return args
 
 
 def main(argv=None) -> None:

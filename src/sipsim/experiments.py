@@ -49,22 +49,22 @@ class Study(NamedTuple):
     """What a study needs from its config; `ExperimentConfig` enforces it."""
 
     required: tuple  # fields that must be set
-    optional: tuple = ()  # further study-specific fields a config may set
+    optional: tuple = ()  # further fields a config may set; the runner reads each
     torus: bool = False  # runs on a torus only
-    monte_carlo: bool = True  # headline numbers are Monte Carlo estimates
     exact: bool = False  # builds exact rows with `oracle` (and so imports scipy)
 
 
 STUDIES = {
-    "self-duality": Study(("xi", "eta"), torus=True, exact=True),
-    "stationarity": Study(("lam",), ("xi_sizes",), torus=True),
+    "self-duality": Study(("xi", "eta"), ("replicas", "t_grid"), torus=True, exact=True),
+    "stationarity": Study(("lam",), ("xi_sizes", "replicas", "t_grid"), torus=True),
     "coupling": Study(("x_start", "y_start"),
-                      ("delta", "schedule_t0", "schedule_doublings", "iterated_replicas")),
-    "or-distance": Study(("x_start",)),
-    "convergence": Study(("xi", "initial_law"), ("theta", "lam", "mixture")),
-    "correlation": Study(("mixture",), ("n",), torus=True),
-    "factorization": Study(("lam", "eta"), torus=True, monte_carlo=False, exact=True),
-    "oracle-check": Study(("xi", "eta"), torus=True, monte_carlo=False, exact=True),
+                      ("delta", "schedule_t0", "schedule_doublings", "iterated_replicas",
+                       "replicas", "t_grid")),
+    "or-distance": Study(("x_start",), ("replicas", "t_grid")),
+    "convergence": Study(("xi", "initial_law"), ("theta", "lam", "mixture", "replicas", "t_grid")),
+    "correlation": Study(("mixture",), ("n", "replicas"), torus=True),
+    "factorization": Study(("lam", "eta"), ("t_grid",), torus=True, exact=True),
+    "oracle-check": Study(("xi", "eta"), ("t_grid",), torus=True, exact=True),
 }
 
 # convergence initial_law -> (the field that parametrizes it, the law)
@@ -149,10 +149,8 @@ class ExperimentConfig:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise FieldError("seed", f"seed must be a nonnegative integer, got {self.seed!r}")
         study = STUDIES[self.study]
-        min_reps = 100 if study.monte_carlo else 1
-        if self.replicas < min_reps:
-            raise FieldError("replicas",
-                             f"{self.study} needs replicas >= {min_reps}, got {self.replicas}")
+        if "replicas" in study.optional and self.replicas < 100:
+            raise FieldError("replicas", f"{self.study} needs replicas >= 100, got {self.replicas}")
         if self.iterated_replicas < 100:
             raise FieldError("iterated_replicas",
                              f"iterated_replicas must be >= 100, got {self.iterated_replicas}")
@@ -652,32 +650,26 @@ def run_factorization(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """Position-independence and factorization of stationary duality moments.
 
     Static arm: the nu_lambda transform, evaluated by truncated series per
-    placement, is constant over all two-particle placements and satisfies
-    hat(3) = hat(1) * hat(2) to 1e-10. Dynamic arm: time-averaged duality
-    polynomials on a conserved torus sector flatten toward a
-    placement-independent limit as the averaging horizon doubles.
+    site, satisfies hat(3) = hat(1) * hat(2) to 1e-10, and its two-particle
+    value is the same for a stacked pair as for a split pair. The series
+    reads occupation counts only, so no placement of two particles has a
+    third value and `position_spread[n=2]` compares those two. Dynamic arm:
+    time-averaged duality polynomials on a conserved torus sector flatten
+    toward a placement-independent limit as the averaging horizon doubles.
     """
     from .oracle import build_generator, cesaro_apply, state_space
     geo = cfg.geometry
     evaluator = DualityEvaluator(cfg.m)
-    rows = []
-
     sites = list(geo.sites())
-    values = []
-    for a in range(len(sites)):
-        for b in range(a, len(sites)):
-            counts = occupation_of((sites[a], sites[b]))
-            values.append(_nu_transform_series(counts, cfg.lam, cfg.m, evaluator))
-    spread = max(values) - min(values)
-    rows.append(info_row("transform_value[n=2]", values[0]))
-    rows.append(band_row("position_spread[n=2]", spread, 0.0, 0.0, floor=1e-10))
     hat = {
         n: _nu_transform_series(occupation_of(_dual_sites(cfg, n)), cfg.lam, cfg.m,
                                 evaluator)
         for n in (1, 2, 3)
     }
-    rows.append(band_row("factorization_gap", abs(hat[3] - hat[1] * hat[2]),
-                         0.0, 0.0, floor=1e-10))
+    stacked = _nu_transform_series(occupation_of(sites[:1] * 2), cfg.lam, cfg.m, evaluator)
+    rows = [info_row("transform_value[n=2]", stacked),
+            band_row("position_spread[n=2]", abs(stacked - hat[2]), 0.0, 0.0, floor=1e-10),
+            band_row("factorization_gap", abs(hat[3] - hat[1] * hat[2]), 0.0, 0.0, floor=1e-10)]
 
     params = cfg.sip_params
     n_eta = len(cfg.eta)

@@ -116,8 +116,9 @@ def sample_product(law: InitialLaw, geometry: Geometry, streams) -> np.ndarray:
     """NuLambda or NuMixture counts on a torus, one row per stream, one column
     per site in `Geometry.sites()` order, by CDF inversion. Each stream's next
     draws are consumed: one for a mixture's fugacity, which picks the first
-    atom whose running weight exceeds it (the last atom when rounding leaves
-    none), then one per site, inverted through the atom's CDF table to the
+    atom whose running weight exceeds it (when rounding leaves none, the
+    first whose running weight reaches the total, so never an atom of weight
+    0), then one per site, inverted through the atom's CDF table to the
     count at which the CDF first exceeds u (`searchsorted(u, side="right")`)."""
     if not geometry.is_torus:
         raise ValueError("product sampling requires a finite site set (torus)")
@@ -132,7 +133,9 @@ def sample_product(law: InitialLaw, geometry: Geometry, streams) -> np.ndarray:
     for s in streams:
         s.advance(head + n)
     # no weights (NuLambda) pick atom 0; the methods dispatch faster than np.searchsorted
-    atom = np.minimum(np.cumsum(weights).searchsorted(u[:, 0], "right"), len(lams) - 1)
+    cumulative = np.cumsum(weights)
+    last = cumulative.searchsorted(cumulative[-1]) if weights else 0
+    atom = np.minimum(cumulative.searchsorted(u[:, 0], "right"), last)
     counts = np.empty((len(streams), n), dtype=np.intp)
     for a, lam in enumerate(lams):
         rows = atom == a

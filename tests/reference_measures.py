@@ -9,6 +9,8 @@ lam = 1/2 the pmf can instead stall on a subnormal value, and then the walk
 of a u at or past the last running sum never ends; callers keep such u out.
 """
 
+import itertools
+
 from sipsim.measures import NuLambda, NuMixture
 
 
@@ -39,13 +41,13 @@ def reference_sums(lam, half_m, n):
 
 def reference_fugacity(law, u):
     """The lam of the mixture atom a fugacity draw u picks: the first whose
-    running weight exceeds u, or the last atom if none does."""
-    acc = 0.0
-    for lam, w in law.atoms:
-        acc += w
+    running weight exceeds u, or if none does, the first whose running
+    weight reaches the total."""
+    running = list(itertools.accumulate(w for _, w in law.atoms))
+    for (lam, _), acc in zip(law.atoms, running):
         if u < acc:
             return lam
-    return law.atoms[-1][0]
+    return law.atoms[running.index(running[-1])][0]
 
 
 def reference_sample_product(law, geometry, stream):

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sipsim.cli import Invocation, parse_config, run
+from sipsim.cli import build_invocation, parse_config, run
 from sipsim.core import Geometry, RandomStream, occupation_of
 from sipsim.dynamics import SipParams
 from sipsim.experiments import (
@@ -239,8 +239,8 @@ def test_criterion_10_worker_determinism(tmp_path):
     for study, path in (("correlation", cfg_path), ("or-distance", or_path)):
         for workers in (1, 8):
             out = tmp_path / f"{study}-{workers}"
-            inv = Invocation(subcommand=study, config_path=str(path), seed=None,
-                             out_dir=str(out), workers=workers)
+            inv = build_invocation([study, "--config", str(path), "--out", str(out),
+                                    "--workers", str(workers)])
             # the tiny or-distance grid fails its decay contract (exit 2);
             # reports are written either way and the bytes are what matters
             assert run(inv) in (0, 2)

@@ -11,7 +11,6 @@ from sipsim import __version__
 from sipsim.cli import (
     DEFAULT_CONFIGS,
     ConfigError,
-    Invocation,
     build_invocation,
     parse_config,
     run,
@@ -33,17 +32,18 @@ seed = 21
 
 # the config keys each study accepts, written out literally: parse_config
 # derives them from experiments.STUDIES, and an edit there must not move them
-COMMON_KEYS = {"d", "boundary", "L", "m", "seed", "replicas", "t_grid"}
+COMMON_KEYS = {"d", "boundary", "L", "m", "seed"}
 STUDY_KEYS = {
-    "self-duality": COMMON_KEYS | {"xi", "eta"},
-    "stationarity": COMMON_KEYS | {"lambda", "xi_sizes"},
-    "coupling": COMMON_KEYS
+    "self-duality": COMMON_KEYS | {"replicas", "t_grid", "xi", "eta"},
+    "stationarity": COMMON_KEYS | {"replicas", "t_grid", "lambda", "xi_sizes"},
+    "coupling": COMMON_KEYS | {"replicas", "t_grid"}
     | {"x_start", "y_start", "delta", "schedule_t0", "schedule_doublings", "iterated_replicas"},
-    "or-distance": COMMON_KEYS | {"x_start"},
-    "convergence": COMMON_KEYS | {"initial_law", "theta", "lambda", "mixture", "xi"},
-    "correlation": COMMON_KEYS | {"mixture", "n"},
-    "factorization": COMMON_KEYS | {"lambda", "eta"},
-    "oracle-check": COMMON_KEYS | {"xi", "eta"},
+    "or-distance": COMMON_KEYS | {"replicas", "t_grid", "x_start"},
+    "convergence": COMMON_KEYS
+    | {"replicas", "t_grid", "initial_law", "theta", "lambda", "mixture", "xi"},
+    "correlation": COMMON_KEYS | {"replicas", "mixture", "n"},
+    "factorization": COMMON_KEYS | {"t_grid", "lambda", "eta"},
+    "oracle-check": COMMON_KEYS | {"t_grid", "xi", "eta"},
 }
 
 
@@ -57,13 +57,15 @@ def fresh_python(code):
 
 
 def invocation(study, tmp_path, config_text=None, seed=None, workers=1, name="run"):
-    config_path = None
+    argv = [study, "--out", str(tmp_path / name), "--workers", str(workers)]
     if config_text is not None:
         config_path = str(tmp_path / f"{name}.cfg")
         with open(config_path, "w") as fh:
             fh.write(config_text)
-    return Invocation(subcommand=study, config_path=config_path, seed=seed,
-                      out_dir=str(tmp_path / name), workers=workers)
+        argv += ["--config", config_path]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    return build_invocation(argv)
 
 
 class TestParseConfig:
@@ -151,7 +153,7 @@ class TestArgs:
     def test_flags(self):
         inv = build_invocation(["correlation", "--seed", "9", "--out", "o",
                                 "--workers", "4"])
-        assert inv.subcommand == "correlation"
+        assert inv.study == "correlation"
         assert inv.seed == 9
         assert inv.workers == 4
 
@@ -212,8 +214,8 @@ class TestRun:
         for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
             path = tmp_path / f"{name}.cfg"
             path.write_text(CORRELATION_CFG, encoding=encoding)
-            inv = Invocation(subcommand="correlation", config_path=str(path), seed=None,
-                             out_dir=str(tmp_path / name), workers=1)
+            inv = build_invocation(["correlation", "--config", str(path),
+                                    "--out", str(tmp_path / name)])
             assert run(inv) == 0
         assert (tmp_path / "bom.cfg").read_bytes()[:3] == b"\xef\xbb\xbf"
         assert seen == [parse_config(CORRELATION_CFG, "correlation")] * 2
@@ -221,18 +223,18 @@ class TestRun:
     def test_oracle_check_default_config_exits_zero(self, tmp_path):
         inv = invocation("oracle-check", tmp_path)
         assert run(inv) == 0
-        csv_path = os.path.join(inv.out_dir, "oracle-check.csv")
+        csv_path = os.path.join(inv.out, "oracle-check.csv")
         text = open(csv_path).read()
         assert "exact_gap[t=1]" in text
         assert "1e-08" in text  # the headline tolerance appears in the CSV
-        summary = json.load(open(os.path.join(inv.out_dir, "oracle-check.json")))
+        summary = json.load(open(os.path.join(inv.out, "oracle-check.json")))
         assert summary["pass"] is True
         assert set(summary) == {"study", "seed", "version", "wall_ms", "pass"}
 
     def test_bad_domain_exits_one_without_outputs(self, tmp_path):
         inv = invocation("stationarity", tmp_path, config_text="lambda = 1.2\n")
         assert run(inv) == 1
-        assert not os.path.exists(inv.out_dir)
+        assert not os.path.exists(inv.out)
 
     @pytest.mark.parametrize("study,text", [
         ("stationarity", "t_grid = nan\n"),
@@ -249,7 +251,7 @@ class TestRun:
         # each of these used to be accepted and then run without end
         inv = invocation(study, tmp_path, config_text=text)
         assert run(inv) == 1
-        assert not os.path.exists(inv.out_dir)
+        assert not os.path.exists(inv.out)
 
     @pytest.mark.parametrize("study", list(STUDIES))
     def test_study_table_errors_exit_one_before_dispatch(self, tmp_path, monkeypatch,
@@ -266,7 +268,7 @@ class TestRun:
             monkeypatch.setitem(DEFAULT_CONFIGS, study, fields)
             inv = invocation(study, tmp_path, name=f"run{j}")
             assert run(inv) == 1
-            assert not os.path.exists(inv.out_dir)
+            assert not os.path.exists(inv.out)
         assert calls == []
 
     @pytest.mark.parametrize("study,text", [
@@ -281,8 +283,21 @@ class TestRun:
         # exited 2, a false statistical failure)
         inv = invocation(study, tmp_path, config_text=text)
         assert run(inv) == 1
-        assert not os.path.exists(inv.out_dir)
+        assert not os.path.exists(inv.out)
         assert "line 1: t_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("study,text,where", [
+        ("factorization", "L = 4\nreplicas = 100\n", "line 2: key 'replicas'"),
+        ("oracle-check", "replicas = 100\n", "line 1: key 'replicas'"),
+        ("correlation", "n = 2\nt_grid = 1 2\n", "line 2: key 't_grid'"),
+    ])
+    def test_a_key_the_study_does_not_read_exits_one(self, tmp_path, capsys, study, text,
+                                                      where):
+        # these studies used to accept the key and then run without reading it
+        inv = invocation(study, tmp_path, config_text=text)
+        assert run(inv) == 1
+        assert not os.path.exists(inv.out)
+        assert f"error: {where} does not apply to study '{study}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("study,text,where", [
         ("or-distance", "t_grid = 0 100\n", "line 1: t_grid"),
@@ -303,7 +318,7 @@ class TestRun:
         monkeypatch.setitem(RUNNERS, study, lambda cfg, workers=1: calls.append(cfg))
         inv = invocation(study, tmp_path, config_text=text)
         assert run(inv) == 1
-        assert not os.path.exists(inv.out_dir)
+        assert not os.path.exists(inv.out)
         assert calls == []
         assert f"error: {where}" in capsys.readouterr().err
 
@@ -321,7 +336,7 @@ class TestRun:
         # unreduced site used to give a false statistical failure (exit 2)
         inv = invocation(study, tmp_path, config_text=text)
         assert run(inv) == 1
-        assert not os.path.exists(inv.out_dir)
+        assert not os.path.exists(inv.out)
         assert f"error: {where} coordinates must lie in [0, " in capsys.readouterr().err
 
     def test_reduced_torus_site_runs(self, tmp_path):
@@ -337,7 +352,7 @@ class TestRun:
         monkeypatch.setitem(RUNNERS, "oracle-check", slow_runner)
         inv = invocation("oracle-check", tmp_path)
         assert run(inv) == 0
-        summary = json.load(open(os.path.join(inv.out_dir, "oracle-check.json")))
+        summary = json.load(open(os.path.join(inv.out, "oracle-check.json")))
         assert summary["wall_ms"] >= 50
 
     @pytest.mark.parametrize("below", [(), ("sub",)])
@@ -351,8 +366,7 @@ class TestRun:
                             lambda cfg, workers=1: calls.append(cfg) or runner(cfg, workers))
         blocker = tmp_path / "file"
         blocker.write_text("")
-        inv = Invocation(subcommand="factorization", config_path=None, seed=None,
-                         out_dir=os.path.join(blocker, *below), workers=1)
+        inv = build_invocation(["factorization", "--out", os.path.join(blocker, *below)])
         assert run(inv) == 1
         assert calls == []
         err = capsys.readouterr().err
@@ -376,11 +390,11 @@ class TestRun:
         inv = invocation(study, tmp_path, config_text=f"replicas = 200\n{line}\n")
         assert run(inv) == 1
         assert re.match(rf"error: line 2: .*\b{key}\b", capsys.readouterr().err)
-        assert not os.path.exists(inv.out_dir)
+        assert not os.path.exists(inv.out)
 
     def test_missing_config_file_exits_one(self, tmp_path):
-        inv = Invocation(subcommand="correlation", config_path=str(tmp_path / "nope.cfg"),
-                         seed=None, out_dir=str(tmp_path / "o"), workers=1)
+        inv = build_invocation(["correlation", "--config", str(tmp_path / "nope.cfg"),
+                                "--out", str(tmp_path / "o")])
         assert run(inv) == 1
 
     def test_statistical_failure_exits_two(self, tmp_path):
@@ -390,7 +404,7 @@ class TestRun:
                 "t_grid = 1.0\nreplicas = 400\nseed = 3\n")
         inv = invocation("convergence", tmp_path, config_text=text)
         assert run(inv) == 2
-        csv_path = os.path.join(inv.out_dir, "convergence.csv")
+        csv_path = os.path.join(inv.out, "convergence.csv")
         assert os.path.exists(csv_path)
         assert ",false" in open(csv_path).read()
 
@@ -405,7 +419,7 @@ class TestRun:
             inv = invocation("oracle-check", tmp_path, config_text=text, workers=workers,
                              name=f"workers{workers}")
             assert run(inv) == 0
-            with open(os.path.join(inv.out_dir, "oracle-check.csv"), "rb") as fh:
+            with open(os.path.join(inv.out, "oracle-check.csv"), "rb") as fh:
                 reports.add(fh.read())
         assert len(reports) == 1
         assert b"state_count[n=4],3876," in reports.pop()
@@ -415,8 +429,8 @@ class TestRun:
         inv2 = invocation("correlation", tmp_path, config_text=CORRELATION_CFG, name="b")
         assert run(inv1) == 0
         assert run(inv2) == 0
-        a = open(os.path.join(inv1.out_dir, "correlation.csv"), "rb").read()
-        b = open(os.path.join(inv2.out_dir, "correlation.csv"), "rb").read()
+        a = open(os.path.join(inv1.out, "correlation.csv"), "rb").read()
+        b = open(os.path.join(inv2.out, "correlation.csv"), "rb").read()
         assert a == b
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -426,12 +440,12 @@ class TestRun:
                           seed=99, name="b")
         run(inv1)
         run(inv2)
-        a = open(os.path.join(inv1.out_dir, "correlation.csv")).read()
-        b = open(os.path.join(inv2.out_dir, "correlation.csv")).read()
+        a = open(os.path.join(inv1.out, "correlation.csv")).read()
+        b = open(os.path.join(inv2.out, "correlation.csv")).read()
         assert a != b
 
     def test_no_partial_files_on_success(self, tmp_path):
         inv = invocation("correlation", tmp_path, config_text=CORRELATION_CFG)
         run(inv)
-        leftovers = [f for f in os.listdir(inv.out_dir) if f.startswith(".tmp-")]
+        leftovers = [f for f in os.listdir(inv.out) if f.startswith(".tmp-")]
         assert leftovers == []

@@ -610,7 +610,7 @@ class TestStudies:
     def test_factorization_static_and_dynamic(self):
         cfg = ExperimentConfig(study="factorization", boundary="torus", L=5, m=2.0,
                                lam=0.4, eta=((0,), (1,), (3,)),
-                               t_grid=(5.0, 10.0, 20.0), replicas=1, seed=14)
+                               t_grid=(5.0, 10.0, 20.0), seed=14)
         rep = run_factorization(cfg)
         by_name = {r.statistic: r for r in rep.rows}
         assert by_name["position_spread[n=2]"].estimate <= 1e-10
@@ -622,7 +622,7 @@ class TestStudies:
     def test_oracle_check_passes(self):
         cfg = ExperimentConfig(study="oracle-check", boundary="torus", L=5, m=2.0,
                                xi=((0,), (2,)), eta=((0,), (1,), (3,)),
-                               t_grid=(0.5, 1.0, 2.0), replicas=1, seed=15)
+                               t_grid=(0.5, 1.0, 2.0), seed=15)
         rep = run_oracle_check(cfg)
         assert rep.passed
         gaps = [r for r in rep.rows if r.statistic.startswith("exact_gap")]
@@ -633,7 +633,7 @@ class TestStudies:
         # three threads however many workers
         cfg = ExperimentConfig(study="oracle-check", boundary="torus", L=5, m=2.0,
                                xi=((0,), (2,)), eta=((0,), (1,), (3,)),
-                               t_grid=(0.5, 1.0, 2.0), replicas=1, seed=15)
+                               t_grid=(0.5, 1.0, 2.0), seed=15)
         serial = run_oracle_check(cfg, workers=1).csv_text()
         assert started_threads == []
         assert run_oracle_check(cfg, workers=64).csv_text() == serial

@@ -43,14 +43,14 @@ CONFIGS = {
     "factorization": dict(boundary="torus", L=4, lam=0.4, eta=((0,), (1,)),
                           t_grid=(1.0, 2.0)),
     "oracle-check": dict(boundary="torus", L=4, xi=((0,), (2,)), eta=((0,), (1,)),
-                         t_grid=(0.5, 1.0), replicas=1),
+                         t_grid=(0.5, 1.0)),
     # the stationarity-dense and oracle-2d benchmark workloads, values copied
     # from their configs over the study defaults
     "stationarity-dense": dict(boundary="torus", d=2, L=8, m=2.0, lam=0.5, xi_sizes=(1, 2, 3),
                                t_grid=(0.25,), replicas=640),
     "oracle-2d": dict(boundary="torus", d=2, L=4, m=2.0, xi=((0, 0), (0, 2)),
                       eta=((0, 0), (0, 1), (1, 1), (2, 3), (3, 3), (1, 2)),
-                      t_grid=(0.5, 1.0, 2.0), replicas=100),
+                      t_grid=(0.5, 1.0, 2.0)),
     # two particles 8 apart on the 8x8 torus: OR free flights that wrap (the decay
     # rows read false, as from far apart the distance has only begun to grow)
     "or-distance-torus": dict(boundary="torus", d=2, L=8, x_start=((0, 0), (4, 4)),

@@ -216,6 +216,18 @@ class TestBlockSampler:
         assert counts.tolist() == [[reference_invert(u, last_lam, 1.0) for u in sites]] * 3
 
 
+    def test_a_fugacity_draw_past_every_running_weight_skips_trailing_zero_weights(self):
+        # the weights sum to 1 - 1e-13; a draw above that sum picks the last
+        # atom that carries weight, never the zero-weight atom after it
+        law = NuMixture(atoms=((0.2, 0.5), (0.6, 0.4999999999999), (0.9, 0.0)), m=2.0)
+        u = 0.99999999999995
+        assert u >= np.cumsum([w for _, w in law.atoms])[-1]
+        sites = [0.999, 0.5, 0.999]
+        counts = sample_product(law, Geometry(1, 3), [_Draws([u] + sites)])
+        assert reference_fugacity(law, u) == 0.6
+        assert counts.tolist() == [[reference_invert(v, 0.6, 1.0) for v in sites]]
+        assert counts[0, 0] == 13 and reference_invert(0.999, 0.9, 1.0) == 65
+
 def assert_block_is_the_reference(law, geometry, seed, size):
     """sample_product on a block of `size` streams equals
     `reference_sample_product` stream by stream, and leaves each stream where

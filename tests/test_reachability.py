@@ -9,7 +9,8 @@ by its own module, or listed in its `__all__`, so a deletion leaves no
 stale import behind. The waiting-time log and the walk weight are each
 stated once, in `core`; the coordinate limit is compared only in
 `Geometry` and `_free_flight`, and the config states no domain of d, m or
-theta of its own."""
+theta of its own. Every field a study's config may set is read by its
+runner, so no config key is a silent no-op."""
 
 import ast
 import os
@@ -169,3 +170,32 @@ def test_config_leaves_the_model_domains_to_the_models():
               and node.func.id == "FieldError" and node.args
               and isinstance(node.args[0], ast.Constant)]
     assert stated and not {"m", "theta", "d"} & set(stated)
+
+
+def _cfg_reads():
+    """runner name -> the `cfg.<field>` attributes its definition reads;
+    `run_convergence` also reads what the `_CONVERGENCE_LAWS` builders read."""
+    with open(os.path.join(SRC, "experiments.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reads = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            name = top.name
+        elif isinstance(top, ast.Assign) and ast.unparse(top.targets[0]) == "_CONVERGENCE_LAWS":
+            name = "run_convergence"
+        else:
+            continue
+        reads.setdefault(name, set()).update(
+            node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg")
+    return reads
+
+
+def test_every_study_field_is_read_by_its_runner():
+    # a key a config may set but the runner never reads would be a silent no-op
+    from sipsim.experiments import RUNNERS, STUDIES
+    reads = _cfg_reads()
+    unread = {study: sorted(set(spec.required + spec.optional)
+                            - reads[RUNNERS[study].__name__])
+              for study, spec in STUDIES.items()}
+    assert unread == {study: [] for study in STUDIES}
