@@ -17,7 +17,7 @@ import tempfile
 import time
 
 from . import __version__
-from .experiments import RUNNERS, STUDIES, ExperimentConfig
+from .experiments import _CONVERGENCE_LAWS, RUNNERS, STUDIES, ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -154,6 +154,11 @@ def parse_config(text: str, study: str) -> ExperimentConfig:
     fields = dict(DEFAULT_CONFIGS[study])
     for key, value in raw.items():
         fields[_FIELD_OF_KEY.get(key, key)] = value
+    law = fields.get("initial_law") if study == "convergence" else None
+    if law in _CONVERGENCE_LAWS:  # the run reads the field of its initial law alone
+        unread = {field for field, _ in _CONVERGENCE_LAWS.values()} - {_CONVERGENCE_LAWS[law][0]}
+        for key in (key for key in raw if _FIELD_OF_KEY.get(key, key) in unread):
+            raise ConfigError(f"key {key!r} is not read with initial_law {law!r}", lines_of[key])
     try:
         return ExperimentConfig(study=study, **fields)
     except ValueError as exc:

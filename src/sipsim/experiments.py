@@ -1,15 +1,15 @@
 """Reproducible verification studies with statistical pass/fail contracts.
 
 Every study is a pure function of (config, seed). A Monte Carlo arm is one
-call of `_map_replicas` with a block function, which turns a list of at
-most `_LOCKSTEP` streams into one row per stream: row r of arm a depends on
-the stream (seed, (a, r)) alone, blocks are handed out in replica order,
-rows come back in replica order, and all reductions are order-independent,
-so reports are identical for any worker count. The dynamics arms run a
-whole block through one lockstep `sample_at_times` call on site ids, the
-correlation arm through one `sample_product` call, and `DualityEvaluator`
-reads D off the arrays; the coupling arms apply a per-replica function to
-each stream (`_each`). Report rows come in three kinds:
+call of `_map_replicas` with a block function, which turns a block of
+streams into one row per stream: row r of arm a depends on the stream
+(seed, (a, r)) alone, the blocks do not depend on the worker count, rows
+come back in replica order, and all reductions are order-independent, so
+reports are identical for any worker count. The dynamics arms run blocks of
+at most `_LOCKSTEP` streams through one lockstep `sample_at_times` call on
+site ids, the correlation arm through one `sample_product` call, and
+`DualityEvaluator` reads D off the arrays; the coupling arms run one
+replica per block (`_each`). Report rows come in three kinds:
 
 * band rows: pass iff |estimate - target| <= max(3*stderr, floor);
 * threshold rows: one-sided, pass iff estimate >= target (or > for strict
@@ -22,8 +22,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing as mp
 import os
+import pickle
+import signal
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -288,66 +290,102 @@ class Report:
         }
 
 
-# Most replicas a block function is handed at once. The lockstep kernel
-# pays each round's array operations once per block, and each live replica
-# holds its stream, a draw window and two rows of running sums.
+# Most replicas a lockstep block function is handed at once. The lockstep
+# kernel pays each round's array operations once per block, and each live
+# replica holds its stream, a draw window and two rows of running sums.
 _LOCKSTEP = 192
 
-# (block, arm, seed) of the fan-out in progress. Pool workers are forked
-# after it is set and inherit it, so the block function may be a closure
-# and only (lo, hi) crosses the pipe.
+# (block function, arm, seed, edges) of the fan-out in progress; block b
+# holds replicas edges[b] to edges[b + 1] - 1. Children forked after it is
+# set inherit it, so the block function may be a closure.
 _fanout = None
 
 
-def _replica_block(lo, hi):
-    """Rows of replicas lo..hi-1 of the fan-out in progress, handed to its
-    block function in equal blocks of at most _LOCKSTEP streams, in replica
-    order."""
-    block, arm, seed = _fanout
-    words = stream_words(seed, (arm,), lo, hi)
-    blocks = -(-(hi - lo) // _LOCKSTEP)
-    edges = [lo + round(i * (hi - lo) / blocks) for i in range(blocks + 1)]
-    rows = []
-    for first, end in zip(edges, edges[1:]):
-        rows += block([RandomStream(seed, (arm, r), words[r - lo]) for r in range(first, end)])
-    return np.array(rows, dtype=float)
+def _run_blocks(indices):
+    """{b: the rows of block b of the fan-out in progress} for b in `indices`."""
+    block, arm, seed, edges = _fanout
+    words = np.concatenate([stream_words(seed, (arm,), lo, min(lo + 4096, edges[-1]))
+                            for lo in range(0, edges[-1], 4096)])  # about 1 MB of work space
+    return {b: np.array(block([RandomStream(seed, (arm, r), words[r])
+                               for r in range(edges[b], edges[b + 1])]), dtype=float)
+            for b in indices}
 
 
-def _map_replicas(block, arm, cfg, n, workers):
-    """The rows block(streams) gives for the streams RandomStream(cfg.seed,
-    (arm, r)), r < n, one row per stream, in replica order. A row depends on
-    its own stream alone, so the array is independent of the worker count,
-    chunking and blocking. The chunks follow `workers`; the pool has at most
-    one process per usable CPU."""
-    global _fanout
-    _fanout = (block, arm, cfg.seed)
+def _child(tasks, report, inherited):
+    """A forked child: it runs the blocks whose 4-byte indices it reads from the
+    pipe `tasks` until that is empty, pickles {block: rows} to the pipe `report`
+    and exits. On an exception it empties `tasks`, so the others stop soon, and
+    reports the exception, as a RuntimeError with its text if it won't unpickle."""
     try:
-        if workers <= 1:
-            return _replica_block(0, n)
-        chunks = max(1, min(4 * workers, n))
-        edges = [round(i * n / chunks) for i in range(chunks + 1)]
-        tasks = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-        affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        with mp.get_context("fork").Pool(processes=min(workers, len(tasks), cpus)) as pool:
-            parts = pool.starmap(_replica_block, tasks)
-        return np.concatenate(parts, axis=0)
+        for fd in set(inherited) - {tasks, report}:  # a held handout end never reads empty
+            os.close(fd)
+        try:
+            message = _run_blocks(int.from_bytes(record, "little")
+                                  for record in iter(partial(os.read, tasks, 4), b""))
+        except Exception as exc:
+            while os.read(tasks, 4096):
+                pass
+            try:
+                message = pickle.loads(pickle.dumps(exc))
+            except Exception:  # FieldError(field, message) does not unpickle
+                message = RuntimeError(f"{type(exc).__name__}: {exc}")
+        with open(report, "wb") as fh:
+            pickle.dump(message, fh)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _map_replicas(block, arm, cfg, n, workers, size=_LOCKSTEP):
+    """The rows block(streams) gives for the streams RandomStream(cfg.seed, (arm, r)),
+    r < n, one per stream in replica order, from ceil(n / size) equal blocks at any
+    worker count, taken one at a time by min(workers, usable CPUs, blocks) forked
+    children (`_child`), or run here if that is one. A child's failure is raised
+    here; on any exception the children left are killed. Every child is reaped."""
+    global _fanout
+    blocks = -(-n // size)
+    affinity = getattr(os, "sched_getaffinity", None)
+    children = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1, blocks)
+    _fanout = (block, arm, cfg.seed, [round(i * n / blocks) for i in range(blocks + 1)])
+    pids, fds = {}, []  # child -> the read end of its report; the pipe ends open here
+    try:
+        parts = _run_blocks(range(blocks)) if children <= 1 else {}
+        if children > 1:
+            fds += os.pipe()  # [tasks, handout]
+            for _ in range(children):
+                fds += os.pipe()
+                if not (pid := os.fork()):
+                    _child(fds[0], fds[-1], fds)
+                pids[pid] = fds[-2]
+                os.close(fds.pop())
+            os.close(fds.pop(0))  # tasks: a handout no child is left to read fails at once
+            with suppress(BrokenPipeError):  # every child has ended; the reports say how
+                for i in range(0, blocks, 128):  # whole records: 512 bytes <= PIPE_BUF
+                    os.write(fds[0], np.arange(i, min(i + 128, blocks), dtype="<u4").tobytes())
+            os.close(fds.pop(0))  # handout: once the children read it empty, they report
+            for pid, report in list(pids.items()):
+                message = None
+                with suppress(EOFError, pickle.UnpicklingError):  # a child ended mid-report
+                    message = pickle.load(open(report, "rb", closefd=False))
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del pids[pid]
+                if not isinstance(message, dict):
+                    raise message or RuntimeError(f"a forked child ended with exit status {status}")
+                parts.update(message)
+        return np.concatenate([parts[b] for b in range(blocks)])
     finally:
         _fanout = None
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
-def _each(replica):
-    """The block function that applies replica to each stream in turn. It
-    drops each stream from the block's list before the call, so a long run
-    (up to 8,192 buffered draws) holds one draw buffer, not a block's."""
-    def block(streams):
-        rows = []
-        for i, stream in enumerate(streams):
-            streams[i] = None
-            rows.append(replica(stream))
-        return rows
-
-    return block
+def _each(replica, arm, cfg, n, workers):
+    """`_map_replicas` for a replica function: a block of one stream holds
+    one draw buffer (up to 8,192 draws) and balances to one replica."""
+    return _map_replicas(lambda streams: [replica(*streams)], arm, cfg, n, workers, 1)
 
 
 def _map_calls(calls, workers):
@@ -476,10 +514,9 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
     rows = []
     curve = []
     for j, t in enumerate(cfg.t_grid):
-        flags = _map_replicas(
-            _each(lambda stream: _coupled(two_stage_coupling(cfg.x_start, cfg.y_start, params,
-                                                             t, cfg.delta, stream))),
-            _ARM_COUPLING_BASE + j, cfg, cfg.replicas, workers)
+        flags = _each(lambda stream: _coupled(two_stage_coupling(cfg.x_start, cfg.y_start, params,
+                                                                 t, cfg.delta, stream)),
+                      _ARM_COUPLING_BASE + j, cfg, cfg.replicas, workers)
         p_est, p_se = batched(flags)
         curve.append((p_est, p_se))
         rows.append(info_row(f"success[t={t:g}]", p_est, p_se))
@@ -490,10 +527,9 @@ def run_coupling_success(cfg: ExperimentConfig, workers: int = 1) -> Report:
     separation = (p_last - 3.0 * se_last) - (p_first + 3.0 * se_first)
     rows.append(threshold_row("trend_separation", separation, None, 0.0, strict=True))
     schedule = doubling_schedule(cfg.schedule_t0, cfg.schedule_doublings)
-    iterated = _map_replicas(
-        _each(lambda stream: _coupled(iterated_coupling(cfg.x_start, cfg.y_start, params,
-                                                        schedule, stream, delta=cfg.delta))),
-        _ARM_ITERATED, cfg, cfg.iterated_replicas, workers)
+    iterated = _each(lambda stream: _coupled(iterated_coupling(cfg.x_start, cfg.y_start, params,
+                                                               schedule, stream, delta=cfg.delta)),
+                     _ARM_ITERATED, cfg, cfg.iterated_replicas, workers)
     it_est, it_se = batched(iterated)
     rows.append(threshold_row("iterated_success", it_est, it_se, 0.99))
     return Report(study=cfg.study, rows=rows, seed=cfg.seed)
@@ -511,9 +547,8 @@ def run_or_distance(cfg: ExperimentConfig, workers: int = 1) -> Report:
     """
     params = cfg.sip_params
     rows = []
-    block = _map_replicas(
-        _each(lambda stream: or_distance_single(cfg.x_start, params, cfg.t_grid, stream)),
-        _ARM_OR_DISTANCE, cfg, cfg.replicas, workers)
+    block = _each(lambda stream: or_distance_single(cfg.x_start, params, cfg.t_grid, stream),
+                  _ARM_OR_DISTANCE, cfg, cfg.replicas, workers)
     normalized = []
     for j, t in enumerate(cfg.t_grid):
         est, se = batched(block[:, j])

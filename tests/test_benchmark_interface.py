@@ -241,13 +241,42 @@ def test_the_probes_run_and_give_ten_positive_finite_metrics():
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy.random loads with the first stream; oracle-check builds none, and
-    # loading it with the package raises that run's peak memory by about 18%
+    # loading it with the package raises that run's peak memory by about 18%.
+    # The fan-out forks its children itself: multiprocessing would add about
+    # 0.6 MB and 5 ms to every start.
     src = str(Path(sipsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, sipsim.cli; print(sorted(m for m in sys.modules if 'numpy.random' in m))"
+    code = ("import sys, sipsim.cli; print(sorted(m for m in sys.modules "
+            "if 'numpy.random' in m or m.split('.')[0] == 'multiprocessing'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+FORKED_BALLAST = r"""
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from sipsim.experiments import ExperimentConfig, _map_replicas
+
+def block(streams):
+    ballast = b"\1" * (48 << 20)  # 48 MB resident in the child that runs the block
+    return [[float(len(ballast))]] * len(streams)
+
+cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4)
+assert _map_replicas(block, 0, cfg, 2, 2, 1).tolist() == [[48 << 20]] * 2
+"""
+
+
+def test_the_peak_memory_the_benchmark_reads_covers_the_fanout_children():
+    # perfbench/run.py reads peak_rss_mb from wait4 on the CLI process,
+    # which covers only the descendants that process reaped itself
+    src = str(Path(sipsim.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-c", FORKED_BALLAST], env=dict(os.environ,
+                                                                             PYTHONPATH=src))
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss >= 48 << 10  # KB; the calling process alone stays far below
 
 
 # Runs in a child process: `install` patches sipsim's modules for good.

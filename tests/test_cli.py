@@ -113,6 +113,11 @@ class TestParseConfig:
         assert "requires the 'lambda' field" in str(err.value)
         assert not re.search(r"\blam\b", str(err.value))
 
+    def test_the_default_theta_does_not_stop_another_initial_law(self):
+        # DEFAULT_CONFIGS supplies theta = 1.0, which a written lambda must not trip
+        cfg = parse_config("initial_law = nu_lambda\nlambda = 0.4\n", "convergence")
+        assert (cfg.initial_law, cfg.lam) == ("nu_lambda", 0.4)
+
     @pytest.mark.parametrize("text,line", [
         ("schedule_t0 = -1\nschedule_doublings = 3\n", 1),
         ("schedule_doublings = 3\nschedule_t0 = -1\n", 2),
@@ -290,6 +295,16 @@ class TestRun:
         ("factorization", "L = 4\nreplicas = 100\n", "line 2: key 'replicas'"),
         ("oracle-check", "replicas = 100\n", "line 1: key 'replicas'"),
         ("correlation", "n = 2\nt_grid = 1 2\n", "line 2: key 't_grid'"),
+        # convergence reads the parameter of its initial law alone
+        ("convergence", "initial_law = poisson\ntheta = 1\nlambda = 0.3\n"
+         "mixture = 0.2:0.5 0.6:0.5\n", "line 3: key 'lambda' is not read with initial_law "
+         "'poisson'"),
+        ("convergence", "mixture = 0.2:0.5 0.6:0.5\n",
+         "line 1: key 'mixture' is not read with initial_law 'poisson'"),
+        ("convergence", "initial_law = nu_lambda\nlambda = 0.4\ntheta = 1\n",
+         "line 3: key 'theta' is not read with initial_law 'nu_lambda'"),
+        ("convergence", "theta = 1\ninitial_law = mixture\nmixture = 0.2:0.5 0.6:0.5\n",
+         "line 1: key 'theta' is not read with initial_law 'mixture'"),
     ])
     def test_a_key_the_study_does_not_read_exits_one(self, tmp_path, capsys, study, text,
                                                       where):
@@ -297,7 +312,8 @@ class TestRun:
         inv = invocation(study, tmp_path, config_text=text)
         assert run(inv) == 1
         assert not os.path.exists(inv.out)
-        assert f"error: {where} does not apply to study '{study}'" in capsys.readouterr().err
+        reason = "" if study == "convergence" else f" does not apply to study '{study}'"
+        assert f"error: {where}{reason}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("study,text,where", [
         ("or-distance", "t_grid = 0 100\n", "line 1: t_grid"),

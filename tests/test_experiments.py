@@ -1,15 +1,17 @@
 import math
 import os
+import signal
 import threading
+import time
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipsim.cli import DEFAULT_CONFIGS
+import sipsim.experiments as experiments
+from sipsim.cli import DEFAULT_CONFIGS, build_invocation, run
 from sipsim.core import Geometry, RandomStream
 from sipsim.duality import DualityEvaluator
 from sipsim.dynamics import ProcessKind, SipParams
@@ -19,6 +21,7 @@ from sipsim.experiments import (
     _LOCKSTEP,
     STUDIES,
     ExperimentConfig,
+    FieldError,
     _each,
     _map_calls,
     _map_replicas,
@@ -269,30 +272,37 @@ class TestMapCalls:
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Run `_map_replicas`'s pool tasks in this process, in task order; the
-    list records the size of each pool asked for."""
-    import sipsim.experiments as experiments
+def forks(monkeypatch):
+    """The children `_map_replicas` forks while the test runs, on a host that
+    lets this process run on four CPUs. A test still running after 60 s
+    raises TimeoutError here instead of hanging; once the test ends, every
+    child must have been reaped and every pipe end closed."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    pids = []
+    fork = os.fork
 
-    sizes = []
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    class InlinePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    monkeypatch.setattr(os, "fork", counted)
 
-        def __enter__(self):
-            return self
+    def timeout(signum, frame):
+        raise TimeoutError("the fan-out ran past the test's 60 s")
 
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, tasks):
-            return [fn(*task) for task in tasks]
-
-    monkeypatch.setattr(experiments, "mp",
-                        SimpleNamespace(get_context=lambda method: SimpleNamespace(
-                            Pool=InlinePool)))
-    return sizes
+    fds = sorted(os.listdir("/proc/self/fd"))
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 60.0)
+    try:
+        yield pids
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, handler)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def kernel_block(streams):
@@ -310,55 +320,53 @@ def kernel_rows_alone(seed, arm, n):
         RandomStream(seed, (arm, r)))] for r in range(n)], dtype=float)
 
 
+def stream_block(streams):
+    """Per stream: its replica number, its block's size and its first draw."""
+    return [[stream.path[1], len(streams), stream.uniform()] for stream in streams]
+
+
+MAP_CFG = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
+
+
 class TestMapReplicas:
-    def test_pool_never_outnumbers_its_chunks(self, inline_pool, monkeypatch):
-        # 100 replicas make at most 100 chunks, so 200 workers must not fork
-        # 100 processes that never get one; the pool runs inline here, on a
-        # host that lets this process run on 256 CPUs
+    def test_pool_never_outnumbers_its_chunks(self, forks, monkeypatch):
+        # the forked children never outnumber the blocks: 200 workers with
+        # three blocks fork three, and one block runs here; on a host that
+        # lets this process run on 256 CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(256)),
                             raising=False)
-        sizes = inline_pool
-        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
-
-        def block(streams):
-            return [[stream.uniform()] for stream in streams]
-
-        serial = _map_replicas(block, 0, cfg, 100, 1)
-        assert sizes == []
-        for workers, processes in ((2, 2), (200, 100)):
-            assert np.array_equal(_map_replicas(block, 0, cfg, 100, workers), serial)
-            assert sizes.pop() == processes
+        for n, size, workers, children in ((1000, _LOCKSTEP, 2, 2), (3, 1, 200, 3),
+                                           (100, _LOCKSTEP, 200, 0)):
+            serial = _map_replicas(stream_block, 0, MAP_CFG, n, 1, size)
+            forks.clear()
+            assert np.array_equal(_map_replicas(stream_block, 0, MAP_CFG, n, workers, size),
+                                  serial)
+            assert len(forks) == children
 
     @pytest.mark.parametrize("affinity, cpu_count, processes",
                              [({0, 5}, 64, 2), (None, 3, 3), (None, None, 1)])
-    def test_pool_never_outnumbers_the_usable_cpus(self, inline_pool, monkeypatch,
-                                                   affinity, cpu_count, processes):
+    def test_pool_never_outnumbers_the_usable_cpus(self, forks, monkeypatch, affinity,
+                                                   cpu_count, processes):
         # --workers 64 used to fork 64 processes however few CPUs the host
-        # has; the chunks, and so the rows, still follow the requested count
-        sizes = inline_pool
-        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
-        chunks = []
-
-        def block(streams):
-            chunks.append(len(streams))
-            return [[stream.uniform()] for stream in streams]
-
-        serial = _map_replicas(block, 0, cfg, 300, 1)
+        # has; the blocks, and so the rows, follow the replica count alone
+        serial = _map_replicas(stream_block, 0, MAP_CFG, 1000, 1)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        chunks.clear()
-        assert np.array_equal(_map_replicas(block, 0, cfg, 300, 64), serial)
-        assert sizes == [processes]
-        assert len(chunks) == 256  # 4 * 64 chunks of one or two replicas
+        assert forks == []
+        assert np.array_equal(_map_replicas(stream_block, 0, MAP_CFG, 1000, 64), serial)
+        assert len(forks) == (processes if processes > 1 else 0)  # one process runs here
+        assert sorted(set(serial[:, 1].tolist())) == [166, 167]  # six blocks
 
-    def test_rows_are_equal_at_every_worker_count(self):
-        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=3)
-        rows = [_map_replicas(kernel_block, 2, cfg, 150, workers) for workers in (1, 2, 3)]
-        assert np.array_equal(rows[0], kernel_rows_alone(3, 2, 150))
-        assert all(np.array_equal(r, rows[0]) for r in rows[1:])
+    def test_rows_are_equal_at_every_worker_count(self, forks):
+        alone = kernel_rows_alone(3, 2, 150)
+        for workers in (1, 2, 3, 64):
+            assert np.array_equal(_map_replicas(kernel_block, 2, MAP_CFG, 150, workers, 40), alone)
+            assert np.array_equal(_each(lambda stream: kernel_block([stream])[0], 2, MAP_CFG,
+                                        150, workers), alone)
+        assert len(forks) == 2 * (2 + 3 + 4)  # four CPUs, and four blocks of 40
 
     @pytest.mark.parametrize("n", [_LOCKSTEP - 1, _LOCKSTEP, _LOCKSTEP + 1])
     def test_rows_straddling_one_block_equal_replicas_run_alone(self, n):
@@ -366,35 +374,119 @@ class TestMapReplicas:
         assert np.array_equal(_map_replicas(kernel_block, 5, cfg, n, 1),
                               kernel_rows_alone(4, 5, n))
 
-    def test_each_drops_every_stream_it_has_used(self):
-        # a per-replica arm may buffer 8,192 draws per stream; the block's
-        # list must not keep them all alive
-        streams = [RandomStream(0, (r,)) for r in range(5)]
-        seen = []
+    def test_each_drops_every_stream_it_has_used(self, monkeypatch):
+        # a per-replica arm may buffer 8,192 draws per stream; its block
+        # function gets one stream at a time, so no list keeps a block's
+        # worth of them alive
+        sizes = []
+        map_replicas = experiments._map_replicas
 
-        def replica(stream):
-            seen.append(streams.count(None))
-            return stream.uniform()
+        def spied(block, *args):
+            def counted(streams):
+                sizes.append(len(streams))
+                return block(streams)
 
-        assert _each(replica)(streams) == [RandomStream(0, (r,)).uniform() for r in range(5)]
-        assert seen == [1, 2, 3, 4, 5]
-        assert streams == [None] * 5
+            return map_replicas(counted, *args)
+
+        monkeypatch.setattr(experiments, "_map_replicas", spied)
+        rows = _each(lambda stream: stream.uniform(), 4, MAP_CFG, 5, 1)
+        assert rows.tolist() == [RandomStream(3, (4, r)).uniform() for r in range(5)]
+        assert sizes == [1] * 5
 
     @pytest.mark.parametrize("n, workers", [(1, 1), (_LOCKSTEP + 1, 1), (64, 1),
                                             (2 * _LOCKSTEP, 1), (3 * _LOCKSTEP + 5, 3),
                                             (7, 64)])
-    def test_block_functions_see_each_stream_once_in_replica_order(self, inline_pool, n,
+    def test_block_functions_see_each_stream_once_in_replica_order(self, forks, tmp_path, n,
                                                                    workers):
-        cfg = ExperimentConfig(study="stationarity", boundary="torus", L=5, lam=0.4, seed=5)
-        seen = []
+        # each block function call, in a child or here, appends one line
+        # listing its replicas, so a block run twice would show twice; a
+        # lockstep arm and a per-replica arm (blocks of one) alike
+        for size in (_LOCKSTEP, 1):
+            path = tmp_path / f"blocks-{size}"
+            log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
+            def block(streams):
+                assert {stream.path[0] for stream in streams} == {7}
+                os.write(log, " ".join(str(s.path[1]) for s in streams).encode() + b"\n")
+                return [[float(stream.path[1])] for stream in streams]
+
+            try:
+                rows = _map_replicas(block, 7, MAP_CFG, n, workers, size)
+            finally:
+                os.close(log)
+            blocks = sorted([int(r) for r in line.split()]
+                            for line in path.read_text().splitlines())
+            assert [r for replicas in blocks for r in replicas] == list(range(n))
+            assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+            assert len(blocks) == -(-n // size)  # so at most `size` streams each
+            assert rows.tolist() == [[float(r)] for r in range(n)]
+
+
+class TestForkedFailures:
+    """A child's failure is raised here, and nothing is left behind (see `forks`)."""
+
+    def test_a_child_exception_is_raised_with_its_type_and_message(self, forks):
         def block(streams):
-            seen.append([stream.path for stream in streams])
-            return [[float(r)] for r in range(len(streams))]
+            if streams[0].path[1] == 5:
+                raise ZeroDivisionError("replica 5 divided by zero")
+            return [[0.0]]
 
-        _map_replicas(block, 7, cfg, n, workers)
-        assert [path for paths in seen for path in paths] == [(7, r) for r in range(n)]
-        assert max(map(len, seen)) <= _LOCKSTEP
+        with pytest.raises(ZeroDivisionError) as err:
+            _map_replicas(block, 0, MAP_CFG, 10, 2, 1)
+        assert str(err.value) == "replica 5 divided by zero"
+        assert len(forks) == 2
+
+    def test_an_exception_that_does_not_unpickle_is_raised_as_its_text(self, forks):
+        def block(streams):
+            raise FieldError("lam", "'lam': out of its domain")
+
+        with pytest.raises(RuntimeError, match="^FieldError: 'lam': out of its domain$"):
+            _map_replicas(block, 0, MAP_CFG, 10, 2, 1)
+
+    def test_the_cli_exits_one_and_writes_no_report(self, forks, monkeypatch, tmp_path, capsys):
+        def fail(law, geometry, streams):
+            raise FieldError("lam", "'lam': out of its domain")
+
+        monkeypatch.setattr(experiments, "sample_product", fail)
+        args = build_invocation(["stationarity", "--out", str(tmp_path / "out"), "--workers", "2"])
+        assert run(args) == 1
+        assert "error: FieldError: 'lam': out of its domain" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("end, status", [(partial(os._exit, 7), 7),
+                                             (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)])
+    def test_a_child_that_ends_without_a_report_is_named_by_its_status(self, forks, end,
+                                                                         status):
+        def block(streams):
+            if streams[0].path[1] == 3:
+                end()
+            return [[0.0]]
+
+        with pytest.raises(RuntimeError, match=f"^a forked child ended with exit status {status}$"):
+            _map_replicas(block, 0, MAP_CFG, 10, 2, 1)
+
+    def test_an_interrupt_here_kills_the_children(self, forks):
+        # the children sleep in their blocks; an interrupt half a second in
+        # must end the arm at once, not after their sleeps
+        def late(signum, frame):
+            raise TimeoutError("the arm outlived the interrupt by 10 s")
+
+        def interrupt(signum, frame):
+            signal.signal(signal.SIGALRM, late)
+            signal.setitimer(signal.ITIMER_REAL, 10.0)
+            raise KeyboardInterrupt
+
+        signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            _map_replicas(lambda streams: time.sleep(60), 0, MAP_CFG, 10, 2, 1)
+        assert len(forks) == 2
+
+    def test_a_handout_larger_than_the_pipe_does_not_deadlock(self, forks):
+        # 10^5 four-byte block indices are 400 KB; a pipe holds 64 KiB
+        rows = _each(lambda stream: float(stream.path[1]), 0, MAP_CFG, 100_000, 2)
+        assert np.array_equal(rows, np.arange(100_000))
 
 
 def small_self_duality_cfg(**kw):
